@@ -7,5 +7,3 @@ confident bundle members.
 """
 
 __version__ = "0.1.0"
-
-from .kernels import BACKEND as KERNEL_BACKEND  # noqa: F401

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .graphs import NodeTable
 from .sampling import Bundle
+
+logger = logging.getLogger(__name__)
 
 TRUNCATION_MARKER = " [truncated]"
 NO_TEXT_PLACEHOLDER = "(no text)"
@@ -162,16 +165,18 @@ def mode_label(member_labels) -> int:
     return int(np.argmax(counts))
 
 
-def annotate_oracle(bundle: Bundle, labels, cfg: OracleConfig) -> int:
+def annotate_oracle(bundle: Bundle, table: NodeTable, cfg: OracleConfig) -> int:
     """True mode of the member labels, corrupted with probability noise_rate.
 
-    Deterministic given (cfg.seed, bundle.id) regardless of call order.
+    A corrupted label is drawn uniformly from the table's other classes,
+    including classes no node carries. Deterministic given (cfg.seed,
+    bundle.id) regardless of call order.
     """
-    member_labels = [labels[m] for m in bundle.members]
+    member_labels = [table.labels[m] for m in bundle.members]
     true = mode_label(member_labels)
     if cfg.noise_rate <= 0.0:
         return true
-    n_classes = int(max(labels)) + 1
+    n_classes = table.num_classes
     rng = np.random.default_rng((cfg.seed, _STREAM_ORACLE, bundle.id))
     if rng.random() < cfg.noise_rate and n_classes > 1:
         other = int(rng.integers(n_classes - 1))
@@ -179,16 +184,17 @@ def annotate_oracle(bundle: Bundle, labels, cfg: OracleConfig) -> int:
     return true
 
 
-def annotate_nodes_oracle(node_indices, labels, cfg: OracleConfig) -> np.ndarray:
+def annotate_nodes_oracle(node_indices, table: NodeTable, cfg: OracleConfig) -> np.ndarray:
     """Per-node oracle: the true label, corrupted with probability noise_rate.
 
-    Used by individual-query experiment arms; deterministic per
-    (cfg.seed, node index).
+    Corrupted labels come from the table's other classes. Used by
+    individual-query experiment arms; deterministic per (cfg.seed, node
+    index).
     """
-    n_classes = int(max(labels)) + 1
+    n_classes = table.num_classes
     out = np.empty(len(node_indices), dtype=np.intp)
     for pos, node in enumerate(node_indices):
-        true = int(labels[node])
+        true = int(table.labels[node])
         rng = np.random.default_rng((cfg.seed, _STREAM_NODE_ORACLE, int(node)))
         if cfg.noise_rate > 0.0 and rng.random() < cfg.noise_rate and n_classes > 1:
             other = int(rng.integers(n_classes - 1))
@@ -199,18 +205,37 @@ def annotate_nodes_oracle(node_indices, labels, cfg: OracleConfig) -> np.ndarray
 
 
 class AnnotationCache:
-    """Append-only JSONL store keyed by prompt digest; safe across threads."""
+    """Append-only JSONL store keyed by prompt digest; safe across threads.
+
+    A last line that is not valid JSON, as left by a crash mid-append, is
+    dropped from the file with a warning; a bad line anywhere else raises.
+    """
 
     def __init__(self, path=None):
         self.path = path
         self._records = {}
         self._lock = threading.Lock()
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = AnnotationRecord.from_json(line)
-                        self._records[rec.prompt_sha256] = rec
+            self._load(path)
+
+    def _load(self, path) -> None:
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        offset = 0
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.decode("utf-8")
+            if line.strip():
+                try:
+                    rec = AnnotationRecord.from_json(line)
+                except json.JSONDecodeError:
+                    if any(rest.strip() for rest in lines[lineno:]):
+                        raise
+                    logger.warning("%s:%d: dropping a cut-short last line", path, lineno)
+                    # later appends must start on a line of their own
+                    os.truncate(path, offset)
+                    return
+                self._records[rec.prompt_sha256] = rec
+            offset += len(raw)
 
     def get(self, sha256: str) -> AnnotationRecord | None:
         with self._lock:
@@ -255,7 +280,7 @@ def annotate_all(
         if table.labels is None:
             raise ValueError("oracle annotation needs ground-truth labels in the node table")
         for b in bundles:
-            label = annotate_oracle(b, table.labels, oracle)
+            label = annotate_oracle(b, table, oracle)
             b.label = label
             records.append(
                 AnnotationRecord(
@@ -275,21 +300,18 @@ def annotate_all(
         prompts = [
             build_prompt(b, table, dataset_description, llm.max_chars_per_item) for b in bundles
         ]
-        by_id = {}
         if llm.parallelism > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=llm.parallelism) as pool:
-                for rec in pool.map(
+                results = list(pool.map(
                     lambda p: annotate_llm(p, llm, cache, table.class_names), prompts
-                ):
-                    by_id[rec.bundle_id] = rec
+                ))
         else:
-            for prompt in prompts:
-                rec = annotate_llm(prompt, llm, cache, table.class_names)
-                by_id[rec.bundle_id] = rec
-        for b in bundles:
-            rec = by_id[b.id]
+            results = [annotate_llm(p, llm, cache, table.class_names) for p in prompts]
+        for b, rec in zip(bundles, results):
+            # a cache hit carries the id of the first bundle that sent the prompt
+            rec = replace(rec, bundle_id=b.id)
             b.label = rec.label
             records.append(rec)
     n_labeled = sum(1 for r in records if r.label is not None)

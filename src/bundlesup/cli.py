@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-synth, sample-bundles, annotate, train, eval, pipeline,
-sweep, verify, bench-kernels. Run `bundlesup <cmd> --help` for flags.
+sweep, verify. Run `bundlesup <cmd> --help` for flags.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import gnn, kernels
+from . import gnn
 from .annotate import AnnotationCache, OracleConfig, annotate_all, save_records
 from .graphs import (
     load_edge_list,
@@ -323,18 +323,10 @@ def cmd_verify(args):
     return 0 if rep.monotone and rep.sufficient_decrease and rep.rate_ok else 1
 
 
-def cmd_bench_kernels(args):
-    from .kernels.bench import run_benchmark
-
-    run_benchmark(n=args.n, avg_degree=args.avg_degree, cols=args.cols, repeats=args.repeats)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bundlesup",
-        description="Bundle-level weak supervision for graph neural networks "
-        f"(kernel backend: {kernels.BACKEND})",
+        description="Bundle-level weak supervision for graph neural networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -436,13 +428,6 @@ def main(argv=None) -> int:
     p.add_argument("--refinement", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench-kernels", help="time the compiled kernels against NumPy")
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--avg-degree", type=int, default=12)
-    p.add_argument("--cols", type=int, default=64)
-    p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(func=cmd_bench_kernels)
 
     args = parser.parse_args(argv)
     return args.func(args)

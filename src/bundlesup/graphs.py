@@ -180,11 +180,15 @@ def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(n=n, indptr=indptr, indices=cols, data=vals)
 
 
-def hop_distances(graph: Graph, core: int) -> np.ndarray:
-    """Shortest-path hop counts from `core`; UNREACHABLE (-1) if disconnected."""
+def hop_distances(graph: Graph, core: int, need: int | None = None) -> np.ndarray:
+    """Shortest-path hop counts from `core`; UNREACHABLE (-1) if disconnected.
+
+    With `need`, only the levels up to the first one by which `need` other
+    nodes are reached are filled in; farther nodes stay UNREACHABLE.
+    """
     if not (0 <= core < graph.n):
         raise ValueError(f"core {core} out of range for n={graph.n}")
-    return kernels.bfs_levels(graph.indptr, graph.indices, graph.n, core)
+    return kernels.bfs_levels(graph.indptr, graph.indices, graph.n, core, need)
 
 
 def load_edge_list(path) -> Graph:

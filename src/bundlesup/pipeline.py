@@ -190,9 +190,7 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
         nodes = sorted({m for b in bundles for m in b.members})
         if table.labels is None:
             raise ValueError("individual_query needs ground-truth labels for the oracle")
-        node_labels = annotate_nodes_oracle(
-            nodes, table.labels, replace(cfg.oracle, seed=ann_seed)
-        )
+        node_labels = annotate_nodes_oracle(nodes, table, replace(cfg.oracle, seed=ann_seed))
         params, report = train_on_nodes(
             a_hat, emb, np.asarray(nodes), node_labels, tcfg, table.num_classes
         )
@@ -334,7 +332,7 @@ def compare_queries(cfg: ExperimentConfig) -> QueryComparison:
         bundle_rows.append({"seed": s, "agreement": agree_b, "accuracy": acc_b})
 
         nodes = sorted({m for b in bundles for m in b.members})
-        node_labels = annotate_nodes_oracle(nodes, table.labels, oracle)
+        node_labels = annotate_nodes_oracle(nodes, table, oracle)
         agree_i = float(np.mean([node_labels[i] == table.labels[v] for i, v in enumerate(nodes)]))
         params, _ = train_on_nodes(
             a_hat, emb, np.asarray(nodes), node_labels, tcfg, table.num_classes

@@ -102,7 +102,7 @@ def adaptive_hop(graph: Graph, core: int, bundle_size: int) -> tuple:
         raise ValueError("bundle_size must be >= 2")
     if graph.degree(core) == 0:
         raise IsolatedCoreError(f"node {core} has no neighbors")
-    return _hop_from_levels(hop_distances(graph, core), bundle_size)
+    return _hop_from_levels(hop_distances(graph, core, bundle_size - 1), bundle_size)
 
 
 def sample_topological(
@@ -111,7 +111,7 @@ def sample_topological(
     """Core plus a uniform sample from its adaptive-hop neighborhood."""
     if graph.degree(core) == 0:
         raise IsolatedCoreError(f"node {core} has no neighbors")
-    levels = hop_distances(graph, core)
+    levels = hop_distances(graph, core, bundle_size - 1)
     k, _ = _hop_from_levels(levels, bundle_size)
     pool = np.flatnonzero((levels >= 1) & (levels <= k))
     take = min(bundle_size - 1, pool.size)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ from bundlesup.sampling import Bundle
 def table_for(texts=None, labels=None, classes=("A", "B", "C")):
     n = len(texts) if texts is not None else len(labels)
     return NodeTable(n=n, class_names=list(classes), texts=texts, labels=labels)
+
+
+def labelled(labels, num_classes=None):
+    """Node table carrying only labels, over num_classes (default max+1) classes."""
+    k = num_classes if num_classes is not None else int(max(labels)) + 1
+    return table_for(labels=[int(y) for y in labels], classes=[f"c{i}" for i in range(k)])
 
 
 class TestBuildPrompt:
@@ -96,11 +104,11 @@ class TestParseResponse:
 class TestOracle:
     def test_mode(self):
         b = Bundle(id=0, core=0, members=[0, 1, 2])
-        assert annotate_oracle(b, [0, 0, 1], OracleConfig()) == 0
+        assert annotate_oracle(b, labelled([0, 0, 1]), OracleConfig()) == 0
 
     def test_tie_breaks_to_lower_class(self):
         b = Bundle(id=0, core=0, members=[0, 1, 2, 3])
-        assert annotate_oracle(b, [1, 1, 0, 0], OracleConfig()) == 0
+        assert annotate_oracle(b, labelled([1, 1, 0, 0]), OracleConfig()) == 0
 
     def test_noiseless_matches_histogram_argmax(self):
         rng = np.random.default_rng(0)
@@ -108,19 +116,19 @@ class TestOracle:
             labels = rng.integers(0, 4, size=10).tolist()
             members = rng.choice(10, size=5, replace=False).tolist()
             b = Bundle(id=trial, core=members[0], members=members)
-            got = annotate_oracle(b, labels, OracleConfig(noise_rate=0.0))
+            got = annotate_oracle(b, labelled(labels, 4), OracleConfig(noise_rate=0.0))
             counts = np.bincount([labels[m] for m in members], minlength=4)
             assert counts[got] == counts.max()
             assert got == int(np.argmax(counts))
 
     def test_full_noise_never_returns_mode(self):
-        labels = [0, 0, 1, 2]
+        labels = labelled([0, 0, 1, 2])
         for bid in range(100):
             b = Bundle(id=bid, core=0, members=[0, 1, 2, 3])
             assert annotate_oracle(b, labels, OracleConfig(noise_rate=1.0, seed=bid)) != 0
 
     def test_deterministic_per_seed_and_bundle(self):
-        labels = [0, 1, 2, 0, 1, 2]
+        labels = labelled([0, 1, 2, 0, 1, 2])
         cfg = OracleConfig(noise_rate=0.5, seed=11)
         b = Bundle(id=3, core=0, members=[0, 1, 2, 3])
         first = annotate_oracle(b, labels, cfg)
@@ -130,14 +138,26 @@ class TestOracle:
 
     def test_node_oracle_noiseless_identity(self):
         labels = [0, 1, 2, 1]
-        out = annotate_nodes_oracle([0, 1, 2, 3], labels, OracleConfig(noise_rate=0.0))
+        out = annotate_nodes_oracle([0, 1, 2, 3], labelled(labels), OracleConfig(noise_rate=0.0))
         assert out.tolist() == labels
 
     def test_node_oracle_flip_rate(self):
         labels = list(np.random.default_rng(0).integers(0, 4, size=2000))
-        out = annotate_nodes_oracle(range(2000), labels, OracleConfig(noise_rate=0.3, seed=5))
+        cfg = OracleConfig(noise_rate=0.3, seed=5)
+        out = annotate_nodes_oracle(range(2000), labelled(labels, 4), cfg)
         flips = np.mean([o != l for o, l in zip(out, labels)])
         assert abs(flips - 0.3) < 0.05
+
+    def test_noise_reaches_classes_no_node_carries(self):
+        # the table has classes c0..c2 but no node is labelled c2
+        table = labelled([0, 0, 1, 0], num_classes=3)
+        cfg = OracleConfig(noise_rate=1.0, seed=4)
+        bundle_draws = {annotate_oracle(Bundle(id=bid, core=0, members=[0, 1, 3]), table, cfg)
+                        for bid in range(60)}
+        assert bundle_draws == {1, 2}
+        node_draws = {int(annotate_nodes_oracle([0], table, OracleConfig(1.0, seed=s))[0])
+                      for s in range(60)}
+        assert node_draws == {1, 2}
 
     def test_mode_label_helper(self):
         assert mode_label([2, 2, 1]) == 2
@@ -175,6 +195,28 @@ class TestCache:
     def test_json_round_trip(self):
         rec = self._record()
         assert AnnotationRecord.from_json(rec.to_json()) == rec
+
+    def test_cut_short_last_line_is_dropped(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        cache.put(self._record(sha="k1", label=2))
+        cache.put(self._record(sha="k2", label=0))
+        whole = path.read_text()
+        path.write_text(whole + self._record(sha="k3").to_json()[:25])
+        with caplog.at_level("WARNING", logger="bundlesup.annotate"):
+            reopened = AnnotationCache(path)
+        assert len(reopened) == 2 and reopened.get("k3") is None
+        assert "cut-short last line" in caplog.text
+        assert path.read_text() == whole
+        reopened.put(self._record(sha="k4", label=1))
+        assert AnnotationCache(path).get("k4").label == 1
+
+    def test_bad_line_in_the_middle_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = self._record(sha="k1").to_json()
+        path.write_text(good + "\n" + good[:25] + "\n" + self._record(sha="k2").to_json() + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            AnnotationCache(path)
 
 
 class TestAnnotateAll:

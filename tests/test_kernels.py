@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
+import subprocess
+import sys
+from unittest import mock
 
-from bundlesup import kernels
-from bundlesup.kernels import backends
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bundlesup
+from bundlesup import kernels, sampling
+from bundlesup.graphs import UNREACHABLE, Graph, hop_distances
+from bundlesup.sampling import SamplingBudgetError, SamplingConfig, sample_bundles
 
 
 def random_csr(rng, n, density=0.1, allow_empty_rows=True):
@@ -44,18 +52,6 @@ class TestSpmm:
         out = kernels.spmm(indptr, np.empty(0, dtype=np.intp), np.empty(0), np.ones((3, 2)))
         np.testing.assert_array_equal(out, 0.0)
 
-    def test_backends_agree(self):
-        mods = backends()
-        if "compiled" not in mods:
-            pytest.skip("compiled backend not built")
-        rng = np.random.default_rng(1)
-        for trial in range(10):
-            n = int(rng.integers(2, 60))
-            indptr, indices, data, _ = random_csr(rng, n)
-            dense = rng.normal(size=(n, 5))
-            outs = [mods[k].spmm(indptr, indices, data, dense) for k in ("numpy", "compiled")]
-            np.testing.assert_allclose(outs[0], outs[1], atol=1e-13)
-
 
 class TestBfs:
     def _levels_by_reference(self, adj_sets, n, src):
@@ -87,24 +83,76 @@ class TestBfs:
             got = kernels.bfs_levels(indptr, indices, n, src)
             assert got.tolist() == self._levels_by_reference(adj_sets, n, src)
 
-    def test_backends_agree(self):
-        mods = backends()
-        if "compiled" not in mods:
-            pytest.skip("compiled backend not built")
-        rng = np.random.default_rng(3)
-        for trial in range(10):
-            n = int(rng.integers(2, 80))
-            mask = rng.random((n, n)) < 0.08
-            mask |= mask.T
-            np.fill_diagonal(mask, False)
-            indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(mask.sum(axis=1), out=indptr[1:])
-            indices = np.nonzero(mask)[1].astype(np.intp)
-            a = mods["numpy"].bfs_levels(indptr, indices, n, 0)
-            b = mods["compiled"].bfs_levels(indptr, indices, n, 0)
-            np.testing.assert_array_equal(a, b)
+    def test_stops_at_first_level_with_enough_nodes(self):
+        path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert hop_distances(path, 0, need=2).tolist() == [0, 1, 2, -1, -1]
+        star = Graph.from_edges(6, [(0, i) for i in range(1, 6)] + [(5, 4)])
+        # level 1 holds one node, level 2 four: all of level 2 is kept
+        assert hop_distances(star, 1, need=3).tolist() == [1, 0, 2, 2, 2, 2]
+
+    def test_small_component_runs_to_exhaustion(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+        assert hop_distances(g, 0, need=4).tolist() == [0, 1, 2, -1, -1, -1]
+        assert hop_distances(g, 0, need=None).tolist() == [0, 1, 2, -1, -1, -1]
 
 
-def test_backend_selection_reports_a_name():
-    assert kernels.BACKEND in ("numpy", "compiled")
-    assert "numpy" in backends()
+def random_graph(draw, max_n=30):
+    n = draw(st.integers(2, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
+def graph_and_core(draw):
+    g = random_graph(draw)
+    return g, draw(st.integers(0, g.n - 1))
+
+
+def _full_bfs(graph, core, need=None):
+    return hop_distances(graph, core)
+
+
+def _outcome(fn):
+    try:
+        return [(b.id, b.core, b.members) for b in fn()]
+    except SamplingBudgetError as exc:
+        return str(exc)
+
+
+class TestEarlyStopProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(graph_and_core(), st.integers(1, 10))
+    def test_agrees_with_full_bfs_within_radius(self, gc, need):
+        g, core = gc
+        full = hop_distances(g, core)
+        got = hop_distances(g, core, need)
+        radius = int(got.max())
+        inside = (full >= 0) & (full <= radius)
+        np.testing.assert_array_equal(got[inside], full[inside])
+        assert (got[~inside] == UNREACHABLE).all()
+        reached = np.count_nonzero(got > 0)
+        if reached < need:
+            assert radius == full.max()  # the component ran out first
+        else:
+            assert np.count_nonzero((full > 0) & (full < radius)) < need
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data(), st.integers(2, 8), st.integers(1, 40), st.integers(0, 2**16))
+    def test_topological_bundles_match_full_bfs(self, data, size, count, seed):
+        g = random_graph(data.draw)
+        cfg = SamplingConfig(criterion="topological", bundle_size=size, num_bundles=count,
+                             seed=seed, max_resample_attempts=20)
+        got = _outcome(lambda: sample_bundles(g, None, cfg))
+        with mock.patch.object(sampling, "hop_distances", _full_bfs):
+            expect = _outcome(lambda: sample_bundles(g, None, cfg))
+        assert got == expect
+
+
+def test_importing_the_package_leaves_scipy_sparse_out():
+    # scipy.sparse is imported on the first product, so start-up stays cheap
+    src = os.path.dirname(os.path.dirname(bundlesup.__file__))
+    code = "import sys, bundlesup.pipeline, bundlesup.theorems; print('scipy.sparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

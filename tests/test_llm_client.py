@@ -127,3 +127,20 @@ def test_annotate_all_llm_path(tmp_path):
     assert summary.n_labeled == 1 and summary.n_failed == 1
     assert bundles[0].label == 0
     assert bundles[1].label is None
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_duplicate_prompts_each_get_their_own_record(parallelism):
+    # identical members give identical prompts; cache hits carry the id of
+    # the bundle that first sent the prompt
+    table = NodeTable(n=2, class_names=CLASSES, texts=["alpha text", "beta text"])
+    cache = AnnotationCache()
+    with ChatStub(["Databases"]) as stub:
+        cfg = endpoint(stub.base_url, parallelism=parallelism)
+        for ids in ((4, 7), (5, 9)):   # cold, then every prompt from the cache
+            bundles = [Bundle(id=bid, core=0, members=[0, 1]) for bid in ids]
+            summary = annotate_all(bundles, table, llm=cfg, cache=cache,
+                                   dataset_description="Test items.")
+            assert [r.bundle_id for r in summary.records] == list(ids)
+            assert [b.label for b in bundles] == [1, 1]
+            assert summary.n_labeled == 2
