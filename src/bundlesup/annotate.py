@@ -300,18 +300,25 @@ def annotate_all(
         prompts = [
             build_prompt(b, table, dataset_description, llm.max_chars_per_item) for b in bundles
         ]
-        if llm.parallelism > 1:
+        # one request per distinct prompt that the cache cannot answer
+        distinct = {}
+        for p in prompts:
+            distinct.setdefault(p.sha256, p)
+        known = {digest: cache.get(digest) for digest in distinct}
+        misses = [p for digest, p in distinct.items() if known[digest] is None]
+        if llm.parallelism > 1 and len(misses) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=llm.parallelism) as pool:
                 results = list(pool.map(
-                    lambda p: annotate_llm(p, llm, cache, table.class_names), prompts
+                    lambda p: annotate_llm(p, llm, cache, table.class_names), misses
                 ))
         else:
-            results = [annotate_llm(p, llm, cache, table.class_names) for p in prompts]
-        for b, rec in zip(bundles, results):
-            # a cache hit carries the id of the first bundle that sent the prompt
-            rec = replace(rec, bundle_id=b.id)
+            results = [annotate_llm(p, llm, cache, table.class_names) for p in misses]
+        known.update(zip((p.sha256 for p in misses), results))
+        for b, p in zip(bundles, prompts):
+            # a shared record carries the id of the first bundle that sent the prompt
+            rec = replace(known[p.sha256], bundle_id=b.id)
             b.label = rec.label
             records.append(rec)
     n_labeled = sum(1 for r in records if r.label is not None)

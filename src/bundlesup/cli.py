@@ -12,6 +12,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import gnn
 from .annotate import AnnotationCache, OracleConfig, annotate_all, save_records
 from .graphs import (
@@ -48,10 +50,7 @@ from .theorems import (
 def _write_dataset(out_dir, graph, emb, table, seed):
     os.makedirs(out_dir, exist_ok=True)
     edges_path = os.path.join(out_dir, "edges.txt")
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {graph.n}\n")
-        for u, v in sorted(graph.edges):
-            fh.write(f"{u} {v}\n")
+    np.savetxt(edges_path, graph.edge_array(), fmt="%d", header=f"n {graph.n}", comments="")
     emb_path = os.path.join(out_dir, "embeddings.txt")
     save_embeddings(emb_path, emb)
     nodes_path = os.path.join(out_dir, "nodes.jsonl")

@@ -1,5 +1,8 @@
 """Graphs, node tables, embeddings, and the normalized adjacency operator.
 
+A graph stores its edges only as CSR arrays (`indptr`, `indices`); the pair
+set `Graph.edges` is derived from them. `_csr` builds every CSR here.
+
 File formats
 ------------
 Edge list        lines "u v"; '#' starts a comment; an optional first line
@@ -33,50 +36,63 @@ class FormatError(ValueError):
 class Graph:
     """Undirected simple graph over nodes 0..n-1.
 
-    Neighbor lists are stored in CSR form (`indptr`, `indices`) with each
-    row sorted ascending. No self-loops, no duplicate edges.
+    Edges are stored only as CSR (`indptr`, `indices`), each in the rows of
+    both endpoints, every row sorted ascending. No self-loops or duplicates.
     """
 
     n: int
-    edges: frozenset
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Build from pairs (u, v) or an (m, 2) integer array; duplicates collapse."""
         if n < 1:
             raise ValueError("graph needs at least one node")
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop ({u},{u}) is not storable")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint >= n={n}")
-            canon.add((min(u, v), max(u, v)))
-        if canon:
-            arr = np.array(sorted(canon), dtype=np.intp)
-            rows = np.concatenate([arr[:, 0], arr[:, 1]])
-            cols = np.concatenate([arr[:, 1], arr[:, 0]])
-            order = np.lexsort((cols, rows))
-            rows, cols = rows[order], cols[order]
-            counts = np.bincount(rows, minlength=n)
-        else:
-            cols = np.empty(0, dtype=np.intp)
-            counts = np.zeros(n, dtype=np.intp)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n=n, edges=frozenset(canon), indptr=indptr, indices=cols)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.intp)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError("edges must be pairs (u, v)")
+        u, v = pairs.reshape(-1, 2).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            k = int(np.argmax(bad))   # the first offending pair in input order
+            if lo[k] == hi[k]:
+                raise ValueError(f"self-loop ({u[k]},{u[k]}) is not storable")
+            raise ValueError(f"edge ({u[k]},{v[k]}) has an endpoint >= n={n}")
+        keys = np.sort(lo * n + hi)
+        # not np.unique: its first call imports numpy.ma, ~15 ms of every loader's start-up
+        lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        return cls(n, *_csr(n, np.concatenate([lo, hi]), np.concatenate([hi, lo])))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+    def edge_array(self) -> np.ndarray:
+        """(num_edges, 2) array of the edges (u, v) with u < v, in ascending order."""
+        pairs = np.column_stack((_row_ids(self.indptr), self.indices))
+        return pairs[pairs[:, 0] < pairs[:, 1]]
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of pairs (u, v) with u < v."""
+        return frozenset(map(tuple, self.edge_array().tolist()))
 
     def degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.intp), np.diff(indptr))
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Row-sorted CSR (indptr, indices) of the entries (rows[k], cols[k]), all distinct."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, np.sort(rows * n + cols) % n
 
 
 @dataclass(frozen=True)
@@ -154,9 +170,7 @@ class NormalizedAdjacency:
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            out[i, self.indices[lo:hi]] = self.data[lo:hi]
+        out[_row_ids(self.indptr), self.indices] = self.data
         return out
 
 
@@ -165,19 +179,11 @@ def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:
     n = graph.n
     deg = np.diff(graph.indptr).astype(np.float64) + 1.0
     dinv = 1.0 / np.sqrt(deg)
-    if graph.num_edges:
-        arr = np.array(sorted(graph.edges), dtype=np.intp)
-        rows = np.concatenate([arr[:, 0], arr[:, 1], np.arange(n, dtype=np.intp)])
-        cols = np.concatenate([arr[:, 1], arr[:, 0], np.arange(n, dtype=np.intp)])
-    else:
-        rows = np.arange(n, dtype=np.intp)
-        cols = np.arange(n, dtype=np.intp)
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    vals = dinv[rows] * dinv[cols]
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NormalizedAdjacency(n=n, indptr=indptr, indices=cols, data=vals)
+    diag = np.arange(n, dtype=np.intp)
+    rows = np.concatenate([_row_ids(graph.indptr), diag])
+    indptr, indices = _csr(n, rows, np.concatenate([graph.indices, diag]))
+    vals = dinv[_row_ids(indptr)] * dinv[indices]
+    return NormalizedAdjacency(n=n, indptr=indptr, indices=indices, data=vals)
 
 
 def hop_distances(graph: Graph, core: int, need: int | None = None) -> np.ndarray:
@@ -193,9 +199,8 @@ def hop_distances(graph: Graph, core: int, need: int | None = None) -> np.ndarra
 
 def load_edge_list(path) -> Graph:
     """Read an undirected edge list; see the module docstring for the format."""
-    edges = set()
+    us, vs = [], []
     header_n = None
-    max_idx = -1
     saw_content = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -223,16 +228,16 @@ def load_edge_list(path) -> Graph:
                 raise FormatError(f"{path}:{lineno}: negative node index")
             if u == v:
                 logger.warning("%s:%d: skipping self-loop on node %d", path, lineno, u)
-                max_idx = max(max_idx, u)
-                continue
-            edges.add((min(u, v), max(u, v)))
-            max_idx = max(max_idx, u, v)
+            us.append(u)
+            vs.append(v)
     if not saw_content:
         raise FormatError(f"{path}: no edges or header found")
+    max_idx = max(max(us, default=-1), max(vs, default=-1))
     n = header_n if header_n is not None else max_idx + 1
     if max_idx >= n:
         raise FormatError(f"{path}: node index {max_idx} exceeds declared count {n}")
-    return Graph.from_edges(n, edges)
+    pairs = np.array((us, vs), dtype=np.intp).T
+    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
 
 
 def load_node_table(path, class_names) -> NodeTable:

@@ -87,7 +87,6 @@ class ObjectiveValue:
     be_mean: float
     rank_mean: float
     d_z: np.ndarray
-    d_z_be: np.ndarray   # gradient of the entropy part alone
 
 
 def bundle_objective(z: np.ndarray, flat: FlatBundles, terms=("be", "rank")) -> ObjectiveValue:
@@ -104,9 +103,9 @@ def bundle_objective(z: np.ndarray, flat: FlatBundles, terms=("be", "rank")) -> 
     rank = logq[rows, top] - logq[rows, flat.labels]
     active = rank > 0.0
 
-    d_zbar_be = q.copy()
-    d_zbar_be[rows, flat.labels] -= 1.0
-    d_zbar = d_zbar_be.copy() if "be" in terms else np.zeros_like(d_zbar_be)
+    d_zbar = q.copy() if "be" in terms else np.zeros_like(q)
+    if "be" in terms:
+        d_zbar[rows, flat.labels] -= 1.0
     if "rank" in terms:
         act = np.flatnonzero(active)
         d_zbar[act, top[act]] += 1.0
@@ -119,16 +118,12 @@ def bundle_objective(z: np.ndarray, flat: FlatBundles, terms=("be", "rank")) -> 
     scale = 1.0 / (flat.sizes * nb)
     d_z = np.zeros_like(z)
     np.add.at(d_z, flat.members, np.repeat(d_zbar * scale[:, None], flat.sizes, axis=0))
-    d_z_be = np.zeros_like(z)
-    if "be" in terms:
-        np.add.at(d_z_be, flat.members, np.repeat(d_zbar_be * scale[:, None], flat.sizes, axis=0))
 
     return ObjectiveValue(
         loss=loss,
         be_mean=be_mean if "be" in terms else 0.0,
         rank_mean=rank_mean if "rank" in terms else 0.0,
         d_z=d_z,
-        d_z_be=d_z_be,
     )
 
 
@@ -150,7 +145,7 @@ def member_ce_objective(z: np.ndarray, flat: FlatBundles) -> ObjectiveValue:
     d_rows[np.arange(flat.members.size), member_labels] -= 1.0
     d_z = np.zeros_like(z)
     np.add.at(d_z, flat.members, d_rows * weights[:, None])
-    return ObjectiveValue(loss=loss, be_mean=loss, rank_mean=0.0, d_z=d_z, d_z_be=d_z.copy())
+    return ObjectiveValue(loss=loss, be_mean=loss, rank_mean=0.0, d_z=d_z)
 
 
 def node_ce_objective(z: np.ndarray, node_idx: np.ndarray, node_labels: np.ndarray) -> ObjectiveValue:
@@ -164,7 +159,7 @@ def node_ce_objective(z: np.ndarray, node_idx: np.ndarray, node_labels: np.ndarr
     d_rows[np.arange(node_idx.size), node_labels] -= 1.0
     d_z = np.zeros_like(z)
     np.add.at(d_z, node_idx, d_rows / node_idx.size)
-    return ObjectiveValue(loss=loss, be_mean=loss, rank_mean=0.0, d_z=d_z, d_z_be=d_z.copy())
+    return ObjectiveValue(loss=loss, be_mean=loss, rank_mean=0.0, d_z=d_z)
 
 
 def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:

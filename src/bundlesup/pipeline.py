@@ -172,28 +172,45 @@ def _component_seeds(replicate_seed: int) -> tuple:
     return tuple(int(s) for s in ss.generate_state(4))
 
 
-def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult:
-    """One full pass: dataset, bundles, annotation, training, evaluation."""
+def _prepare(cfg: ExperimentConfig, replicate_seed: int, mode: str) -> tuple:
+    """(emb, table, a_hat, bundles, oracle config, train config) of one
+    replicate, shared by every arm that trains on it."""
     sbm_seed, samp_seed, ann_seed, train_seed = _component_seeds(replicate_seed)
     graph, emb, table = materialize_dataset(cfg.dataset, sbm_seed)
     a_hat = normalized_adjacency(graph)
 
     scfg = replace(cfg.sampling, seed=samp_seed)
-    if cfg.mode == "random_sampling":
+    if mode == "random_sampling":
         scfg = replace(scfg, criterion="random")
     bundles = sample_bundles(graph, emb, scfg)
     tcfg = replace(cfg.train, seed=train_seed)
-    if cfg.mode == "no_refine":
+    if mode == "no_refine":
         tcfg = replace(tcfg, refine_every=tcfg.epochs + 1)
+    return emb, table, a_hat, bundles, replace(cfg.oracle, seed=ann_seed), tcfg
 
+
+def _train_individual(emb, table, a_hat, bundles, oracle, tcfg) -> tuple:
+    """Annotate each distinct member on its own and train on those labels.
+
+    Returns (nodes, node labels, params, report). Call it before bundle
+    training, which refines the bundles in place.
+    """
+    nodes = sorted({m for b in bundles for m in b.members})
+    if table.labels is None:
+        raise ValueError("individual_query needs ground-truth labels for the oracle")
+    node_labels = annotate_nodes_oracle(nodes, table, oracle)
+    params, report = train_on_nodes(
+        a_hat, emb, np.asarray(nodes), node_labels, tcfg, table.num_classes
+    )
+    return nodes, node_labels, params, report
+
+
+def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult:
+    """One full pass: dataset, bundles, annotation, training, evaluation."""
+    setup = _prepare(cfg, replicate_seed, cfg.mode)
+    emb, table, a_hat, bundles, oracle, tcfg = setup
     if cfg.mode == "individual_query":
-        nodes = sorted({m for b in bundles for m in b.members})
-        if table.labels is None:
-            raise ValueError("individual_query needs ground-truth labels for the oracle")
-        node_labels = annotate_nodes_oracle(nodes, table, replace(cfg.oracle, seed=ann_seed))
-        params, report = train_on_nodes(
-            a_hat, emb, np.asarray(nodes), node_labels, tcfg, table.num_classes
-        )
+        nodes, _, params, report = _train_individual(*setup)
         n_labeled, n_failed = len(nodes), 0
     else:
         if cfg.llm is not None:
@@ -205,7 +222,7 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
                 dataset_description=cfg.dataset_description,
             )
         else:
-            summary = annotate_all(bundles, table, oracle=replace(cfg.oracle, seed=ann_seed))
+            summary = annotate_all(bundles, table, oracle=oracle)
         n_labeled, n_failed = summary.n_labeled, summary.n_failed
         params, report = train(
             a_hat, emb, bundles, tcfg, table.num_classes, objective=_MODE_OBJECTIVE[cfg.mode]
@@ -317,12 +334,13 @@ def compare_queries(cfg: ExperimentConfig) -> QueryComparison:
 
     bundle_rows, indiv_rows = [], []
     for s in cfg.replicate_seeds:
-        sbm_seed, samp_seed, ann_seed, train_seed = _component_seeds(s)
-        graph, emb, table = materialize_dataset(cfg.dataset, sbm_seed)
-        a_hat = normalized_adjacency(graph)
-        bundles = sample_bundles(graph, emb, replace(cfg.sampling, seed=samp_seed))
-        tcfg = replace(cfg.train, seed=train_seed)
-        oracle = replace(cfg.oracle, seed=ann_seed)
+        setup = _prepare(cfg, s, "bundle")
+        emb, table, a_hat, bundles, oracle, tcfg = setup
+
+        nodes, node_labels, params, _ = _train_individual(*setup)
+        agree_i = float(np.mean([node_labels[i] == table.labels[v] for i, v in enumerate(nodes)]))
+        acc_i = accuracy(params, a_hat, emb, table.labels)
+        indiv_rows.append({"seed": s, "agreement": agree_i, "accuracy": acc_i})
 
         annotate_all(bundles, table, oracle=oracle)
         true_modes = [mode_label([table.labels[m] for m in b.members]) for b in bundles]
@@ -330,15 +348,6 @@ def compare_queries(cfg: ExperimentConfig) -> QueryComparison:
         params, _ = train(a_hat, emb, bundles, tcfg, table.num_classes)
         acc_b = accuracy(params, a_hat, emb, table.labels)
         bundle_rows.append({"seed": s, "agreement": agree_b, "accuracy": acc_b})
-
-        nodes = sorted({m for b in bundles for m in b.members})
-        node_labels = annotate_nodes_oracle(nodes, table, oracle)
-        agree_i = float(np.mean([node_labels[i] == table.labels[v] for i, v in enumerate(nodes)]))
-        params, _ = train_on_nodes(
-            a_hat, emb, np.asarray(nodes), node_labels, tcfg, table.num_classes
-        )
-        acc_i = accuracy(params, a_hat, emb, table.labels)
-        indiv_rows.append({"seed": s, "agreement": agree_i, "accuracy": acc_i})
 
     def _aggregate(arm, rows):
         accs = np.array([r["accuracy"] for r in rows])

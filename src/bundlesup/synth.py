@@ -54,7 +54,7 @@ def gen_sbm(cfg: SbmConfig):
     draw = rng.random((cfg.n, cfg.n))
     upper = np.triu(np.ones((cfg.n, cfg.n), dtype=bool), k=1)
     rows, cols = np.nonzero(upper & (draw < prob))
-    graph = Graph.from_edges(cfg.n, zip(rows.tolist(), cols.tolist()))
+    graph = Graph.from_edges(cfg.n, np.column_stack((rows, cols)))
 
     means = np.zeros((cfg.n_classes, cfg.dim))
     means[np.arange(cfg.n_classes), np.arange(cfg.n_classes)] = cfg.separation
@@ -73,6 +73,5 @@ def homophily(graph: Graph, labels) -> float:
     """Fraction of edges joining same-class endpoints."""
     if graph.num_edges == 0:
         return float("nan")
-    labels = np.asarray(labels)
-    same = sum(1 for u, v in graph.edges if labels[u] == labels[v])
-    return same / graph.num_edges
+    ends = np.asarray(labels)[graph.edge_array()]
+    return int(np.count_nonzero(ends[:, 0] == ends[:, 1])) / graph.num_edges

@@ -38,11 +38,6 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # Claim 1: outlier tolerance of group supervision
 # ---------------------------------------------------------------------------
@@ -117,8 +112,8 @@ def verify_theorem1(
         y_hat = rng.integers(0, n_classes, size=batch)
         drawn += batch
         m_prime = np.argmax(scores[:, 0, :], axis=1)
-        p_group = _softmax_rows(scores.mean(axis=1))
-        p_out = _softmax_rows(scores[:, 0, :])
+        p_group = gnn.softmax_rows(scores.mean(axis=1))
+        p_out = gnn.softmax_rows(scores[:, 0, :])
         rows = np.arange(batch)
         cond = (y_hat != m_prime) & (p_out[rows, m_prime] >= p_group[rows, m_prime])
         idx = np.flatnonzero(cond)[: trials - kept]
@@ -311,7 +306,7 @@ def verify_theorem2(
         grad = _fd_loss_grad(make_z, vec, members, label, hs)
         grad_inf = float(np.abs(grad).max())
         z0 = make_z(vec)
-        q = _softmax_rows(z0[members].mean(axis=0, keepdims=True))[0]
+        q = gnn.softmax_rows(z0[members].mean(axis=0, keepdims=True))[0]
         coef = q.copy()
         coef[label] -= 1.0
         per_member = np.einsum("c,icj->ij", coef, jac) / size

@@ -74,7 +74,6 @@ class TrainReport:
     loss_be: np.ndarray
     loss_rank: np.ndarray
     grad_norm: np.ndarray
-    grad_be_inf: np.ndarray
     refinements: list
     eta: float
     final_loss: float
@@ -114,7 +113,6 @@ class TrainReport:
                     "loss_be": float(self.loss_be[t]),
                     "loss_rank": float(self.loss_rank[t]),
                     "grad_norm": float(self.grad_norm[t]),
-                    "grad_be_inf": float(self.grad_be_inf[t]),
                 }
                 if t + 1 in by_epoch:
                     rec["evictions"] = by_epoch[t + 1]
@@ -150,10 +148,6 @@ def refine(p: np.ndarray, bundles, floor: int, epoch: int) -> list:
 
 def _grad_norm(grads: gnn.GcnParams) -> float:
     return float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
-
-
-def _grad_inf(grads: gnn.GcnParams) -> float:
-    return float(max(float(np.abs(t).max()) for t in grads.tensors()))
 
 
 def estimate_logit_bounds(
@@ -282,7 +276,6 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, evaluate, refine_ctx):
     loss_be = np.empty(t_max)
     loss_rank = np.empty(t_max)
     grad_norm = np.empty(t_max)
-    grad_be_inf = np.empty(t_max)
     refinements = []
 
     for t in range(1, t_max + 1):
@@ -291,13 +284,11 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, evaluate, refine_ctx):
         if not np.isfinite(value.loss):
             raise TrainingDivergedError(t, eta)
         grads = gnn.backward(params, a_hat, feats, trace, value.d_z)
-        grads_be = gnn.backward(params, a_hat, feats, trace, value.d_z_be)
         idx = t - 1
         loss[idx] = value.loss
         loss_be[idx] = value.be_mean
         loss_rank[idx] = value.rank_mean
         grad_norm[idx] = _grad_norm(grads)
-        grad_be_inf[idx] = _grad_inf(grads_be)
 
         params.w1 -= eta * grads.w1
         params.b1 -= eta * grads.b1
@@ -324,7 +315,6 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, evaluate, refine_ctx):
         loss_be=loss_be,
         loss_rank=loss_rank,
         grad_norm=grad_norm,
-        grad_be_inf=grad_be_inf,
         refinements=refinements,
         eta=eta,
         final_loss=value.loss,

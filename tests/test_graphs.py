@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlesup.graphs import (
     EmbeddingMatrix,
@@ -128,6 +132,69 @@ class TestNormalizedAdjacency:
         a = normalized_adjacency(Graph.from_edges(n, edges))
         x = rng.normal(size=(n, 4))
         np.testing.assert_allclose(a @ x, a.toarray() @ x, atol=1e-12)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with duplicates, reversed duplicates and isolated nodes."""
+    n = draw(st.integers(1, 14))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    base = draw(st.lists(pair, max_size=30)) if n > 1 else []
+    dups = draw(st.lists(st.sampled_from(base), max_size=10)) if base else []
+    flips = draw(st.lists(st.booleans(), min_size=len(dups), max_size=len(dups)))
+    extra = [(v, u) if flip else (u, v) for (u, v), flip in zip(dups, flips)]
+    return n, draw(st.permutations(base + extra))
+
+
+def _dense(n, edges):
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        a[u, v] = a[v, u] = True
+    return a
+
+
+class TestCsrProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_from_edges_is_csr_of_dense_adjacency(self, case):
+        n, edges = case
+        dense = _dense(n, edges)
+        canonical = {(min(u, v), max(u, v)) for u, v in edges}
+        for source in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+            g = Graph.from_edges(n, source)
+            np.testing.assert_array_equal(g.indptr, np.r_[0, np.cumsum(dense.sum(axis=1))])
+            np.testing.assert_array_equal(g.indices, np.nonzero(dense)[1])
+            assert g.edges == canonical
+            assert g.num_edges == len(canonical)
+            assert g.edge_array().tolist() == sorted(map(list, canonical))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_normalized_adjacency_on_pattern_of_a_plus_i(self, case):
+        n, edges = case
+        pattern = _dense(n, edges) | np.eye(n, dtype=bool)
+        dinv = 1.0 / np.sqrt(pattern.sum(axis=1).astype(np.float64))
+        r, c = np.nonzero(pattern)
+        expect = np.zeros((n, n))
+        expect[r, c] = dinv[r] * dinv[c]
+        np.testing.assert_array_equal(normalized_adjacency(Graph.from_edges(n, edges)).toarray(), expect)
+
+
+class TestFromEdges:
+    def test_edges_are_derived_not_stored(self):
+        assert "edges" not in {f.name for f in dataclasses.fields(Graph)}
+
+    def test_first_bad_pair_in_input_order_is_reported(self):
+        with pytest.raises(ValueError, match=r"edge \(5,0\) has an endpoint >= n=3"):
+            Graph.from_edges(3, [(0, 1), (5, 0), (2, 2)])
+        with pytest.raises(ValueError, match=r"self-loop \(2,2\)"):
+            Graph.from_edges(3, [(0, 1), (2, 2), (5, 0)])
+        with pytest.raises(ValueError, match=r"edge \(-1,2\)"):
+            Graph.from_edges(3, np.array([[-1, 2]]))
+
+    def test_rejects_what_is_not_pairs(self):
+        with pytest.raises(ValueError):
+            Graph.from_edges(3, [(0, 1, 2)])
 
 
 class TestNodeTable:

@@ -1,9 +1,13 @@
 """LLM client conformance against a local chat-completions stub."""
 
+import threading
+import time
+
 import pytest
 
 from bundlesup.annotate import AnnotationCache, AnnotationConfigError, annotate_all, build_prompt
 from bundlesup.graphs import NodeTable
+from bundlesup import llm
 from bundlesup.llm import REASK_SUFFIX, LlmEndpointConfig, annotate_llm
 from bundlesup.sampling import Bundle
 
@@ -144,3 +148,25 @@ def test_duplicate_prompts_each_get_their_own_record(parallelism):
             assert [r.bundle_id for r in summary.records] == list(ids)
             assert [b.label for b in bundles] == [1, 1]
             assert summary.n_labeled == 2
+
+
+def test_identical_prompts_in_flight_send_one_request(monkeypatch, tmp_path):
+    calls = []
+    lock = threading.Lock()
+
+    def slow_completion(cfg, api_key, content):
+        with lock:
+            calls.append(content)
+        time.sleep(0.05)   # long enough for a second worker to pick up its copy
+        return "Databases"
+
+    monkeypatch.setattr(llm, "chat_completion", slow_completion)
+    table = NodeTable(n=2, class_names=CLASSES, texts=["alpha text", "beta text"])
+    path = tmp_path / "cache.jsonl"
+    bundles = [Bundle(id=bid, core=0, members=[0, 1]) for bid in (3, 8)]
+    summary = annotate_all(bundles, table, llm=endpoint("http://unused", parallelism=2),
+                           cache=AnnotationCache(path), dataset_description="Test items.")
+    assert len(calls) == 1
+    assert len(path.read_text().splitlines()) == 1
+    assert [r.bundle_id for r in summary.records] == [3, 8]
+    assert [b.label for b in bundles] == [1, 1]

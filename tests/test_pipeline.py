@@ -9,6 +9,7 @@ from bundlesup.pipeline import (
     accuracy,
     compare_queries,
     run_pipeline,
+    run_replicate,
     standard_experiment,
     sweep,
 )
@@ -143,6 +144,24 @@ class TestCompareQueries:
         comparison = compare_queries(tiny_experiment(noise=0.4, seeds=tuple(range(5))))
         for row in comparison.rows:
             assert abs(row["agreement"] - 0.6) < 0.12
+
+    def test_arms_match_run_replicate(self):
+        """Each arm reproduces `run_replicate` of its mode seed by seed; the
+        individual arm queries the members as sampled, before refinement."""
+        from dataclasses import replace
+
+        cfg = ExperimentConfig(
+            dataset=SbmConfig(n=100, n_classes=5, dim=8),
+            sampling=SamplingConfig(num_bundles=20),
+            oracle=OracleConfig(noise_rate=0.3),
+            train=TrainConfig(epochs=60, warmup_epochs=10),
+            replicate_seeds=(0, 1, 2),
+        )
+        comparison = compare_queries(cfg)
+        for arm, mode in (("bundle_query", "bundle"), ("individual_query", "individual_query")):
+            got = {r["seed"]: r["accuracy"] for r in comparison.per_seed if r["arm"] == arm}
+            want = {s: run_replicate(replace(cfg, mode=mode), s).accuracy for s in cfg.replicate_seeds}
+            assert got == want, arm
 
 
 def test_standard_experiment_factory():
