@@ -240,7 +240,10 @@ def _experiment_config(args) -> ExperimentConfig:
 def cmd_pipeline(args):
     cfg = _experiment_config(args)
     if args.compare_queries:
-        comparison = compare_queries(cfg)
+        try:
+            comparison = compare_queries(cfg)
+        except ValueError as exc:
+            raise SystemExit(f"bundlesup pipeline --compare-queries: {exc}") from None
         os.makedirs(args.out, exist_ok=True)
         comparison.save_csv(os.path.join(args.out, "query_comparison.csv"))
         for row in comparison.rows:

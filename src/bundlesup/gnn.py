@@ -149,6 +149,45 @@ def backward(
     return GcnParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
 
 
+def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x, probe, ax: np.ndarray = None) -> np.ndarray:
+    """Exact d z_ic / d theta of the probe nodes, shape (probes, classes, n_params).
+
+    The last axis follows `GcnParams.to_vector`. With M = 1[H_pre > 0]:
+
+        d z_ic / d W2[k, c'] = (A H)[i, k] delta_cc'
+        d z_ic / d b2[c']    = delta_cc'
+        d z_ic / d W1[f, k]  = s_i[f, k] W2[k, c],  s_i = sum_j A_ij (AX)[j, f] M[j, k]
+        d z_ic / d b1[k]     = t_i[k] W2[k, c],     t_i = sum_j A_ij M[j, k]
+
+    Every sum runs over the neighbours j of i only: one masked propagation
+    per probe, no pass over the whole graph. Each row equals `backward`
+    with a one-hot upstream gradient, up to rounding.
+    """
+    if ax is None:
+        ax = a_hat @ (x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64))
+    probe = np.asarray(probe, dtype=np.intp)
+    d, h, c = params.dims
+    # the stored entries (i, j) of every probe row, probe by probe
+    entries = np.concatenate([np.arange(a_hat.indptr[i], a_hat.indptr[i + 1]) for i in probe])
+    starts = np.concatenate([[0], np.cumsum(np.diff(a_hat.indptr)[probe])[:-1]])
+    nbr = a_hat.indices[entries]
+    a_ij = a_hat.data[entries][:, None]
+    h_pre = ax[nbr] @ params.w1 + params.b1
+    weighted = a_ij * (h_pre > 0.0)
+    s = np.add.reduceat(ax[nbr][:, :, None] * weighted[:, None, :], starts)
+    t = np.add.reduceat(weighted, starts)
+    ah = np.add.reduceat(a_ij * np.maximum(h_pre, 0.0), starts)
+
+    w1_end, b1_end, w2_end = d * h, d * h + h, d * h + h + h * c
+    jac = np.zeros((probe.size, c, params.n_params))
+    jac[:, :, :w1_end] = (s[:, None] * params.w2.T[None, :, None, :]).reshape(probe.size, c, -1)
+    jac[:, :, w1_end:b1_end] = t[:, None, :] * params.w2.T
+    for k in range(c):
+        jac[:, k, b1_end + k:w2_end:c] = ah
+        jac[:, k, w2_end + k] = 1.0
+    return jac
+
+
 def save_params(out_dir, params: GcnParams, seed: int = None) -> None:
     """Write one text matrix per tensor plus a manifest of shapes."""
     os.makedirs(out_dir, exist_ok=True)

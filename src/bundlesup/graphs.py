@@ -18,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,7 +155,8 @@ class NormalizedAdjacency:
     """Symmetrically normalized adjacency with implicit self-connections.
 
     Entries are deg̃(u)^-1/2 * deg̃(v)^-1/2 on the pattern of (A + I),
-    where deg̃ counts the self-connection. Stored CSR; supports `@ dense`.
+    where deg̃ counts the self-connection. Stored CSR; supports `@ dense`
+    through one SciPy matrix, built on the first product and kept.
     """
 
     n: int
@@ -166,12 +168,11 @@ class NormalizedAdjacency:
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != self.n:
             raise ValueError(f"operand must be ({self.n}, k), got {dense.shape}")
-        return kernels.spmm(self.indptr, self.indices, self.data, dense)
+        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix)
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[_row_ids(self.indptr), self.indices] = self.data
-        return out
+    @cached_property
+    def _matrix(self):
+        return kernels.csr(self.indptr, self.indices, self.data, self.n)
 
 
 def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:

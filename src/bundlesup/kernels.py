@@ -3,18 +3,26 @@
 import numpy as np
 
 
-def spmm(indptr, indices, data, dense):
-    """CSR-sparse times dense matrix product.
-
-    indptr/indices describe the sparsity pattern row-wise, data holds the
-    nonzero values. Empty rows produce zero rows in the output.
-    """
+def csr(indptr, indices, data, cols):
+    """The SciPy CSR matrix of the given arrays (SciPy keeps int32 copies of
+    the index arrays when the values fit)."""
     # imported here, not at the top: scipy.sparse takes ~70 ms to import,
     # which every process importing bundlesup would pay without multiplying
     from scipy.sparse import csr_matrix
 
-    rows = indptr.shape[0] - 1
-    return csr_matrix((data, indices, indptr), shape=(rows, dense.shape[0]), copy=False) @ dense
+    return csr_matrix((data, indices, indptr), shape=(indptr.shape[0] - 1, cols), copy=False)
+
+
+def spmm(indptr, indices, data, dense, *, matrix=None):
+    """CSR-sparse times dense matrix product.
+
+    indptr/indices describe the sparsity pattern row-wise, data holds the
+    nonzero values. Empty rows produce zero rows in the output. `matrix`
+    may carry `csr` of the same arrays, built once by the caller.
+    """
+    if matrix is None:
+        matrix = csr(indptr, indices, data, dense.shape[0])
+    return matrix @ dense
 
 
 def bfs_levels(indptr, indices, n, source, need=None):

@@ -161,8 +161,3 @@ def node_ce_objective(z: np.ndarray, node_idx: np.ndarray, node_labels: np.ndarr
     np.add.at(d_z, node_idx, d_rows / node_idx.size)
     return ObjectiveValue(loss=loss, be_mean=loss, rank_mean=0.0, d_z=d_z)
 
-
-def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:
-    """Combined entropy+ranking loss over labeled bundles and dL/dZ."""
-    value = bundle_objective(z, FlatBundles.from_bundles(bundles))
-    return value.loss, value.d_z

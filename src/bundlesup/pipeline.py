@@ -328,9 +328,17 @@ def compare_queries(cfg: ExperimentConfig) -> QueryComparison:
 
     The bundle arm measures how often the annotated bundle label equals
     the true member mode; the individual arm measures per-node agreement
-    with ground truth. Both arms then train and report accuracy.
+    with ground truth. Both arms then train and report accuracy. Both arms
+    are labelled by the oracle, so a config with an LLM endpoint is
+    rejected rather than reported as if the endpoint had labelled them.
     """
     from .annotate import mode_label
+
+    if cfg.llm is not None:
+        raise ValueError(
+            "compare_queries labels both arms with the oracle; remove 'llm' from the "
+            "config to compare query kinds"
+        )
 
     bundle_rows, indiv_rows = [], []
     for s in cfg.replicate_seeds:

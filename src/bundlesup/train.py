@@ -1,9 +1,11 @@
 """Full-batch gradient-descent training with periodic bundle refinement.
 
 The update rule is plain gradient descent on the mean group loss. When
-`eta_auto` is set, the step size is derived from finite-difference
-estimates of the logit gradient/curvature bounds measured at
-initialization on a small probe of member nodes:
+`eta_auto` is set, the step size is derived from the logit gradient and
+curvature bounds G and M, measured at initialization on a small probe of
+member nodes. G is exact, the largest entry of the probes' logit Jacobian
+(`gnn.logit_jacobian`); M is a central difference of that Jacobian along
+sampled parameter coordinates:
 
     eta = 0.9 / (n_params * (M + G^2))
 
@@ -156,30 +158,25 @@ def estimate_logit_bounds(
     x,
     probe_nodes,
     *,
-    fd_step: float = 1e-5,
+    ax: np.ndarray = None,
     hess_step: float = 1e-4,
     hess_cols_per_layer: int = 32,
     seed: int = 0,
 ) -> tuple:
-    """Finite-difference estimates (G, M) of the logit derivative bounds.
+    """Bounds (G, M) on the probe nodes' first and second logit derivatives.
 
     G is the max |d z_ic / d theta_j| over probe nodes, classes, and every
-    parameter. M is the max second derivative; its mixed differences are
-    taken along a random subset of parameter coordinates per layer to keep
-    the cost linear in the parameter count.
+    parameter, read exactly off `gnn.logit_jacobian`. M is the max second
+    derivative: a central difference of that exact Jacobian along a random
+    subset of parameter coordinates per layer, which keeps the cost linear
+    in the parameter count. `ax` may carry a precomputed A @ X.
     """
     probe = np.asarray(probe_nodes, dtype=np.intp)
+    if ax is None:
+        ax = gnn.forward(params, a_hat, x).ax
     vec = params.to_vector()
     n_d = vec.size
-
-    g_hat = 0.0
-    for j in range(n_d):
-        vp = vec.copy()
-        vp[j] += fd_step
-        zp = gnn.forward(params.from_vector(vp), a_hat, x).z[probe]
-        vp[j] -= 2 * fd_step
-        zm = gnn.forward(params.from_vector(vp), a_hat, x).z[probe]
-        g_hat = max(g_hat, float(np.abs((zp - zm) / (2 * fd_step)).max()))
+    g_hat = float(np.abs(gnn.logit_jacobian(params, a_hat, x, probe, ax=ax)).max())
 
     d, h, c = params.dims
     layer1 = d * h + h
@@ -191,35 +188,22 @@ def estimate_logit_bounds(
         ]
     )
 
-    n_classes = c
-
-    def probe_grads(theta_vec):
-        point = params.from_vector(theta_vec)
-        trace = gnn.forward(point, a_hat, x)
-        rows = []
-        for i in probe:
-            for cc in range(n_classes):
-                one_hot = np.zeros_like(trace.z)
-                one_hot[i, cc] = 1.0
-                rows.append(gnn.backward(point, a_hat, x, trace, one_hot).to_vector())
-        return np.stack(rows)
-
     m_hat = 0.0
     for k in cols:
         vp = vec.copy()
         vp[k] += hess_step
-        gp = probe_grads(vp)
+        jp = gnn.logit_jacobian(params.from_vector(vp), a_hat, x, probe, ax=ax)
         vp[k] -= 2 * hess_step
-        gm = probe_grads(vp)
-        m_hat = max(m_hat, float(np.abs((gp - gm) / (2 * hess_step)).max()))
+        jm = gnn.logit_jacobian(params.from_vector(vp), a_hat, x, probe, ax=ax)
+        m_hat = max(m_hat, float(np.abs(jp - jm).max()) / (2 * hess_step))
     return g_hat, m_hat
 
 
-def _auto_eta(params, a_hat, x, flat: FlatBundles, seed: int) -> tuple:
+def _auto_eta(params, a_hat, x, ax: np.ndarray, flat: FlatBundles, seed: int) -> tuple:
     members = np.unique(flat.members)
     rng = np.random.default_rng((seed, 5))
     probe = rng.choice(members, size=min(5, members.size), replace=False)
-    g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, seed=seed)
+    g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, ax=ax, seed=seed)
     eta = 0.9 / (params.n_params * (m_hat + g_hat**2))
     return eta, g_hat, m_hat
 
@@ -267,7 +251,7 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, evaluate, refine_ctx):
     if cfg.eta_auto:
         if flat is None:
             raise ValueError("eta_auto needs bundle supervision")
-        eta, g_hat, m_hat = _auto_eta(params, a_hat, feats, flat, cfg.seed)
+        eta, g_hat, m_hat = _auto_eta(params, a_hat, feats, ax, flat, cfg.seed)
     else:
         eta = cfg.learning_rate
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlesup import gnn
 from bundlesup.graphs import Graph, normalized_adjacency
+
+from reference import one_hot_rows
 
 
 def random_instance(seed, n=12, d=4, h=5, c=3, p_edge=0.3):
@@ -154,6 +158,48 @@ class TestBackward:
         trace = gnn.forward(params, a_hat, x)
         with pytest.raises(ValueError):
             gnn.backward(params, a_hat, x, trace, trace.z[:, :1])
+
+
+@st.composite
+def jacobian_cases(draw):
+    """A small graph (isolated nodes likely), parameters, features and probes.
+    The first layer is random, has every ReLU off, or holds hidden unit 0 at
+    exactly zero, where the ReLU subgradient is fixed to zero."""
+    n = draw(st.integers(1, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, max_size=15)) if n > 1 else []
+    d, h, c = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = gnn.init_params(d, h, c, 0)
+    params = params.from_vector(rng.normal(size=params.n_params))
+    relu = draw(st.sampled_from(("random", "all off", "unit 0 at zero")))
+    if relu == "all off":
+        params.b1[:] = -1e3
+    elif relu == "unit 0 at zero":
+        params.w1[:, 0] = 0.0
+        params.b1[0] = 0.0
+    x = rng.normal(size=(n, d))
+    probe = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return normalized_adjacency(Graph.from_edges(n, edges)), x, params, probe
+
+
+class TestLogitJacobian:
+    @settings(max_examples=200, deadline=None)
+    @given(jacobian_cases())
+    def test_equals_one_hot_backward_rows(self, case):
+        a_hat, x, params, probe = case
+        jac = gnn.logit_jacobian(params, a_hat, x, probe)
+        expect = one_hot_rows(params, a_hat, x, probe)
+        assert jac.shape == (len(probe), params.dims[2], params.n_params)
+        assert np.abs(jac - expect).max() <= 1e-15 * max(1.0, np.abs(expect).max())
+
+    def test_dead_relus_leave_only_the_output_bias(self):
+        a_hat, x, params = random_instance(3)
+        params.b1[:] = -1e3
+        jac = gnn.logit_jacobian(params, a_hat, x, [0, 5])
+        n_b2 = params.dims[2]
+        assert not jac[:, :, :-n_b2].any()
+        np.testing.assert_array_equal(jac[:, :, -n_b2:], np.broadcast_to(np.eye(n_b2), (2, n_b2, n_b2)))
 
 
 def test_params_save_load_round_trip(tmp_path):

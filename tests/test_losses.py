@@ -12,9 +12,10 @@ from bundlesup.losses import (
     loss_rank,
     member_ce_objective,
     node_ce_objective,
-    total_loss_and_grad,
 )
 from bundlesup.sampling import Bundle
+
+from reference import total_loss_and_grad
 
 
 def make_bundles(rng, n_nodes, n_bundles, c, size=4):

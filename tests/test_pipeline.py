@@ -4,6 +4,7 @@ import pytest
 from bundlesup import gnn
 from bundlesup.annotate import OracleConfig
 from bundlesup.graphs import Graph, normalized_adjacency
+from bundlesup.llm import LlmEndpointConfig
 from bundlesup.pipeline import (
     ExperimentConfig,
     accuracy,
@@ -144,6 +145,14 @@ class TestCompareQueries:
         comparison = compare_queries(tiny_experiment(noise=0.4, seeds=tuple(range(5))))
         for row in comparison.rows:
             assert abs(row["agreement"] - 0.6) < 0.12
+
+    def test_llm_config_rejected(self):
+        """Both arms are oracle-labelled; an LLM config must not be reported as used."""
+        from dataclasses import replace
+
+        cfg = replace(tiny_experiment(seeds=(0,)), llm=LlmEndpointConfig(base_url="http://127.0.0.1:9/v1"))
+        with pytest.raises(ValueError, match="oracle"):
+            compare_queries(cfg)
 
     def test_arms_match_run_replicate(self):
         """Each arm reproduces `run_replicate` of its mode seed by seed; the

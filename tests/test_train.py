@@ -13,7 +13,9 @@ from bundlesup.train import (
     train,
     train_on_nodes,
 )
-from bundlesup import gnn
+from bundlesup import gnn, kernels
+
+from reference import fd_logit_bounds
 
 SMALL = SbmConfig(n=60, n_classes=4, p_in=0.3, p_out=0.02, dim=8, separation=2.0, seed=5)
 
@@ -176,14 +178,46 @@ class TestTrain:
 
 class TestBoundEstimates:
     def test_output_bias_forces_g_at_least_one(self):
-        """d z/d (output bias) is exactly 1, so the estimate can't fall below."""
+        """d z/d (output bias) is exactly 1, and G is read off the exact Jacobian."""
         a_hat, emb, table, bundles = small_problem()
         params = gnn.init_params(emb.cols, 8, table.num_classes, seed=0)
         g_hat, m_hat = estimate_logit_bounds(
             params, a_hat, emb.data, probe_nodes=[0, 1], hess_cols_per_layer=4, seed=0
         )
-        assert g_hat >= 1.0 - 1e-6
+        assert g_hat >= 1.0
         assert m_hat >= 0.0
+
+    def test_no_whole_graph_passes_when_ax_is_given(self, monkeypatch):
+        """The bounds come from the probes' neighbourhoods alone: no forward
+        or backward pass and no sparse product over the graph."""
+        a_hat, emb, table, bundles = small_problem()
+        params = gnn.init_params(emb.cols, 8, table.num_classes, seed=0)
+        ax = a_hat @ emb.data
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for mod, name in ((gnn, "forward"), (gnn, "backward"), (kernels, "spmm")):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        estimate_logit_bounds(params, a_hat, emb.data, [0, 1, 2], ax=ax, seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bounds_agree_with_finite_differences(self, seed):
+        """G matches finite differences of the logits; M matches finite
+        differences of one-hot backward rows along the same columns."""
+        a_hat, emb, table, bundles = small_problem()
+        params = gnn.init_params(emb.cols, 8, table.num_classes, seed=seed)
+        probe = [2, 17, 40]
+        g_hat, m_hat = estimate_logit_bounds(params, a_hat, emb.data, probe, seed=seed)
+        g_ref, m_ref = fd_logit_bounds(params, a_hat, emb.data, probe, seed=seed)
+        assert g_hat == pytest.approx(g_ref, rel=1e-8)
+        assert m_hat == pytest.approx(m_ref, rel=1e-10)
+        assert m_hat > 0.0
 
     def test_eta_auto_consistent_with_estimates(self):
         a_hat, emb, table, bundles = small_problem()
