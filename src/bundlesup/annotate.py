@@ -2,9 +2,13 @@
 
 Two annotators are available: a deterministic oracle that reads ground
 truth (with a configurable corruption rate, for offline experiments) and
-a chat-completion endpoint (see `llm.py`). Responses are parsed by
-case-insensitive containment of exactly one class name; anything else is
-a parse failure and leaves the bundle unlabeled.
+a chat-completion endpoint (`llm.py` sends the requests). Responses are
+parsed by case-insensitive containment of exactly one class name;
+anything else is a parse failure and leaves the bundle unlabeled.
+
+`annotate_all` alone reads and writes the `AnnotationCache`: one lookup
+per distinct prompt, one append per answered miss. Transport failures
+are not stored, so a rerun asks again.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ import json
 import logging
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import llm as llm_client
 from .graphs import NodeTable
 from .sampling import Bundle
 
@@ -129,17 +135,17 @@ def build_prompt(
 def parse_response(raw: str, class_names) -> int:
     """Resolve a free-form reply to a class index.
 
-    Longer class names are matched first and their spans masked, so a name
-    that is a substring of another is not double-counted. Exactly one
-    distinct class name must occur.
+    Names are matched stripped and case-folded, longest first, and their
+    spans masked, so a name that is a substring of another is not
+    double-counted. Exactly one distinct class name must occur.
     """
     if not class_names:
         raise ValueError("class_names must be non-empty")
     haystack = raw.casefold()
-    order = sorted(range(len(class_names)), key=lambda i: (-len(class_names[i]), i))
+    needles = [name.strip().casefold() for name in class_names]
     found = []
-    for idx in order:
-        needle = class_names[idx].strip().casefold()
+    for idx in sorted(range(len(needles)), key=lambda i: (-len(needles[i]), i)):
+        needle = needles[idx]
         start = 0
         hit = False
         while True:
@@ -159,10 +165,56 @@ def parse_response(raw: str, class_names) -> int:
     return found[0]
 
 
+def ask_llm(prompt: Prompt, cfg: llm_client.LlmEndpointConfig, api_key: str,
+            class_names) -> AnnotationRecord:
+    """Send one prompt and parse the reply into a record.
+
+    Unparseable replies and transport errors are retried up to
+    cfg.max_retries times with a re-ask suffix appended to the prompt; a
+    record with label None marks final failure, and its error says
+    whether the last attempt failed to parse or to arrive.
+    """
+    raw, label, error = "", None, None
+    for attempt in range(cfg.max_retries + 1):
+        content = prompt.text if attempt == 0 else prompt.text + llm_client.REASK_SUFFIX
+        try:
+            raw = llm_client.chat_completion(cfg, api_key, content)
+        except llm_client.TransportError as exc:
+            error = f"transport: {exc}"
+            continue
+        try:
+            label = parse_response(raw, class_names)
+            error = None
+            break
+        except ResponseParseError as exc:
+            error = f"parse: {exc}"
+    return AnnotationRecord(
+        bundle_id=prompt.bundle_id,
+        prompt_sha256=prompt.sha256,
+        raw_response=raw,
+        label=label,
+        attempts=attempt + 1,
+        annotator="llm",
+        error=error,
+    )
+
+
 def mode_label(member_labels) -> int:
     """Most frequent class among the members; ties go to the lowest index."""
     counts = np.bincount(np.asarray(member_labels, dtype=np.intp))
     return int(np.argmax(counts))
+
+
+def _corrupt(true: int, n_classes: int, noise_rate: float, key: tuple) -> int:
+    """`true`, or with probability noise_rate a uniform draw from the other
+    n_classes - 1 classes, from the rng stream `key`."""
+    if noise_rate <= 0.0:
+        return true
+    rng = np.random.default_rng(key)
+    if rng.random() < noise_rate and n_classes > 1:
+        other = int(rng.integers(n_classes - 1))
+        return other if other < true else other + 1
+    return true
 
 
 def annotate_oracle(bundle: Bundle, table: NodeTable, cfg: OracleConfig) -> int:
@@ -172,16 +224,8 @@ def annotate_oracle(bundle: Bundle, table: NodeTable, cfg: OracleConfig) -> int:
     including classes no node carries. Deterministic given (cfg.seed,
     bundle.id) regardless of call order.
     """
-    member_labels = [table.labels[m] for m in bundle.members]
-    true = mode_label(member_labels)
-    if cfg.noise_rate <= 0.0:
-        return true
-    n_classes = table.num_classes
-    rng = np.random.default_rng((cfg.seed, _STREAM_ORACLE, bundle.id))
-    if rng.random() < cfg.noise_rate and n_classes > 1:
-        other = int(rng.integers(n_classes - 1))
-        return other if other < true else other + 1
-    return true
+    true = mode_label([table.labels[m] for m in bundle.members])
+    return _corrupt(true, table.num_classes, cfg.noise_rate, (cfg.seed, _STREAM_ORACLE, bundle.id))
 
 
 def annotate_nodes_oracle(node_indices, table: NodeTable, cfg: OracleConfig) -> np.ndarray:
@@ -191,17 +235,11 @@ def annotate_nodes_oracle(node_indices, table: NodeTable, cfg: OracleConfig) -> 
     individual-query experiment arms; deterministic per (cfg.seed, node
     index).
     """
-    n_classes = table.num_classes
-    out = np.empty(len(node_indices), dtype=np.intp)
-    for pos, node in enumerate(node_indices):
-        true = int(table.labels[node])
-        rng = np.random.default_rng((cfg.seed, _STREAM_NODE_ORACLE, int(node)))
-        if cfg.noise_rate > 0.0 and rng.random() < cfg.noise_rate and n_classes > 1:
-            other = int(rng.integers(n_classes - 1))
-            out[pos] = other if other < true else other + 1
-        else:
-            out[pos] = true
-    return out
+    return np.array(
+        [_corrupt(int(table.labels[node]), table.num_classes, cfg.noise_rate,
+                  (cfg.seed, _STREAM_NODE_ORACLE, int(node))) for node in node_indices],
+        dtype=np.intp,
+    )
 
 
 class AnnotationCache:
@@ -271,7 +309,10 @@ def annotate_all(
     """Label every bundle in place and return one record per bundle.
 
     Exactly one of `oracle` / `llm` must be given. Per-bundle failures are
-    recorded, not raised; failed bundles keep label None.
+    recorded, not raised; failed bundles keep label None. With `llm`, each
+    distinct prompt is looked up in `cache` once; the misses are sent and
+    each answer is appended as it arrives, except transport failures. A
+    missing API key raises AnnotationConfigError before any request.
     """
     if (oracle is None) == (llm is None):
         raise ValueError("pass exactly one of oracle= or llm=")
@@ -293,29 +334,30 @@ def annotate_all(
                 )
             )
     else:
-        from .llm import annotate_llm
-
         if cache is None:
             cache = AnnotationCache()
         prompts = [
             build_prompt(b, table, dataset_description, llm.max_chars_per_item) for b in bundles
         ]
-        # one request per distinct prompt that the cache cannot answer
-        distinct = {}
+        # one lookup, and at most one request, per distinct prompt
+        known, misses = {}, []
         for p in prompts:
-            distinct.setdefault(p.sha256, p)
-        known = {digest: cache.get(digest) for digest in distinct}
-        misses = [p for digest, p in distinct.items() if known[digest] is None]
-        if llm.parallelism > 1 and len(misses) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=llm.parallelism) as pool:
-                results = list(pool.map(
-                    lambda p: annotate_llm(p, llm, cache, table.class_names), misses
-                ))
-        else:
-            results = [annotate_llm(p, llm, cache, table.class_names) for p in misses]
-        known.update(zip((p.sha256 for p in misses), results))
+            if p.sha256 not in known:
+                known[p.sha256] = cache.get(p.sha256)
+                if known[p.sha256] is None:
+                    misses.append(p)
+        if misses:
+            api_key = os.environ.get(llm.api_key_env_var, "")
+            if not api_key:
+                raise AnnotationConfigError(f"environment variable {llm.api_key_env_var} is not set")
+            with ThreadPoolExecutor(max_workers=min(llm.parallelism, len(misses))) as pool:
+                answers = pool.map(lambda p: ask_llm(p, llm, api_key, table.class_names), misses)
+                # stored in prompt order as each arrives; transport failures are not, so
+                # a rerun asks again
+                for p, rec in zip(misses, answers):
+                    known[p.sha256] = rec
+                    if not (rec.error or "").startswith("transport:"):
+                        cache.put(rec)
         for b, p in zip(bundles, prompts):
             # a shared record carries the id of the first bundle that sent the prompt
             rec = replace(known[p.sha256], bundle_id=b.id)

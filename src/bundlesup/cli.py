@@ -223,17 +223,16 @@ def _config_from_json(path) -> ExperimentConfig:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = _config_from_json(args.config)
-    else:
-        cfg = standard_experiment()
-    if args.mode:
-        cfg = replace(cfg, mode=args.mode)
-    if args.noise is not None:
-        cfg = replace(cfg, oracle=replace(cfg.oracle, noise_rate=args.noise))
-    if args.seeds:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-        cfg = replace(cfg, replicate_seeds=seeds)
+    try:
+        cfg = _config_from_json(args.config) if args.config else standard_experiment()
+        if args.mode:
+            cfg = replace(cfg, mode=args.mode)
+        if args.noise is not None:
+            cfg = replace(cfg, oracle=replace(cfg.oracle, noise_rate=args.noise))
+        if args.seeds:
+            cfg = replace(cfg, replicate_seeds=tuple(int(s) for s in args.seeds.split(",")))
+    except ValueError as exc:
+        raise SystemExit(f"bundlesup {args.command}: {exc}") from None
     return cfg
 
 

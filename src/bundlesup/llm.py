@@ -1,27 +1,17 @@
-"""Minimal OpenAI-compatible chat-completion client for bundle annotation.
+"""Minimal OpenAI-compatible chat-completion transport for bundle annotation.
 
 POSTs to {base_url}/chat/completions with a system instruction plus the
 bundle prompt at temperature 0, and reads the first choice's message
-content. The API key comes from the environment variable named in the
-config. Results are cached by prompt digest so reruns are free.
+content. Re-asking, parsing and caching live in `annotate.py`, which
+also reads the API key from the environment variable named in the config.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-
-from .annotate import (
-    AnnotationCache,
-    AnnotationConfigError,
-    AnnotationRecord,
-    Prompt,
-    ResponseParseError,
-    parse_response,
-)
 
 SYSTEM_INSTRUCTION = (
     "You classify batches of text items. Reply with exactly one category "
@@ -84,56 +74,3 @@ def chat_completion(cfg: LlmEndpointConfig, api_key: str, user_content: str) -> 
         return str(payload["choices"][0]["message"]["content"])
     except (KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed completion payload: {payload!r}") from exc
-
-
-def annotate_llm(
-    prompt: Prompt,
-    cfg: LlmEndpointConfig,
-    cache: AnnotationCache,
-    class_names,
-) -> AnnotationRecord:
-    """Annotate one bundle, consulting the cache before the network.
-
-    Unparseable replies and transport errors are retried up to
-    cfg.max_retries times with a re-ask suffix appended to the prompt;
-    a record with label None marks final failure.
-    """
-    if cache is not None:
-        hit = cache.get(prompt.sha256)
-        if hit is not None:
-            return hit
-    api_key = os.environ.get(cfg.api_key_env_var, "")
-    if not api_key:
-        raise AnnotationConfigError(
-            f"environment variable {cfg.api_key_env_var} is not set"
-        )
-    raw = ""
-    error = None
-    label = None
-    attempts = 0
-    for attempt in range(cfg.max_retries + 1):
-        attempts = attempt + 1
-        content = prompt.text if attempt == 0 else prompt.text + REASK_SUFFIX
-        try:
-            raw = chat_completion(cfg, api_key, content)
-        except TransportError as exc:
-            error = f"transport: {exc}"
-            continue
-        try:
-            label = parse_response(raw, class_names)
-            error = None
-            break
-        except ResponseParseError as exc:
-            error = f"parse: {exc}"
-    record = AnnotationRecord(
-        bundle_id=prompt.bundle_id,
-        prompt_sha256=prompt.sha256,
-        raw_response=raw,
-        label=label,
-        attempts=attempts,
-        annotator="llm",
-        error=error,
-    )
-    if cache is not None:
-        cache.put(record)
-    return record

@@ -117,6 +117,11 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not self.replicate_seeds:
             raise ValueError("need at least one replicate seed")
+        if self.mode == "individual_query" and self.llm is not None:
+            raise ValueError(
+                "mode individual_query labels every member with the oracle; remove 'llm' "
+                "from the config or choose a bundle mode"
+            )
 
 
 def standard_experiment(mode="bundle", noise_rate=0.0, replicate_seeds=tuple(range(10))):

@@ -131,7 +131,8 @@ def refine(p: np.ndarray, bundles, floor: int, epoch: int) -> list:
     """
     events = []
     for b in bundles:
-        if b.label is None:
+        # at or below the floor, any eviction would leave fewer than `floor` members
+        if b.label is None or len(b.members) <= floor:
             continue
         members = np.asarray(b.members, dtype=np.intp)
         conf = p[members, b.label]

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from bundlesup import gnn
-from bundlesup.annotate import AnnotationCache, build_prompt
+from bundlesup.annotate import AnnotationCache, annotate_all
 from bundlesup.gnn import softmax_row
 from bundlesup.graphs import Graph, NodeTable, normalized_adjacency
-from bundlesup.llm import LlmEndpointConfig, annotate_llm
+from bundlesup.llm import LlmEndpointConfig
 from bundlesup.losses import FlatBundles, bundle_distribution, bundle_objective, loss_be, loss_rank
 from bundlesup.pipeline import run_pipeline, standard_experiment
 from bundlesup.sampling import Bundle
@@ -319,28 +319,31 @@ def test_criterion_11_llm_client_conformance(monkeypatch, tmp_path):
     monkeypatch.setenv("ACCEPT_KEY", "k")
     classes = ["Agents", "Databases", "Information Retrieval"]
     table = NodeTable(n=2, class_names=classes, texts=["alpha", "beta"])
-    prompt = build_prompt(Bundle(id=0, core=0, members=[0, 1]), table, "Items.")
     cache_path = tmp_path / "cache.jsonl"
     checks = {}
+
+    def annotate(members, cfg, cache):
+        bundle = Bundle(id=0, core=members[0], members=members)
+        return annotate_all([bundle], table, llm=cfg, cache=cache,
+                            dataset_description="Items.").records[0]
 
     with ChatStub(["garbage", "Databases"]) as stub:
         cfg = LlmEndpointConfig(
             base_url=stub.base_url, model="m", api_key_env_var="ACCEPT_KEY", max_retries=2
         )
-        rec = annotate_llm(prompt, cfg, AnnotationCache(cache_path), classes)
+        rec = annotate([0, 1], cfg, AnnotationCache(cache_path))
         checks["retry_then_parse"] = rec.label == 1 and rec.attempts == 2
         reask = stub.requests[1]["body"]["messages"][1]["content"]
         checks["reask_suffix"] = reask.endswith("Answer with exactly one category name.")
 
-        warm = annotate_llm(prompt, cfg, AnnotationCache(cache_path), classes)
+        warm = annotate([0, 1], cfg, AnnotationCache(cache_path))
         checks["warm_cache_no_network"] = len(stub.requests) == 2 and warm == rec
 
     with ChatStub(["nope"]) as stub:
         cfg = LlmEndpointConfig(
             base_url=stub.base_url, model="m", api_key_env_var="ACCEPT_KEY", max_retries=1
         )
-        prompt2 = build_prompt(Bundle(id=1, core=1, members=[1, 0]), table, "Items.")
-        rec = annotate_llm(prompt2, cfg, AnnotationCache(), classes)
+        rec = annotate([1, 0], cfg, AnnotationCache())
         checks["failure_marker"] = rec.label is None and rec.attempts == 2
     ok = all(checks.values())
     verdict(11, "llm client conformance", ok, f"{checks}")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlesup.annotate import (
     AnnotationCache,
@@ -99,6 +101,37 @@ class TestParseResponse:
         classes = ["Agents", "Machine Learning", "Learning", "Information Retrieval", "HCI"]
         for i, name in enumerate(classes):
             assert parse_response(name, classes) == i
+
+    @pytest.mark.parametrize("classes, reply, want", [
+        (["  a  ", "ab"], "ab", 1),   # the padded name is longer only before stripping
+        (["s", "ß"], "ß", 1),         # "ß" case-folds to "ss", longer than "s"
+    ])
+    def test_longest_needle_matched_first(self, classes, reply, want):
+        assert parse_response(reply, classes) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["", " ", "  ", "\t"]),
+                      st.text(alphabet="abAsSß ", min_size=1, max_size=4),
+                      st.sampled_from(["", " ", "  "]))
+            .map("".join).filter(lambda name: name.strip()),
+            min_size=1, max_size=6, unique_by=lambda name: name.strip().casefold(),
+        ),
+        st.data(),
+    )
+    def test_prompt_reply_round_trip(self, classes, data):
+        """A reply that copies one candidate line of the prompt verbatim parses
+        to that class, for names that are substrings of others, differ only in
+        case, or carry surrounding whitespace."""
+        table = table_for(texts=["alpha", "beta"], classes=classes)
+        prompt = build_prompt(Bundle(id=0, core=0, members=[0, 1]), table, "d")
+        lines = prompt.text.split("\n")
+        start = lines.index("Candidate categories:") + 1
+        candidates = [line[2:] for line in lines[start:start + len(classes)]]
+        assert candidates == classes
+        k = data.draw(st.integers(0, len(classes) - 1))
+        assert parse_response(candidates[k], classes) == k
 
 
 class TestOracle:

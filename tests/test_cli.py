@@ -160,3 +160,25 @@ def test_compare_queries_cli_rejects_llm_config(tmp_path):
     assert exc.value.code not in (0, None)
     assert "oracle" in str(exc.value.code) and "llm" in str(exc.value.code)
     assert not (tmp_path / "cq" / "query_comparison.csv").exists()
+
+
+@pytest.mark.parametrize("via_flag", [False, True])
+def test_pipeline_cli_rejects_llm_config_in_individual_query_mode(tmp_path, via_flag):
+    cfg = {
+        "dataset": {"n": 48, "n_classes": 4, "p_in": 0.35, "p_out": 0.03, "dim": 8,
+                     "separation": 2.5},
+        "sampling": {"num_bundles": 6, "bundle_size": 4},
+        "train": {"learning_rate": 0.4, "epochs": 20, "refine_every": 50},
+        "llm": {"base_url": "http://127.0.0.1:9/v1", "model": "m"},
+        "replicate_seeds": [0],
+    }
+    argv = ["--mode", "individual_query"] if via_flag else []
+    if not via_flag:
+        cfg["mode"] = "individual_query"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", "--config", cfg_path, *argv, "--out", tmp_path / "out"])
+    assert exc.value.code not in (0, None)
+    assert "individual_query" in str(exc.value.code) and "oracle" in str(exc.value.code)
+    assert not (tmp_path / "out" / "pipeline_report.json").exists()

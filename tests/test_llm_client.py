@@ -1,30 +1,52 @@
-"""LLM client conformance against a local chat-completions stub."""
+"""LLM client conformance against a local chat-completions stub.
 
+`ask_llm` sends one prompt with its re-asks; `annotate_all` owns the key
+lookup and the cache.
+"""
+
+import json
 import threading
 import time
 
 import pytest
 
-from bundlesup.annotate import AnnotationCache, AnnotationConfigError, annotate_all, build_prompt
-from bundlesup.graphs import NodeTable
 from bundlesup import llm
-from bundlesup.llm import REASK_SUFFIX, LlmEndpointConfig, annotate_llm
+from bundlesup.annotate import (
+    AnnotationCache,
+    AnnotationConfigError,
+    annotate_all,
+    ask_llm,
+    build_prompt,
+)
+from bundlesup.graphs import NodeTable
+from bundlesup.llm import REASK_SUFFIX, LlmEndpointConfig
 from bundlesup.sampling import Bundle
 
 from llm_stub import ChatStub
 
 CLASSES = ["Agents", "Databases", "Information Retrieval"]
+TABLE = NodeTable(n=2, class_names=CLASSES, texts=["alpha text", "beta text"])
 
 
-def make_prompt(bundle_id=0):
-    table = NodeTable(n=2, class_names=CLASSES, texts=["alpha text", "beta text"])
-    return build_prompt(Bundle(id=bundle_id, core=0, members=[0, 1]), table, "Test items.")
+def make_prompt():
+    return build_prompt(Bundle(id=0, core=0, members=[0, 1]), TABLE, "Test items.")
 
 
 def endpoint(url, **kw):
     defaults = dict(base_url=url, model="stub-model", api_key_env_var="STUB_KEY", max_retries=2)
     defaults.update(kw)
     return LlmEndpointConfig(**defaults)
+
+
+def ask(stub, **kw):
+    return ask_llm(make_prompt(), endpoint(stub.base_url, **kw), "sekrit", CLASSES)
+
+
+def annotate_one(cfg, cache):
+    """annotate_all over the single bundle that `make_prompt` describes."""
+    summary = annotate_all([Bundle(id=0, core=0, members=[0, 1])], TABLE, llm=cfg, cache=cache,
+                           dataset_description="Test items.")
+    return summary.records[0]
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +56,7 @@ def api_key(monkeypatch):
 
 def test_happy_path_single_attempt():
     with ChatStub(["Databases"]) as stub:
-        rec = annotate_llm(make_prompt(), endpoint(stub.base_url), AnnotationCache(), CLASSES)
+        rec = ask(stub)
     assert rec.label == 1
     assert rec.attempts == 1
     assert rec.error is None
@@ -48,17 +70,16 @@ def test_happy_path_single_attempt():
 
 def test_cache_hit_issues_no_request():
     cache = AnnotationCache()
-    prompt = make_prompt()
     with ChatStub(["Databases"]) as stub:
-        first = annotate_llm(prompt, endpoint(stub.base_url), cache, CLASSES)
-        again = annotate_llm(prompt, endpoint(stub.base_url), cache, CLASSES)
+        first = annotate_one(endpoint(stub.base_url), cache)
+        again = annotate_one(endpoint(stub.base_url), cache)
         assert len(stub.requests) == 1
     assert again == first
 
 
 def test_retry_on_unparseable_with_reask_suffix():
     with ChatStub(["hmm, not sure", "still thinking", "Agents"]) as stub:
-        rec = annotate_llm(make_prompt(), endpoint(stub.base_url), AnnotationCache(), CLASSES)
+        rec = ask(stub)
         assert rec.label == 0
         assert rec.attempts == 3
         assert not stub.requests[0]["body"]["messages"][1]["content"].endswith(REASK_SUFFIX)
@@ -68,7 +89,7 @@ def test_retry_on_unparseable_with_reask_suffix():
 
 def test_exhausted_retries_marks_failure():
     with ChatStub(["gibberish"]) as stub:
-        rec = annotate_llm(make_prompt(), endpoint(stub.base_url), AnnotationCache(), CLASSES)
+        rec = ask(stub)
         assert len(stub.requests) == 3  # 1 + max_retries
     assert rec.label is None
     assert rec.attempts == 3
@@ -77,7 +98,7 @@ def test_exhausted_retries_marks_failure():
 
 def test_transport_error_retried_then_recorded():
     with ChatStub([500, 500, 500]) as stub:
-        rec = annotate_llm(make_prompt(), endpoint(stub.base_url), AnnotationCache(), CLASSES)
+        rec = ask(stub)
         assert len(stub.requests) == 3
     assert rec.label is None
     assert rec.error.startswith("transport:")
@@ -85,7 +106,7 @@ def test_transport_error_retried_then_recorded():
 
 def test_transport_error_then_recovery():
     with ChatStub([500, "Information Retrieval"]) as stub:
-        rec = annotate_llm(make_prompt(), endpoint(stub.base_url), AnnotationCache(), CLASSES)
+        rec = ask(stub)
     assert rec.label == 2
     assert rec.attempts == 2
 
@@ -94,19 +115,41 @@ def test_missing_api_key(monkeypatch):
     monkeypatch.delenv("STUB_KEY", raising=False)
     with ChatStub(["Databases"]) as stub:
         with pytest.raises(AnnotationConfigError, match="STUB_KEY"):
-            annotate_llm(make_prompt(), endpoint(stub.base_url), AnnotationCache(), CLASSES)
+            annotate_one(endpoint(stub.base_url), AnnotationCache())
+        assert stub.requests == []
+
+
+def test_no_api_key_needed_when_the_cache_answers(monkeypatch):
+    cache = AnnotationCache()
+    with ChatStub(["Databases"]) as stub:
+        first = annotate_one(endpoint(stub.base_url), cache)
+        monkeypatch.delenv("STUB_KEY")
+        assert annotate_one(endpoint(stub.base_url), cache) == first
+        assert len(stub.requests) == 1
 
 
 def test_failure_record_cached_for_idempotent_rerun(tmp_path):
     path = tmp_path / "cache.jsonl"
-    prompt = make_prompt()
     with ChatStub(["??"]) as stub:
-        first = annotate_llm(prompt, endpoint(stub.base_url), AnnotationCache(path), CLASSES)
+        first = annotate_one(endpoint(stub.base_url), AnnotationCache(path))
         n_requests = len(stub.requests)
-        again = annotate_llm(prompt, endpoint(stub.base_url), AnnotationCache(path), CLASSES)
+        again = annotate_one(endpoint(stub.base_url), AnnotationCache(path))
         assert len(stub.requests) == n_requests
     assert first.label is None
+    assert first.error.startswith("parse:")
     assert again.to_json() == first.to_json()
+
+
+def test_transport_failure_not_cached_so_a_rerun_asks_again(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with ChatStub([500]) as stub:
+        first = annotate_one(endpoint(stub.base_url, max_retries=0), AnnotationCache(path))
+    assert first.label is None and first.error.startswith("transport:")
+    with ChatStub(["Databases"]) as stub:
+        again = annotate_one(endpoint(stub.base_url, max_retries=0), AnnotationCache(path))
+        assert len(stub.requests) == 1
+    assert again.label == 1
+    assert len(path.read_text().splitlines()) == 1
 
 
 def test_annotate_all_llm_path(tmp_path):
@@ -170,3 +213,62 @@ def test_identical_prompts_in_flight_send_one_request(monkeypatch, tmp_path):
     assert len(path.read_text().splitlines()) == 1
     assert [r.bundle_id for r in summary.records] == [3, 8]
     assert [b.label for b in bundles] == [1, 1]
+
+
+def distinct_bundles(n_texts=5):
+    """Every ordered pair of nodes: n_texts * (n_texts - 1) distinct prompts."""
+    table = NodeTable(n=n_texts, class_names=CLASSES, texts=[f"text {i}" for i in range(n_texts)])
+    pairs = [(a, b) for a in range(n_texts) for b in range(n_texts) if a != b]
+    return table, [Bundle(id=i, core=a, members=[a, b]) for i, (a, b) in enumerate(pairs)]
+
+
+def test_one_cache_lookup_per_distinct_prompt(monkeypatch):
+    calls = []
+    monkeypatch.setattr(llm, "chat_completion", lambda cfg, key, content: calls.append(1) or "Agents")
+    lookups = []
+    real_get = AnnotationCache.get
+    monkeypatch.setattr(AnnotationCache, "get", lambda self, d: lookups.append(d) or real_get(self, d))
+    table, bundles = distinct_bundles()
+    cache = AnnotationCache()
+    cfg = endpoint("http://unused", parallelism=2)
+    annotate_all(bundles, table, llm=cfg, cache=cache)
+    assert len(lookups) == len(bundles) == len(calls) == len(set(lookups)) == 20
+    annotate_all(bundles, table, llm=cfg, cache=cache)   # warm
+    assert len(lookups) == 40 and len(calls) == 20
+
+
+def test_records_appended_in_prompt_order_as_they_arrive(monkeypatch, tmp_path):
+    table, bundles = distinct_bundles(3)
+    bundles = bundles[:4]
+    first = build_prompt(bundles[0], table, "").text
+
+    def completion(cfg, api_key, content):
+        # the first prompt is answered last; its record still comes first
+        time.sleep(0.1 if content == first else 0.0)
+        return "Agents"
+
+    monkeypatch.setattr(llm, "chat_completion", completion)
+    path = tmp_path / "cache.jsonl"
+    summary = annotate_all(bundles, table, llm=endpoint("http://unused", parallelism=4),
+                           cache=AnnotationCache(path))
+    written = [json.loads(line)["prompt_sha256"] for line in path.read_text().splitlines()]
+    assert written == [r.prompt_sha256 for r in summary.records]
+
+
+def test_crash_keeps_the_records_already_answered(monkeypatch, tmp_path):
+    sent = []
+
+    def completion(cfg, api_key, content):
+        sent.append(content)
+        if len(sent) == 3:
+            raise KeyboardInterrupt
+        return "Agents"
+
+    monkeypatch.setattr(llm, "chat_completion", completion)
+    table, bundles = distinct_bundles()
+    path = tmp_path / "cache.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        annotate_all(bundles, table, llm=endpoint("http://unused", parallelism=1),
+                     cache=AnnotationCache(path))
+    assert len(path.read_text().splitlines()) == 2
+    assert len(AnnotationCache(path)) == 2

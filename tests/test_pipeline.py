@@ -98,6 +98,16 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             tiny_experiment(mode="mystery")
 
+    def test_individual_query_rejects_llm_config(self):
+        """The individual arm is oracle-labelled; an LLM config must not be reported as used."""
+        from dataclasses import replace
+
+        llm = LlmEndpointConfig(base_url="http://127.0.0.1:9/v1")
+        with pytest.raises(ValueError, match="oracle"):
+            replace(tiny_experiment(mode="individual_query"), llm=llm)
+        with pytest.raises(ValueError, match="oracle"):
+            replace(tiny_experiment(), llm=llm, mode="individual_query")
+
 
 class TestSweep:
     def test_table_shapes(self):
