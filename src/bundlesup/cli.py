@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -195,26 +195,39 @@ def cmd_eval(args):
     return 0
 
 
+def _check_keys(values: dict, known, where: str) -> None:
+    for key in values:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(sorted(known))}")
+
+
+def _section(cls, name: str, values: dict):
+    """`cls(**values)` for the config section `name`; a ValueError names any
+    key `cls` does not have, or the first one it needs that is missing."""
+    _check_keys(values, {f.name for f in fields(cls)}, f"section {name!r}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+            raise ValueError(f"missing key {f.name!r} in section {name!r}")
+    return cls(**values)
+
+
 def _config_from_json(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    _check_keys(raw, {f.name for f in fields(ExperimentConfig)}, "the config")
     dataset = raw.get("dataset", {})
     if {"edges", "embeddings", "nodes"} <= set(dataset):
-        ds = DatasetPaths(
-            edges=dataset["edges"],
-            embeddings=dataset["embeddings"],
-            nodes=dataset["nodes"],
-            class_names=tuple(dataset["class_names"]),
-        )
+        ds = _section(DatasetPaths, "dataset", dataset)
+        ds = replace(ds, class_names=tuple(ds.class_names))
     else:
-        ds = SbmConfig(**dataset)
-    llm = LlmEndpointConfig(**raw["llm"]) if "llm" in raw else None
+        ds = _section(SbmConfig, "dataset", dataset)
+    llm = _section(LlmEndpointConfig, "llm", raw["llm"]) if "llm" in raw else None
     return ExperimentConfig(
         dataset=ds,
-        sampling=SamplingConfig(**raw.get("sampling", {})),
-        oracle=OracleConfig(**raw.get("oracle", {})),
+        sampling=_section(SamplingConfig, "sampling", raw.get("sampling", {})),
+        oracle=_section(OracleConfig, "oracle", raw.get("oracle", {})),
         llm=llm,
-        train=TrainConfig(**raw.get("train", {})),
+        train=_section(TrainConfig, "train", raw.get("train", {})),
         mode=raw.get("mode", "bundle"),
         replicate_seeds=tuple(raw.get("replicate_seeds", range(10))),
         dataset_description=raw.get("dataset_description", ""),

@@ -10,6 +10,15 @@ Forward map, for normalized adjacency A, features X and parameters
 
 Everything is float64 and deterministic. The ReLU subgradient at exactly
 zero is fixed to zero.
+
+A row of Z depends on the rows of H at its node's neighbours and on
+nothing else. So `forward` and `backward` also run on a row block
+Â[S, N(S)] (`NormalizedAdjacency.block`), N(S) holding every neighbour
+of S, self included: H on N(S), then Z on S. Training passes the rows S
+its objective reads and gets their logits and the exact gradients, with
+no work on rows that no loss term reads. The block keeps Â's column order
+within each row, so each logit adds the same terms in the same order as
+the whole-graph pass, and on S = every node the block is Â itself.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import EmbeddingMatrix, NormalizedAdjacency, load_embeddings, save_embeddings
+from .graphs import AdjacencyBlock, EmbeddingMatrix, NormalizedAdjacency, load_embeddings, save_embeddings
 
 
 @dataclass
@@ -65,14 +74,18 @@ class GcnParams:
 
 @dataclass
 class ForwardTrace:
-    """All intermediates of one forward pass (ax/ah are cached products)."""
+    """All intermediates of one forward pass (ax/ah are cached products).
+
+    On a block Â[S, N(S)], h_pre, h and ax hold the rows N(S), and z, p
+    and ah the rows S.
+    """
 
     h_pre: np.ndarray
     h: np.ndarray
     z: np.ndarray
     p: np.ndarray
-    ax: np.ndarray = field(repr=False, default=None)
-    ah: np.ndarray = field(repr=False, default=None)
+    ax: np.ndarray = field(repr=False)
+    ah: np.ndarray = field(repr=False)
 
 
 def init_params(d: int, h: int, c: int, seed: int) -> GcnParams:
@@ -105,7 +118,11 @@ def softmax_row(z: np.ndarray) -> np.ndarray:
 
 
 def forward(params: GcnParams, a_hat: NormalizedAdjacency, x, ax: np.ndarray = None) -> ForwardTrace:
-    """Run the two-layer convolution; `ax` may carry a precomputed A @ X."""
+    """Run the two-layer convolution; `ax` may carry a precomputed A @ X.
+
+    On a block `a_hat` = Â[S, N(S)], `ax` is required and holds the rows
+    N(S) of Â @ X; the logits are those of the rows S.
+    """
     x = x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
     d, h, c = params.dims
     if x.shape[1] != d:
@@ -113,6 +130,8 @@ def forward(params: GcnParams, a_hat: NormalizedAdjacency, x, ax: np.ndarray = N
     if x.shape[0] != a_hat.n:
         raise ValueError("feature rows do not match the adjacency")
     if ax is None:
+        if isinstance(a_hat, AdjacencyBlock):
+            raise ValueError("a row block needs ax, the rows of A @ X at its columns")
         ax = a_hat @ x
     h_pre = ax @ params.w1 + params.b1
     hidden = np.maximum(h_pre, 0.0)
@@ -130,21 +149,17 @@ def backward(
 ) -> GcnParams:
     """Exact gradients of any scalar loss whose logit gradient is `d_z`.
 
-    Uses the symmetry of the adjacency operator (A^T = A). Returns a
+    The logit gradient flows back through `a_hat.T`: Â itself on the whole
+    graph, by symmetry, and Â[N(S), S] on a block Â[S, N(S)]. Returns a
     GcnParams-shaped container of gradients.
     """
     if d_z.shape != trace.z.shape:
         raise ValueError(f"upstream gradient shape {d_z.shape} != logits {trace.z.shape}")
-    ax = trace.ax
-    if ax is None:
-        x = x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
-        ax = a_hat @ x
-    ah = trace.ah if trace.ah is not None else a_hat @ trace.h
-    d_w2 = ah.T @ d_z
+    d_w2 = trace.ah.T @ d_z
     d_b2 = d_z.sum(axis=0)
-    a_dz = a_hat @ d_z
+    a_dz = a_hat.T @ d_z
     d_hidden = (a_dz @ params.w2.T) * (trace.h_pre > 0.0)
-    d_w1 = ax.T @ d_hidden
+    d_w1 = trace.ax.T @ d_hidden
     d_b1 = d_hidden.sum(axis=0)
     return GcnParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
 

@@ -1,7 +1,8 @@
 """Graphs, node tables, embeddings, and the normalized adjacency operator.
 
 A graph stores its edges only as CSR arrays (`indptr`, `indices`); the pair
-set `Graph.edges` is derived from them. `_csr` builds every CSR here.
+set `Graph.edges` is derived from them. `_csr` builds every CSR from its
+entries, and `_block_csr` cuts a block out of a stored one.
 
 File formats
 ------------
@@ -96,6 +97,26 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
     return indptr, np.sort(rows * n + cols) % n
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the stored entries of `rows` of a CSR matrix, row by row in stored order."""
+    counts = indptr[rows + 1] - indptr[rows]
+    return np.arange(counts.sum()) + np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts)
+
+
+def _block_csr(n: int, indptr, indices, data, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """CSR (indptr, indices, data) of M[rows][:, cols], M a row-sorted CSR matrix with
+    n columns and `cols` ascending, so every row keeps M's ascending column order."""
+    entries = _row_entries(indptr, rows)
+    local = np.full(n, -1, dtype=np.intp)
+    local[cols] = np.arange(cols.size)
+    col = local[indices[entries]]
+    keep = col >= 0
+    row = np.repeat(np.arange(rows.size), indptr[rows + 1] - indptr[rows])
+    out = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row[keep], minlength=rows.size), out=out[1:])
+    return out, col[keep], data[entries[keep]]
+
+
 @dataclass(frozen=True)
 class NodeTable:
     """Per-node texts and ground-truth labels plus the class vocabulary."""
@@ -150,13 +171,27 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
+class _SparseOperator:
+    """`@ dense` through `kernels.spmm` on one SciPy matrix, built on the first product and kept."""
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] != self.shape[1]:
+            raise ValueError(f"operand must be ({self.shape[1]}, k), got {dense.shape}")
+        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix)
+
+    @cached_property
+    def _matrix(self):
+        return kernels.csr(self.indptr, self.indices, self.data, self.shape[1])
+
+
 @dataclass(frozen=True)
-class NormalizedAdjacency:
+class NormalizedAdjacency(_SparseOperator):
     """Symmetrically normalized adjacency with implicit self-connections.
 
     Entries are deg̃(u)^-1/2 * deg̃(v)^-1/2 on the pattern of (A + I),
-    where deg̃ counts the self-connection. Stored CSR; supports `@ dense`
-    through one SciPy matrix, built on the first product and kept.
+    where deg̃ counts the self-connection. Stored CSR; supports `@ dense`.
+    Symmetric, so `T` is the operator itself.
     """
 
     n: int
@@ -164,15 +199,60 @@ class NormalizedAdjacency:
     indices: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
 
-    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != self.n:
-            raise ValueError(f"operand must be ({self.n}, k), got {dense.shape}")
-        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix)
+    @property
+    def shape(self) -> tuple:
+        return (self.n, self.n)
+
+    @property
+    def T(self) -> "NormalizedAdjacency":
+        return self
+
+    def block(self, rows, cols=None):
+        """The block Â[rows][:, cols] over ascending, distinct node ids.
+
+        `cols` defaults to N(rows): every node adjacent to a row, the row
+        itself included, so the block holds every stored entry of its rows.
+        Returns the operator itself when rows and columns cover every node.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if cols is None:
+            reached = np.bincount(self.indices[_row_entries(self.indptr, rows)], minlength=self.n)
+            cols = np.flatnonzero(reached)
+        cols = np.asarray(cols, dtype=np.intp)
+        if rows.size == cols.size == self.n:
+            return self
+        csr = _block_csr(self.n, self.indptr, self.indices, self.data, rows, cols)
+        return AdjacencyBlock(self, rows, cols, *csr)
+
+
+@dataclass(frozen=True)
+class AdjacencyBlock(_SparseOperator):
+    """The block Â[rows][:, cols] of a normalized adjacency; see `NormalizedAdjacency.block`.
+
+    Row k is node rows[k] and column k is node cols[k]. Every row keeps Â's
+    ascending column order, so a product with the block adds the same
+    nonzero terms in the same order as the product with Â does. `T` is
+    Â[cols][:, rows], the transpose by the symmetry of Â.
+    """
+
+    adjacency: NormalizedAdjacency = field(repr=False)
+    rows: np.ndarray
+    cols: np.ndarray
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.n
+
+    @property
+    def shape(self) -> tuple:
+        return (self.rows.size, self.cols.size)
 
     @cached_property
-    def _matrix(self):
-        return kernels.csr(self.indptr, self.indices, self.data, self.n)
+    def T(self):
+        return self.adjacency.block(self.cols, self.rows)
 
 
 def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:

@@ -21,32 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import softmax_row
-
 
 def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def bundle_distribution(z: np.ndarray, bundle) -> np.ndarray:
-    """Class distribution of a group: softmax of the mean member logits."""
-    members = np.sort(np.asarray(bundle.members if hasattr(bundle, "members") else bundle, dtype=np.intp))
-    if members.size == 0:
-        raise ValueError("empty bundle has no class distribution")
-    mean = z[members].sum(axis=0) / members.size
-    return softmax_row(mean)
-
-
-def loss_be(p_bundle: np.ndarray, y_hat: int) -> float:
-    """Cross-entropy of a group distribution against the annotated class."""
-    return float(-np.log(p_bundle[y_hat]))
-
-
-def loss_rank(p_bundle: np.ndarray, y_hat: int) -> float:
-    """Hinge on the log-probability gap to the best-ranked class."""
-    gap = float(np.log(p_bundle[y_hat]) - np.log(p_bundle.max()))
-    return -min(gap, 0.0)
 
 
 @dataclass

@@ -18,12 +18,21 @@ Refinement starts after the warmup and then runs every `refine_every`
 epochs: each labeled bundle drops the members least confident in the
 bundle label, unless that would cross the size floor or all confidences
 tie within 1e-12.
+
+Each epoch computes only what the objective reads. With S the sorted rows
+it reads (the labeled bundles' members, or the annotated nodes) and N(S)
+their neighbours in Â, self included, the GCN runs on the block
+Â[S, N(S)]: hidden rows on N(S), logits on S (see `gnn`). A logit of S
+depends on no hidden row outside N(S), so this is the whole-graph descent
+restricted to the rows that carry gradient, not an approximation. Â @ X is
+computed once over the whole graph; the block is rebuilt only when a
+refinement evicts members.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,8 +209,7 @@ def estimate_logit_bounds(
     return g_hat, m_hat
 
 
-def _auto_eta(params, a_hat, x, ax: np.ndarray, flat: FlatBundles, seed: int) -> tuple:
-    members = np.unique(flat.members)
+def _auto_eta(params, a_hat, x, ax: np.ndarray, members: np.ndarray, seed: int) -> tuple:
     rng = np.random.default_rng((seed, 5))
     probe = rng.choice(members, size=min(5, members.size), replace=False)
     g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, ax=ax, seed=seed)
@@ -218,8 +226,6 @@ def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = 
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    flat = FlatBundles.from_bundles(bundles)
-
     if objective == "member_ce":
         evaluate = member_ce_objective
     elif objective == "be_only":
@@ -229,33 +235,48 @@ def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = 
     else:
         evaluate = bundle_objective
 
-    refine_ctx = {"bundles": bundles, "flat": flat}
-    return _descend(a_hat, x, cfg, n_classes, evaluate, refine_ctx)
+    def supervise():
+        flat = FlatBundles.from_bundles(bundles)
+        rows = np.unique(flat.members)
+        local = replace(flat, members=np.searchsorted(rows, flat.members))
+        return rows, lambda z: evaluate(z, local)
+
+    return _descend(a_hat, x, cfg, n_classes, supervise, bundles)
 
 
 def train_on_nodes(a_hat, x, node_idx, node_labels, cfg: TrainConfig, n_classes: int):
     """Train on individually annotated nodes with plain cross-entropy."""
     node_idx = np.asarray(node_idx, dtype=np.intp)
     node_labels = np.asarray(node_labels, dtype=np.intp)
-    evaluate = lambda z, fb: node_ce_objective(z, node_idx, node_labels)
-    return _descend(a_hat, x, cfg, n_classes, evaluate, refine_ctx=None)
+    rows, local = np.unique(node_idx, return_inverse=True)
+    evaluate = lambda z: node_ce_objective(z, local, node_labels)
+    return _descend(a_hat, x, cfg, n_classes, lambda: (rows, evaluate), bundles=None)
 
 
-def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, evaluate, refine_ctx):
+def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
+    """The block Â[S, N(S)] of the rows S the objective reads, and (Â @ X)[N(S)]."""
+    block = a_hat.block(rows)
+    return block, ax if block is a_hat else ax[block.cols]
+
+
+def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, supervise, bundles):
+    """Descent on the objective `supervise()` gives as (rows S, loss of the
+    logits on S); bundles, when given, are refined and re-supervised."""
     feats = x.data if hasattr(x, "data") and not isinstance(x, np.ndarray) else np.asarray(x)
     d = feats.shape[1]
     params = gnn.init_params(d, cfg.hidden, n_classes, cfg.seed)
     ax = a_hat @ feats
+    rows, evaluate = supervise()
 
     g_hat = m_hat = None
-    flat = refine_ctx["flat"] if refine_ctx is not None else None
     if cfg.eta_auto:
-        if flat is None:
+        if bundles is None:
             raise ValueError("eta_auto needs bundle supervision")
-        eta, g_hat, m_hat = _auto_eta(params, a_hat, feats, ax, flat, cfg.seed)
+        eta, g_hat, m_hat = _auto_eta(params, a_hat, feats, ax, rows, cfg.seed)
     else:
         eta = cfg.learning_rate
 
+    block, ax_field = _field(a_hat, ax, rows)
     t_max = cfg.epochs
     loss = np.empty(t_max)
     loss_be = np.empty(t_max)
@@ -264,11 +285,11 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, evaluate, refine_ctx):
     refinements = []
 
     for t in range(1, t_max + 1):
-        trace = gnn.forward(params, a_hat, feats, ax=ax)
-        value = evaluate(trace.z, flat)
+        trace = gnn.forward(params, block, feats, ax=ax_field)
+        value = evaluate(trace.z)
         if not np.isfinite(value.loss):
             raise TrainingDivergedError(t, eta)
-        grads = gnn.backward(params, a_hat, feats, trace, value.d_z)
+        grads = gnn.backward(params, block, feats, trace, value.d_z)
         idx = t - 1
         loss[idx] = value.loss
         loss_be[idx] = value.be_mean
@@ -281,19 +302,22 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, evaluate, refine_ctx):
         params.b2 -= eta * grads.b2
 
         if (
-            refine_ctx is not None
+            bundles is not None
             and t > cfg.warmup_epochs
             and (t - cfg.warmup_epochs) % cfg.refine_every == 0
         ):
-            events = refine(trace.p, refine_ctx["bundles"], cfg.bundle_floor, t)
+            # refine indexes by node id; rows outside S are never read
+            p = np.full((a_hat.n, n_classes), np.nan)
+            p[rows] = trace.p
+            events = refine(p, bundles, cfg.bundle_floor, t)
             if events:
                 refinements.extend(events)
-                flat = FlatBundles.from_bundles(refine_ctx["bundles"])
-                refine_ctx["flat"] = flat
+                rows, evaluate = supervise()
+                block, ax_field = _field(a_hat, ax, rows)
 
-    trace = gnn.forward(params, a_hat, feats, ax=ax)
-    value = evaluate(trace.z, flat)
-    final_grads = gnn.backward(params, a_hat, feats, trace, value.d_z)
+    trace = gnn.forward(params, block, feats, ax=ax_field)
+    value = evaluate(trace.z)
+    final_grads = gnn.backward(params, block, feats, trace, value.d_z)
 
     report = TrainReport(
         loss=loss,

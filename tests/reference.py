@@ -3,7 +3,9 @@
 import numpy as np
 
 from bundlesup import gnn
-from bundlesup.losses import FlatBundles, bundle_objective
+from bundlesup.gnn import softmax_row
+from bundlesup.losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
+from bundlesup.train import TrainReport, refine
 
 
 def dense_adjacency(a_hat) -> np.ndarray:
@@ -70,3 +72,77 @@ def fd_logit_bounds(params, a_hat, x, probe_nodes, *, fd_step=1e-5, hess_step=1e
         gm = one_hot_rows(params.from_vector(vp), a_hat, x, probe)
         m_hat = max(m_hat, float(np.abs((gp - gm) / (2 * hess_step)).max()))
     return g_hat, m_hat
+
+
+def bundle_distribution(z: np.ndarray, bundle) -> np.ndarray:
+    """Class distribution of a group: softmax of the mean member logits."""
+    members = np.sort(np.asarray(bundle.members if hasattr(bundle, "members") else bundle, dtype=np.intp))
+    if members.size == 0:
+        raise ValueError("empty bundle has no class distribution")
+    mean = z[members].sum(axis=0) / members.size
+    return softmax_row(mean)
+
+
+def loss_be(p_bundle: np.ndarray, y_hat: int) -> float:
+    """Cross-entropy of a group distribution against the annotated class."""
+    return float(-np.log(p_bundle[y_hat]))
+
+
+def loss_rank(p_bundle: np.ndarray, y_hat: int) -> float:
+    """Hinge on the log-probability gap to the best-ranked class."""
+    gap = float(np.log(p_bundle[y_hat]) - np.log(p_bundle.max()))
+    return -min(gap, 0.0)
+
+
+def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
+                      node_idx=None, node_labels=None) -> tuple:
+    """`train` (with `bundles`) or `train_on_nodes` (with `node_idx`,
+    `node_labels`) at a fixed learning rate, every epoch a forward and a
+    backward pass over all n nodes. Returns (params, report)."""
+    if objective == "member_ce":
+        evaluate = member_ce_objective
+    elif objective == "be_only":
+        evaluate = lambda z, fb: bundle_objective(z, fb, terms=("be",))
+    elif objective == "rank_only":
+        evaluate = lambda z, fb: bundle_objective(z, fb, terms=("rank",))
+    else:
+        evaluate = bundle_objective
+    if bundles is None:
+        idx, labels = np.asarray(node_idx, dtype=np.intp), np.asarray(node_labels, dtype=np.intp)
+        evaluate = lambda z, fb: node_ce_objective(z, idx, labels)
+    flat = FlatBundles.from_bundles(bundles) if bundles is not None else None
+
+    feats = np.asarray(x, dtype=np.float64)
+    params = gnn.init_params(feats.shape[1], cfg.hidden, n_classes, cfg.seed)
+    ax = a_hat @ feats
+    eta = cfg.learning_rate
+    loss, loss_be_, loss_rank_, grad_norm, refinements = [], [], [], [], []
+
+    def norm(grads):
+        return float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
+
+    for t in range(1, cfg.epochs + 1):
+        trace = gnn.forward(params, a_hat, feats, ax=ax)
+        value = evaluate(trace.z, flat)
+        grads = gnn.backward(params, a_hat, feats, trace, value.d_z)
+        loss.append(value.loss)
+        loss_be_.append(value.be_mean)
+        loss_rank_.append(value.rank_mean)
+        grad_norm.append(norm(grads))
+        for p, g in zip(params.tensors(), grads.tensors()):
+            p -= eta * g
+        if bundles is not None and t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0:
+            events = refine(trace.p, bundles, cfg.bundle_floor, t)
+            if events:
+                refinements.extend(events)
+                flat = FlatBundles.from_bundles(bundles)
+
+    trace = gnn.forward(params, a_hat, feats, ax=ax)
+    value = evaluate(trace.z, flat)
+    final_grads = gnn.backward(params, a_hat, feats, trace, value.d_z)
+    report = TrainReport(
+        loss=np.array(loss), loss_be=np.array(loss_be_), loss_rank=np.array(loss_rank_),
+        grad_norm=np.array(grad_norm), refinements=refinements, eta=eta,
+        final_loss=value.loss, final_grad_norm=norm(final_grads),
+    )
+    return params, report

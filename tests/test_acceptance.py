@@ -21,13 +21,14 @@ from bundlesup.annotate import AnnotationCache, annotate_all
 from bundlesup.gnn import softmax_row
 from bundlesup.graphs import Graph, NodeTable, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
-from bundlesup.losses import FlatBundles, bundle_distribution, bundle_objective, loss_be, loss_rank
+from bundlesup.losses import FlatBundles, bundle_objective
 from bundlesup.pipeline import run_pipeline, standard_experiment
 from bundlesup.sampling import Bundle
 from bundlesup.theorems import default_theorem2_instance, verify_theorem1, verify_theorem2, verify_theorem3
 from bundlesup.train import refine
 
 from llm_stub import ChatStub
+from reference import bundle_distribution, loss_be, loss_rank
 
 SEEDS = tuple(range(10))
 

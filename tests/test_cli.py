@@ -182,3 +182,36 @@ def test_pipeline_cli_rejects_llm_config_in_individual_query_mode(tmp_path, via_
     assert exc.value.code not in (0, None)
     assert "individual_query" in str(exc.value.code) and "oracle" in str(exc.value.code)
     assert not (tmp_path / "out" / "pipeline_report.json").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("sampling", "bundle_sise"), ("train", "epoch"), ("oracle", "noise"), ("dataset", "nodes_count"),
+    ("llm", "url"), (None, "sampeling"),
+])
+def test_pipeline_cli_rejects_unknown_config_key(tmp_path, section, key):
+    cfg = {"sampling": {"num_bundles": 6}, "train": {"epochs": 5}, "replicate_seeds": [0]}
+    if section is None:
+        cfg[key] = {}
+    else:
+        cfg.setdefault(section, {})[key] = 4
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", "--config", cfg_path, "--out", tmp_path / "out"])
+    message = str(exc.value.code)
+    assert exc.value.code not in (0, None)
+    assert repr(key) in message and (section is None or repr(section) in message)
+    assert not (tmp_path / "out" / "pipeline_report.json").exists()
+
+
+def test_pipeline_cli_rejects_file_dataset_without_class_names(dataset, tmp_path):
+    cfg = {
+        "dataset": {"edges": str(dataset / "edges.txt"), "embeddings": str(dataset / "embeddings.txt"),
+                    "nodes": str(dataset / "nodes.jsonl")},
+        "replicate_seeds": [0],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", "--config", cfg_path, "--out", tmp_path / "out"])
+    assert "'class_names'" in str(exc.value.code) and "'dataset'" in str(exc.value.code)

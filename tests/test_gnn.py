@@ -160,6 +160,31 @@ class TestBackward:
             gnn.backward(params, a_hat, x, trace, trace.z[:, :1])
 
 
+class TestRowBlock:
+    def test_block_pass_equals_whole_graph_rows(self):
+        """On Â[S, N(S)] the logits are the whole-graph rows S, bitwise, and
+        the gradients those of the whole-graph pass with d_z zero off S."""
+        for seed in range(10):
+            a_hat, x, params = random_instance(seed, n=20, p_edge=0.12)
+            rows = np.flatnonzero(np.random.default_rng(seed).random(20) < 0.3)
+            block = a_hat.block(rows)
+            whole = gnn.forward(params, a_hat, x)
+            trace = gnn.forward(params, block, x, ax=whole.ax[block.cols])
+            np.testing.assert_array_equal(trace.z, whole.z[rows])
+            np.testing.assert_array_equal(trace.h, whole.h[block.cols])
+            d_z = np.random.default_rng(100 + seed).normal(size=trace.z.shape)
+            d_full = np.zeros_like(whole.z)
+            d_full[rows] = d_z
+            got = gnn.backward(params, block, x, trace, d_z).to_vector()
+            want = gnn.backward(params, a_hat, x, whole, d_full).to_vector()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_block_needs_ax(self):
+        a_hat, x, params = random_instance(0)
+        with pytest.raises(ValueError, match="ax"):
+            gnn.forward(params, a_hat.block([0, 1]), x)
+
+
 @st.composite
 def jacobian_cases(draw):
     """A small graph (isolated nodes likely), parameters, features and probes.

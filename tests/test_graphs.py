@@ -153,6 +153,57 @@ class TestNormalizedAdjacency:
         b @ np.ones((6, 1))
         assert len(built) == 2
 
+    def test_block_equals_dense_submatrix(self):
+        """Â[rows][:, cols] entry for entry, each row in ascending column
+        order; `T` is the transposed block; default columns are N(rows)."""
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(1, 20))
+            mask = rng.random((n, n)) < rng.uniform(0.0, 0.4)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
+            a = normalized_adjacency(Graph.from_edges(n, edges))
+            dense = dense_adjacency(a)
+            rows = np.flatnonzero(rng.random(n) < 0.5)
+            cols = np.flatnonzero(rng.random(n) < 0.6)
+            block = a.block(rows, cols)
+            got = np.zeros(block.shape)
+            got[np.repeat(np.arange(rows.size), np.diff(block.indptr)), block.indices] = block.data
+            np.testing.assert_array_equal(got, dense[rows][:, cols])
+            assert all((np.diff(block.indices[block.indptr[k]:block.indptr[k + 1]]) > 0).all()
+                       for k in range(rows.size))
+            np.testing.assert_array_equal(block.T.rows, cols)
+            np.testing.assert_array_equal(block.T.cols, rows)
+            x = rng.normal(size=(rows.size, 2))
+            np.testing.assert_allclose(block.T @ x, dense[cols][:, rows] @ x, atol=1e-15)
+            field, reached = a.block(rows), np.flatnonzero(dense[rows].any(axis=0))
+            if rows.size == reached.size == n:
+                assert field is a
+            else:
+                np.testing.assert_array_equal(field.cols, reached)
+
+    def test_block_over_every_node_is_the_operator(self):
+        a = normalized_adjacency(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        assert a.block(np.arange(4)) is a
+        assert a.block([0, 1, 2, 3], [0, 1, 2, 3]) is a
+        assert a.T is a
+
+    def test_block_products_keep_the_whole_graph_terms(self):
+        """A block row adds the same terms in the same order as Â's row, so
+        block products equal the whole-graph rows bitwise when the dropped
+        columns are zero rows of the operand."""
+        rng = np.random.default_rng(15)
+        n = 30
+        mask = rng.random((n, n)) < 0.15
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
+        a = normalized_adjacency(Graph.from_edges(n, edges))
+        rows = np.flatnonzero(rng.random(n) < 0.3)
+        block = a.block(rows)
+        x = rng.normal(size=(n, 5))
+        np.testing.assert_array_equal(block @ x[block.cols], (a @ x)[rows])
+        d = np.zeros((n, 3))
+        d[rows] = rng.normal(size=(rows.size, 3))
+        np.testing.assert_array_equal(block.T @ d[rows], (a @ d)[block.cols])
+
     def test_every_product_goes_through_spmm_with_four_positional_arguments(self, monkeypatch):
         """perfbench's tracer unpacks (indptr, indices, data, dense) from the
         positional arguments of every spmm call."""

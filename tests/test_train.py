@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlesup.annotate import OracleConfig, annotate_all
-from bundlesup.graphs import normalized_adjacency
+from bundlesup.graphs import Graph, normalized_adjacency
 from bundlesup.sampling import Bundle, SamplingConfig, sample_bundles
 from bundlesup.synth import SbmConfig, gen_sbm
 from bundlesup.train import (
@@ -15,7 +19,7 @@ from bundlesup.train import (
 )
 from bundlesup import gnn, kernels
 
-from reference import fd_logit_bounds
+from reference import fd_logit_bounds, whole_graph_train
 
 SMALL = SbmConfig(n=60, n_classes=4, p_in=0.3, p_out=0.02, dim=8, separation=2.0, seed=5)
 
@@ -228,3 +232,94 @@ class TestBoundEstimates:
         # shared by all members leave no 1/|B| factor in L
         expect = 0.9 / (n_d * (report.m_hat + report.g_hat**2))
         assert report.eta == pytest.approx(expect, rel=1e-12)
+
+
+@st.composite
+def field_problems(draw):
+    """A small graph whose last nodes may be isolated, features, and labeled
+    bundles that cover part of the graph or every node; members beyond the
+    floor of 2 leave refinement room to shrink the field."""
+    n = draw(st.integers(4, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    linked = n - draw(st.integers(0, n // 3))
+    p_edge = draw(st.floats(0.05, 0.6))
+    edges = [(i, j) for i in range(linked) for j in range(i + 1, linked) if rng.random() < p_edge]
+    graph = Graph.from_edges(n, edges)
+    c = draw(st.integers(2, 4))
+    x = rng.normal(size=(n, 3))
+    if draw(st.booleans()):   # bundles cover every node
+        order = rng.permutation(n)
+        cuts = list(range(0, n - 3, 4)) + [n]
+        groups = [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    else:
+        groups = [rng.choice(n, size=int(rng.integers(2, min(5, n) + 1)), replace=False)
+                  for _ in range(int(rng.integers(1, 5)))]
+    bundles = [Bundle(id=i, core=int(g[0]), members=[int(m) for m in g], label=int(rng.integers(c)))
+               for i, g in enumerate(groups)]
+    return normalized_adjacency(graph), x, bundles, c
+
+
+def assert_close(got, want):
+    """Equal within 1e-12, relative to the largest entry of `want`."""
+    want = np.asarray(want, dtype=np.float64)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestSupervisedField:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=field_problems(),
+           objective=st.sampled_from(("full", "be_only", "rank_only", "member_ce", "nodes")),
+           refine_every=st.sampled_from((2, 3, 100)), seed=st.integers(0, 3))
+    def test_matches_whole_graph_training(self, problem, objective, refine_every, seed):
+        """Training on Â[S, N(S)] reproduces whole-graph training: losses and
+        parameters within 1e-12 relative, the same evictions, and bitwise
+        equal results while S is every node."""
+        a_hat, x, bundles, c = problem
+        cfg = TrainConfig(learning_rate=0.5, epochs=12, warmup_epochs=2, refine_every=refine_every,
+                          seed=seed, hidden=6)
+        if objective == "nodes":
+            idx = np.concatenate([b.members for b in bundles])   # repeats allowed
+            labels = np.array([b.label for b in bundles for _ in b.members])
+            got = train_on_nodes(a_hat, x, idx, labels, cfg, c)
+            want = whole_graph_train(a_hat, x, cfg, c, node_idx=idx, node_labels=labels)
+        else:
+            mine, theirs = copy.deepcopy(bundles), copy.deepcopy(bundles)
+            got = train(a_hat, x, mine, cfg, c, objective=objective)
+            want = whole_graph_train(a_hat, x, cfg, c, objective=objective, bundles=theirs)
+            assert [b.members for b in mine] == [b.members for b in theirs]
+            assert [b.evicted for b in mine] == [b.evicted for b in theirs]
+        (params, report), (ref_params, ref_report) = got, want
+        assert report.refinements == ref_report.refinements
+        covered = np.unique(np.concatenate([b.members for b in bundles])).size == a_hat.n
+        compare = np.testing.assert_array_equal if covered and not report.refinements else assert_close
+        for name in ("loss", "loss_be", "loss_rank", "grad_norm", "final_loss", "final_grad_norm"):
+            compare(getattr(report, name), getattr(ref_report, name))
+        for mine_t, ref_t in zip(params.tensors(), ref_params.tensors()):
+            compare(mine_t, ref_t)
+
+    def test_epochs_touch_only_the_supervised_field(self, monkeypatch):
+        """After the initial A @ X, no sparse product reads or writes more
+        rows than N(S), the members and their neighbours."""
+        graph, emb, table = gen_sbm(SbmConfig(n=300, n_classes=4, p_in=0.05, p_out=0.002, dim=8, seed=2))
+        bundles = sample_bundles(graph, emb, SamplingConfig(num_bundles=4, bundle_size=4, seed=0))
+        annotate_all(bundles, table, oracle=OracleConfig(noise_rate=0.0, seed=0))
+        members = np.unique([m for b in bundles for m in b.members])
+        neighbours = [graph.indices[graph.indptr[m]:graph.indptr[m + 1]] for m in members]
+        field = np.unique(np.concatenate([members, *neighbours])).size
+        assert field < graph.n
+
+        calls = []
+        real = kernels.spmm
+
+        def recording(indptr, indices, data, dense, **kwargs):
+            calls.append((indptr.shape[0] - 1, dense.shape[0]))
+            return real(indptr, indices, data, dense, **kwargs)
+
+        monkeypatch.setattr(kernels, "spmm", recording)
+        cfg = TrainConfig(learning_rate=0.5, epochs=20, warmup_epochs=2, refine_every=2, seed=0, hidden=8)
+        _, report = train(normalized_adjacency(graph), emb, bundles, cfg, table.num_classes)
+        assert report.refinements, "expected refinement to shrink the field"
+        assert calls[0] == (graph.n, graph.n)
+        assert len(calls) == 1 + 2 * (cfg.epochs + 1)
+        for written, read in calls[1:]:
+            assert written <= field and read <= field
