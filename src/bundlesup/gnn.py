@@ -110,13 +110,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_row(z: np.ndarray) -> np.ndarray:
-    """Stable softmax of a single score vector."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def forward(params: GcnParams, a_hat: NormalizedAdjacency, x, ax: np.ndarray = None) -> ForwardTrace:
     """Run the two-layer convolution; `ax` may carry a precomputed A @ X.
 

@@ -11,6 +11,13 @@ Edge list        lines "u v"; '#' starts a comment; an optional first line
 Node table       one JSON object per line with fields id (int), text
                  (string, optional), label (class-name string, optional).
 Embedding matrix "n d" header, then n rows of d whitespace-separated floats.
+
+Both numeric loaders parse the body in one vectorised pass (`np.loadtxt`).
+A file that pass refuses (it raised or warned, the array breaks a rule of
+the format, or an edge is a self-loop, which the loop warns of by line
+number) is read again by the per-line loop, which alone decides its result
+or its FormatError. The loop takes every token Python's `int` and `float`
+take, such as "1_0". The node table is parsed per line.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,10 +70,14 @@ class Graph:
             if lo[k] == hi[k]:
                 raise ValueError(f"self-loop ({u[k]},{u[k]}) is not storable")
             raise ValueError(f"edge ({u[k]},{v[k]}) has an endpoint >= n={n}")
-        keys = np.sort(lo * n + hi)
+        keys = lo * n   # in place, as in _csr
+        keys += hi
+        keys.sort()
         # not np.unique: its first call imports numpy.ma, ~15 ms of every loader's start-up
         lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-        return cls(n, *_csr(n, np.concatenate([lo, hi]), np.concatenate([hi, lo])))
+        rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        del keys, lo, hi   # freed before _csr's own entry-sized array
+        return cls(n, *_csr(n, rows, cols))
 
     @property
     def num_edges(self) -> int:
@@ -94,7 +106,11 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
     """Row-sorted CSR (indptr, indices) of the entries (rows[k], cols[k]), all distinct."""
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, np.sort(rows * n + cols) % n
+    keys = rows * n   # in place from here: one entry-sized array at a time
+    keys += cols
+    keys.sort()
+    keys %= n
+    return indptr, keys
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -280,45 +296,92 @@ def hop_distances(graph: Graph, core: int, need: int | None = None) -> np.ndarra
 
 def load_edge_list(path) -> Graph:
     """Read an undirected edge list; see the module docstring for the format."""
-    us, vs = [], []
-    header_n = None
-    saw_content = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if not saw_content and parts[0] == "n" and len(parts) == 2:
-                try:
-                    header_n = int(parts[1])
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad node count {parts[1]!r}") from None
-                if header_n < 1:
-                    raise FormatError(f"{path}:{lineno}: node count must be positive")
-                saw_content = True
-                continue
-            saw_content = True
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected two integers, got {body!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: expected two integers, got {body!r}") from None
-            if u < 0 or v < 0:
-                raise FormatError(f"{path}:{lineno}: negative node index")
-            if u == v:
-                logger.warning("%s:%d: skipping self-loop on node %d", path, lineno, u)
-            us.append(u)
-            vs.append(v)
-    if not saw_content:
-        raise FormatError(f"{path}: no edges or header found")
+        header_n, lineno = _edge_list_header(path, fh)
+        body = fh.tell()
+        pairs = _loadtxt(fh, np.intp, comments="#")
+        if pairs is not None and _plain_edges(pairs, header_n):
+            n = header_n if header_n is not None else int(pairs.max(initial=-1)) + 1
+        else:
+            fh.seek(body)
+            n, pairs = _edge_lines(path, fh, lineno, header_n)
+    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
+
+
+def _plain_edges(pairs: np.ndarray, header_n) -> bool:
+    """Whether parsed edge rows need nothing of the per-line loop: two columns,
+    no negative id, no id beyond the header's count, and no self-loop (the
+    loop warns of each with its line number)."""
+    return (pairs.shape[1] == 2 and pairs.min(initial=0) >= 0
+            and (header_n is None or pairs.max(initial=-1) < header_n)
+            and bool((pairs[:, 0] != pairs[:, 1]).all()))
+
+
+def _edge_list_header(path, fh) -> tuple:
+    """Read an edge list's leading blank and comment lines and its optional
+    "n <count>" header; returns (count or None, lines read). The handle is
+    left at the first edge line."""
+    lineno = 0
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        if not line:
+            raise FormatError(f"{path}: no edges or header found")
+        lineno += 1
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] != "n" or len(parts) != 2:
+            fh.seek(start)
+            return None, lineno - 1
+        try:
+            header_n = int(parts[1])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad node count {parts[1]!r}") from None
+        if header_n < 1:
+            raise FormatError(f"{path}:{lineno}: node count must be positive")
+        return header_n, lineno
+
+
+def _edge_lines(path, fh, lineno: int, header_n) -> tuple:
+    """Parse the edge lines after line `lineno` one by one: (n, (m, 2) pairs),
+    self-loops kept and warned, or the FormatError of the first bad line."""
+    us, vs = [], []
+    for lineno, line in enumerate(fh, start=lineno + 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected two integers, got {body!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: expected two integers, got {body!r}") from None
+        if u < 0 or v < 0:
+            raise FormatError(f"{path}:{lineno}: negative node index")
+        if u == v:
+            logger.warning("%s:%d: skipping self-loop on node %d", path, lineno, u)
+        us.append(u)
+        vs.append(v)
     max_idx = max(max(us, default=-1), max(vs, default=-1))
     n = header_n if header_n is not None else max_idx + 1
     if max_idx >= n:
         raise FormatError(f"{path}: node index {max_idx} exceeds declared count {n}")
-    pairs = np.array((us, vs), dtype=np.intp).T
-    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
+    return n, np.array((us, vs), dtype=np.intp).T
+
+
+def _loadtxt(fh, dtype, comments):
+    """The rest of `fh` as a 2-D array from one `np.loadtxt` call, or None if
+    the parse raised or warned. NumPy 1.24 warns, not raises, on a float token
+    in an integer column, and every version warns on an empty body. The
+    warning filter is process-wide while the parse runs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(fh, dtype=dtype, comments=comments, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
 
 
 def load_node_table(path, class_names) -> NodeTable:
@@ -379,32 +442,43 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise FormatError(f"{path}: header must be 'n d'") from None
         if n < 1 or d < 1:
             raise FormatError(f"{path}: header dimensions must be positive")
-        out = np.empty((n, d), dtype=np.float64)
-        row = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            if row >= n:
-                raise FormatError(f"{path}: expected {n} rows, found more at line {lineno}")
-            parts = line.split()
-            if len(parts) != d:
+        body = fh.tell()
+        out = _loadtxt(fh, np.float64, comments=None)
+        if out is None or out.shape != (n, d) or not np.isfinite(out).all():
+            fh.seek(body)
+            out = _embedding_lines(path, fh, n, d)
+    return EmbeddingMatrix(out)
+
+
+def _embedding_lines(path, fh, n: int, d: int) -> np.ndarray:
+    """Parse the rows after the header line one by one: the (n, d) matrix, or
+    the FormatError of the first bad line."""
+    out = np.empty((n, d), dtype=np.float64)
+    row = 0
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        if row >= n:
+            raise FormatError(f"{path}: expected {n} rows, found more at line {lineno}")
+        parts = line.split()
+        if len(parts) != d:
+            raise FormatError(
+                f"{path}:{lineno}: expected {d} values, got {len(parts)}"
+            )
+        for j, tok in enumerate(parts):
+            try:
+                val = float(tok)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad float {tok!r}") from None
+            if not math.isfinite(val):
                 raise FormatError(
-                    f"{path}:{lineno}: expected {d} values, got {len(parts)}"
+                    f"{path}:{lineno}: non-finite value {tok!r} at row {row}, column {j}"
                 )
-            for j, tok in enumerate(parts):
-                try:
-                    val = float(tok)
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad float {tok!r}") from None
-                if not math.isfinite(val):
-                    raise FormatError(
-                        f"{path}:{lineno}: non-finite value {tok!r} at row {row}, column {j}"
-                    )
-                out[row, j] = val
-            row += 1
+            out[row, j] = val
+        row += 1
     if row != n:
         raise FormatError(f"{path}: expected {n} rows, got {row}")
-    return EmbeddingMatrix(out)
+    return out
 
 
 def save_embeddings(path, matrix: EmbeddingMatrix) -> None:

@@ -13,6 +13,8 @@ import numpy as np
 
 from .graphs import EmbeddingMatrix, Graph, NodeTable
 
+_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class SbmConfig:
@@ -50,11 +52,7 @@ def gen_sbm(cfg: SbmConfig):
     per = cfg.n // cfg.n_classes
     labels = np.repeat(np.arange(cfg.n_classes), per)
 
-    prob = np.where(labels[:, None] == labels[None, :], cfg.p_in, cfg.p_out)
-    draw = rng.random((cfg.n, cfg.n))
-    upper = np.triu(np.ones((cfg.n, cfg.n), dtype=bool), k=1)
-    rows, cols = np.nonzero(upper & (draw < prob))
-    graph = Graph.from_edges(cfg.n, np.column_stack((rows, cols)))
+    graph = Graph.from_edges(cfg.n, _sbm_edges(cfg, labels, rng))
 
     means = np.zeros((cfg.n_classes, cfg.dim))
     means[np.arange(cfg.n_classes), np.arange(cfg.n_classes)] = cfg.separation
@@ -67,6 +65,22 @@ def gen_sbm(cfg: SbmConfig):
         labels=[int(y) for y in labels],
     )
     return graph, EmbeddingMatrix(x), table
+
+
+def _sbm_edges(cfg: SbmConfig, labels: np.ndarray, rng) -> np.ndarray:
+    """The edges (u, v), u < v, in ascending order, of one (n, n) uniform draw.
+
+    The draw is taken in row blocks: the same stream as one (n, n) array, in
+    O(_BLOCK_ROWS * n) memory. Each block keeps its edges as keys u * n + v.
+    """
+    keys = []
+    for lo in range(0, cfg.n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, cfg.n)
+        draw = rng.random((hi - lo, cfg.n))
+        prob = np.where(labels[lo:hi, None] == labels[None, :], cfg.p_in, cfg.p_out)
+        upper = np.arange(cfg.n) > np.arange(lo, hi)[:, None]
+        keys.append(lo * cfg.n + np.flatnonzero((draw < prob) & upper))
+    return np.column_stack(np.divmod(np.concatenate(keys), cfg.n))
 
 
 def homophily(graph: Graph, labels) -> float:

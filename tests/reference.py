@@ -1,11 +1,17 @@
 """Slow, plain reference implementations the tests compare the package against."""
 
+import logging
+import math
+
 import numpy as np
 
 from bundlesup import gnn
-from bundlesup.gnn import softmax_row
+from bundlesup.graphs import EmbeddingMatrix, FormatError, Graph, NodeTable
 from bundlesup.losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
+from bundlesup.synth import SbmConfig
 from bundlesup.train import TrainReport, refine
+
+logger = logging.getLogger(__name__)
 
 
 def dense_adjacency(a_hat) -> np.ndarray:
@@ -146,3 +152,121 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
         final_loss=value.loss, final_grad_norm=norm(final_grads),
     )
     return params, report
+
+
+def softmax_row(z: np.ndarray) -> np.ndarray:
+    """Stable softmax of a single score vector."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def load_edge_list(path) -> Graph:
+    """`graphs.load_edge_list` as one per-line loop: the reference for its
+    graphs, FormatError messages and self-loop warnings."""
+    us, vs = [], []
+    header_n = None
+    saw_content = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split()
+            if not saw_content and parts[0] == "n" and len(parts) == 2:
+                try:
+                    header_n = int(parts[1])
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: bad node count {parts[1]!r}") from None
+                if header_n < 1:
+                    raise FormatError(f"{path}:{lineno}: node count must be positive")
+                saw_content = True
+                continue
+            saw_content = True
+            if len(parts) != 2:
+                raise FormatError(f"{path}:{lineno}: expected two integers, got {body!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: expected two integers, got {body!r}") from None
+            if u < 0 or v < 0:
+                raise FormatError(f"{path}:{lineno}: negative node index")
+            if u == v:
+                logger.warning("%s:%d: skipping self-loop on node %d", path, lineno, u)
+            us.append(u)
+            vs.append(v)
+    if not saw_content:
+        raise FormatError(f"{path}: no edges or header found")
+    max_idx = max(max(us, default=-1), max(vs, default=-1))
+    n = header_n if header_n is not None else max_idx + 1
+    if max_idx >= n:
+        raise FormatError(f"{path}: node index {max_idx} exceeds declared count {n}")
+    pairs = np.array((us, vs), dtype=np.intp).T
+    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
+
+
+def load_embeddings(path) -> EmbeddingMatrix:
+    """`graphs.load_embeddings` as one per-line, per-token loop: the reference
+    for its matrices and FormatError messages."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise FormatError(f"{path}: header must be 'n d'")
+        try:
+            n, d = int(header[0]), int(header[1])
+        except ValueError:
+            raise FormatError(f"{path}: header must be 'n d'") from None
+        if n < 1 or d < 1:
+            raise FormatError(f"{path}: header dimensions must be positive")
+        out = np.empty((n, d), dtype=np.float64)
+        row = 0
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            if row >= n:
+                raise FormatError(f"{path}: expected {n} rows, found more at line {lineno}")
+            parts = line.split()
+            if len(parts) != d:
+                raise FormatError(
+                    f"{path}:{lineno}: expected {d} values, got {len(parts)}"
+                )
+            for j, tok in enumerate(parts):
+                try:
+                    val = float(tok)
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: bad float {tok!r}") from None
+                if not math.isfinite(val):
+                    raise FormatError(
+                        f"{path}:{lineno}: non-finite value {tok!r} at row {row}, column {j}"
+                    )
+                out[row, j] = val
+            row += 1
+    if row != n:
+        raise FormatError(f"{path}: expected {n} rows, got {row}")
+    return EmbeddingMatrix(out)
+
+
+def gen_sbm(cfg: SbmConfig):
+    """`synth.gen_sbm` with the whole (n, n) draw, probability and triangle
+    arrays in memory at once."""
+    rng = np.random.default_rng(cfg.seed)
+    per = cfg.n // cfg.n_classes
+    labels = np.repeat(np.arange(cfg.n_classes), per)
+
+    prob = np.where(labels[:, None] == labels[None, :], cfg.p_in, cfg.p_out)
+    draw = rng.random((cfg.n, cfg.n))
+    upper = np.triu(np.ones((cfg.n, cfg.n), dtype=bool), k=1)
+    rows, cols = np.nonzero(upper & (draw < prob))
+    graph = Graph.from_edges(cfg.n, np.column_stack((rows, cols)))
+
+    means = np.zeros((cfg.n_classes, cfg.dim))
+    means[np.arange(cfg.n_classes), np.arange(cfg.n_classes)] = cfg.separation
+    x = means[labels] + rng.normal(0.0, cfg.sigma, size=(cfg.n, cfg.dim))
+
+    table = NodeTable(
+        n=cfg.n,
+        class_names=[f"class_{c}" for c in range(cfg.n_classes)],
+        texts=None,
+        labels=[int(y) for y in labels],
+    )
+    return graph, EmbeddingMatrix(x), table

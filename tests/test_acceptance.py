@@ -18,7 +18,6 @@ import pytest
 
 from bundlesup import gnn
 from bundlesup.annotate import AnnotationCache, annotate_all
-from bundlesup.gnn import softmax_row
 from bundlesup.graphs import Graph, NodeTable, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.losses import FlatBundles, bundle_objective
@@ -28,7 +27,7 @@ from bundlesup.theorems import default_theorem2_instance, verify_theorem1, verif
 from bundlesup.train import refine
 
 from llm_stub import ChatStub
-from reference import bundle_distribution, loss_be, loss_rank
+from reference import bundle_distribution, loss_be, loss_rank, softmax_row
 
 SEEDS = tuple(range(10))
 

@@ -1,11 +1,12 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bundlesup import kernels
+from bundlesup import graphs, kernels
 from bundlesup.graphs import (
     EmbeddingMatrix,
     FormatError,
@@ -20,6 +21,7 @@ from bundlesup.graphs import (
     save_embeddings,
 )
 
+import reference
 from reference import dense_adjacency
 
 
@@ -327,6 +329,12 @@ class TestNodeTable:
             NodeTable(n=0, class_names=["A", " a "])
 
 
+# -0.0, the smallest and largest subnormal, and the largest finite value
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.max, -sys.float_info.max]
+)
+
+
 class TestEmbeddings:
     def test_basic_read(self, tmp_path):
         m = load_embeddings(_write(tmp_path, "x.txt", "2 2\n0 1\n1 0\n"))
@@ -344,18 +352,191 @@ class TestEmbeddings:
         with pytest.raises(FormatError, match="row 1, column 0"):
             load_embeddings(_write(tmp_path, "x.txt", "2 2\n0 1\nnan 0\n"))
 
-    def test_round_trip_full_precision(self, tmp_path):
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5))
+    def test_round_trip_full_precision(self, tmp_path, drawn):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(7, 5))
         data[0, 0] = 0.1
         data[1, 1] = 1.0 / 3.0
         data[2, 2] = 1e-300
+        data[6] = drawn
         matrix = EmbeddingMatrix(data)
         path = tmp_path / "emb.txt"
         save_embeddings(path, matrix)
         reloaded = load_embeddings(path)
         np.testing.assert_array_equal(reloaded.data, data)
+        assert reloaded.data.tobytes() == data.tobytes()   # -0.0 keeps its sign
 
     def test_non_finite_constructor_rejected(self):
         with pytest.raises(ValueError, match="row 0, column 1"):
             EmbeddingMatrix(np.array([[0.0, np.inf]]))
+
+
+_SEPARATORS = [" ", "\t", "\x0c", "  ", " \t "]
+_ODD_INTEGERS = ["1.0", "1_0", "+3", "\u0661", "nan", "inf", "1e400", "-0", "-1", "03", "99999999999999999999"]
+_ODD_FLOATS = [
+    "1.0", "1_0", "+3", "\u0661", "\u0661.5", "nan", "inf", "-inf", "1e400", "-0", "0x1p3", "1,5", "2#x",
+]
+_BLANKS = ["", " ", "\t", "\x0c", " \x0c\t"]
+_FAULTS = st.sampled_from([0, 0, 0, 1, 1, 2, 3])   # the number of odd lines or tokens in a file
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list files: valid rows mixed with comments, blank lines, headers
+    of every kind, self-loops, negative and out-of-range ids, rows of one or
+    three fields and tokens that Python's int reads differently from NumPy."""
+    k = draw(st.integers(1, 8))
+    ident = st.integers(0, k).map(str)
+    sep = st.sampled_from(_SEPARATORS)
+    comment = st.sampled_from(["", "", " # trailing", "#x"])
+
+    def row(*tokens):
+        return draw(st.sampled_from(["", " ", "\t"])) + draw(sep).join(tokens) + draw(comment)
+
+    body = []
+    for _ in range(draw(st.sampled_from(range(11)))):
+        u, step = draw(st.integers(0, k)), draw(st.integers(1, k))
+        body.append(row(str(u), str((u + step) % (k + 1))))
+    for _ in range(draw(_FAULTS)):
+        kind = draw(st.sampled_from(
+            ["blank", "comment", "self_loop", "negative", "beyond", "one", "three", "odd"]
+        ))
+        if kind == "blank":
+            line = draw(st.sampled_from(_BLANKS))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# comment", "  # 0 1", "#"]))
+        elif kind == "self_loop":
+            a = draw(ident)
+            line = row(a, a)
+        elif kind == "negative":
+            line = row("-1", draw(ident))
+        elif kind == "beyond":
+            line = row(draw(ident), str(k + draw(st.integers(1, 3))))
+        elif kind == "one":
+            line = row(draw(ident))
+        elif kind == "three":
+            line = row(draw(ident), draw(ident), draw(ident))
+        else:
+            line = row(*draw(st.permutations([draw(st.sampled_from(_ODD_INTEGERS)), draw(ident)])))
+        body.insert(draw(st.integers(0, len(body))), line)
+    header = draw(st.sampled_from(
+        [[]] * 3 + [[f"n {k + 1}"]] * 3 + [[f"n {k}"], ["n 0"], ["n x"], ["n 1_0"], ["n"], ["n 3 4"]]
+    ))
+    lead = draw(st.lists(st.sampled_from(_BLANKS + ["# leading comment"]), max_size=2))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return end.join(lead + header + body) + draw(st.sampled_from([end, ""]))
+
+
+@st.composite
+def embedding_texts(draw):
+    """Embedding files: full-precision rows mixed with blank lines, short,
+    long, missing and extra rows, '#' comments, odd headers and tokens that
+    Python's float reads differently from NumPy or that are not finite."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        _EDGE_FLOATS.map(repr),
+        st.integers(-9, 9).map(str),
+    )
+    rows = [[draw(value) for _ in range(d)] for _ in range(n)]
+    for _ in range(draw(_FAULTS)):
+        kind = draw(st.sampled_from(["token", "token", "short", "long", "comment", "extra", "drop", "blank"]))
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if kind == "extra":
+            rows.insert(i, [draw(value) for _ in range(d)])
+        elif kind == "blank":
+            rows.insert(i, [draw(st.sampled_from(_BLANKS))])
+        elif not rows or not rows[i]:
+            continue
+        elif kind == "token":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_ODD_FLOATS))
+        elif kind == "short":
+            rows[i] = rows[i][:-1]
+        elif kind == "long":
+            rows[i] = rows[i] + [draw(value)]
+        elif kind == "comment":   # the format has none
+            rows[i] = rows[i] + [draw(st.sampled_from(["#", "# note", "#x"]))]
+        else:
+            del rows[i]
+    header = draw(st.sampled_from([f"{n} {d}"] * 10 + [f"{n}\t{d}", f"{n}", f"{n} {d} 1", f"0 {d}", "a b"]))
+    sep = draw(st.sampled_from(_SEPARATORS))
+    lines = [header] + [sep.join(r) for r in rows] + draw(st.lists(st.sampled_from(_BLANKS), max_size=2))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(load, path, caplog):
+    """What `load(path)` returns or raises, as comparable values, and the
+    warnings it logs."""
+    caplog.clear()
+    try:
+        out = load(path)
+    except Exception as exc:
+        got = (type(exc).__name__, str(exc))
+    else:
+        arrays = (out.indptr, out.indices) if isinstance(out, Graph) else (out.data,)
+        got = (getattr(out, "n", None), [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+    return got, [(rec.levelname, rec.getMessage()) for rec in caplog.records]
+
+
+class TestLoadersAgainstPerLineReference:
+    """The vectorised parse and its per-line fallback, against the per-line
+    loaders of `reference`: the same arrays bitwise, or the same error and
+    message, and the same warnings."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edge_list_texts())
+    def test_edge_list(self, tmp_path, caplog, text):
+        path = tmp_path / "e.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with caplog.at_level("WARNING"):
+            assert _outcome(load_edge_list, path, caplog) == _outcome(reference.load_edge_list, path, caplog)
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(embedding_texts())
+    def test_embeddings(self, tmp_path, caplog, text):
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with caplog.at_level("WARNING"):
+            assert _outcome(load_embeddings, path, caplog) == _outcome(reference.load_embeddings, path, caplog)
+
+    def test_clean_files_never_reach_the_per_line_loop(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the per-line loop ran")
+
+        monkeypatch.setattr(graphs, "_edge_lines", refuse)
+        monkeypatch.setattr(graphs, "_embedding_lines", refuse)
+        text = "# comment\n\nn 7\n0 1\n1\t2 # trailing\n\n3\x0c4\n+5 0\n"
+        g = load_edge_list(_write(tmp_path, "e.txt", text))
+        assert (g.n, g.edges) == (7, {(0, 1), (1, 2), (3, 4), (0, 5)})
+        g = load_edge_list(_write(tmp_path, "e.txt", "2 1\n0 3\n"))
+        assert (g.n, g.edges) == (4, {(1, 2), (0, 3)})
+        data = np.random.default_rng(0).normal(size=(6, 3))
+        data[0] = [-0.0, 5e-324, sys.float_info.max]
+        save_embeddings(tmp_path / "x.txt", EmbeddingMatrix(data))
+        assert load_embeddings(tmp_path / "x.txt").data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("name, text", [
+        ("e.txt", "0 1\n2 2\n"),          # a self-loop: the loop warns with its line number
+        ("e.txt", "n 3\n0 1\n1 3\n"),    # an id beyond the header's count
+        ("e.txt", "n 3\n"),               # no body: NumPy warns
+        ("e.txt", "0 1\n1_0 2\n"),        # a token Python's int takes and NumPy does not
+        ("e.txt", "0 1\n1.0 2\n"),
+        ("x.txt", "1 2\n1_0 2\n"),
+        ("x.txt", "1 2\nnan 2\n"),
+        ("x.txt", "2 2\n1 2\n"),          # too few rows
+    ])
+    def test_refused_files_go_to_the_per_line_loop(self, tmp_path, monkeypatch, name, text):
+        class Refused(Exception):
+            pass
+
+        def refuse(*args):
+            raise Refused
+
+        monkeypatch.setattr(graphs, "_edge_lines", refuse)
+        monkeypatch.setattr(graphs, "_embedding_lines", refuse)
+        load = load_edge_list if name == "e.txt" else load_embeddings
+        with pytest.raises(Refused):
+            load(_write(tmp_path, name, text))

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bundlesup.gnn import softmax_row
 from bundlesup.losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
 from bundlesup.sampling import Bundle
 
-from reference import bundle_distribution, loss_be, loss_rank, total_loss_and_grad
+from reference import bundle_distribution, loss_be, loss_rank, softmax_row, total_loss_and_grad
 
 
 def make_bundles(rng, n_nodes, n_bundles, c, size=4):

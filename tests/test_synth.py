@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from bundlesup.synth import SbmConfig, gen_sbm, homophily
+
+import reference
 
 
 def test_balanced_label_histogram():
@@ -75,3 +81,32 @@ def test_heterophilic_configuration_allowed():
     cfg = SbmConfig(n=80, n_classes=4, p_in=0.01, p_out=0.2, dim=8, seed=0)
     graph, _, table = gen_sbm(cfg)
     assert homophily(graph, table.labels) < 0.3
+
+
+@pytest.mark.parametrize("n, n_classes, seed", [
+    (400, 20, 0), (400, 20, 1), (400, 20, 7),   # 400 is not a multiple of the 64-row block
+    (128, 4, 2), (64, 2, 3),                    # whole blocks
+    (10, 5, 4),                                 # less than one block
+])
+def test_row_blocks_equal_one_dense_draw(n, n_classes, seed):
+    cfg = SbmConfig(n=n, n_classes=n_classes, dim=max(8, n_classes), seed=seed)
+    g, x, t = gen_sbm(cfg)
+    g_ref, x_ref, t_ref = reference.gen_sbm(cfg)
+    for got, want in ((g.indptr, g_ref.indptr), (g.indices, g_ref.indices), (x.data, x_ref.data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert t == t_ref
+
+
+def test_large_graph_needs_no_dense_memory():
+    # the dense draw alone would take n * n * 8 bytes = 3.2 GB at n=20000
+    script = (
+        "import resource\n"
+        "from bundlesup.synth import SbmConfig, gen_sbm\n"
+        "gen_sbm(SbmConfig(n=20000))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    peak_mb = int(out.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB on Linux
+    assert peak_mb < 500
