@@ -26,6 +26,7 @@ import json
 import logging
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -294,9 +295,20 @@ def hop_distances(graph: Graph, core: int, need: int | None = None) -> np.ndarra
     return kernels.bfs_levels(graph.indptr, graph.indices, graph.n, core, need)
 
 
+@contextmanager
+def _open_text(path):
+    """`path` opened as UTF-8 text; a byte that is not UTF-8 raises a FormatError
+    naming the path (the decoder's own position is inside a read chunk)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_edge_list(path) -> Graph:
     """Read an undirected edge list; see the module docstring for the format."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header_n, lineno = _edge_list_header(path, fh)
         body = fh.tell()
         pairs = _loadtxt(fh, np.intp, comments="#")
@@ -310,10 +322,10 @@ def load_edge_list(path) -> Graph:
 
 def _plain_edges(pairs: np.ndarray, header_n) -> bool:
     """Whether parsed edge rows need nothing of the per-line loop: two columns,
-    no negative id, no id beyond the header's count, and no self-loop (the
-    loop warns of each with its line number)."""
+    no negative id, no id beyond the header's count or too large to count up
+    to, and no self-loop (the loop warns of each with its line number)."""
     return (pairs.shape[1] == 2 and pairs.min(initial=0) >= 0
-            and (header_n is None or pairs.max(initial=-1) < header_n)
+            and pairs.max(initial=-1) < (np.iinfo(np.intp).max if header_n is None else header_n)
             and bool((pairs[:, 0] != pairs[:, 1]).all()))
 
 
@@ -368,6 +380,8 @@ def _edge_lines(path, fh, lineno: int, header_n) -> tuple:
     n = header_n if header_n is not None else max_idx + 1
     if max_idx >= n:
         raise FormatError(f"{path}: node index {max_idx} exceeds declared count {n}")
+    if max_idx >= np.iinfo(np.intp).max:
+        raise FormatError(f"{path}: node index {max_idx} is too large")
     return n, np.array((us, vs), dtype=np.intp).T
 
 
@@ -389,7 +403,7 @@ def load_node_table(path, class_names) -> NodeTable:
     lookup = {name.strip().casefold(): i for i, name in enumerate(class_names)}
     texts, labels, ids = [], [], []
     any_text = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -432,7 +446,7 @@ def load_node_table(path, class_names) -> NodeTable:
 
 def load_embeddings(path) -> EmbeddingMatrix:
     """Read a text embedding matrix with an "n d" header."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be 'n d'")

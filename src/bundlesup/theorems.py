@@ -218,9 +218,6 @@ class Theorem2Report:
     points: list
     all_grad_ok: bool
     all_hess_ok: bool
-    smoothness_const: float
-    lipschitz_max: float
-    lipschitz_ok: bool
     grad_tol: float
     hess_tol: float
 
@@ -244,18 +241,6 @@ def theorem2_model(instance: Theorem2Instance) -> tuple:
 def _bundle_ce_from_z(z: np.ndarray, members, label: int) -> float:
     zbar = z[list(members)].mean(axis=0)
     return float(_logsumexp_rows(zbar[None, :])[0] - zbar[label])
-
-
-def _fd_loss_grad(make_z, vec: np.ndarray, members, label, step: float) -> np.ndarray:
-    g = np.zeros_like(vec)
-    for j in range(vec.size):
-        vp = vec.copy()
-        vp[j] += step
-        lp = _bundle_ce_from_z(make_z(vp), members, label)
-        vp[j] -= 2 * step
-        lm = _bundle_ce_from_z(make_z(vp), members, label)
-        g[j] = (lp - lm) / (2 * step)
-    return g
 
 
 def verify_theorem2(
@@ -287,24 +272,27 @@ def verify_theorem2(
     rng = np.random.default_rng(seed)
 
     points = []
-    sweep_g = sweep_m = 0.0
     for _ in range(instance.n_points):
         vec = rng.normal(0.0, instance.theta_scale, size=n_d)
         hs = instance.grad_step
 
-        # Jacobian of the member logits, one FD pass per coordinate
+        # Jacobian of the member logits and gradient of the loss, one FD
+        # pass per coordinate
         jac = np.zeros((size, instance.n_classes, n_d))
+        grad = np.zeros(n_d)
         for j in range(n_d):
             vp = vec.copy()
             vp[j] += hs
-            zp = make_z(vp)[members]
+            zp = make_z(vp)
             vp[j] -= 2 * hs
-            zm = make_z(vp)[members]
-            jac[:, :, j] = (zp - zm) / (2 * hs)
+            zm = make_z(vp)
+            jac[:, :, j] = (zp[members] - zm[members]) / (2 * hs)
+            grad[j] = (
+                _bundle_ce_from_z(zp, members, label) - _bundle_ce_from_z(zm, members, label)
+            ) / (2 * hs)
         g_hat = float(np.abs(jac).max())
 
-        # loss gradient by FD, and its largest single-member contribution
-        grad = _fd_loss_grad(make_z, vec, members, label, hs)
+        # the loss gradient's largest entry and largest single-member contribution
         grad_inf = float(np.abs(grad).max())
         z0 = make_z(vec)
         q = gnn.softmax_rows(z0[members].mean(axis=0, keepdims=True))[0]
@@ -372,29 +360,11 @@ def verify_theorem2(
                 grad_bound_undiscounted=2 * g_hat,
             )
         )
-        sweep_g = max(sweep_g, g_hat)
-        sweep_m = max(sweep_m, m_hat)
-
-    # every Hessian entry is at most 2(M+G^2), so n_d times that bounds its norm
-    smoothness_const = 2 * n_d * (sweep_m + sweep_g**2)
-    # empirical Lipschitz probe of the loss gradient over nearby pairs
-    lipschitz_max = 0.0
-    for vec in (pt.theta for pt in points[:5]):
-        delta = rng.normal(0.0, 1.0, size=n_d)
-        delta *= 0.05 / np.linalg.norm(delta)
-        g1 = _fd_loss_grad(make_z, vec, members, label, instance.grad_step)
-        g2 = _fd_loss_grad(make_z, vec + delta, members, label, instance.grad_step)
-        lipschitz_max = max(
-            lipschitz_max, float(np.linalg.norm(g1 - g2) / np.linalg.norm(delta))
-        )
 
     return Theorem2Report(
         points=points,
         all_grad_ok=all(pt.grad_ok for pt in points),
         all_hess_ok=all(pt.hess_ok for pt in points),
-        smoothness_const=smoothness_const,
-        lipschitz_max=lipschitz_max,
-        lipschitz_ok=lipschitz_max <= smoothness_const,
         grad_tol=grad_tol,
         hess_tol=hess_tol,
     )
@@ -455,13 +425,12 @@ def verify_theorem3(
     cfg = sbm if sbm is not None else SbmConfig(seed=seed)
     graph, emb, table = gen_sbm(cfg)
     bundles = sample_bundles(graph, emb, SamplingConfig(seed=seed))
-    annotate_all(bundles, table, oracle=OracleConfig(noise_rate=0.0, seed=seed))
+    annotate_all(bundles, table, oracle=OracleConfig(seed=seed))
     tcfg = TrainConfig(
         epochs=epochs,
         eta_auto=True,
         seed=seed,
-        warmup_epochs=25,
-        refine_every=5 if refinement else epochs + 1,
+        refine_every=TrainConfig.refine_every if refinement else epochs + 1,
     )
     params, report = train(
         normalized_adjacency(graph), emb, bundles, tcfg, table.num_classes, objective="be_only"

@@ -53,6 +53,9 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Defaults are calibrated once on the standard benchmark: early and
+    frequent refinement, a horizon short of heavy noise memorization."""
+
     learning_rate: float = 0.5
     epochs: int = 800
     warmup_epochs: int = 25

@@ -201,6 +201,8 @@ def load_edge_list(path) -> Graph:
     n = header_n if header_n is not None else max_idx + 1
     if max_idx >= n:
         raise FormatError(f"{path}: node index {max_idx} exceeds declared count {n}")
+    if max_idx >= np.iinfo(np.intp).max:
+        raise FormatError(f"{path}: node index {max_idx} is too large")
     pairs = np.array((us, vs), dtype=np.intp).T
     return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
 

@@ -1,8 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
+from bundlesup import cli
+from bundlesup.annotate import OracleConfig
 from bundlesup.cli import main
+from bundlesup.llm import LlmEndpointConfig
+from bundlesup.sampling import SamplingConfig
+from bundlesup.synth import SbmConfig
+from bundlesup.train import TrainConfig
 
 
 def run(argv):
@@ -215,3 +222,124 @@ def test_pipeline_cli_rejects_file_dataset_without_class_names(dataset, tmp_path
     with pytest.raises(SystemExit) as exc:
         run(["pipeline", "--config", cfg_path, "--out", tmp_path / "out"])
     assert "'class_names'" in str(exc.value.code) and "'dataset'" in str(exc.value.code)
+
+
+@pytest.fixture()
+def labeled(dataset):
+    """The dataset plus ten oracle-labeled bundles in labeled.jsonl."""
+    bundles = dataset / "bundles.jsonl"
+    run(["sample-bundles", "--edges", dataset / "edges.txt", "--num-bundles", 10,
+         "--bundle-size", 4, "--out", bundles])
+    run(["annotate", "--bundles", bundles, "--nodes", dataset / "nodes.jsonl",
+         "--manifest", dataset / "manifest.json", "--out", dataset / "labeled.jsonl"])
+    return dataset
+
+
+def _required(ds, out):
+    """Each stage's command line with its required flags only (and a class source)."""
+    annotate = ["annotate", "--bundles", ds / "labeled.jsonl", "--nodes", ds / "nodes.jsonl",
+                "--manifest", ds / "manifest.json", "--out", out]
+    return {
+        "gen-synth": ["gen-synth", "--out", out],
+        "sample-bundles": ["sample-bundles", "--out", out],
+        "annotate-oracle": annotate,
+        "annotate-llm": annotate + ["--annotator", "llm"],
+        "train": ["train", "--graph", ds / "edges.txt", "--embeddings", ds / "embeddings.txt",
+                  "--bundles", ds / "labeled.jsonl", "--manifest", ds / "manifest.json", "--out", out],
+    }
+
+
+# stage: (the function in cli that gets the config, the config in its call, its default)
+_STAGES = {
+    "gen-synth": ("gen_sbm", lambda a, kw: a[0], SbmConfig()),
+    "sample-bundles": ("sample_bundles", lambda a, kw: a[2], SamplingConfig()),
+    "annotate-oracle": ("annotate_all", lambda a, kw: kw["oracle"], OracleConfig()),
+    "annotate-llm": ("annotate_all", lambda a, kw: kw["llm"], LlmEndpointConfig()),
+    "train": ("train", lambda a, kw: a[3], TrainConfig()),
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _configs_passed_on(monkeypatch, stage, argv) -> list:
+    """The config `argv` hands to the stage's function, which is stubbed out."""
+    name, pick, _ = _STAGES[stage]
+    seen = []
+
+    def stand_in(*args, **kwargs):
+        seen.append(pick(args, kwargs))
+        raise _Captured
+
+    monkeypatch.setattr(cli, name, stand_in)
+    with pytest.raises(_Captured):
+        run(argv)
+    return seen
+
+
+@pytest.mark.parametrize("stage", _STAGES)
+def test_omitted_flags_take_the_config_defaults(labeled, tmp_path, monkeypatch, stage):
+    argv = _required(labeled, tmp_path / "o")[stage]
+    assert _configs_passed_on(monkeypatch, stage, argv) == [_STAGES[stage][2]]
+
+
+@pytest.mark.parametrize("stage, flags, field, value", [
+    ("gen-synth", ["--classes", 8], "n_classes", 8),
+    ("gen-synth", ["--seed", 3], "seed", 3),
+    ("sample-bundles", ["--bundle-size", 3], "bundle_size", 3),
+    ("annotate-oracle", ["--noise", 0.25], "noise_rate", 0.25),
+    ("annotate-llm", ["--api-key-env", "MY_KEY"], "api_key_env_var", "MY_KEY"),
+    ("annotate-llm", ["--parallelism", 1], "parallelism", 1),
+    ("train", ["--eta", 0.125], "learning_rate", 0.125),
+    ("train", ["--warmup", 7], "warmup_epochs", 7),
+    ("train", ["--floor", 3], "bundle_floor", 3),
+    ("train", ["--eta-auto"], "eta_auto", True),
+])
+def test_each_flag_sets_its_config_field(labeled, tmp_path, monkeypatch, stage, flags, field, value):
+    argv = _required(labeled, tmp_path / "o")[stage] + flags
+    expected = dataclasses.replace(_STAGES[stage][2], **{field: value})
+    assert _configs_passed_on(monkeypatch, stage, argv) == [expected]
+
+
+@pytest.mark.parametrize("stage, flags, message", [
+    ("gen-synth", ["--n", 401], "bundlesup gen-synth: n must be a positive multiple of n_classes"),
+    ("sample-bundles", ["--bundle-size", 1], "bundlesup sample-bundles: bundle_size must be >= 2"),
+    ("annotate-llm", ["--parallelism", 0], "bundlesup annotate: parallelism must be >= 1"),
+    ("train", ["--eta", 0], "bundlesup train: learning_rate must be positive"),
+])
+def test_a_bad_flag_exits_with_a_message_and_writes_nothing(labeled, tmp_path, stage, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        run(_required(labeled, tmp_path / "o")[stage] + flags)
+    assert exc.value.code == message
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_input_that_is_not_utf8_exits_with_a_message_and_writes_nothing(labeled, tmp_path):
+    bad = tmp_path / "edges.txt"
+    bad.write_bytes(b"n 48\n0 1\n\xff 2\n")
+    argv = _required(labeled, tmp_path / "o")["train"]
+    argv[argv.index("--graph") + 1] = bad
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == f"bundlesup train: {bad}: not UTF-8 text (invalid start byte)"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_missing_input_exits_with_a_message(tmp_path):
+    missing = tmp_path / "edges.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["sample-bundles", "--edges", missing, "--out", tmp_path / "o"])
+    assert exc.value.code == f"bundlesup sample-bundles: [Errno 2] No such file or directory: {str(missing)!r}"
+
+
+def test_a_missing_api_key_exits_with_a_message(labeled, tmp_path, monkeypatch):
+    monkeypatch.delenv("BUNDLESUP_NO_SUCH_KEY", raising=False)
+    nodes = tmp_path / "nodes.jsonl"
+    nodes.write_text("".join(json.dumps({"id": i, "text": f"node {i}"}) + "\n" for i in range(48)))
+    argv = _required(labeled, tmp_path / "o")["annotate-llm"] + ["--api-key-env", "BUNDLESUP_NO_SUCH_KEY"]
+    argv[argv.index("--nodes") + 1] = nodes
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == "bundlesup annotate: environment variable BUNDLESUP_NO_SUCH_KEY is not set"
+    assert not (tmp_path / "o").exists()

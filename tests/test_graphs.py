@@ -69,6 +69,30 @@ class TestLoadEdgeList:
         with pytest.raises(FormatError):
             load_edge_list(_write(tmp_path, "e.txt", "n 3\n0 5\n"))
 
+    @pytest.mark.parametrize("text, big", [
+        ("99999999999999999999 1\n", "99999999999999999999"),   # beyond intp: per-line loop
+        ("0 1\n9223372036854775807 2\n", "9223372036854775807"),  # intp's max: n would not fit
+    ])
+    def test_index_too_large_to_count_names_the_path(self, tmp_path, text, big):
+        path = _write(tmp_path, "e.txt", text)
+        with pytest.raises(FormatError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}: node index {big} is too large"
+
+
+@pytest.mark.parametrize("load, data", [
+    (load_edge_list, b"n 3\n0 1\n\xff 2\n"),
+    (load_edge_list, b"0 1\n" * 5000 + b"\xff 2\n"),   # past the first read chunk
+    (load_embeddings, b"2 1\n0\n\xff\n"),
+    (lambda path: load_node_table(path, ["a"]), b'{"id": 0, "text": "\xff"}\n'),
+], ids=["edges", "edges-late", "embeddings", "nodes"])
+def test_bytes_that_are_not_utf8_raise_a_format_error_naming_the_path(tmp_path, load, data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
 
 class TestHopDistances:
     def test_triangle(self):
