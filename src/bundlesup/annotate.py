@@ -7,8 +7,9 @@ parsed by case-insensitive containment of exactly one class name;
 anything else is a parse failure and leaves the bundle unlabeled.
 
 `annotate_all` alone reads and writes the `AnnotationCache`: one lookup
-per distinct prompt, one append per answered miss. Transport failures
-are not stored, so a rerun asks again.
+per distinct prompt, and one append per answered miss through a file
+handle opened once per pass. Transport failures are not stored, so a
+rerun asks again.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -247,12 +249,15 @@ class AnnotationCache:
 
     A last line that is not valid JSON, as left by a crash mid-append, is
     dropped from the file with a warning; a bad line anywhere else raises.
+    Inside `appending()`, every `put` writes through one open handle and
+    flushes; outside it, each `put` opens the file for its one record.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._records = {}
         self._lock = threading.Lock()
+        self._fh = None
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -279,12 +284,32 @@ class AnnotationCache:
         with self._lock:
             return self._records.get(sha256)
 
+    @contextmanager
+    def appending(self):
+        """Keep the file open for appends until the block ends."""
+        if self.path is None or self._fh is not None:
+            yield
+            return
+        with open(self.path, "a", encoding="utf-8") as fh:
+            with self._lock:
+                self._fh = fh
+            try:
+                yield
+            finally:
+                with self._lock:
+                    self._fh = None
+
     def put(self, record: AnnotationRecord) -> None:
+        """Store `record`; with a path, its line is on disk when this returns."""
+        line = record.to_json() + "\n"
         with self._lock:
             self._records[record.prompt_sha256] = record
-            if self.path is not None:
+            if self._fh is not None:
+                self._fh.write(line)
+                self._fh.flush()
+            elif self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(record.to_json() + "\n")
+                    fh.write(line)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -350,7 +375,8 @@ def annotate_all(
             api_key = os.environ.get(llm.api_key_env_var, "")
             if not api_key:
                 raise AnnotationConfigError(f"environment variable {llm.api_key_env_var} is not set")
-            with ThreadPoolExecutor(max_workers=min(llm.parallelism, len(misses))) as pool:
+            workers = min(llm.parallelism, len(misses))
+            with cache.appending(), ThreadPoolExecutor(max_workers=workers) as pool:
                 answers = pool.map(lambda p: ask_llm(p, llm, api_key, table.class_names), misses)
                 # stored in prompt order as each arrives; transport failures are not, so
                 # a rerun asks again

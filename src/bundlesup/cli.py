@@ -22,6 +22,7 @@ from .graphs import (
     load_embeddings,
     load_node_table,
     normalized_adjacency,
+    open_text,
     save_embeddings,
 )
 from .llm import LlmEndpointConfig
@@ -89,11 +90,24 @@ def cmd_gen_synth(args):
 
 def _class_names(args):
     if getattr(args, "manifest", None):
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            return json.load(fh)["class_names"]
+        return _manifest_class_names(args.manifest)
     if getattr(args, "class_names", None):
         return [s.strip() for s in args.class_names.split(",")]
     raise SystemExit("pass --manifest or --class-names")
+
+
+def _manifest_class_names(path) -> list:
+    """The class names a dataset manifest lists; a FormatError names the path,
+    and the line of a JSON error."""
+    with open_text(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    names = manifest.get("class_names") if isinstance(manifest, dict) else None
+    if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
+        raise FormatError(f"{path}: manifest has no class_names, a list of names")
+    return names
 
 
 def cmd_sample_bundles(args):
@@ -118,7 +132,10 @@ def cmd_annotate(args):
         }
     bundles = load_bundles(args.bundles)
     table = load_node_table(args.nodes, _class_names(args))
-    summary = annotate_all(bundles, table, **annotator)
+    try:
+        summary = annotate_all(bundles, table, **annotator)
+    except ValueError as exc:   # a node table the annotator cannot use
+        raise SystemExit(f"bundlesup annotate: {exc}") from None
     save_bundles(args.out, bundles)
     if args.records:
         save_records(args.records, summary.records)

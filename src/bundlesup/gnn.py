@@ -175,16 +175,8 @@ def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x, probe, ax: 
         ax = a_hat @ (x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64))
     probe = np.asarray(probe, dtype=np.intp)
     d, h, c = params.dims
-    # the stored entries (i, j) of every probe row, probe by probe
-    entries = np.concatenate([np.arange(a_hat.indptr[i], a_hat.indptr[i + 1]) for i in probe])
-    starts = np.concatenate([[0], np.cumsum(np.diff(a_hat.indptr)[probe])[:-1]])
-    nbr = a_hat.indices[entries]
-    a_ij = a_hat.data[entries][:, None]
-    h_pre = ax[nbr] @ params.w1 + params.b1
-    weighted = a_ij * (h_pre > 0.0)
-    s = np.add.reduceat(ax[nbr][:, :, None] * weighted[:, None, :], starts)
-    t = np.add.reduceat(weighted, starts)
-    ah = np.add.reduceat(a_ij * np.maximum(h_pre, 0.0), starts)
+    ax_nbr, a_ij, starts = _probe_entries(a_hat, ax, probe)
+    s, t, ah = _propagate(ax_nbr, a_ij, starts, ax_nbr @ params.w1 + params.b1)
 
     w1_end, b1_end, w2_end = d * h, d * h + h, d * h + h + h * c
     jac = np.zeros((probe.size, c, params.n_params))
@@ -194,6 +186,88 @@ def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x, probe, ax: 
         jac[:, k, b1_end + k:w2_end:c] = ah
         jac[:, k, w2_end + k] = 1.0
     return jac
+
+
+def jacobian_differences(params: GcnParams, a_hat: NormalizedAdjacency, probe, coords, step: float,
+                         ax: np.ndarray) -> np.ndarray:
+    """max |J(theta + step e_k) - J(theta - step e_k)| for each coordinate k of
+    `coords`, J the probes' `logit_jacobian` and `ax` = A @ X.
+
+    Only the entries a coordinate moves are computed. W1[f, u] and b1[u]
+    move hidden unit u alone: its pre-activation column, so the W1[:, u],
+    b1[u] and W2[u, :] entries. W2[u, c'] moves the W1[:, u] and b1[u]
+    entries of class c' by their factor W2[u, c']. b2 moves nothing. Every
+    other entry is computed from the same numbers at both points, so its
+    difference is exactly 0.
+
+    Each moved entry is bitwise the one `logit_jacobian` at the perturbed
+    parameters holds: theta_k + step, then that minus 2 step, and each
+    moved pre-activation column cut out of the whole (E, d) @ (d, h)
+    product, since BLAS may round a column computed alone differently.
+    """
+    probe = np.asarray(probe, dtype=np.intp)
+    coords = np.asarray(coords, dtype=np.intp)
+    d, h, c = params.dims
+    w1_end, b1_end, w2_end = d * h, d * h + h, d * h + h + h * c
+    ax_nbr, a_ij, starts = _probe_entries(a_hat, ax, probe)
+    out = np.zeros(coords.size)
+
+    first = np.flatnonzero(coords < b1_end)
+    if first.size:
+        ks = coords[first]
+        units = np.where(ks < w1_end, ks % h, ks - w1_end)
+        theta = np.concatenate([params.w1.ravel(), params.b1])
+        plus = theta[ks] + step
+        # a column of ax_nbr @ W1 does not depend on W1's other columns, so
+        # perturbations of distinct units share one product: round r holds
+        # the r-th coordinate of each unit; + and - alternate in `moved`
+        order = np.argsort(units, kind="stable")
+        rounds = np.empty_like(order)
+        rounds[order] = np.arange(order.size) - np.searchsorted(units[order], units[order])
+        moved = np.empty((ax_nbr.shape[0], 2 * ks.size))
+        for r in range(rounds.max() + 1):
+            sel = np.flatnonzero(rounds == r)
+            for side, values in enumerate((plus, plus - 2 * step)):
+                layer = theta.copy()
+                layer[ks[sel]] = values[sel]
+                product = ax_nbr @ layer[:w1_end].reshape(d, h) + layer[w1_end:]
+                moved[:, 2 * sel + side] = product[:, units[sel]]
+        s, t, ah = _propagate(ax_nbr, a_ij, starts, moved)
+        w2 = params.w2[units]   # (K, c): the factor of each moved entry
+        out[first] = np.maximum.reduce([
+            np.abs(s[:, :, 0::2, None] * w2 - s[:, :, 1::2, None] * w2).max(axis=(0, 1, 3)),
+            np.abs(t[:, 0::2, None] * w2 - t[:, 1::2, None] * w2).max(axis=(0, 2)),
+            np.abs(ah[:, 0::2] - ah[:, 1::2]).max(axis=0),
+        ])
+
+    second = np.flatnonzero((coords >= b1_end) & (coords < w2_end))
+    if second.size:
+        units, classes = np.divmod(coords[second] - b1_end, c)
+        s, t, _ = _propagate(ax_nbr, a_ij, starts, ax_nbr @ params.w1 + params.b1)
+        plus = params.w2[units, classes] + step
+        minus = plus - 2 * step
+        s, t = s[:, :, units], t[:, units]
+        out[second] = np.maximum(np.abs(s * plus - s * minus).max(axis=(0, 1)),
+                                 np.abs(t * plus - t * minus).max(axis=0))
+    return out
+
+
+def _probe_entries(a_hat, ax: np.ndarray, probe: np.ndarray) -> tuple:
+    """The stored entries (i, j) of every probe row, probe by probe: the rows
+    (A @ X)[j], the values A_ij as a column, and where each probe's run starts."""
+    entries = np.concatenate([np.arange(a_hat.indptr[i], a_hat.indptr[i + 1]) for i in probe])
+    starts = np.concatenate([[0], np.cumsum(np.diff(a_hat.indptr)[probe])[:-1]])
+    return ax[a_hat.indices[entries]], a_hat.data[entries][:, None], starts
+
+
+def _propagate(ax_nbr: np.ndarray, a_ij: np.ndarray, starts: np.ndarray, h_pre: np.ndarray) -> tuple:
+    """s, t and A H of `logit_jacobian`, probes first, from the neighbours'
+    pre-activations `h_pre` (E, units); any set of columns may stand as units."""
+    weighted = a_ij * (h_pre > 0.0)
+    s = np.add.reduceat(ax_nbr[:, :, None] * weighted[:, None, :], starts)
+    t = np.add.reduceat(weighted, starts)
+    ah = np.add.reduceat(a_ij * np.maximum(h_pre, 0.0), starts)
+    return s, t, ah
 
 
 def save_params(out_dir, params: GcnParams, seed: int = None) -> None:

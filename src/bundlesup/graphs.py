@@ -38,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 UNREACHABLE = -1
 
+# the largest node count n whose n * n fits in intp: edge keys are lo * n + hi
+MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
+
 
 class FormatError(ValueError):
     """An input file does not match its documented format."""
@@ -60,6 +63,8 @@ class Graph:
         """Build from pairs (u, v) or an (m, 2) integer array; duplicates collapse."""
         if n < 1:
             raise ValueError("graph needs at least one node")
+        if n > MAX_NODES:
+            raise ValueError(f"node count {n} is too large: {n} * {n} overflows the index type")
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.intp)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError("edges must be pairs (u, v)")
@@ -296,7 +301,7 @@ def hop_distances(graph: Graph, core: int, need: int | None = None) -> np.ndarra
 
 
 @contextmanager
-def _open_text(path):
+def open_text(path):
     """`path` opened as UTF-8 text; a byte that is not UTF-8 raises a FormatError
     naming the path (the decoder's own position is inside a read chunk)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -307,8 +312,14 @@ def _open_text(path):
 
 
 def load_edge_list(path) -> Graph:
-    """Read an undirected edge list; see the module docstring for the format."""
-    with _open_text(path) as fh:
+    """Read an undirected edge list; see the module docstring for the format.
+
+    A node count (the header's, or the largest id + 1) above MAX_NODES
+    raises a FormatError, since the edge keys n * u + v would overflow. A
+    count below it that needs more memory than there is may still raise
+    MemoryError.
+    """
+    with open_text(path) as fh:
         header_n, lineno = _edge_list_header(path, fh)
         body = fh.tell()
         pairs = _loadtxt(fh, np.intp, comments="#")
@@ -317,6 +328,8 @@ def load_edge_list(path) -> Graph:
         else:
             fh.seek(body)
             n, pairs = _edge_lines(path, fh, lineno, header_n)
+    if n > MAX_NODES:
+        raise FormatError(f"{path}: node count {n} (largest id + 1) is too large to index")
     return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
 
 
@@ -352,6 +365,8 @@ def _edge_list_header(path, fh) -> tuple:
             raise FormatError(f"{path}:{lineno}: bad node count {parts[1]!r}") from None
         if header_n < 1:
             raise FormatError(f"{path}:{lineno}: node count must be positive")
+        if header_n > MAX_NODES:
+            raise FormatError(f"{path}:{lineno}: node count {header_n} is too large to index")
         return header_n, lineno
 
 
@@ -403,7 +418,7 @@ def load_node_table(path, class_names) -> NodeTable:
     lookup = {name.strip().casefold(): i for i, name in enumerate(class_names)}
     texts, labels, ids = [], [], []
     any_text = False
-    with _open_text(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -446,7 +461,7 @@ def load_node_table(path, class_names) -> NodeTable:
 
 def load_embeddings(path) -> EmbeddingMatrix:
     """Read a text embedding matrix with an "n d" header."""
-    with _open_text(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be 'n d'")

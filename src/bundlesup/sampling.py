@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import EmbeddingMatrix, Graph, hop_distances
+from .graphs import EmbeddingMatrix, FormatError, Graph, hop_distances, open_text
 
 CRITERIA = ("topological", "semantic", "random")
 
@@ -216,19 +216,32 @@ def save_bundles(path, bundles) -> None:
 
 
 def load_bundles(path) -> list:
+    """Read bundles as `save_bundles` writes them; a line that is not a
+    bundle raises a FormatError naming the path and the line."""
     bundles = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            bundles.append(
-                Bundle(
-                    id=int(rec["id"]),
-                    core=int(rec["core"]),
-                    members=[int(v) for v in rec["members"]],
-                    label=int(rec["label"]) if rec.get("label") is not None else None,
-                    evicted=[(int(e), int(v)) for e, v in rec.get("evicted", [])],
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: invalid record: {exc}") from None
+            if not isinstance(rec, dict):
+                raise FormatError(f"{path}:{lineno}: record is not a JSON object")
+            for key in ("id", "core", "members"):
+                if key not in rec:
+                    raise FormatError(f"{path}:{lineno}: record has no {key}")
+            try:
+                bundles.append(
+                    Bundle(
+                        id=int(rec["id"]),
+                        core=int(rec["core"]),
+                        members=[int(v) for v in rec["members"]],
+                        label=int(rec["label"]) if rec.get("label") is not None else None,
+                        evicted=[(int(e), int(v)) for e, v in rec.get("evicted", [])],
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path}:{lineno}: invalid bundle: {exc}") from None
     return bundles

@@ -7,7 +7,13 @@ import numpy as np
 
 from bundlesup import gnn
 from bundlesup.graphs import EmbeddingMatrix, FormatError, Graph, NodeTable
-from bundlesup.losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
+from bundlesup.losses import (
+    FlatBundles,
+    ObjectiveValue,
+    bundle_objective,
+    member_ce_objective,
+    node_ce_objective,
+)
 from bundlesup.synth import SbmConfig
 from bundlesup.train import TrainReport, refine
 
@@ -41,6 +47,21 @@ def one_hot_rows(params, a_hat, x, probe) -> np.ndarray:
     return out
 
 
+def sampled_columns(params, per_layer, seed) -> np.ndarray:
+    """The parameter coordinates `train.estimate_logit_bounds` differences:
+    `per_layer` drawn in each layer, from the rng stream (seed, 4)."""
+    n_d = params.n_params
+    d, h, c = params.dims
+    layer1 = d * h + h
+    rng = np.random.default_rng((seed, 4))
+    return np.concatenate(
+        [
+            rng.choice(layer1, size=min(per_layer, layer1), replace=False),
+            layer1 + rng.choice(n_d - layer1, size=min(per_layer, n_d - layer1), replace=False),
+        ]
+    )
+
+
 def fd_logit_bounds(params, a_hat, x, probe_nodes, *, fd_step=1e-5, hess_step=1e-4,
                     hess_cols_per_layer=32, seed=0) -> tuple:
     """(G, M) by finite differences: G of the probe logits over every parameter,
@@ -59,16 +80,7 @@ def fd_logit_bounds(params, a_hat, x, probe_nodes, *, fd_step=1e-5, hess_step=1e
         zm = gnn.forward(params.from_vector(vp), a_hat, x).z[probe]
         g_hat = max(g_hat, float(np.abs((zp - zm) / (2 * fd_step)).max()))
 
-    d, h, c = params.dims
-    layer1 = d * h + h
-    rng = np.random.default_rng((seed, 4))
-    cols = np.concatenate(
-        [
-            rng.choice(layer1, size=min(hess_cols_per_layer, layer1), replace=False),
-            layer1 + rng.choice(n_d - layer1, size=min(hess_cols_per_layer, n_d - layer1), replace=False),
-        ]
-    )
-
+    cols = sampled_columns(params, hess_cols_per_layer, seed)
     m_hat = 0.0
     for k in cols:
         vp = vec.copy()
@@ -78,6 +90,74 @@ def fd_logit_bounds(params, a_hat, x, probe_nodes, *, fd_step=1e-5, hess_step=1e
         gm = one_hot_rows(params.from_vector(vp), a_hat, x, probe)
         m_hat = max(m_hat, float(np.abs((gp - gm) / (2 * hess_step)).max()))
     return g_hat, m_hat
+
+
+def jacobian_differences(params, a_hat, x, probe, coords, step, ax=None) -> np.ndarray:
+    """`gnn.jacobian_differences` with two whole `gnn.logit_jacobian` calls per
+    coordinate k, at theta + step e_k and theta - step e_k."""
+    vec = params.to_vector()
+    out = []
+    for k in coords:
+        vp = vec.copy()
+        vp[k] += step
+        jp = gnn.logit_jacobian(params.from_vector(vp), a_hat, x, probe, ax=ax)
+        vp[k] -= 2 * step
+        jm = gnn.logit_jacobian(params.from_vector(vp), a_hat, x, probe, ax=ax)
+        out.append(float(np.abs(jp - jm).max()))
+    return np.array(out)
+
+
+def jacobian_difference_bounds(params, a_hat, x, probe_nodes, *, ax=None, hess_step=1e-4,
+                               hess_cols_per_layer=32, seed=0) -> tuple:
+    """`train.estimate_logit_bounds` with M from `jacobian_differences` above."""
+    probe = np.asarray(probe_nodes, dtype=np.intp)
+    if ax is None:
+        ax = gnn.forward(params, a_hat, x).ax
+    g_hat = float(np.abs(gnn.logit_jacobian(params, a_hat, x, probe, ax=ax)).max())
+    cols = sampled_columns(params, hess_cols_per_layer, seed)
+    m_hat = 0.0
+    for diff in jacobian_differences(params, a_hat, x, probe, cols, hess_step, ax=ax):
+        m_hat = max(m_hat, float(diff) / (2 * hess_step))
+    return g_hat, m_hat
+
+
+def segment_objective(z: np.ndarray, flat, terms=("be", "rank")):
+    """`losses.bundle_objective` with member rows gathered and summed by
+    `np.add.reduceat`, and the gradient scattered back by `np.add.at`."""
+    nb = flat.count
+    rows = np.arange(nb)
+    sums = np.add.reduceat(z[flat.members], flat.offsets[:-1], axis=0)
+    zbar = sums / flat.sizes[:, None]
+    shifted = zbar - zbar.max(axis=1, keepdims=True)
+    logq = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    q = np.exp(logq)
+
+    be = -logq[rows, flat.labels]
+    top = np.argmax(logq, axis=1)
+    rank = logq[rows, top] - logq[rows, flat.labels]
+    active = rank > 0.0
+
+    d_zbar = q.copy() if "be" in terms else np.zeros_like(q)
+    if "be" in terms:
+        d_zbar[rows, flat.labels] -= 1.0
+    if "rank" in terms:
+        act = np.flatnonzero(active)
+        d_zbar[act, top[act]] += 1.0
+        d_zbar[act, flat.labels[act]] -= 1.0
+
+    be_mean = float(be.mean())
+    rank_mean = float(rank[active].sum() / nb)
+    loss = (be_mean if "be" in terms else 0.0) + (rank_mean if "rank" in terms else 0.0)
+
+    scale = 1.0 / (flat.sizes * nb)
+    d_z = np.zeros_like(z)
+    np.add.at(d_z, flat.members, np.repeat(d_zbar * scale[:, None], flat.sizes, axis=0))
+    return ObjectiveValue(
+        loss=loss,
+        be_mean=be_mean if "be" in terms else 0.0,
+        rank_mean=rank_mean if "rank" in terms else 0.0,
+        d_z=d_z,
+    )
 
 
 def bundle_distribution(z: np.ndarray, bundle) -> np.ndarray:
@@ -180,6 +260,8 @@ def load_edge_list(path) -> Graph:
                     raise FormatError(f"{path}:{lineno}: bad node count {parts[1]!r}") from None
                 if header_n < 1:
                     raise FormatError(f"{path}:{lineno}: node count must be positive")
+                if header_n * header_n > np.iinfo(np.intp).max:
+                    raise FormatError(f"{path}:{lineno}: node count {header_n} is too large to index")
                 saw_content = True
                 continue
             saw_content = True
@@ -203,6 +285,8 @@ def load_edge_list(path) -> Graph:
         raise FormatError(f"{path}: node index {max_idx} exceeds declared count {n}")
     if max_idx >= np.iinfo(np.intp).max:
         raise FormatError(f"{path}: node index {max_idx} is too large")
+    if n * n > np.iinfo(np.intp).max:
+        raise FormatError(f"{path}: node count {n} (largest id + 1) is too large to index")
     pairs = np.array((us, vs), dtype=np.intp).T
     return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
 

@@ -343,3 +343,50 @@ def test_a_missing_api_key_exits_with_a_message(labeled, tmp_path, monkeypatch):
         run(argv)
     assert exc.value.code == "bundlesup annotate: environment variable BUNDLESUP_NO_SUCH_KEY is not set"
     assert not (tmp_path / "o").exists()
+
+
+def test_annotating_a_node_table_without_texts_by_llm_exits_with_a_message(labeled, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(_required(labeled, tmp_path / "o")["annotate-llm"])
+    assert exc.value.code == "bundlesup annotate: node table carries no texts; cannot build prompts"
+    assert not (tmp_path / "o").exists()
+
+
+def test_annotating_a_node_table_without_labels_by_oracle_exits_with_a_message(labeled, tmp_path):
+    nodes = tmp_path / "nodes.jsonl"
+    nodes.write_text("".join(json.dumps({"id": i, "text": f"node {i}"}) + "\n" for i in range(48)))
+    argv = _required(labeled, tmp_path / "o")["annotate-oracle"]
+    argv[argv.index("--nodes") + 1] = nodes
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == "bundlesup annotate: oracle annotation needs ground-truth labels in the node table"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("stage", ["annotate-oracle", "train"])
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 48,\n "class_names": [}\n', ":2: invalid JSON: Expecting value"),
+    ('{"n": 48}\n', ": manifest has no class_names, a list of names"),
+    ('{"n": 48, "class_names": "c0,c1"}\n', ": manifest has no class_names, a list of names"),
+], ids=["bad-json", "no-class-names", "not-a-list"])
+def test_a_broken_manifest_exits_with_a_message_naming_it(labeled, tmp_path, stage, text, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    argv = _required(labeled, tmp_path / "o")[stage]
+    argv[argv.index("--manifest") + 1] = manifest
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code.startswith(f"bundlesup {stage.split('-')[0]}: {manifest}{message}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("stage", ["annotate-oracle", "train"])
+def test_a_bundle_file_without_members_exits_with_a_message_naming_the_line(labeled, tmp_path, stage):
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text((labeled / "labeled.jsonl").read_text() + '{"id": 10, "core": 3}\n')
+    argv = _required(labeled, tmp_path / "o")[stage]
+    argv[argv.index("--bundles") + 1] = bundles
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == f"bundlesup {stage.split('-')[0]}: {bundles}:11: record has no members"
+    assert not (tmp_path / "o").exists()

@@ -11,6 +11,7 @@ from bundlesup.graphs import (
     EmbeddingMatrix,
     FormatError,
     Graph,
+    MAX_NODES,
     NodeTable,
     UNREACHABLE,
     hop_distances,
@@ -78,6 +79,29 @@ class TestLoadEdgeList:
         with pytest.raises(FormatError) as exc:
             load_edge_list(path)
         assert str(exc.value) == f"{path}: node index {big} is too large"
+
+
+    @pytest.mark.parametrize("header", ["n 99999999999999999999", "n 9223372036854775807",
+                                        f"n {MAX_NODES + 1}"])
+    def test_a_header_count_whose_square_overflows_is_refused(self, tmp_path, header):
+        path = _write(tmp_path, "e.txt", f"# a graph\n{header}\n0 1\n")
+        with pytest.raises(FormatError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}:2: node count {header[2:]} is too large to index"
+
+    @pytest.mark.parametrize("text", ["0 1000000000000\n", "0 1\n1000000000000 2\n3 4\n"])
+    def test_an_id_whose_count_squared_overflows_is_refused(self, tmp_path, text):
+        """10**12 fits in intp, but n = 10**12 + 1 nodes would need edge keys
+        up to n * n and an indptr of 8 TB."""
+        path = _write(tmp_path, "e.txt", text)
+        with pytest.raises(FormatError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}: node count 1000000000001 (largest id + 1) is too large to index"
+
+    def test_the_largest_count_is_the_square_root_of_intp(self):
+        assert MAX_NODES**2 <= np.iinfo(np.intp).max < (MAX_NODES + 1) ** 2
+        with pytest.raises(ValueError, match="too large"):
+            Graph.from_edges(MAX_NODES + 1, [(0, 1)])
 
 
 @pytest.mark.parametrize("load, data", [

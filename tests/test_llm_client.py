@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from bundlesup import llm
+from bundlesup import annotate, llm
 from bundlesup.annotate import (
     AnnotationCache,
     AnnotationConfigError,
@@ -272,3 +272,31 @@ def test_crash_keeps_the_records_already_answered(monkeypatch, tmp_path):
                      cache=AnnotationCache(path))
     assert len(path.read_text().splitlines()) == 2
     assert len(AnnotationCache(path)) == 2
+
+
+def test_a_cold_pass_opens_the_cache_file_once(monkeypatch, tmp_path):
+    """N misses are N appended lines through one handle, each flushed as it
+    is written: the file holds every stored record while the pass runs."""
+    path = tmp_path / "cache.jsonl"
+    monkeypatch.setattr(llm, "chat_completion", lambda cfg, key, content: "Agents")
+    opened, on_disk = [], []
+    real_open, real_put = open, AnnotationCache.put
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    def put_then_read(self, record):
+        real_put(self, record)
+        on_disk.append(len(path.read_text().splitlines()))
+
+    monkeypatch.setattr(annotate, "open", counting_open, raising=False)
+    monkeypatch.setattr(AnnotationCache, "put", put_then_read)
+    table, bundles = distinct_bundles()
+    summary = annotate_all(bundles, table, llm=endpoint("http://unused", parallelism=2),
+                           cache=AnnotationCache(path))
+    assert summary.n_labeled == len(bundles) == 20
+    assert opened == ["a"]
+    assert on_disk == list(range(1, 21))
+    assert len(AnnotationCache(path)) == 20

@@ -1,12 +1,22 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlesup.losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
 from bundlesup.sampling import Bundle
 
-from reference import bundle_distribution, loss_be, loss_rank, softmax_row, total_loss_and_grad
+from reference import (
+    bundle_distribution,
+    loss_be,
+    loss_rank,
+    segment_objective,
+    softmax_row,
+    total_loss_and_grad,
+)
 
 
 def make_bundles(rng, n_nodes, n_bundles, c, size=4):
@@ -166,3 +176,76 @@ class TestObjectiveGradients:
         np.testing.assert_array_equal(
             total_loss_and_grad(z, mixed)[1], total_loss_and_grad(z, labeled)[1]
         )
+
+
+@st.composite
+def overlapping_bundles(draw):
+    """Labeled bundles of 2 to 20 members over 30 nodes, so that segments
+    reach the 8 rows at which NumPy's segment sums stop adding in order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, 5))
+    bundles = []
+    for bid in range(draw(st.integers(1, 10))):
+        members = rng.choice(30, size=int(rng.integers(2, 21)), replace=False).tolist()
+        bundles.append(Bundle(id=bid, core=members[0], members=members, label=int(rng.integers(c))))
+    z = rng.normal(size=(30, c)) * 10.0 ** rng.integers(-3, 4, size=(30, 1))
+    return FlatBundles.from_bundles(bundles), z
+
+
+class TestMembershipOperator:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=overlapping_bundles())
+    def test_b_z_is_a_left_to_right_sum_of_member_rows(self, problem):
+        """B @ z adds each bundle's member rows one at a time in ascending
+        order, and B^T @ g adds each row's bundles in bundle order, as
+        np.add.at does."""
+        flat, z = problem
+        b, b_t = flat.membership
+        want = []
+        for lo, hi in zip(flat.offsets[:-1], flat.offsets[1:]):
+            acc = z[flat.members[lo]].copy()
+            for m in flat.members[lo + 1:hi]:
+                acc = acc + z[m]
+            want.append(acc)
+        np.testing.assert_array_equal(b @ z[:b.shape[1]], np.array(want))
+
+        g = z[:flat.count] * 0.37
+        scattered = np.zeros((b.shape[1], z.shape[1]))
+        np.add.at(scattered, flat.members, np.repeat(g, flat.sizes, axis=0))
+        np.testing.assert_array_equal(b_t @ g, scattered)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=overlapping_bundles(), terms=st.sampled_from((("be", "rank"), ("be",), ("rank",))))
+    def test_objective_matches_segment_sums(self, problem, terms):
+        """The membership products give the loss and gradient of the gather,
+        reduceat and add.at objective within 1e-12 relative; they differ
+        only in the order the member rows are added."""
+        flat, z = problem
+        got = bundle_objective(z, flat, terms=terms)
+        want = segment_objective(z, flat, terms=terms)
+        for name in ("loss", "be_mean", "rank_mean"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(got.d_z, want.d_z, rtol=1e-12, atol=1e-12 * np.abs(want.d_z).max())
+        assert got.d_z.shape == z.shape
+        assert not got.d_z[flat.members.max() + 1:].any()
+
+    def test_replaced_members_get_their_own_operator(self):
+        """`replace(flat, members=...)`, as training re-indexes members to
+        its rows, builds an operator of the new members even after the old
+        instance built and kept its own; fields cannot be reassigned."""
+        rng = np.random.default_rng(11)
+        flat = FlatBundles.from_bundles(make_bundles(rng, 40, 6, c=3, size=5))
+        z = rng.normal(size=(40, 3))
+        whole = bundle_objective(z, flat)   # builds and keeps flat's operator
+        rows = np.unique(flat.members)
+        local = replace(flat, members=np.searchsorted(rows, flat.members))
+        b, b_t = local.membership
+        assert b.shape == (flat.count, rows.size)
+        np.testing.assert_array_equal(b.indices, local.members)
+        np.testing.assert_array_equal(b_t.toarray(), b.toarray().T)
+        assert flat.membership[0].shape == (flat.count, flat.members.max() + 1)
+        mine = bundle_objective(z[rows], local)
+        assert mine.loss == whole.loss
+        np.testing.assert_array_equal(mine.d_z, whole.d_z[rows])
+        with pytest.raises(FrozenInstanceError):
+            flat.members = local.members

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bundlesup.graphs import EmbeddingMatrix, Graph, hop_distances
+from bundlesup.graphs import EmbeddingMatrix, FormatError, Graph, hop_distances
 from bundlesup.sampling import (
     Bundle,
     IsolatedCoreError,
@@ -234,3 +234,23 @@ def test_refined_bundle_with_evicted_core_reloads(tmp_path):
     save_bundles(path, [b])
     back = load_bundles(path)[0]
     assert back.core == 3 and back.members == [1, 2] and back.evicted == [(40, 3)]
+
+
+_GOOD_BUNDLE = '{"id": 0, "core": 1, "members": [1, 2]}'
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": 1, "core": 4, "members": [4, 5]', "invalid record: Expecting ',' delimiter"),
+    ('{"id": 1, "core": 4}', "record has no members"),
+    ('{"core": 4, "members": [4, 5]}', "record has no id"),
+    ('{"id": 1, "members": [4, 5]}', "record has no core"),
+    ('[1, 4, [4, 5]]', "record is not a JSON object"),
+    ('{"id": 1, "core": 4, "members": [4, 4]}', "invalid bundle: bundle members must be distinct"),
+    ('{"id": 1, "core": 4, "members": 4}', "invalid bundle: 'int' object is not iterable"),
+], ids=["bad-json", "no-members", "no-id", "no-core", "not-an-object", "duplicate-members", "members-not-a-list"])
+def test_a_line_that_is_not_a_bundle_names_the_path_and_line(tmp_path, line, message):
+    path = tmp_path / "bundles.jsonl"
+    path.write_text(f"{_GOOD_BUNDLE}\n\n{line}\n{_GOOD_BUNDLE}\n")
+    with pytest.raises(FormatError) as exc:
+        load_bundles(path)
+    assert str(exc.value).startswith(f"{path}:3: {message}")

@@ -19,7 +19,8 @@ from bundlesup.train import (
 )
 from bundlesup import gnn, kernels
 
-from reference import fd_logit_bounds, whole_graph_train
+import reference
+from reference import fd_logit_bounds, jacobian_difference_bounds, whole_graph_train
 
 SMALL = SbmConfig(n=60, n_classes=4, p_in=0.3, p_out=0.02, dim=8, separation=2.0, seed=5)
 
@@ -180,6 +181,24 @@ class TestTrain:
         assert sum(len(rec.get("evictions", [])) for rec in lines[:-1]) == len(report.refinements)
 
 
+@st.composite
+def probe_problems(draw):
+    """A small graph, features, GCN parameters with drawn biases (large ones
+    push pre-activations to either side of 0), and distinct probe nodes."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_edge = draw(st.floats(0.1, 0.8))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_edge]
+    a_hat = normalized_adjacency(Graph.from_edges(n, edges))
+    d, h, c = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    x = rng.normal(size=(n, d))
+    params = gnn.init_params(d, h, c, int(rng.integers(2**31)))
+    params.b1[:] = rng.normal(scale=draw(st.sampled_from((0.0, 0.1, 3.0))), size=h)
+    params.b2[:] = rng.normal(size=c)
+    probe = rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False)
+    return params, a_hat, x, probe
+
+
 class TestBoundEstimates:
     def test_output_bias_forces_g_at_least_one(self):
         """d z/d (output bias) is exactly 1, and G is read off the exact Jacobian."""
@@ -209,6 +228,58 @@ class TestBoundEstimates:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         estimate_logit_bounds(params, a_hat, emb.data, [0, 1, 2], ax=ax, seed=0)
         assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=probe_problems(), cols=st.integers(1, 40), seed=st.integers(0, 5))
+    def test_bounds_match_the_whole_jacobian_loop(self, problem, cols, seed):
+        """G is the same number, and M agrees within 1e-12 relative, as with
+        two whole Jacobians per sampled coordinate; 40 columns a layer
+        sample every coordinate of these problems, b2's included."""
+        params, a_hat, x, probe = problem
+        g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, hess_cols_per_layer=cols, seed=seed)
+        g_ref, m_ref = jacobian_difference_bounds(params, a_hat, x, probe, hess_cols_per_layer=cols,
+                                                  seed=seed)
+        assert g_hat == g_ref
+        assert m_hat == pytest.approx(m_ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=probe_problems())
+    def test_every_coordinate_matches_the_whole_jacobian_loop(self, problem):
+        """Per coordinate, the entries recomputed for it differ as the whole
+        Jacobians do; b2 moves no entry at all."""
+        params, a_hat, x, probe = problem
+        ax = a_hat @ x
+        coords = np.arange(params.n_params)
+        got = gnn.jacobian_differences(params, a_hat, probe, coords, 1e-4, ax)
+        want = reference.jacobian_differences(params, a_hat, x, probe, coords, 1e-4, ax=ax)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert not got[-params.dims[2]:].any()
+
+    def test_a_relu_mask_that_flips_within_the_step_matches(self):
+        """A pre-activation within +-step of 0 changes its ReLU mask between
+        the two points of b1[u]'s difference; M then holds the jump, and
+        agrees with the whole-Jacobian loop. Features scaled by 1/100 make
+        the jump of the b1 entries the largest."""
+        a_hat, emb, table, bundles = small_problem()
+        x = emb.data / 100.0
+        params = gnn.init_params(emb.cols, 8, table.num_classes, seed=0)
+        ax = a_hat @ x
+        probe, u, step = [2, 17, 40], 3, 1e-4
+        entry = a_hat.indptr[17]   # Â[17, j] for the first neighbour j of probe 17
+        j = a_hat.indices[entry]
+        params.b1[u] = step / 2 - ax[j] @ params.w1[:, u]
+        h_pre = (ax[j] @ params.w1 + params.b1)[u]
+        assert 0.0 < h_pre < step
+        layer1 = emb.cols * 8 + 8
+        g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, ax=ax,
+                                             hess_step=step, hess_cols_per_layer=layer1)
+        g_ref, m_ref = jacobian_difference_bounds(params, a_hat, x, probe, ax=ax,
+                                                  hess_step=step, hess_cols_per_layer=layer1)
+        assert g_hat == g_ref
+        assert m_hat == pytest.approx(m_ref, rel=1e-12, abs=0.0)
+        # the b1[u] entries of probe 17 jump by Â[17, j] W2[u, c] across the flip
+        jump = a_hat.data[entry] * np.abs(params.w2[u]).max() / (2 * step)
+        assert m_hat >= 0.99 * jump
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bounds_agree_with_finite_differences(self, seed):
