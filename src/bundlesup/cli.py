@@ -33,6 +33,7 @@ from .pipeline import (
     SWEEP_AXES,
     accuracy,
     compare_queries,
+    paired_difference,
     run_pipeline,
     save_report_json,
     standard_experiment,
@@ -230,7 +231,10 @@ def _config_from_json(path) -> ExperimentConfig:
     )
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _run_experiment(args, run):
+    """`run(cfg)` with the experiment config the flags give; a ValueError
+    from either, such as a bad config or flag value or a node table without
+    labels, exits with `bundlesup <cmd>: <message>`."""
     try:
         cfg = _config_from_json(args.config) if args.config else standard_experiment()
         if args.mode:
@@ -239,18 +243,14 @@ def _experiment_config(args) -> ExperimentConfig:
             cfg = replace(cfg, oracle=replace(cfg.oracle, noise_rate=args.noise))
         if args.seeds:
             cfg = replace(cfg, replicate_seeds=tuple(int(s) for s in args.seeds.split(",")))
+        return run(cfg)
     except ValueError as exc:
         raise SystemExit(f"bundlesup {args.command}: {exc}") from None
-    return cfg
 
 
 def cmd_pipeline(args):
-    cfg = _experiment_config(args)
     if args.compare_queries:
-        try:
-            comparison = compare_queries(cfg)
-        except ValueError as exc:
-            raise SystemExit(f"bundlesup pipeline --compare-queries: {exc}") from None
+        comparison = _run_experiment(args, compare_queries)
         os.makedirs(args.out, exist_ok=True)
         comparison.save_csv(os.path.join(args.out, "query_comparison.csv"))
         for row in comparison.rows:
@@ -258,8 +258,10 @@ def cmd_pipeline(args):
                 f"{row['arm']}: agreement={row['agreement']:.3f} "
                 f"accuracy={row['accuracy_mean']:.4f}±{row['accuracy_std']:.4f}"
             )
+        paired = paired_difference(comparison.bundle, comparison.individual)
+        print(f"bundle_query - individual_query accuracy: {paired.describe()}")
         return 0
-    report = run_pipeline(cfg)
+    report = _run_experiment(args, run_pipeline)
     os.makedirs(args.out, exist_ok=True)
     save_report_json(os.path.join(args.out, "pipeline_report.json"), report)
     for row in report.rows():
@@ -269,9 +271,8 @@ def cmd_pipeline(args):
 
 
 def cmd_sweep(args):
-    cfg = _experiment_config(args)
-    values = [float(v) if args.axis == "noise_rate" else int(v) for v in args.values.split(",")]
-    table = sweep(cfg, args.axis, values)
+    kind = float if args.axis == "noise_rate" else int
+    table = _run_experiment(args, lambda cfg: sweep(cfg, args.axis, [kind(v) for v in args.values.split(",")]))
     os.makedirs(args.out, exist_ok=True)
     table.save_csv(
         os.path.join(args.out, "sweep_runs.csv"), os.path.join(args.out, "sweep_summary.csv")

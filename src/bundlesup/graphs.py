@@ -1,7 +1,7 @@
 """Graphs, node tables, embeddings, and the normalized adjacency operator.
 
-A graph stores its edges only as CSR arrays (`indptr`, `indices`); the pair
-set `Graph.edges` is derived from them. `_csr` builds every CSR from its
+A graph stores its edges only as CSR arrays (`indptr`, `indices`);
+`Graph.edge_array` lists them as pairs. `_csr` builds every CSR from its
 entries, and `_block_csr` cuts a block out of a stored one.
 
 File formats
@@ -93,11 +93,6 @@ class Graph:
         """(num_edges, 2) array of the edges (u, v) with u < v, in ascending order."""
         pairs = np.column_stack((_row_ids(self.indptr), self.indices))
         return pairs[pairs[:, 0] < pairs[:, 1]]
-
-    @property
-    def edges(self) -> frozenset:
-        """The edges as a frozenset of pairs (u, v) with u < v."""
-        return frozenset(map(tuple, self.edge_array().tolist()))
 
     def degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])

@@ -1,19 +1,25 @@
 """End-to-end experiment runner: sample, annotate, train, evaluate.
 
-Supervision modes mirror the ablation lattice:
+`MODES` holds the ablation lattice: each mode's training objective and
+what it changes in sampling or refinement.
 
   bundle            the full method: proximity sampling, group losses,
                     refinement
   random_sampling   members drawn uniformly instead of by proximity
-  individual_query  every distinct member annotated on its own, plain
-                    node-level cross-entropy, no bundles in the loss
+  individual_query  every distinct member annotated on its own by the
+                    oracle, plain node-level cross-entropy, no bundles in
+                    the loss
   r_only            ranking loss only (entropy term dropped)
   be_only           entropy loss only (ranking term dropped)
   individual        per-member cross-entropy against the bundle label
   no_refine         full losses, refinement disabled
 
-Replicates derive all component seeds from one replicate seed, so a run
-is reproducible end to end.
+`run_replicate` is the only code that runs an arm, and `run_pipeline`
+the only loop over replicate seeds: `sweep` calls it once per axis value,
+`compare_queries` once per query kind. Replicates derive all component
+seeds from one replicate seed, so a run is reproducible end to end and
+arms on one seed share the dataset and, unless one samples at random,
+the bundles; `paired_difference` compares two reports seed by seed.
 """
 
 from __future__ import annotations
@@ -21,11 +27,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gnn
-from .annotate import AnnotationCache, OracleConfig, annotate_all, annotate_nodes_oracle
+from .annotate import AnnotationCache, OracleConfig, annotate_all, annotate_nodes_oracle, mode_label
 from .graphs import (
     load_edge_list,
     load_embeddings,
@@ -37,23 +44,21 @@ from .sampling import SamplingConfig, sample_bundles
 from .synth import SbmConfig, gen_sbm
 from .train import TrainConfig, train, train_on_nodes
 
-MODES = (
-    "bundle",
-    "random_sampling",
-    "individual_query",
-    "r_only",
-    "be_only",
-    "individual",
-    "no_refine",
-)
 
-_MODE_OBJECTIVE = {
-    "bundle": "full",
-    "random_sampling": "full",
-    "r_only": "rank_only",
-    "be_only": "be_only",
-    "individual": "member_ce",
-    "no_refine": "full",
+class Mode(NamedTuple):
+    objective: str | None       # `train`'s objective; None: oracle node labels, node CE
+    criterion: str | None = None  # sampling criterion in place of the config's
+    refine: bool = True
+
+
+MODES = {
+    "bundle": Mode("full"),
+    "random_sampling": Mode("full", criterion="random"),
+    "individual_query": Mode(None),
+    "r_only": Mode("rank_only"),
+    "be_only": Mode("be_only"),
+    "individual": Mode("member_ce"),
+    "no_refine": Mode("full", refine=False),
 }
 
 
@@ -108,14 +113,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"mode must be one of {tuple(MODES)}")
         if not self.replicate_seeds:
             raise ValueError("need at least one replicate seed")
         if self.mode == "individual_query" and self.llm is not None:
-            raise ValueError(
-                "mode individual_query labels every member with the oracle; remove 'llm' "
-                "from the config or choose a bundle mode"
-            )
+            raise ValueError("mode individual_query labels every member with the oracle; remove 'llm' "
+                             "from the config")
 
 
 def standard_experiment(mode="bundle", noise_rate=0.0, replicate_seeds=tuple(range(10))):
@@ -135,6 +138,9 @@ class ReplicateResult:
     refinement_events: int
     final_loss: float
     final_grad_norm: float
+    # share of annotated labels equal to the truth they ask for: the members'
+    # true mode before refinement, or in individual_query the node's label
+    agreement: float
 
 
 @dataclass
@@ -167,61 +173,45 @@ def _component_seeds(replicate_seed: int) -> tuple:
     return tuple(int(s) for s in ss.generate_state(4))
 
 
-def _prepare(cfg: ExperimentConfig, replicate_seed: int, mode: str) -> tuple:
+def _prepare(cfg: ExperimentConfig, replicate_seed: int) -> tuple:
     """(emb, table, a_hat, bundles, oracle config, train config) of one
-    replicate, shared by every arm that trains on it."""
+    replicate of `cfg.mode`; the graph is dropped on return, before training."""
+    mode = MODES[cfg.mode]
     sbm_seed, samp_seed, ann_seed, train_seed = _component_seeds(replicate_seed)
     graph, emb, table = materialize_dataset(cfg.dataset, sbm_seed)
+    if table.labels is None:
+        raise ValueError("the node table has no labels; a replicate scores its accuracy against them")
     a_hat = normalized_adjacency(graph)
 
-    scfg = replace(cfg.sampling, seed=samp_seed)
-    if mode == "random_sampling":
-        scfg = replace(scfg, criterion="random")
+    scfg = replace(cfg.sampling, seed=samp_seed, criterion=mode.criterion or cfg.sampling.criterion)
     bundles = sample_bundles(graph, emb, scfg)
     tcfg = replace(cfg.train, seed=train_seed)
-    if mode == "no_refine":
+    if not mode.refine:
         tcfg = replace(tcfg, refine_every=tcfg.epochs + 1)
     return emb, table, a_hat, bundles, replace(cfg.oracle, seed=ann_seed), tcfg
 
 
-def _train_individual(emb, table, a_hat, bundles, oracle, tcfg) -> tuple:
-    """Annotate each distinct member on its own and train on those labels.
-
-    Returns (nodes, node labels, params, report). Call it before bundle
-    training, which refines the bundles in place.
-    """
-    nodes = sorted({m for b in bundles for m in b.members})
-    if table.labels is None:
-        raise ValueError("individual_query needs ground-truth labels for the oracle")
-    node_labels = annotate_nodes_oracle(nodes, table, oracle)
-    params, report = train_on_nodes(
-        a_hat, emb, np.asarray(nodes), node_labels, tcfg, table.num_classes
-    )
-    return nodes, node_labels, params, report
-
-
 def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult:
-    """One full pass: dataset, bundles, annotation, training, evaluation."""
-    setup = _prepare(cfg, replicate_seed, cfg.mode)
-    emb, table, a_hat, bundles, oracle, tcfg = setup
-    if cfg.mode == "individual_query":
-        nodes, _, params, report = _train_individual(*setup)
+    """One full pass of `cfg.mode`: dataset, bundles, annotation, training,
+    evaluation."""
+    emb, table, a_hat, bundles, oracle, tcfg = _prepare(cfg, replicate_seed)
+    objective = MODES[cfg.mode].objective
+    if objective is None:
+        nodes = sorted({m for b in bundles for m in b.members})
+        labels = annotate_nodes_oracle(nodes, table, oracle)
+        truth = [table.labels[v] for v in nodes]
         n_labeled, n_failed = len(nodes), 0
+        params, report = train_on_nodes(a_hat, emb, np.asarray(nodes), labels, tcfg, table.num_classes)
     else:
-        if cfg.llm is not None:
-            summary = annotate_all(
-                bundles,
-                table,
-                llm=cfg.llm,
-                cache=AnnotationCache(cfg.cache_path),
-                dataset_description=cfg.dataset_description,
-            )
-        else:
-            summary = annotate_all(bundles, table, oracle=oracle)
+        annotator = {"oracle": oracle} if cfg.llm is None else {
+            "llm": cfg.llm, "cache": AnnotationCache(cfg.cache_path),
+            "dataset_description": cfg.dataset_description}
+        summary = annotate_all(bundles, table, **annotator)
+        # read before training, whose refinement shrinks the bundles in place
+        labels = [b.label for b in bundles]
+        truth = [mode_label([table.labels[m] for m in b.members]) for b in bundles]
         n_labeled, n_failed = summary.n_labeled, summary.n_failed
-        params, report = train(
-            a_hat, emb, bundles, tcfg, table.num_classes, objective=_MODE_OBJECTIVE[cfg.mode]
-        )
+        params, report = train(a_hat, emb, bundles, tcfg, table.num_classes, objective=objective)
 
     acc = accuracy(params, a_hat, emb, table.labels)
     report.final_accuracy = acc
@@ -233,6 +223,7 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
         refinement_events=len(report.refinements),
         final_loss=report.final_loss,
         final_grad_norm=report.final_grad_norm,
+        agreement=float(np.mean([a == t for a, t in zip(labels, truth)])),
     )
 
 
@@ -247,7 +238,41 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineReport:
     )
 
 
-SWEEP_AXES = ("bundle_size", "num_bundles", "noise_rate")
+@dataclass(frozen=True)
+class PairedDifference:
+    """Per-seed accuracy differences a - b between two reports on the same seeds."""
+
+    mean: float
+    sd: float     # ddof=1; 0.0 for a single seed, as `PipelineReport.std_accuracy`
+    wins: int     # seeds where a is more accurate than b
+    ties: int
+    losses: int
+
+    def describe(self) -> str:
+        return (f"paired {self.mean:+.4f} (sd {self.sd:.4f}), "
+                f"wins/ties/losses {self.wins}/{self.ties}/{self.losses}")
+
+
+def paired_difference(a: PipelineReport, b: PipelineReport) -> PairedDifference:
+    """Compare two reports seed by seed; their seed lists must be equal."""
+    seeds_a = [r.seed for r in a.replicates]
+    seeds_b = [r.seed for r in b.replicates]
+    if seeds_a != seeds_b:
+        raise ValueError(f"paired reports need the same seeds, got {seeds_a} and {seeds_b}")
+    diff = np.array([x.accuracy - y.accuracy for x, y in zip(a.replicates, b.replicates)])
+    return PairedDifference(
+        mean=float(diff.mean()),
+        sd=float(diff.std(ddof=1)) if diff.size > 1 else 0.0,
+        wins=int((diff > 0).sum()),
+        ties=int((diff == 0).sum()),
+        losses=int((diff < 0).sum()),
+    )
+
+
+# axis -> (config section holding it, value type)
+_SWEEP_FIELDS = {"bundle_size": ("sampling", int), "num_bundles": ("sampling", int),
+                 "noise_rate": ("oracle", float)}
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
 
 @dataclass
@@ -275,15 +300,11 @@ def sweep(base: ExperimentConfig, axis: str, values) -> SweepTable:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     if not values:
         raise ValueError("axis values must be non-empty")
+    section, kind = _SWEEP_FIELDS[axis]
     runs, summary = [], []
     for value in values:
-        if axis == "bundle_size":
-            cfg = replace(base, sampling=replace(base.sampling, bundle_size=int(value)))
-        elif axis == "num_bundles":
-            cfg = replace(base, sampling=replace(base.sampling, num_bundles=int(value)))
-        else:
-            cfg = replace(base, oracle=replace(base.oracle, noise_rate=float(value)))
-        report = run_pipeline(cfg)
+        edited = replace(getattr(base, section), **{axis: kind(value)})
+        report = run_pipeline(replace(base, **{section: edited}))
         for rep in report.replicates:
             runs.append({"value": value, "seed": rep.seed, "accuracy": rep.accuracy})
         summary.append(
@@ -299,14 +320,23 @@ def sweep(base: ExperimentConfig, axis: str, values) -> SweepTable:
 
 @dataclass
 class QueryComparison:
-    """Aggregated bundle-query vs individual-query arms.
+    """The bundle-query and individual-query arms on the same seeds.
 
-    One row per arm with three metric columns: label agreement with the
-    ground truth target of the query, and downstream accuracy mean/std.
+    `rows` has one row per arm with three metric columns: label agreement
+    with the ground truth the query asks for, and downstream accuracy
+    mean/std.
     """
 
-    rows: list   # dicts: arm, agreement, accuracy_mean, accuracy_std
-    per_seed: list
+    bundle: PipelineReport
+    individual: PipelineReport
+
+    @property
+    def rows(self) -> list:   # dicts: arm, agreement, accuracy_mean, accuracy_std
+        return [
+            {"arm": arm, "agreement": float(np.mean([r.agreement for r in report.replicates])),
+             "accuracy_mean": report.mean_accuracy, "accuracy_std": report.std_accuracy}
+            for arm, report in (("bundle_query", self.bundle), ("individual_query", self.individual))
+        ]
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -321,53 +351,14 @@ class QueryComparison:
 def compare_queries(cfg: ExperimentConfig) -> QueryComparison:
     """Quantify aggregation robustness: bundle labels vs per-node labels.
 
-    The bundle arm measures how often the annotated bundle label equals
-    the true member mode; the individual arm measures per-node agreement
-    with ground truth. Both arms then train and report accuracy. Both arms
-    are labelled by the oracle, so a config with an LLM endpoint is
-    rejected rather than reported as if the endpoint had labelled them.
+    Runs the pipeline in mode `bundle` and in mode `individual_query` on
+    the config's seeds. Both arms are labelled by the oracle: the
+    individual-query config, built first, refuses an LLM endpoint before
+    either arm runs.
     """
-    from .annotate import mode_label
-
-    if cfg.llm is not None:
-        raise ValueError(
-            "compare_queries labels both arms with the oracle; remove 'llm' from the "
-            "config to compare query kinds"
-        )
-
-    bundle_rows, indiv_rows = [], []
-    for s in cfg.replicate_seeds:
-        setup = _prepare(cfg, s, "bundle")
-        emb, table, a_hat, bundles, oracle, tcfg = setup
-
-        nodes, node_labels, params, _ = _train_individual(*setup)
-        agree_i = float(np.mean([node_labels[i] == table.labels[v] for i, v in enumerate(nodes)]))
-        acc_i = accuracy(params, a_hat, emb, table.labels)
-        indiv_rows.append({"seed": s, "agreement": agree_i, "accuracy": acc_i})
-
-        annotate_all(bundles, table, oracle=oracle)
-        true_modes = [mode_label([table.labels[m] for m in b.members]) for b in bundles]
-        agree_b = float(np.mean([b.label == t for b, t in zip(bundles, true_modes)]))
-        params, _ = train(a_hat, emb, bundles, tcfg, table.num_classes)
-        acc_b = accuracy(params, a_hat, emb, table.labels)
-        bundle_rows.append({"seed": s, "agreement": agree_b, "accuracy": acc_b})
-
-    def _aggregate(arm, rows):
-        accs = np.array([r["accuracy"] for r in rows])
-        return {
-            "arm": arm,
-            "agreement": float(np.mean([r["agreement"] for r in rows])),
-            "accuracy_mean": float(accs.mean()),
-            "accuracy_std": float(accs.std(ddof=1)) if accs.size > 1 else 0.0,
-        }
-
-    per_seed = [dict(r, arm="bundle_query") for r in bundle_rows] + [
-        dict(r, arm="individual_query") for r in indiv_rows
-    ]
-    return QueryComparison(
-        rows=[_aggregate("bundle_query", bundle_rows), _aggregate("individual_query", indiv_rows)],
-        per_seed=per_seed,
-    )
+    individual = replace(cfg, mode="individual_query")
+    return QueryComparison(bundle=run_pipeline(replace(cfg, mode="bundle")),
+                           individual=run_pipeline(individual))
 
 
 def save_report_json(path, report: PipelineReport) -> None:

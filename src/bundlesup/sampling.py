@@ -91,20 +91,6 @@ def _hop_from_levels(levels: np.ndarray, bundle_size: int) -> tuple:
     return k, False
 
 
-def adaptive_hop(graph: Graph, core: int, bundle_size: int) -> tuple:
-    """Smallest hop radius whose neighborhood can fill a bundle.
-
-    Returns (k, saturated). `saturated` is set when the core's connected
-    component runs out of nodes first; k is then the component's radius
-    from the core.
-    """
-    if bundle_size < 2:
-        raise ValueError("bundle_size must be >= 2")
-    if graph.degree(core) == 0:
-        raise IsolatedCoreError(f"node {core} has no neighbors")
-    return _hop_from_levels(hop_distances(graph, core, bundle_size - 1), bundle_size)
-
-
 def sample_topological(
     graph: Graph, core: int, bundle_size: int, rng: np.random.Generator, bundle_id: int = 0
 ) -> Bundle:

@@ -54,35 +54,6 @@ class Theorem1Report:
     min_lower_margin: float
 
 
-def outlier_gradient_pair(scores: np.ndarray, y_hat: int, outlier: int = 0, step: float = 1e-5):
-    """(g_group, g_individual) at the outlier's top score coordinate, by FD.
-
-    `scores` has one unconstrained score row per member. The group loss is
-    the cross-entropy of softmax(mean row) at y_hat; the individual loss is
-    cross-entropy of the outlier's own softmax at y_hat, scaled by 1/|B|.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    size = scores.shape[0]
-    m_prime = int(np.argmax(scores[outlier]))
-
-    def group_loss(mat):
-        zbar = mat.mean(axis=0)
-        return float(_logsumexp_rows(zbar[None, :])[0] - zbar[y_hat])
-
-    def indiv_loss(mat):
-        row = mat[outlier]
-        return float(_logsumexp_rows(row[None, :])[0] - row[y_hat]) / size
-
-    g = []
-    for fn in (group_loss, indiv_loss):
-        plus = scores.copy()
-        plus[outlier, m_prime] += step
-        minus = scores.copy()
-        minus[outlier, m_prime] -= step
-        g.append((fn(plus) - fn(minus)) / (2 * step))
-    return g[0], g[1]
-
-
 def verify_theorem1(
     trials: int,
     n_classes: int,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from bundlesup import gnn
-from bundlesup.graphs import EmbeddingMatrix, FormatError, Graph, NodeTable
+from bundlesup.graphs import EmbeddingMatrix, FormatError, Graph, NodeTable, hop_distances
 from bundlesup.losses import (
     FlatBundles,
     ObjectiveValue,
@@ -14,6 +14,7 @@ from bundlesup.losses import (
     member_ce_objective,
     node_ce_objective,
 )
+from bundlesup.sampling import IsolatedCoreError
 from bundlesup.synth import SbmConfig
 from bundlesup.train import TrainReport, refine
 
@@ -356,3 +357,58 @@ def gen_sbm(cfg: SbmConfig):
         labels=[int(y) for y in labels],
     )
     return graph, EmbeddingMatrix(x), table
+
+
+def edge_set(graph: Graph) -> frozenset:
+    """The graph's edges as a frozenset of pairs (u, v) with u < v."""
+    return frozenset(map(tuple, graph.edge_array().tolist()))
+
+
+def adaptive_hop(graph: Graph, core: int, bundle_size: int) -> tuple:
+    """Smallest hop radius whose neighbourhood holds bundle_size - 1 other
+    nodes, counted radius by radius on a whole BFS, as (k, saturated).
+
+    `saturated` is set when the core's connected component runs out of
+    nodes first; k is then the component's radius from the core.
+    """
+    if bundle_size < 2:
+        raise ValueError("bundle_size must be >= 2")
+    if graph.degree(core) == 0:
+        raise IsolatedCoreError(f"node {core} has no neighbors")
+    levels = hop_distances(graph, core)
+    radius = int(levels.max())
+    for k in range(1, radius + 1):
+        if int(((levels >= 1) & (levels <= k)).sum()) >= bundle_size - 1:
+            return k, False
+    return radius, True
+
+
+def outlier_gradient_pair(scores: np.ndarray, y_hat: int, outlier: int = 0, step: float = 1e-5):
+    """(g_group, g_individual) at the outlier's top score coordinate, by FD.
+
+    `scores` has one unconstrained score row per member. The group loss is
+    the cross-entropy of softmax(mean row) at y_hat; the individual loss is
+    cross-entropy of the outlier's own softmax at y_hat, scaled by 1/|B|.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    size = scores.shape[0]
+    m_prime = int(np.argmax(scores[outlier]))
+
+    def cross_entropy(row):
+        top = row.max()
+        return float(top + np.log(np.exp(row - top).sum()) - row[y_hat])
+
+    def group_loss(mat):
+        return cross_entropy(mat.mean(axis=0))
+
+    def indiv_loss(mat):
+        return cross_entropy(mat[outlier]) / size
+
+    g = []
+    for fn in (group_loss, indiv_loss):
+        plus = scores.copy()
+        plus[outlier, m_prime] += step
+        minus = scores.copy()
+        minus[outlier, m_prime] -= step
+        g.append((fn(plus) - fn(minus)) / (2 * step))
+    return g[0], g[1]

@@ -21,7 +21,7 @@ from bundlesup.annotate import AnnotationCache, annotate_all
 from bundlesup.graphs import Graph, NodeTable, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.losses import FlatBundles, bundle_objective
-from bundlesup.pipeline import run_pipeline, standard_experiment
+from bundlesup.pipeline import paired_difference, run_pipeline, standard_experiment
 from bundlesup.sampling import Bundle
 from bundlesup.theorems import default_theorem2_instance, verify_theorem1, verify_theorem2, verify_theorem3
 from bundlesup.train import refine
@@ -272,10 +272,13 @@ def test_criterion_08_directional_ablation(ablation_results):
     blind = ablation_results["random_sampling"].mean_accuracy
     elapsed = ablation_results["elapsed"]
     ok = full >= member and full >= blind and elapsed < 600
+    vs_member = paired_difference(ablation_results["bundle"], ablation_results["individual"])
+    vs_blind = paired_difference(ablation_results["bundle"], ablation_results["random_sampling"])
     verdict(
         8, "directional ablation", ok,
         f"full {full:.4f} vs per-member {member:.4f} vs proximity-blind {blind:.4f} "
-        f"(10 seeds, noise 0.3, {elapsed:.0f}s)",
+        f"(10 seeds, noise 0.3, {elapsed:.0f}s); full - per-member {vs_member.describe()}; "
+        f"full - proximity-blind {vs_blind.describe()}",
     )
     assert elapsed < 600
     assert full >= member, f"full {full:.4f} < per-member supervision {member:.4f}"
@@ -295,7 +298,8 @@ def test_criterion_09_bundle_count_sweep(ablation_results):
     verdict(
         9, "bundle count sweep", ok,
         f"100 bundles {many.mean_accuracy:.4f} vs 25 bundles {few.mean_accuracy:.4f} "
-        f"(pooled std {pooled:.4f}, {time.perf_counter() - t0:.0f}s)",
+        f"(pooled std {pooled:.4f}, {time.perf_counter() - t0:.0f}s); "
+        f"100 - 25 {paired_difference(many, few).describe()}",
     )
     assert many.mean_accuracy >= few.mean_accuracy - pooled
 

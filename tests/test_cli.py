@@ -11,6 +11,8 @@ from bundlesup.sampling import SamplingConfig
 from bundlesup.synth import SbmConfig
 from bundlesup.train import TrainConfig
 
+from llm_stub import ChatStub
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -123,6 +125,18 @@ def test_sweep_cli(tmp_path):
     assert len(lines) == 1 + 4  # header + 2 values x 2 seeds
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--axis", "num_bundles", "--values", "4,x"], "invalid literal for int() with base 10: 'x'"),
+    (["sweep", "--axis", "noise_rate", "--values", "1.5,0"], "noise_rate must be in [0, 1]"),
+    (["pipeline", "--seeds", "0,a"], "invalid literal for int() with base 10: 'a'"),
+], ids=["sweep-value", "sweep-noise", "pipeline-seeds"])
+def test_a_bad_experiment_flag_exits_with_a_message(tmp_path, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", tmp_path / "out"])
+    assert exc.value.code == f"bundlesup {argv[0]}: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_theorem1_cli(capsys):
     assert run(["verify", "--theorem", 1, "--trials", 400, "--seed", 0]) == 0
     assert "pass" in capsys.readouterr().out.lower()
@@ -149,6 +163,7 @@ def test_compare_queries_cli(tmp_path, capsys):
     assert (tmp_path / "cq" / "query_comparison.csv").exists()
     out = capsys.readouterr().out
     assert "bundle_query" in out and "individual_query" in out
+    assert out.splitlines()[-1].startswith("bundle_query - individual_query accuracy: paired ")
 
 
 def test_compare_queries_cli_rejects_llm_config(tmp_path):
@@ -189,6 +204,40 @@ def test_pipeline_cli_rejects_llm_config_in_individual_query_mode(tmp_path, via_
     assert exc.value.code not in (0, None)
     assert "individual_query" in str(exc.value.code) and "oracle" in str(exc.value.code)
     assert not (tmp_path / "out" / "pipeline_report.json").exists()
+
+
+_SWEEP = ["sweep", "--axis", "num_bundles", "--values", "4"]
+
+
+# --compare-queries refuses an llm config before it reads the node table
+@pytest.mark.parametrize("annotator, command", [
+    ("llm", ["pipeline"]), ("llm", _SWEEP),
+    ("oracle", ["pipeline"]), ("oracle", ["pipeline", "--compare-queries"]), ("oracle", _SWEEP),
+], ids=["llm-pipeline", "llm-sweep", "oracle-pipeline", "oracle-compare-queries", "oracle-sweep"])
+def test_a_node_table_without_labels_exits_before_any_request(dataset, tmp_path, monkeypatch,
+                                                              annotator, command):
+    monkeypatch.setenv("BUNDLESUP_TEST_KEY", "k")
+    nodes = tmp_path / "nodes.jsonl"
+    nodes.write_text("".join(json.dumps({"id": i, "text": f"node {i}"}) + "\n" for i in range(48)))
+    class_names = json.loads((dataset / "manifest.json").read_text())["class_names"]
+    with ChatStub([class_names[0]]) as stub:
+        cfg = {
+            "dataset": {"edges": str(dataset / "edges.txt"), "embeddings": str(dataset / "embeddings.txt"),
+                        "nodes": str(nodes), "class_names": class_names},
+            "sampling": {"num_bundles": 6, "bundle_size": 4},
+            "train": {"epochs": 5},
+            "replicate_seeds": [0],
+        }
+        if annotator == "llm":
+            cfg["llm"] = {"base_url": stub.base_url, "model": "m", "api_key_env_var": "BUNDLESUP_TEST_KEY"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--config", cfg_path, "--out", tmp_path / "out"])
+    assert exc.value.code == (f"bundlesup {command[0]}: the node table has no labels; "
+                              "a replicate scores its accuracy against them")
+    assert stub.requests == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section, key", [

@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bundlesup import gnn
+from bundlesup import gnn, pipeline
 from bundlesup.annotate import OracleConfig
 from bundlesup.graphs import Graph, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.pipeline import (
     ExperimentConfig,
+    PipelineReport,
+    ReplicateResult,
     accuracy,
     compare_queries,
+    paired_difference,
     run_pipeline,
     run_replicate,
     standard_experiment,
@@ -100,8 +105,6 @@ class TestRunPipeline:
 
     def test_individual_query_rejects_llm_config(self):
         """The individual arm is oracle-labelled; an LLM config must not be reported as used."""
-        from dataclasses import replace
-
         llm = LlmEndpointConfig(base_url="http://127.0.0.1:9/v1")
         with pytest.raises(ValueError, match="oracle"):
             replace(tiny_experiment(mode="individual_query"), llm=llm)
@@ -128,6 +131,19 @@ class TestSweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             sweep(tiny_experiment(), "num_bundles", [])
+
+    @pytest.mark.parametrize("axis, value, section", [
+        ("num_bundles", 7, "sampling"), ("bundle_size", 3, "sampling"), ("noise_rate", 0.25, "oracle"),
+    ])
+    def test_one_value_equals_run_pipeline_of_the_edited_config(self, axis, value, section):
+        base = tiny_experiment(noise=0.1)
+        table = sweep(base, axis, [value])
+        cfg = replace(base, **{section: replace(getattr(base, section), **{axis: value})})
+        report = run_pipeline(cfg)
+        assert table.runs == [{"value": value, "seed": r.seed, "accuracy": r.accuracy}
+                              for r in report.replicates]
+        assert table.summary == [{"value": value, "mean": report.mean_accuracy,
+                                  "std": report.std_accuracy, "n": len(report.replicates)}]
 
     def test_csv_output(self, tmp_path):
         table = sweep(tiny_experiment(seeds=(0,)), "noise_rate", [0.0, 0.5])
@@ -158,8 +174,6 @@ class TestCompareQueries:
 
     def test_llm_config_rejected(self):
         """Both arms are oracle-labelled; an LLM config must not be reported as used."""
-        from dataclasses import replace
-
         cfg = replace(tiny_experiment(seeds=(0,)), llm=LlmEndpointConfig(base_url="http://127.0.0.1:9/v1"))
         with pytest.raises(ValueError, match="oracle"):
             compare_queries(cfg)
@@ -167,8 +181,6 @@ class TestCompareQueries:
     def test_arms_match_run_replicate(self):
         """Each arm reproduces `run_replicate` of its mode seed by seed; the
         individual arm queries the members as sampled, before refinement."""
-        from dataclasses import replace
-
         cfg = ExperimentConfig(
             dataset=SbmConfig(n=100, n_classes=5, dim=8),
             sampling=SamplingConfig(num_bundles=20),
@@ -177,10 +189,81 @@ class TestCompareQueries:
             replicate_seeds=(0, 1, 2),
         )
         comparison = compare_queries(cfg)
-        for arm, mode in (("bundle_query", "bundle"), ("individual_query", "individual_query")):
-            got = {r["seed"]: r["accuracy"] for r in comparison.per_seed if r["arm"] == arm}
+        for report, mode in ((comparison.bundle, "bundle"), (comparison.individual, "individual_query")):
+            got = {r.seed: r.accuracy for r in report.replicates}
             want = {s: run_replicate(replace(cfg, mode=mode), s).accuracy for s in cfg.replicate_seeds}
-            assert got == want, arm
+            assert got == want, mode
+
+
+class TestAgreement:
+    """`ReplicateResult.agreement` against a share counted from what the
+    replicate sampled and annotated, read as it happens."""
+
+    def test_bundle_mode_counts_labels_against_the_members_true_mode(self, monkeypatch):
+        seen, annotate_all = [], pipeline.annotate_all
+
+        def spy(bundles, table, **kwargs):
+            summary = annotate_all(bundles, table, **kwargs)
+            truth = [np.bincount([table.labels[m] for m in b.members]).argmax() for b in bundles]
+            seen.append(np.mean([b.label == t for b, t in zip(bundles, truth)]))
+            return summary
+
+        cfg = tiny_experiment(noise=0.4, seeds=(0, 1, 2))
+        monkeypatch.setattr(pipeline, "annotate_all", spy)
+        got = [run_replicate(cfg, s) for s in cfg.replicate_seeds]
+        assert [r.agreement for r in got] == seen
+        assert any(0 < share < 1 for share in seen)
+        assert any(r.refinement_events for r in got)   # members shrink after the count
+
+    def test_individual_query_counts_node_labels_against_the_truth(self, monkeypatch):
+        seen, annotate_nodes_oracle = [], pipeline.annotate_nodes_oracle
+
+        def spy(nodes, table, oracle):
+            labels = annotate_nodes_oracle(nodes, table, oracle)
+            seen.append(np.mean([y == table.labels[v] for y, v in zip(labels, nodes)]))
+            return labels
+
+        cfg = tiny_experiment(mode="individual_query", noise=0.4, seeds=(0, 1, 2))
+        monkeypatch.setattr(pipeline, "annotate_nodes_oracle", spy)
+        got = [run_replicate(cfg, s).agreement for s in cfg.replicate_seeds]
+        assert got == seen
+        assert any(0 < share < 1 for share in seen)
+
+    def test_a_node_table_without_labels_fails_before_sampling(self, monkeypatch):
+        graph, emb, table = pipeline.materialize_dataset(TINY, 0)
+        monkeypatch.setattr(pipeline, "materialize_dataset",
+                            lambda dataset, seed: (graph, emb, replace(table, labels=None)))
+        monkeypatch.setattr(pipeline, "sample_bundles", None)   # a call would raise TypeError
+        with pytest.raises(ValueError, match="no labels"):
+            run_replicate(tiny_experiment(), 0)
+
+
+def _report(accuracies, seeds=None):
+    seeds = list(range(len(accuracies))) if seeds is None else seeds
+    replicates = [ReplicateResult(seed=s, accuracy=a, n_labeled=0, n_failed=0, refinement_events=0,
+                                  final_loss=0.0, final_grad_norm=0.0, agreement=1.0)
+                  for s, a in zip(seeds, accuracies)]
+    return PipelineReport(mode="bundle", replicates=replicates,
+                          mean_accuracy=float(np.mean(accuracies)), std_accuracy=0.0)
+
+
+class TestPairedDifference:
+    def test_hand_built_reports(self):
+        # per-seed differences 0.25, 0, -0.25, 0.25, all exact in binary
+        paired = paired_difference(_report([0.5, 0.75, 0.5, 0.25]), _report([0.25, 0.75, 0.75, 0.0]))
+        assert paired.mean == 0.0625
+        assert paired.sd == pytest.approx(np.sqrt(0.171875 / 3), rel=1e-15)
+        assert (paired.wins, paired.ties, paired.losses) == (2, 1, 1)
+        assert paired.describe() == "paired +0.0625 (sd 0.2394), wins/ties/losses 2/1/1"
+
+    def test_one_seed_has_zero_sd(self):
+        paired = paired_difference(_report([0.5]), _report([0.75]))
+        assert (paired.mean, paired.sd, paired.losses) == (-0.25, 0.0, 1)
+
+    @pytest.mark.parametrize("seeds_b", [[0, 1], [0, 1, 3], [2, 1, 0]])
+    def test_different_seed_lists_are_refused(self, seeds_b):
+        with pytest.raises(ValueError, match="same seeds"):
+            paired_difference(_report([0.5, 0.5, 0.5]), _report([0.5] * len(seeds_b), seeds_b))
 
 
 def test_standard_experiment_factory():
@@ -194,8 +277,6 @@ def test_standard_experiment_factory():
 def test_semantic_criterion_wins_under_heterophily():
     """When edges mostly join different classes, neighborhoods mislead and
     embedding-space bundles carry much stronger mode labels."""
-    from dataclasses import replace
-
     het = SbmConfig(n=200, n_classes=4, p_in=0.01, p_out=0.08, dim=8, separation=2.5)
     results = {}
     for criterion in ("topological", "semantic"):

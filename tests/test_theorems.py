@@ -5,12 +5,13 @@ from bundlesup.synth import SbmConfig
 from bundlesup.theorems import (
     Theorem2Instance,
     default_theorem2_instance,
-    outlier_gradient_pair,
     theorem2_model,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
 )
+
+from reference import outlier_gradient_pair
 
 
 class TestOutlierTolerance:
