@@ -106,8 +106,6 @@ def build_prompt(
     lines.append(f"Below are {len(bundle.members)} text items.")
     lines.append("")
     for pos, node in enumerate(bundle.members, start=1):
-        if node >= table.n:
-            raise ValueError(f"bundle {bundle.id} references node {node} with no table row")
         text = table.texts[node]
         if not text:
             body = NO_TEXT_PLACEHOLDER
@@ -337,10 +335,15 @@ def annotate_all(
     recorded, not raised; failed bundles keep label None. With `llm`, each
     distinct prompt is looked up in `cache` once; the misses are sent and
     each answer is appended as it arrives, except transport failures. A
-    missing API key raises AnnotationConfigError before any request.
+    missing API key raises AnnotationConfigError before any request. A
+    member with no row in `table` raises a ValueError before either.
     """
     if (oracle is None) == (llm is None):
         raise ValueError("pass exactly one of oracle= or llm=")
+    for b in bundles:
+        outside = [m for m in b.members if not 0 <= m < table.n]
+        if outside:
+            raise ValueError(f"bundle {b.id} references node {outside[0]} with no table row")
     records = []
     if oracle is not None:
         if table.labels is None:

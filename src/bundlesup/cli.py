@@ -39,9 +39,9 @@ from .pipeline import (
     standard_experiment,
     sweep,
 )
-from .sampling import CRITERIA, SamplingConfig, load_bundles, sample_bundles, save_bundles
+from .sampling import CRITERIA, SamplingBudgetError, SamplingConfig, load_bundles, sample_bundles, save_bundles
 from .synth import SbmConfig, gen_sbm, homophily
-from .train import TrainConfig, train
+from .train import TrainConfig, TrainingDivergedError, train
 from .theorems import (
     default_theorem2_instance,
     verify_theorem1,
@@ -94,7 +94,7 @@ def _class_names(args):
         return _manifest_class_names(args.manifest)
     if getattr(args, "class_names", None):
         return [s.strip() for s in args.class_names.split(",")]
-    raise SystemExit("pass --manifest or --class-names")
+    raise ValueError("pass --manifest or --class-names")
 
 
 def _manifest_class_names(path) -> list:
@@ -133,10 +133,7 @@ def cmd_annotate(args):
         }
     bundles = load_bundles(args.bundles)
     table = load_node_table(args.nodes, _class_names(args))
-    try:
-        summary = annotate_all(bundles, table, **annotator)
-    except ValueError as exc:   # a node table the annotator cannot use
-        raise SystemExit(f"bundlesup annotate: {exc}") from None
+    summary = annotate_all(bundles, table, **annotator)
     save_bundles(args.out, bundles)
     if args.records:
         save_records(args.records, summary.records)
@@ -170,7 +167,7 @@ def cmd_eval(args):
     class_names = _class_names(args)
     table = load_node_table(args.nodes, class_names)
     if table.labels is None:
-        raise SystemExit("node table has no labels; nothing to evaluate against")
+        raise ValueError("node table has no labels; nothing to evaluate against")
     params = gnn.load_params(args.params)
     acc = accuracy(params, normalized_adjacency(graph), emb, table.labels)
     print(f"accuracy: {acc:.4f}")
@@ -200,11 +197,8 @@ def _given(args, names) -> dict:
 
 def _flags_config(cls, args):
     """`cls` from the flags named after its fields; an omitted flag keeps the
-    field's default, and a value `cls` refuses exits with a message."""
-    try:
-        return _section(cls, "flags", _given(args, (f.name for f in fields(cls))))
-    except ValueError as exc:
-        raise SystemExit(f"bundlesup {args.command}: {exc}") from None
+    field's default, and a value `cls` refuses raises its ValueError."""
+    return _section(cls, "flags", _given(args, (f.name for f in fields(cls))))
 
 
 def _config_from_json(path) -> ExperimentConfig:
@@ -232,20 +226,15 @@ def _config_from_json(path) -> ExperimentConfig:
 
 
 def _run_experiment(args, run):
-    """`run(cfg)` with the experiment config the flags give; a ValueError
-    from either, such as a bad config or flag value or a node table without
-    labels, exits with `bundlesup <cmd>: <message>`."""
-    try:
-        cfg = _config_from_json(args.config) if args.config else standard_experiment()
-        if args.mode:
-            cfg = replace(cfg, mode=args.mode)
-        if args.noise is not None:
-            cfg = replace(cfg, oracle=replace(cfg.oracle, noise_rate=args.noise))
-        if args.seeds:
-            cfg = replace(cfg, replicate_seeds=tuple(int(s) for s in args.seeds.split(",")))
-        return run(cfg)
-    except ValueError as exc:
-        raise SystemExit(f"bundlesup {args.command}: {exc}") from None
+    """`run(cfg)` with the experiment config the flags give."""
+    cfg = _config_from_json(args.config) if args.config else standard_experiment()
+    if args.mode:
+        cfg = replace(cfg, mode=args.mode)
+    if args.noise is not None:
+        cfg = replace(cfg, oracle=replace(cfg.oracle, noise_rate=args.noise))
+    if args.seeds:
+        cfg = replace(cfg, replicate_seeds=tuple(int(s) for s in args.seeds.split(",")))
+    return run(cfg)
 
 
 def cmd_pipeline(args):
@@ -442,9 +431,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
+    # inputs that do not fit, or fit but cannot be run, end in one line
     try:
         return args.func(args)
-    except (FormatError, OSError, AnnotationConfigError) as exc:
+    except (ValueError, OSError, AnnotationConfigError, SamplingBudgetError, TrainingDivergedError) as exc:
         raise SystemExit(f"bundlesup {args.command}: {exc}") from None
 
 

@@ -1,15 +1,15 @@
 """Two-layer graph convolutional network with exact analytic backprop.
 
-Forward map, for normalized adjacency A, features X and parameters
-(W1, b1, W2, b2):
+Forward map, for normalized adjacency A, an (n, d) float64 feature array
+X and parameters (W1, b1, W2, b2):
 
-    H_pre = A X W1 + b1
-    H     = relu(H_pre)
-    Z     = A H W2 + b2
-    P     = row-softmax(Z)
+    H = relu(A X W1 + b1)
+    Z = A H W2 + b2
 
-Everything is float64 and deterministic. The ReLU subgradient at exactly
-zero is fixed to zero.
+The trace of a pass keeps what `backward` reads: A X, H, A H and the
+logits Z. The ReLU mask is H > 0, and the subgradient at exactly zero is
+fixed to zero. Class probabilities are `losses.softmax_rows(Z)`.
+Everything is float64 and deterministic.
 
 A row of Z depends on the rows of H at its node's neighbours and on
 nothing else. So `forward` and `backward` also run on a row block
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import AdjacencyBlock, EmbeddingMatrix, NormalizedAdjacency, load_embeddings, save_embeddings
+from .graphs import AdjacencyBlock, NormalizedAdjacency, load_embeddings, save_embeddings
 
 
 @dataclass
@@ -74,18 +74,17 @@ class GcnParams:
 
 @dataclass
 class ForwardTrace:
-    """All intermediates of one forward pass (ax/ah are cached products).
+    """The arrays of one forward pass that `backward` reads: A X, the hidden
+    layer H, A H and the logits Z.
 
-    On a block Â[S, N(S)], h_pre, h and ax hold the rows N(S), and z, p
-    and ah the rows S.
+    On a block Â[S, N(S)], ax and h hold the rows N(S), and ah and z the
+    rows S.
     """
 
-    h_pre: np.ndarray
+    ax: np.ndarray
     h: np.ndarray
+    ah: np.ndarray
     z: np.ndarray
-    p: np.ndarray
-    ax: np.ndarray = field(repr=False)
-    ah: np.ndarray = field(repr=False)
 
 
 def init_params(d: int, h: int, c: int, seed: int) -> GcnParams:
@@ -103,20 +102,15 @@ def init_params(d: int, h: int, c: int, seed: int) -> GcnParams:
     )
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def forward(params: GcnParams, a_hat: NormalizedAdjacency, x, ax: np.ndarray = None) -> ForwardTrace:
-    """Run the two-layer convolution; `ax` may carry a precomputed A @ X.
+def forward(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray,
+            ax: np.ndarray = None) -> ForwardTrace:
+    """Run the two-layer convolution on features `x`; `ax` may carry a
+    precomputed A @ X.
 
     On a block `a_hat` = Â[S, N(S)], `ax` is required and holds the rows
-    N(S) of Â @ X; the logits are those of the rows S.
+    N(S) of Â @ X; the logits are those of the rows S. H and Z are built in
+    place: no pre-activation array outlives the ReLU.
     """
-    x = x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
     d, h, c = params.dims
     if x.shape[1] != d:
         raise ValueError(f"features have {x.shape[1]} columns, params expect {d}")
@@ -126,17 +120,19 @@ def forward(params: GcnParams, a_hat: NormalizedAdjacency, x, ax: np.ndarray = N
         if isinstance(a_hat, AdjacencyBlock):
             raise ValueError("a row block needs ax, the rows of A @ X at its columns")
         ax = a_hat @ x
-    h_pre = ax @ params.w1 + params.b1
-    hidden = np.maximum(h_pre, 0.0)
+    hidden = ax @ params.w1
+    hidden += params.b1
+    np.maximum(hidden, 0.0, out=hidden)
     ah = a_hat @ hidden
-    z = ah @ params.w2 + params.b2
-    return ForwardTrace(h_pre=h_pre, h=hidden, z=z, p=softmax_rows(z), ax=ax, ah=ah)
+    z = ah @ params.w2
+    z += params.b2
+    return ForwardTrace(ax=ax, h=hidden, ah=ah, z=z)
 
 
 def backward(
     params: GcnParams,
     a_hat: NormalizedAdjacency,
-    x,
+    x: np.ndarray,
     trace: ForwardTrace,
     d_z: np.ndarray,
 ) -> GcnParams:
@@ -151,13 +147,14 @@ def backward(
     d_w2 = trace.ah.T @ d_z
     d_b2 = d_z.sum(axis=0)
     a_dz = a_hat.T @ d_z
-    d_hidden = (a_dz @ params.w2.T) * (trace.h_pre > 0.0)
+    d_hidden = (a_dz @ params.w2.T) * (trace.h > 0.0)
     d_w1 = trace.ax.T @ d_hidden
     d_b1 = d_hidden.sum(axis=0)
     return GcnParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
 
 
-def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x, probe, ax: np.ndarray = None) -> np.ndarray:
+def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray, probe,
+                   ax: np.ndarray = None) -> np.ndarray:
     """Exact d z_ic / d theta of the probe nodes, shape (probes, classes, n_params).
 
     The last axis follows `GcnParams.to_vector`. With M = 1[H_pre > 0]:
@@ -172,7 +169,7 @@ def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x, probe, ax: 
     with a one-hot upstream gradient, up to rounding.
     """
     if ax is None:
-        ax = a_hat @ (x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64))
+        ax = a_hat @ x
     probe = np.asarray(probe, dtype=np.intp)
     d, h, c = params.dims
     ax_nbr, a_ij, starts = _probe_entries(a_hat, ax, probe)
@@ -277,7 +274,7 @@ def save_params(out_dir, params: GcnParams, seed: int = None) -> None:
     manifest = {"tensors": {}, "seed": seed}
     for name, tensor in zip(names, params.tensors()):
         mat = tensor if tensor.ndim == 2 else tensor[None, :]
-        save_embeddings(os.path.join(out_dir, f"{name}.txt"), EmbeddingMatrix(mat))
+        save_embeddings(os.path.join(out_dir, f"{name}.txt"), mat)
         manifest["tensors"][name] = list(tensor.shape)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -288,6 +285,5 @@ def load_params(out_dir) -> GcnParams:
         manifest = json.load(fh)
     loaded = {}
     for name, shape in manifest["tensors"].items():
-        mat = load_embeddings(os.path.join(out_dir, f"{name}.txt")).data
-        loaded[name] = mat.reshape(shape)
+        loaded[name] = load_embeddings(os.path.join(out_dir, f"{name}.txt")).reshape(shape)
     return GcnParams(**loaded)

@@ -164,30 +164,6 @@ class NodeTable:
         return len(self.class_names)
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Dense n-by-d node feature matrix, finite float64."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("embedding matrix must be 2-D")
-        if not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite embedding value at row {bad[0]}, column {bad[1]}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
 class _SparseOperator:
     """`@ dense` through `kernels.spmm` on one SciPy matrix, built on the first product and kept."""
 
@@ -454,8 +430,8 @@ def load_node_table(path, class_names) -> NodeTable:
     )
 
 
-def load_embeddings(path) -> EmbeddingMatrix:
-    """Read a text embedding matrix with an "n d" header."""
+def load_embeddings(path) -> np.ndarray:
+    """Read a text embedding matrix with an "n d" header: the finite (n, d) float64 array."""
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -471,7 +447,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
         if out is None or out.shape != (n, d) or not np.isfinite(out).all():
             fh.seek(body)
             out = _embedding_lines(path, fh, n, d)
-    return EmbeddingMatrix(out)
+    return out
 
 
 def _embedding_lines(path, fh, n: int, d: int) -> np.ndarray:
@@ -505,9 +481,9 @@ def _embedding_lines(path, fh, n: int, d: int) -> np.ndarray:
     return out
 
 
-def save_embeddings(path, matrix: EmbeddingMatrix) -> None:
-    """Write a matrix in the loadable text format at full precision."""
+def save_embeddings(path, matrix: np.ndarray) -> None:
+    """Write a 2-D array in the loadable text format at full precision."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.rows} {matrix.cols}\n")
-        for row in matrix.data:
+        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
+        for row in matrix:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

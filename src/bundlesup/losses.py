@@ -33,7 +33,15 @@ import numpy as np
 from . import kernels
 
 
-def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax: the class probabilities of logits `z`."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def log_softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise stable log-softmax; -log_softmax_rows(z)[i, y] is the
+    cross-entropy of row i at class y."""
     shifted = z - z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -98,7 +106,7 @@ def bundle_objective(z: np.ndarray, flat: FlatBundles, terms=("be", "rank")) -> 
     rows = np.arange(nb)
     b, b_t = flat.membership
     zbar = (b @ z[:b.shape[1]]) / flat.sizes[:, None]
-    logq = _log_softmax_rows(zbar)
+    logq = log_softmax_rows(zbar)
     q = np.exp(logq)
 
     be = -logq[rows, flat.labels]
@@ -139,7 +147,7 @@ def member_ce_objective(z: np.ndarray, flat: FlatBundles) -> ObjectiveValue:
     group and the mean over groups outside.
     """
     nb = flat.count
-    logp = _log_softmax_rows(z[flat.members])
+    logp = log_softmax_rows(z[flat.members])
     member_labels = np.repeat(flat.labels, flat.sizes)
     ce = -logp[np.arange(flat.members.size), member_labels]
     weights = np.repeat(1.0 / (flat.sizes * nb), flat.sizes)
@@ -156,7 +164,7 @@ def node_ce_objective(z: np.ndarray, node_idx: np.ndarray, node_labels: np.ndarr
     """Plain mean cross-entropy on individually annotated nodes."""
     if node_idx.size == 0:
         raise ValueError("no annotated nodes to supervise on")
-    logp = _log_softmax_rows(z[node_idx])
+    logp = log_softmax_rows(z[node_idx])
     ce = -logp[np.arange(node_idx.size), node_labels]
     loss = float(ce.mean())
     d_rows = np.exp(logp)

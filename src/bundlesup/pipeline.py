@@ -214,7 +214,6 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
         params, report = train(a_hat, emb, bundles, tcfg, table.num_classes, objective=objective)
 
     acc = accuracy(params, a_hat, emb, table.labels)
-    report.final_accuracy = acc
     return ReplicateResult(
         seed=replicate_seed,
         accuracy=acc,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import EmbeddingMatrix, FormatError, Graph, hop_distances, open_text
+from .graphs import FormatError, Graph, hop_distances, open_text
 
 CRITERIA = ("topological", "semantic", "random")
 
@@ -81,14 +81,15 @@ class SamplingConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _hop_from_levels(levels: np.ndarray, bundle_size: int) -> tuple:
+def _hop_from_levels(levels: np.ndarray, bundle_size: int) -> int:
+    """The smallest radius holding bundle_size - 1 other nodes, or the largest
+    radius `levels` reaches when the core's component holds fewer."""
     reach = levels[levels > 0]
     need = bundle_size - 1
     if reach.size < need:
-        return int(reach.max()), True
+        return int(reach.max())
     cumulative = np.cumsum(np.bincount(reach))
-    k = int(np.searchsorted(cumulative, need, side="left"))
-    return k, False
+    return int(np.searchsorted(cumulative, need, side="left"))
 
 
 def sample_topological(
@@ -98,18 +99,15 @@ def sample_topological(
     if graph.degree(core) == 0:
         raise IsolatedCoreError(f"node {core} has no neighbors")
     levels = hop_distances(graph, core, bundle_size - 1)
-    k, _ = _hop_from_levels(levels, bundle_size)
+    k = _hop_from_levels(levels, bundle_size)
     pool = np.flatnonzero((levels >= 1) & (levels <= k))
     take = min(bundle_size - 1, pool.size)
     chosen = rng.choice(pool, size=take, replace=False)
     return Bundle(id=bundle_id, core=int(core), members=[int(core)] + [int(v) for v in chosen])
 
 
-def sample_semantic(
-    embeddings: EmbeddingMatrix, core: int, bundle_size: int, bundle_id: int = 0
-) -> Bundle:
+def sample_semantic(x: np.ndarray, core: int, bundle_size: int, bundle_id: int = 0) -> Bundle:
     """Core plus its bundle_size - 1 nearest other nodes in embedding space."""
-    x = embeddings.data
     n = x.shape[0]
     if n < bundle_size:
         raise ValueError(f"cannot build a bundle of {bundle_size} from {n} nodes")
@@ -137,23 +135,22 @@ def _member_rng(seed: int, bundle_id: int) -> np.random.Generator:
     return np.random.default_rng((seed, _STREAM_MEMBERS, bundle_id))
 
 
-def sample_bundles(graph: Graph, embeddings: EmbeddingMatrix, cfg: SamplingConfig) -> list:
+def sample_bundles(graph: Graph, embeddings: np.ndarray, cfg: SamplingConfig) -> list:
     """Draw cfg.num_bundles bundles with ids 0..num_bundles-1.
 
     Cores are drawn without replacement while the node count allows it.
     Isolated cores under the topological criterion are redrawn, up to
-    cfg.max_resample_attempts redraws in total.
+    cfg.max_resample_attempts redraws in total. The node count is the
+    graph's, except under the semantic criterion, which reads only the
+    (n, d) embeddings; random sampling takes either.
     """
-    if cfg.criterion == "topological":
-        if graph is None:
-            raise ValueError("topological sampling needs a graph")
+    if graph is not None and cfg.criterion != "semantic":
         n = graph.n
-    elif cfg.criterion == "semantic":
-        if embeddings is None:
-            raise ValueError("semantic sampling needs embeddings")
-        n = embeddings.rows
+    elif embeddings is not None and cfg.criterion != "topological":
+        n = embeddings.shape[0]
     else:
-        n = graph.n if graph is not None else embeddings.rows
+        needs = {"topological": "a graph", "semantic": "embeddings", "random": "a graph or embeddings"}
+        raise ValueError(f"{cfg.criterion} sampling needs {needs[cfg.criterion]}")
 
     master = np.random.default_rng((cfg.seed, _STREAM_CORES))
     if cfg.num_bundles <= n:
@@ -167,7 +164,7 @@ def sample_bundles(graph: Graph, embeddings: EmbeddingMatrix, cfg: SamplingConfi
         core = int(cores[bid])
         while True:
             try:
-                bundles.append(_sample_one(graph, embeddings, cfg, core, bid))
+                bundles.append(_sample_one(graph, embeddings, n, cfg, core, bid))
                 break
             except IsolatedCoreError:
                 redraws += 1
@@ -181,12 +178,11 @@ def sample_bundles(graph: Graph, embeddings: EmbeddingMatrix, cfg: SamplingConfi
     return bundles
 
 
-def _sample_one(graph, embeddings, cfg: SamplingConfig, core: int, bid: int) -> Bundle:
+def _sample_one(graph, embeddings, n: int, cfg: SamplingConfig, core: int, bid: int) -> Bundle:
     if cfg.criterion == "topological":
         return sample_topological(graph, core, cfg.bundle_size, _member_rng(cfg.seed, bid), bid)
     if cfg.criterion == "semantic":
         return sample_semantic(embeddings, core, cfg.bundle_size, bid)
-    n = graph.n if graph is not None else embeddings.rows
     return sample_uniform(n, core, cfg.bundle_size, _member_rng(cfg.seed, bid), bid)
 
 

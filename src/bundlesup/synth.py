@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EmbeddingMatrix, Graph, NodeTable
+from .graphs import Graph, NodeTable
 
 _BLOCK_ROWS = 64
 
@@ -47,7 +47,7 @@ class SbmConfig:
 
 
 def gen_sbm(cfg: SbmConfig):
-    """Returns (Graph, EmbeddingMatrix, NodeTable), deterministic per seed."""
+    """Returns (Graph, (n, dim) embedding array, NodeTable), deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
     per = cfg.n // cfg.n_classes
     labels = np.repeat(np.arange(cfg.n_classes), per)
@@ -64,7 +64,7 @@ def gen_sbm(cfg: SbmConfig):
         texts=None,
         labels=[int(y) for y in labels],
     )
-    return graph, EmbeddingMatrix(x), table
+    return graph, x, table
 
 
 def _sbm_edges(cfg: SbmConfig, labels: np.ndarray, rng) -> np.ndarray:

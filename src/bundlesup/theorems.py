@@ -28,15 +28,11 @@ import numpy as np
 
 from . import gnn
 from .graphs import Graph, normalized_adjacency
+from .losses import log_softmax_rows, softmax_rows
 from .annotate import OracleConfig, annotate_all
 from .sampling import SamplingConfig, sample_bundles
 from .synth import SbmConfig, gen_sbm
 from .train import TrainConfig, train
-
-
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1)
-    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +80,8 @@ def verify_theorem1(
         y_hat = rng.integers(0, n_classes, size=batch)
         drawn += batch
         m_prime = np.argmax(scores[:, 0, :], axis=1)
-        p_group = gnn.softmax_rows(scores.mean(axis=1))
-        p_out = gnn.softmax_rows(scores[:, 0, :])
+        p_group = softmax_rows(scores.mean(axis=1))
+        p_out = softmax_rows(scores[:, 0, :])
         rows = np.arange(batch)
         cond = (y_hat != m_prime) & (p_out[rows, m_prime] >= p_group[rows, m_prime])
         idx = np.flatnonzero(cond)[: trials - kept]
@@ -101,7 +97,7 @@ def verify_theorem1(
         for sign in (1.0, -1.0):
             z2 = zbar.copy()
             z2[sel, mp] += sign * step / bundle_size
-            g_group += sign * (_logsumexp_rows(z2) - z2[sel, yh])
+            g_group -= sign * log_softmax_rows(z2)[sel, yh]
         g_group /= 2 * step
 
         row0 = scores[idx, 0, :]
@@ -109,7 +105,7 @@ def verify_theorem1(
         for sign in (1.0, -1.0):
             r2 = row0.copy()
             r2[sel, mp] += sign * step
-            g_ind += sign * (_logsumexp_rows(r2) - r2[sel, yh]) / bundle_size
+            g_ind -= sign * log_softmax_rows(r2)[sel, yh] / bundle_size
         g_ind /= 2 * step
 
         ok = (g_group >= -slack) & (g_group <= g_ind + slack)
@@ -211,7 +207,7 @@ def theorem2_model(instance: Theorem2Instance) -> tuple:
 
 def _bundle_ce_from_z(z: np.ndarray, members, label: int) -> float:
     zbar = z[list(members)].mean(axis=0)
-    return float(_logsumexp_rows(zbar[None, :])[0] - zbar[label])
+    return float(-log_softmax_rows(zbar[None, :])[0, label])
 
 
 def verify_theorem2(
@@ -266,7 +262,7 @@ def verify_theorem2(
         # the loss gradient's largest entry and largest single-member contribution
         grad_inf = float(np.abs(grad).max())
         z0 = make_z(vec)
-        q = gnn.softmax_rows(z0[members].mean(axis=0, keepdims=True))[0]
+        q = softmax_rows(z0[members].mean(axis=0, keepdims=True))[0]
         coef = q.copy()
         coef[label] -= 1.0
         per_member = np.einsum("c,icj->ij", coef, jac) / size

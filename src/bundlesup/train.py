@@ -18,16 +18,17 @@ so the loss is L-smooth with L = 2 * n_params * (M + G^2). The step is
 Refinement starts after the warmup and then runs every `refine_every`
 epochs: each labeled bundle drops the members least confident in the
 bundle label, unless that would cross the size floor or all confidences
-tie within 1e-12.
+tie within 1e-12. The confidences are the row softmax of the epoch's
+logits, computed on refinement epochs only.
 
 Each epoch computes only what the objective reads. With S the sorted rows
 it reads (the labeled bundles' members, or the annotated nodes) and N(S)
 their neighbours in Â, self included, the GCN runs on the block
-Â[S, N(S)]: hidden rows on N(S), logits on S (see `gnn`). A logit of S
-depends on no hidden row outside N(S), so this is the whole-graph descent
-restricted to the rows that carry gradient, not an approximation. Â @ X is
-computed once over the whole graph; the block is rebuilt only when a
-refinement evicts members.
+Â[S, N(S)]: hidden rows on N(S), logits on S (see `gnn`; its trace keeps
+Â @ X, H, Â @ H and Z). A logit of S depends on no hidden row outside
+N(S), so this is the whole-graph descent restricted to the rows that carry
+gradient, not an approximation. Â @ X is computed once over the whole
+graph; the block is rebuilt only when a refinement evicts members.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gnn
-from .losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
+from .losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective, softmax_rows
 
 REFINE_TIE_TOL = 1e-12
 
@@ -95,7 +96,6 @@ class TrainReport:
     final_grad_norm: float
     g_hat: float | None = None
     m_hat: float | None = None
-    final_accuracy: float | None = None
 
     @property
     def epochs(self) -> int:
@@ -111,7 +111,6 @@ class TrainReport:
             "refinement_events": len(self.refinements),
             "g_hat": self.g_hat,
             "m_hat": self.m_hat,
-            "final_accuracy": self.final_accuracy,
         }
 
     def save_jsonl(self, path) -> None:
@@ -191,7 +190,7 @@ def estimate_logit_bounds(
     """
     probe = np.asarray(probe_nodes, dtype=np.intp)
     if ax is None:
-        ax = gnn.forward(params, a_hat, x).ax
+        ax = a_hat @ x
     n_d = params.n_params
     g_hat = float(np.abs(gnn.logit_jacobian(params, a_hat, x, probe, ax=ax)).max())
 
@@ -221,9 +220,10 @@ def _auto_eta(params, a_hat, x, ax: np.ndarray, members: np.ndarray, seed: int) 
 def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = "full"):
     """Gradient descent on the group objective; returns (params, report).
 
-    Bundle refinement mutates `bundles` in place (members shrink, eviction
-    history grows). With cfg.refine_every > cfg.epochs, bundles are never
-    modified.
+    A labeled bundle's label must lie in [0, n_classes) and its members in
+    the graph; anything else raises a ValueError. Bundle refinement mutates
+    `bundles` in place (members shrink, eviction history grows). With
+    cfg.refine_every > cfg.epochs, bundles are never modified.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -238,11 +238,19 @@ def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = 
 
     def supervise():
         flat = FlatBundles.from_bundles(bundles)
+        _refuse_outside(flat.labels, n_classes, "label", "classes")
+        _refuse_outside(flat.members, a_hat.n, "member", "graph nodes")
         rows = np.unique(flat.members)
         local = replace(flat, members=np.searchsorted(rows, flat.members))
         return rows, lambda z: evaluate(z, local)
 
     return _descend(a_hat, x, cfg, n_classes, supervise, bundles)
+
+
+def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
+    bad = values[(values < 0) | (values >= bound)]
+    if bad.size:
+        raise ValueError(f"bundle {what} {bad[0]} is outside the {bound} {of}")
 
 
 def train_on_nodes(a_hat, x, node_idx, node_labels, cfg: TrainConfig, n_classes: int):
@@ -263,17 +271,15 @@ def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
 def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, supervise, bundles):
     """Descent on the objective `supervise()` gives as (rows S, loss of the
     logits on S); bundles, when given, are refined and re-supervised."""
-    feats = x.data if hasattr(x, "data") and not isinstance(x, np.ndarray) else np.asarray(x)
-    d = feats.shape[1]
-    params = gnn.init_params(d, cfg.hidden, n_classes, cfg.seed)
-    ax = a_hat @ feats
+    params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
+    ax = a_hat @ x
     rows, evaluate = supervise()
 
     g_hat = m_hat = None
     if cfg.eta_auto:
         if bundles is None:
             raise ValueError("eta_auto needs bundle supervision")
-        eta, g_hat, m_hat = _auto_eta(params, a_hat, feats, ax, rows, cfg.seed)
+        eta, g_hat, m_hat = _auto_eta(params, a_hat, x, ax, rows, cfg.seed)
     else:
         eta = cfg.learning_rate
 
@@ -286,11 +292,11 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, supervise, bundles):
     refinements = []
 
     for t in range(1, t_max + 1):
-        trace = gnn.forward(params, block, feats, ax=ax_field)
+        trace = gnn.forward(params, block, x, ax=ax_field)
         value = evaluate(trace.z)
         if not np.isfinite(value.loss):
             raise TrainingDivergedError(t, eta)
-        grads = gnn.backward(params, block, feats, trace, value.d_z)
+        grads = gnn.backward(params, block, x, trace, value.d_z)
         idx = t - 1
         loss[idx] = value.loss
         loss_be[idx] = value.be_mean
@@ -309,16 +315,16 @@ def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, supervise, bundles):
         ):
             # refine indexes by node id; rows outside S are never read
             p = np.full((a_hat.n, n_classes), np.nan)
-            p[rows] = trace.p
+            p[rows] = softmax_rows(trace.z)
             events = refine(p, bundles, cfg.bundle_floor, t)
             if events:
                 refinements.extend(events)
                 rows, evaluate = supervise()
                 block, ax_field = _field(a_hat, ax, rows)
 
-    trace = gnn.forward(params, block, feats, ax=ax_field)
+    trace = gnn.forward(params, block, x, ax=ax_field)
     value = evaluate(trace.z)
-    final_grads = gnn.backward(params, block, feats, trace, value.d_z)
+    final_grads = gnn.backward(params, block, x, trace, value.d_z)
 
     report = TrainReport(
         loss=loss,

@@ -6,13 +6,14 @@ import math
 import numpy as np
 
 from bundlesup import gnn
-from bundlesup.graphs import EmbeddingMatrix, FormatError, Graph, NodeTable, hop_distances
+from bundlesup.graphs import FormatError, Graph, NodeTable, hop_distances
 from bundlesup.losses import (
     FlatBundles,
     ObjectiveValue,
     bundle_objective,
     member_ce_objective,
     node_ce_objective,
+    softmax_rows,
 )
 from bundlesup.sampling import IsolatedCoreError
 from bundlesup.synth import SbmConfig
@@ -219,7 +220,7 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
         for p, g in zip(params.tensors(), grads.tensors()):
             p -= eta * g
         if bundles is not None and t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0:
-            events = refine(trace.p, bundles, cfg.bundle_floor, t)
+            events = refine(softmax_rows(trace.z), bundles, cfg.bundle_floor, t)
             if events:
                 refinements.extend(events)
                 flat = FlatBundles.from_bundles(bundles)
@@ -292,7 +293,7 @@ def load_edge_list(path) -> Graph:
     return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
 
 
-def load_embeddings(path) -> EmbeddingMatrix:
+def load_embeddings(path) -> np.ndarray:
     """`graphs.load_embeddings` as one per-line, per-token loop: the reference
     for its matrices and FormatError messages."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -330,7 +331,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
             row += 1
     if row != n:
         raise FormatError(f"{path}: expected {n} rows, got {row}")
-    return EmbeddingMatrix(out)
+    return out
 
 
 def gen_sbm(cfg: SbmConfig):
@@ -356,7 +357,7 @@ def gen_sbm(cfg: SbmConfig):
         texts=None,
         labels=[int(y) for y in labels],
     )
-    return graph, EmbeddingMatrix(x), table
+    return graph, x, table
 
 
 def edge_set(graph: Graph) -> frozenset:

@@ -20,6 +20,7 @@ from bundlesup.annotate import (
     parse_response,
 )
 from bundlesup.graphs import NodeTable
+from bundlesup.llm import LlmEndpointConfig
 from bundlesup.sampling import Bundle
 
 
@@ -67,9 +68,14 @@ class TestBuildPrompt:
         assert p1.sha256 != p2.sha256
 
     def test_member_without_row_rejected(self):
-        bundle = Bundle(id=0, core=0, members=[0, 5])
-        with pytest.raises(ValueError, match="no table row"):
-            build_prompt(bundle, table_for(texts=["a"] * 2), "d")
+        """`annotate_all` refuses a member outside the table once, before any
+        prompt is built or any label is read, for either annotator."""
+        table = table_for(texts=["a"] * 2, labels=[0, 1])
+        for annotator in ({"oracle": OracleConfig()}, {"llm": LlmEndpointConfig()}):
+            bundles = [Bundle(id=0, core=0, members=[0, 1]), Bundle(id=1, core=0, members=[0, 5])]
+            with pytest.raises(ValueError, match="bundle 1 references node 5 with no table row"):
+                annotate_all(bundles, table, **annotator)
+            assert all(b.label is None for b in bundles)
 
     def test_no_texts_rejected(self):
         bundle = Bundle(id=0, core=0, members=[0, 1])

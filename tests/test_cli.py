@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
-from bundlesup import cli
+from bundlesup import cli, gnn
 from bundlesup.annotate import OracleConfig
 from bundlesup.cli import main
 from bundlesup.llm import LlmEndpointConfig
@@ -438,4 +439,70 @@ def test_a_bundle_file_without_members_exits_with_a_message_naming_the_line(labe
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == f"bundlesup {stage.split('-')[0]}: {bundles}:11: record has no members"
+    assert not (tmp_path / "o").exists()
+
+
+def _outside_bundles(tmp_path):
+    """A labeled bundle with member 60, past the 48 nodes of the dataset."""
+    path = tmp_path / "outside.jsonl"
+    path.write_text('{"id": 0, "core": 0, "members": [0, 60], "label": 0}\n')
+    return path
+
+
+def _sparse_edges(tmp_path):
+    """50 nodes and one edge: almost every core is isolated."""
+    path = tmp_path / "sparse.txt"
+    path.write_text("n 50\n0 1\n")
+    return path
+
+
+def _narrow_params(tmp_path):
+    """Parameters for 3 input columns, against the dataset's 8."""
+    gnn.save_params(tmp_path / "params", gnn.init_params(3, 4, 4, seed=0))
+    return tmp_path / "params"
+
+
+def _train(ds, bundles, out, *flags):
+    return ["train", "--graph", ds / "edges.txt", "--embeddings", ds / "embeddings.txt",
+            "--bundles", bundles, "--manifest", ds / "manifest.json", *flags, "--out", out]
+
+
+# case: (argv from the dataset, tmp_path and output path; the message after "bundlesup <cmd>: ")
+_MISFITS = {
+    "sample-without-graph": (lambda ds, tmp, out: ["sample-bundles", "--out", out],
+                             "topological sampling needs a graph"),
+    "random-without-inputs": (lambda ds, tmp, out: ["sample-bundles", "--criterion", "random", "--out", out],
+                              "random sampling needs a graph or embeddings"),
+    "isolated-cores": (lambda ds, tmp, out: ["sample-bundles", "--edges", _sparse_edges(tmp), "--out", out],
+                       r"exhausted 100 core redraws with \d+/100 bundles built"),
+    "unlabeled-bundles": (lambda ds, tmp, out: _train(ds, ds / "bundles.jsonl", out),
+                          "no labeled bundles to supervise on"),
+    "too-few-classes": (lambda ds, tmp, out: _train(ds, ds / "labeled.jsonl", out, "--classes", 2),
+                        r"bundle label [23] is outside the 2 classes"),
+    "members-outside-graph": (lambda ds, tmp, out: _train(ds, _outside_bundles(tmp), out),
+                              "bundle member 60 is outside the 48 graph nodes"),
+    "diverging-step": (lambda ds, tmp, out: _train(ds, ds / "labeled.jsonl", out, "--eta", 1e6),
+                       r"non-finite loss at epoch \d+ with eta=1e\+06"),
+    "annotate-outside-table": (lambda ds, tmp, out: [
+        "annotate", "--bundles", _outside_bundles(tmp), "--nodes", ds / "nodes.jsonl",
+        "--manifest", ds / "manifest.json", "--annotator", "oracle", "--out", out],
+        "bundle 0 references node 60 with no table row"),
+    "eval-narrow-params": (lambda ds, tmp, out: [
+        "eval", "--params", _narrow_params(tmp), "--graph", ds / "edges.txt",
+        "--embeddings", ds / "embeddings.txt", "--nodes", ds / "nodes.jsonl",
+        "--manifest", ds / "manifest.json"],
+        "features have 8 columns, params expect 3"),
+}
+
+
+@pytest.mark.parametrize("case", _MISFITS)
+def test_inputs_that_do_not_fit_together_exit_with_one_line(labeled, tmp_path, case):
+    """Inputs each valid alone but not together, or a run they make fail,
+    end in one `bundlesup <cmd>: <message>` line, not a traceback, and
+    write no output file."""
+    argv, message = _MISFITS[case]
+    argv = argv(labeled, tmp_path, tmp_path / "o")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert re.fullmatch(f"bundlesup {argv[0]}: {message}", exc.value.code)
     assert not (tmp_path / "o").exists()

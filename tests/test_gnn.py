@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from bundlesup import gnn
 from bundlesup.graphs import Graph, normalized_adjacency
+from bundlesup.losses import softmax_rows
 
 from reference import one_hot_rows, softmax_row
 
@@ -71,7 +74,8 @@ class TestForward:
         )
         trace = gnn.forward(zeros, a_hat, x)
         np.testing.assert_array_equal(trace.z, 0.0)
-        np.testing.assert_allclose(trace.p, 1.0 / trace.p.shape[1])
+        p = softmax_rows(trace.z)
+        np.testing.assert_allclose(p, 1.0 / p.shape[1])
 
     def test_isolated_node_is_plain_mlp(self):
         g = Graph.from_edges(1, [])
@@ -86,9 +90,9 @@ class TestForward:
 
     def test_probability_rows_valid(self):
         a_hat, x, params = random_instance(5)
-        trace = gnn.forward(params, a_hat, x)
-        np.testing.assert_allclose(trace.p.sum(axis=1), 1.0, atol=1e-12)
-        assert (trace.p > 0).all()
+        p = softmax_rows(gnn.forward(params, a_hat, x).z)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+        assert (p > 0).all()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -110,6 +114,26 @@ class TestForward:
         a_hat, x, params = random_instance(1)
         with pytest.raises(ValueError):
             gnn.forward(params, a_hat, x[:, :2])
+
+    def test_a_whole_graph_pass_keeps_only_the_four_arrays(self):
+        """The traced peak of one forward pass is the arrays its trace keeps,
+        A X, H, A H and Z, within 10%: no pre-activation or probability array
+        is held beside them."""
+        rng = np.random.default_rng(0)
+        n, d, h, c = 2000, 8, 64, 20
+        edges = rng.integers(0, n, size=(8 * n, 2))
+        a_hat = normalized_adjacency(Graph.from_edges(n, edges[edges[:, 0] != edges[:, 1]]))
+        x = rng.normal(size=(n, d))
+        params = gnn.init_params(d, h, c, seed=0)
+        gnn.forward(params, a_hat, x)   # builds the SciPy operator Â keeps
+        tracemalloc.start()
+        try:
+            trace = gnn.forward(params, a_hat, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (trace.ax, trace.h, trace.ah, trace.z))
+        assert peak <= 1.1 * kept
 
 
 class TestBackward:
@@ -144,13 +168,16 @@ class TestBackward:
             assert np.abs(grads - fd).max() / denom <= 1e-6
 
     def test_relu_mask_consistency(self):
+        """The mask backward reads, H > 0, is the pre-activation's own."""
         a_hat, x, params = random_instance(4)
         trace = gnn.forward(params, a_hat, x)
-        dead = trace.h_pre <= 0
-        assert not trace.h[dead].any()
+        h_pre = (a_hat @ x) @ params.w1 + params.b1
+        dead = h_pre <= 0
+        assert dead.any() and not dead.all()
+        np.testing.assert_array_equal(trace.h > 0, h_pre > 0)
+        assert trace.h.tobytes() == np.maximum(h_pre, 0.0).tobytes()
         d_z = np.ones_like(trace.z)
-        a_dz = a_hat @ d_z
-        d_hidden = (a_dz @ params.w2.T) * (trace.h_pre > 0)
+        d_hidden = ((a_hat @ d_z) @ params.w2.T) * (trace.h > 0)
         assert not d_hidden[dead].any()
 
     def test_upstream_shape_checked(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bundlesup import graphs, kernels
 from bundlesup.graphs import (
-    EmbeddingMatrix,
     FormatError,
     Graph,
     MAX_NODES,
@@ -386,7 +385,8 @@ _EDGE_FLOATS = st.sampled_from(
 class TestEmbeddings:
     def test_basic_read(self, tmp_path):
         m = load_embeddings(_write(tmp_path, "x.txt", "2 2\n0 1\n1 0\n"))
-        assert m.data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert m.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert m.dtype == np.float64
 
     def test_row_count_mismatch(self, tmp_path):
         with pytest.raises(FormatError, match="expected 3 rows"):
@@ -409,16 +409,11 @@ class TestEmbeddings:
         data[1, 1] = 1.0 / 3.0
         data[2, 2] = 1e-300
         data[6] = drawn
-        matrix = EmbeddingMatrix(data)
         path = tmp_path / "emb.txt"
-        save_embeddings(path, matrix)
+        save_embeddings(path, data)
         reloaded = load_embeddings(path)
-        np.testing.assert_array_equal(reloaded.data, data)
-        assert reloaded.data.tobytes() == data.tobytes()   # -0.0 keeps its sign
-
-    def test_non_finite_constructor_rejected(self):
-        with pytest.raises(ValueError, match="row 0, column 1"):
-            EmbeddingMatrix(np.array([[0.0, np.inf]]))
+        np.testing.assert_array_equal(reloaded, data)
+        assert reloaded.tobytes() == data.tobytes()   # -0.0 keeps its sign
 
 
 _SEPARATORS = [" ", "\t", "\x0c", "  ", " \t "]
@@ -524,7 +519,7 @@ def _outcome(load, path, caplog):
     except Exception as exc:
         got = (type(exc).__name__, str(exc))
     else:
-        arrays = (out.indptr, out.indices) if isinstance(out, Graph) else (out.data,)
+        arrays = (out.indptr, out.indices) if isinstance(out, Graph) else (out,)
         got = (getattr(out, "n", None), [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
     return got, [(rec.levelname, rec.getMessage()) for rec in caplog.records]
 
@@ -563,8 +558,8 @@ class TestLoadersAgainstPerLineReference:
         assert (g.n, edge_set(g)) == (4, {(1, 2), (0, 3)})
         data = np.random.default_rng(0).normal(size=(6, 3))
         data[0] = [-0.0, 5e-324, sys.float_info.max]
-        save_embeddings(tmp_path / "x.txt", EmbeddingMatrix(data))
-        assert load_embeddings(tmp_path / "x.txt").data.tobytes() == data.tobytes()
+        save_embeddings(tmp_path / "x.txt", data)
+        assert load_embeddings(tmp_path / "x.txt").tobytes() == data.tobytes()
 
     @pytest.mark.parametrize("name, text", [
         ("e.txt", "0 1\n2 2\n"),          # a self-loop: the loop warns with its line number

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bundlesup.graphs import EmbeddingMatrix, FormatError, Graph, hop_distances
+from bundlesup.graphs import FormatError, Graph, hop_distances
 from bundlesup.sampling import (
     Bundle,
     IsolatedCoreError,
@@ -105,26 +105,25 @@ class TestSampleTopological:
 
 class TestSampleSemantic:
     def test_nearest_by_hand(self):
-        emb = EmbeddingMatrix(np.array([[0.0], [1.0], [2.0], [10.0]]))
+        emb = np.array([[0.0], [1.0], [2.0], [10.0]])
         b = sample_semantic(emb, 0, 3)
         assert sorted(b.members) == [0, 1, 2]
 
     def test_tie_prefers_lower_index(self):
-        emb = EmbeddingMatrix(np.array([[0.0], [1.0], [-1.0]]))
+        emb = np.array([[0.0], [1.0], [-1.0]])
         b = sample_semantic(emb, 0, 2)
         assert b.members == [0, 1]
 
     def test_too_few_nodes(self):
-        emb = EmbeddingMatrix(np.array([[0.0], [1.0]]))
+        emb = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError):
             sample_semantic(emb, 0, 3)
 
     def test_no_excluded_node_closer(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(40, 3))
-        emb = EmbeddingMatrix(x)
         for core in (0, 7, 23):
-            b = sample_semantic(emb, core, 6)
+            b = sample_semantic(x, core, 6)
             inside = [m for m in b.members if m != core]
             outside = [i for i in range(40) if i not in b.members]
             d = np.linalg.norm(x - x[core], axis=1)
@@ -170,7 +169,7 @@ class TestSampleBundles:
 
     def test_semantic_criterion(self):
         rng = np.random.default_rng(8)
-        emb = EmbeddingMatrix(rng.normal(size=(20, 4)))
+        emb = rng.normal(size=(20, 4))
         cfg = SamplingConfig(criterion="semantic", num_bundles=5, bundle_size=4, seed=0)
         bundles = sample_bundles(None, emb, cfg)
         assert all(len(b.members) == 4 for b in bundles)

@@ -203,9 +203,9 @@ class TestBoundEstimates:
     def test_output_bias_forces_g_at_least_one(self):
         """d z/d (output bias) is exactly 1, and G is read off the exact Jacobian."""
         a_hat, emb, table, bundles = small_problem()
-        params = gnn.init_params(emb.cols, 8, table.num_classes, seed=0)
+        params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
         g_hat, m_hat = estimate_logit_bounds(
-            params, a_hat, emb.data, probe_nodes=[0, 1], hess_cols_per_layer=4, seed=0
+            params, a_hat, emb, probe_nodes=[0, 1], hess_cols_per_layer=4, seed=0
         )
         assert g_hat >= 1.0
         assert m_hat >= 0.0
@@ -214,8 +214,8 @@ class TestBoundEstimates:
         """The bounds come from the probes' neighbourhoods alone: no forward
         or backward pass and no sparse product over the graph."""
         a_hat, emb, table, bundles = small_problem()
-        params = gnn.init_params(emb.cols, 8, table.num_classes, seed=0)
-        ax = a_hat @ emb.data
+        params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
+        ax = a_hat @ emb
         calls = []
 
         def counted(name, real):
@@ -226,7 +226,7 @@ class TestBoundEstimates:
 
         for mod, name in ((gnn, "forward"), (gnn, "backward"), (kernels, "spmm")):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-        estimate_logit_bounds(params, a_hat, emb.data, [0, 1, 2], ax=ax, seed=0)
+        estimate_logit_bounds(params, a_hat, emb, [0, 1, 2], ax=ax, seed=0)
         assert calls == []
 
     @settings(max_examples=100, deadline=None)
@@ -261,8 +261,8 @@ class TestBoundEstimates:
         agrees with the whole-Jacobian loop. Features scaled by 1/100 make
         the jump of the b1 entries the largest."""
         a_hat, emb, table, bundles = small_problem()
-        x = emb.data / 100.0
-        params = gnn.init_params(emb.cols, 8, table.num_classes, seed=0)
+        x = emb / 100.0
+        params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
         ax = a_hat @ x
         probe, u, step = [2, 17, 40], 3, 1e-4
         entry = a_hat.indptr[17]   # Â[17, j] for the first neighbour j of probe 17
@@ -270,7 +270,7 @@ class TestBoundEstimates:
         params.b1[u] = step / 2 - ax[j] @ params.w1[:, u]
         h_pre = (ax[j] @ params.w1 + params.b1)[u]
         assert 0.0 < h_pre < step
-        layer1 = emb.cols * 8 + 8
+        layer1 = emb.shape[1] * 8 + 8
         g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, ax=ax,
                                              hess_step=step, hess_cols_per_layer=layer1)
         g_ref, m_ref = jacobian_difference_bounds(params, a_hat, x, probe, ax=ax,
@@ -286,10 +286,10 @@ class TestBoundEstimates:
         """G matches finite differences of the logits; M matches finite
         differences of one-hot backward rows along the same columns."""
         a_hat, emb, table, bundles = small_problem()
-        params = gnn.init_params(emb.cols, 8, table.num_classes, seed=seed)
+        params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=seed)
         probe = [2, 17, 40]
-        g_hat, m_hat = estimate_logit_bounds(params, a_hat, emb.data, probe, seed=seed)
-        g_ref, m_ref = fd_logit_bounds(params, a_hat, emb.data, probe, seed=seed)
+        g_hat, m_hat = estimate_logit_bounds(params, a_hat, emb, probe, seed=seed)
+        g_ref, m_ref = fd_logit_bounds(params, a_hat, emb, probe, seed=seed)
         assert g_hat == pytest.approx(g_ref, rel=1e-8)
         assert m_hat == pytest.approx(m_ref, rel=1e-10)
         assert m_hat > 0.0
@@ -298,7 +298,7 @@ class TestBoundEstimates:
         a_hat, emb, table, bundles = small_problem()
         cfg = TrainConfig(epochs=5, eta_auto=True, refine_every=100, seed=0, hidden=8)
         _, report = train(a_hat, emb, bundles, cfg, table.num_classes)
-        n_d = emb.cols * 8 + 8 + 8 * table.num_classes + table.num_classes
+        n_d = emb.shape[1] * 8 + 8 + 8 * table.num_classes + table.num_classes
         # 1.8/L with the smoothness constant L = 2*n_d*(M+G^2); parameters
         # shared by all members leave no 1/|B| factor in L
         expect = 0.9 / (n_d * (report.m_hat + report.g_hat**2))
