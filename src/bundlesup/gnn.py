@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,48 +166,69 @@ def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray,
         d z_ic / d b1[k]     = t_i[k] W2[k, c],     t_i = sum_j A_ij M[j, k]
 
     Every sum runs over the neighbours j of i only: one masked propagation
-    per probe, no pass over the whole graph. Each row equals `backward`
-    with a one-hot upstream gradient, up to rounding.
+    per probe (`probe_pass`), no pass over the whole graph. Each row equals
+    `backward` with a one-hot upstream gradient, up to rounding.
     """
     if ax is None:
         ax = a_hat @ x
-    probe = np.asarray(probe, dtype=np.intp)
-    d, h, c = params.dims
-    ax_nbr, a_ij, starts = _probe_entries(a_hat, ax, probe)
+    return probe_pass(params, a_hat, probe, ax).jacobian()
+
+
+class ProbePass(NamedTuple):
+    """The masked propagation of `logit_jacobian` at `params`: the probe rows'
+    stored entries (`_probe_entries`) and s, t and A H, probes first."""
+
+    params: GcnParams
+    ax_nbr: np.ndarray
+    a_ij: np.ndarray
+    starts: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    ah: np.ndarray
+
+    def jacobian(self) -> np.ndarray:
+        """The probes' `logit_jacobian` at `params`."""
+        params, s, t = self.params, self.s, self.t
+        d, h, c = params.dims
+        w1_end, b1_end, w2_end = d * h, d * h + h, d * h + h + h * c
+        probes = s.shape[0]
+        jac = np.zeros((probes, c, params.n_params))
+        jac[:, :, :w1_end] = (s[:, None] * params.w2.T[None, :, None, :]).reshape(probes, c, -1)
+        jac[:, :, w1_end:b1_end] = t[:, None, :] * params.w2.T
+        for k in range(c):
+            jac[:, k, b1_end + k:w2_end:c] = self.ah
+            jac[:, k, w2_end + k] = 1.0
+        return jac
+
+
+def probe_pass(params: GcnParams, a_hat: NormalizedAdjacency, probe, ax: np.ndarray) -> ProbePass:
+    """The `ProbePass` of the nodes `probe` at `params`; `ax` = A @ X."""
+    ax_nbr, a_ij, starts = _probe_entries(a_hat, ax, np.asarray(probe, dtype=np.intp))
     s, t, ah = _propagate(ax_nbr, a_ij, starts, ax_nbr @ params.w1 + params.b1)
-
-    w1_end, b1_end, w2_end = d * h, d * h + h, d * h + h + h * c
-    jac = np.zeros((probe.size, c, params.n_params))
-    jac[:, :, :w1_end] = (s[:, None] * params.w2.T[None, :, None, :]).reshape(probe.size, c, -1)
-    jac[:, :, w1_end:b1_end] = t[:, None, :] * params.w2.T
-    for k in range(c):
-        jac[:, k, b1_end + k:w2_end:c] = ah
-        jac[:, k, w2_end + k] = 1.0
-    return jac
+    return ProbePass(params, ax_nbr, a_ij, starts, s, t, ah)
 
 
-def jacobian_differences(params: GcnParams, a_hat: NormalizedAdjacency, probe, coords, step: float,
-                         ax: np.ndarray) -> np.ndarray:
+def jacobian_differences(at: ProbePass, coords, step: float) -> np.ndarray:
     """max |J(theta + step e_k) - J(theta - step e_k)| for each coordinate k of
-    `coords`, J the probes' `logit_jacobian` and `ax` = A @ X.
+    `coords`, J the probes' `logit_jacobian` and theta `at.params`.
 
     Only the entries a coordinate moves are computed. W1[f, u] and b1[u]
     move hidden unit u alone: its pre-activation column, so the W1[:, u],
     b1[u] and W2[u, :] entries. W2[u, c'] moves the W1[:, u] and b1[u]
-    entries of class c' by their factor W2[u, c']. b2 moves nothing. Every
-    other entry is computed from the same numbers at both points, so its
-    difference is exactly 0.
+    entries of class c' by their factor W2[u, c'], which scales s and t at
+    theta as `at` holds them. b2 moves nothing. Every other entry is
+    computed from the same numbers at both points, so its difference is
+    exactly 0.
 
     Each moved entry is bitwise the one `logit_jacobian` at the perturbed
     parameters holds: theta_k + step, then that minus 2 step, and each
     moved pre-activation column cut out of the whole (E, d) @ (d, h)
     product, since BLAS may round a column computed alone differently.
     """
-    probe = np.asarray(probe, dtype=np.intp)
+    params, ax_nbr, a_ij, starts = at.params, at.ax_nbr, at.a_ij, at.starts
     coords = np.asarray(coords, dtype=np.intp)
     d, h, c = params.dims
     w1_end, b1_end, w2_end = d * h, d * h + h, d * h + h + h * c
-    ax_nbr, a_ij, starts = _probe_entries(a_hat, ax, probe)
     out = np.zeros(coords.size)
 
     first = np.flatnonzero(coords < b1_end)
@@ -240,10 +262,9 @@ def jacobian_differences(params: GcnParams, a_hat: NormalizedAdjacency, probe, c
     second = np.flatnonzero((coords >= b1_end) & (coords < w2_end))
     if second.size:
         units, classes = np.divmod(coords[second] - b1_end, c)
-        s, t, _ = _propagate(ax_nbr, a_ij, starts, ax_nbr @ params.w1 + params.b1)
         plus = params.w2[units, classes] + step
         minus = plus - 2 * step
-        s, t = s[:, :, units], t[:, units]
+        s, t = at.s[:, :, units], at.t[:, units]
         out[second] = np.maximum(np.abs(s * plus - s * minus).max(axis=(0, 1)),
                                  np.abs(t * plus - t * minus).max(axis=0))
     return out

@@ -384,6 +384,20 @@ def _loadtxt(fh, dtype, comments):
             return None
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_record(line: str):
+    """`json.loads(line)`, without its two whitespace regex scans when the
+    value starts the line and only JSON whitespace follows it; any other
+    line, valid or not, goes through `json.loads` itself."""
+    try:
+        rec, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    return rec if not line[end:].strip(" \t\n\r") else json.loads(line)
+
+
 def load_node_table(path, class_names) -> NodeTable:
     """Read a JSON-lines node table and resolve label strings to indices."""
     lookup = {name.strip().casefold(): i for i, name in enumerate(class_names)}
@@ -394,12 +408,16 @@ def load_node_table(path, class_names) -> NodeTable:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = _json_record(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid record: {exc}") from None
+            if not isinstance(rec, dict):
+                raise FormatError(f"{path}:{lineno}: record is not a JSON object")
             if "id" not in rec:
                 raise FormatError(f"{path}:{lineno}: record has no id")
-            ids.append(int(rec["id"]))
+            if type(rec["id"]) is not int:   # bool is an int subclass
+                raise FormatError(f"{path}:{lineno}: id {rec['id']!r} is not an integer")
+            ids.append(rec["id"])
             if "text" in rec:
                 any_text = True
                 texts.append(str(rec["text"]))

@@ -20,12 +20,18 @@ the only loop over replicate seeds: `sweep` calls it once per axis value,
 seeds from one replicate seed, so a run is reproducible end to end and
 arms on one seed share the dataset and, unless one samples at random,
 the bundles; `paired_difference` compares two reports seed by seed.
+
+A file dataset is loaded once per process: `materialize_dataset` keeps
+the last one it read (graph, features, node table and Â), keyed on the
+paths, the class names and each file's identity, and returns it
+read-only to every later replicate, arm and sweep value.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -85,18 +91,44 @@ class DatasetPaths:
     class_names: tuple
 
 
-def materialize_dataset(dataset, seed: int):
-    """Return (graph, embeddings, table) for either dataset source.
+# the last file dataset `materialize_dataset` loaded: {key: (graph, emb, table, Â)}
+_loaded_files = {}
 
-    Synthetic datasets are regenerated with the replicate-derived seed;
-    file datasets are fixed across replicates.
+
+def _identity(path) -> tuple:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def materialize_dataset(dataset, seed: int):
+    """Return (graph, embeddings, table, Â) for either dataset source.
+
+    Synthetic datasets are regenerated with the replicate-derived seed.
+    File datasets are fixed across replicates, so they are loaded once per
+    process: the last one loaded is kept, keyed on its three paths, its
+    class names and each file's (device, inode, size, modification time),
+    and returned again while that key holds; a changed or different file
+    loads anew and replaces it. The kept arrays are read-only, so an
+    in-place write raises instead of reaching the next replicate. A
+    rewrite that keeps a file's inode, size and modification time is not
+    seen.
     """
     if isinstance(dataset, SbmConfig):
-        return gen_sbm(replace(dataset, seed=seed))
-    graph = load_edge_list(dataset.edges)
-    emb = load_embeddings(dataset.embeddings)
-    table = load_node_table(dataset.nodes, list(dataset.class_names))
-    return graph, emb, table
+        graph, emb, table = gen_sbm(replace(dataset, seed=seed))
+        return graph, emb, table, normalized_adjacency(graph)
+    paths = (dataset.edges, dataset.embeddings, dataset.nodes)
+    key = (paths, tuple(dataset.class_names), tuple(_identity(p) for p in paths))
+    loaded = _loaded_files.get(key)
+    if loaded is None:
+        graph = load_edge_list(dataset.edges)
+        emb = load_embeddings(dataset.embeddings)
+        table = load_node_table(dataset.nodes, list(dataset.class_names))
+        a_hat = normalized_adjacency(graph)
+        for array in (graph.indptr, graph.indices, emb, a_hat.indptr, a_hat.indices, a_hat.data):
+            array.flags.writeable = False
+        _loaded_files.clear()
+        loaded = _loaded_files[key] = (graph, emb, table, a_hat)
+    return loaded
 
 
 @dataclass(frozen=True)
@@ -175,13 +207,12 @@ def _component_seeds(replicate_seed: int) -> tuple:
 
 def _prepare(cfg: ExperimentConfig, replicate_seed: int) -> tuple:
     """(emb, table, a_hat, bundles, oracle config, train config) of one
-    replicate of `cfg.mode`; the graph is dropped on return, before training."""
+    replicate of `cfg.mode`."""
     mode = MODES[cfg.mode]
     sbm_seed, samp_seed, ann_seed, train_seed = _component_seeds(replicate_seed)
-    graph, emb, table = materialize_dataset(cfg.dataset, sbm_seed)
+    graph, emb, table, a_hat = materialize_dataset(cfg.dataset, sbm_seed)
     if table.labels is None:
         raise ValueError("the node table has no labels; a replicate scores its accuracy against them")
-    a_hat = normalized_adjacency(graph)
 
     scfg = replace(cfg.sampling, seed=samp_seed, criterion=mode.criterion or cfg.sampling.criterion)
     bundles = sample_bundles(graph, emb, scfg)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -505,4 +508,18 @@ def test_inputs_that_do_not_fit_together_exit_with_one_line(labeled, tmp_path, c
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert re.fullmatch(f"bundlesup {argv[0]}: {message}", exc.value.code)
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_diverging_step_prints_its_message_and_no_warning(labeled, tmp_path):
+    """`train` at a step that diverges, run with warnings as errors, writes
+    exactly its one message line to stderr: no NumPy warning comes first."""
+    argv = [str(a) for a in _train(labeled, labeled / "labeled.jsonl", tmp_path / "o", "--eta", 1e6)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import sys; from bundlesup.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert re.fullmatch(r"bundlesup train: non-finite loss at epoch \d+ with eta=1e\+06\n", done.stderr)
     assert not (tmp_path / "o").exists()

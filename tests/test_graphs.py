@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 import sys
 
 import numpy as np
@@ -374,6 +376,38 @@ class TestNodeTable:
     def test_class_names_must_be_distinct_after_folding(self):
         with pytest.raises(ValueError):
             NodeTable(n=0, class_names=["A", " a "])
+
+    @pytest.mark.parametrize("record, message", [
+        ("1", "record is not a JSON object"),
+        ('"xidx"', "record is not a JSON object"),
+        ('{"id": 1.7}', r"id 1\.7 is not an integer"),
+        ('{"id": true}', "id True is not an integer"),
+    ])
+    def test_a_record_without_an_integer_id_names_its_line(self, tmp_path, record, message):
+        path = _write(tmp_path, "nodes.jsonl", '{"id": 0}\n' + record + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: {message}$"):
+            load_node_table(path, ["A"])
+
+    @pytest.mark.parametrize("line", [
+        ' {"id": 0}\n', '{"id": 0} \t\r\n', '{"id": 0}', '{"id": 0} x\n', '{"id": 0}\x0c\n',
+        '\ufeff{"id": 0}\n', '{"id": 0\n', '{"id": 0}{"id": 1}\n', '[{"id": 0}]\n',
+    ])
+    def test_a_line_reads_as_json_loads_reads_it(self, tmp_path, line):
+        """Each line is accepted exactly when `json.loads` accepts it, and
+        refused with its message."""
+        path = _write(tmp_path, "nodes.jsonl", line)
+        try:
+            want = json.loads(line)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(FormatError) as got:
+                load_node_table(path, ["A"])
+            assert str(got.value) == f"{path}:1: invalid record: {exc}"
+            return
+        if isinstance(want, dict):
+            assert load_node_table(path, ["A"]).n == 1
+        else:
+            with pytest.raises(FormatError, match="not a JSON object"):
+                load_node_table(path, ["A"])
 
 
 # -0.0, the smallest and largest subnormal, and the largest finite value

@@ -1,13 +1,16 @@
+import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bundlesup import gnn, pipeline
+from bundlesup import cli, gnn, pipeline
 from bundlesup.annotate import OracleConfig
 from bundlesup.graphs import Graph, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.pipeline import (
+    MODES,
     ExperimentConfig,
     PipelineReport,
     ReplicateResult,
@@ -230,12 +233,93 @@ class TestAgreement:
         assert any(0 < share < 1 for share in seen)
 
     def test_a_node_table_without_labels_fails_before_sampling(self, monkeypatch):
-        graph, emb, table = pipeline.materialize_dataset(TINY, 0)
+        graph, emb, table, a_hat = pipeline.materialize_dataset(TINY, 0)
         monkeypatch.setattr(pipeline, "materialize_dataset",
-                            lambda dataset, seed: (graph, emb, replace(table, labels=None)))
+                            lambda dataset, seed: (graph, emb, replace(table, labels=None), a_hat))
         monkeypatch.setattr(pipeline, "sample_bundles", None)   # a call would raise TypeError
         with pytest.raises(ValueError, match="no labels"):
             run_replicate(tiny_experiment(), 0)
+
+
+LOADS = ("load_edge_list", "load_embeddings", "load_node_table", "normalized_adjacency")
+
+
+@pytest.fixture()
+def tiny_files(tmp_path, monkeypatch):
+    """TINY written as a file dataset, with nothing kept from other tests."""
+    cli.main(["gen-synth", "--n", "48", "--classes", "4", "--p-in", "0.4", "--p-out", "0.03",
+              "--dim", "8", "--separation", "2.5", "--seed", "0", "--out", str(tmp_path)])
+    names = tuple(json.loads((tmp_path / "manifest.json").read_text())["class_names"])
+    monkeypatch.setattr(pipeline, "_loaded_files", {})
+    return pipeline.DatasetPaths(str(tmp_path / "edges.txt"), str(tmp_path / "embeddings.txt"),
+                                 str(tmp_path / "nodes.jsonl"), names)
+
+
+def _count_loads(monkeypatch) -> Counter:
+    """Count the calls of each name in LOADS, made through the `pipeline` module."""
+    counts = Counter()
+    for name in LOADS:
+        def counted(*args, _name=name, _load=getattr(pipeline, name)):
+            counts[_name] += 1
+            return _load(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    return counts
+
+
+class TestFileDatasetKept:
+    def test_a_run_over_three_seeds_loads_once(self, tiny_files, monkeypatch):
+        counts = _count_loads(monkeypatch)
+        run_pipeline(replace(tiny_experiment(seeds=(0, 1, 2)), dataset=tiny_files))
+        assert counts == Counter(LOADS)
+
+    def test_both_query_arms_share_one_load(self, tiny_files, monkeypatch):
+        counts = _count_loads(monkeypatch)
+        compare_queries(replace(tiny_experiment(seeds=(0, 1)), dataset=tiny_files))
+        assert counts == Counter(LOADS)
+
+    def test_synthetic_datasets_are_drawn_per_seed(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_loaded_files", {})
+        counts = _count_loads(monkeypatch)
+        run_pipeline(tiny_experiment(seeds=(0, 1)))
+        assert counts == Counter({"normalized_adjacency": 2})
+        assert not pipeline._loaded_files
+
+    def test_a_rewritten_file_is_loaded_again(self, tiny_files, monkeypatch):
+        before = pipeline.materialize_dataset(tiny_files, 0)[1]
+        # three decimals, not the seventeen digits written: the size differs too
+        with open(tiny_files.embeddings, "w", encoding="utf-8") as fh:
+            fh.write(f"{before.shape[0]} {before.shape[1]}\n")
+            fh.writelines(" ".join(f"{2 * v:.3f}" for v in row) + "\n" for row in before)
+        counts = _count_loads(monkeypatch)
+        graph, emb, table, a_hat = pipeline.materialize_dataset(tiny_files, 0)
+        assert counts == Counter(LOADS)
+        np.testing.assert_array_equal(emb, np.round(2 * before, 3))
+        assert pipeline.materialize_dataset(tiny_files, 0)[1] is emb
+
+    def test_in_place_writes_raise(self, tiny_files):
+        graph, emb, table, a_hat = pipeline.materialize_dataset(tiny_files, 0)
+        a_hat @ emb   # builds the SciPy matrix
+        for array in (emb, a_hat.data, a_hat.indices, a_hat.indptr, graph.indices, graph.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_runs_on_the_read_only_arrays(self, tiny_files, mode):
+        cfg = replace(tiny_experiment(mode=mode, seeds=(0, 1)), dataset=tiny_files,
+                      sampling=SamplingConfig(num_bundles=10, bundle_size=4, criterion="semantic"))
+        assert len(run_pipeline(cfg).replicates) == 2
+
+    def test_cold_warm_and_cleared_runs_are_equal(self, tiny_files):
+        cfg = replace(tiny_experiment(noise=0.2, seeds=(0, 1, 2)), dataset=tiny_files)
+        cold = []
+        for seed in cfg.replicate_seeds:
+            pipeline._loaded_files.clear()
+            cold.append(run_replicate(cfg, seed))
+        warm = run_pipeline(cfg).replicates
+        pipeline._loaded_files.clear()
+        cleared = run_pipeline(cfg).replicates
+        assert [repr(r) for r in warm] == [repr(r) for r in cold] == [repr(r) for r in cleared]
+        assert any(r.refinement_events for r in cold)
 
 
 def _report(accuracies, seeds=None):

@@ -250,7 +250,7 @@ class TestBoundEstimates:
         params, a_hat, x, probe = problem
         ax = a_hat @ x
         coords = np.arange(params.n_params)
-        got = gnn.jacobian_differences(params, a_hat, probe, coords, 1e-4, ax)
+        got = gnn.jacobian_differences(gnn.probe_pass(params, a_hat, probe, ax), coords, 1e-4)
         want = reference.jacobian_differences(params, a_hat, x, probe, coords, 1e-4, ax=ax)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert not got[-params.dims[2]:].any()
