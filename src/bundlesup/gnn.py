@@ -9,7 +9,9 @@ X and parameters (W1, b1, W2, b2):
 The trace of a pass keeps what `backward` reads: A X, H, A H and the
 logits Z. The ReLU mask is H > 0, and the subgradient at exactly zero is
 fixed to zero. Class probabilities are `losses.softmax_rows(Z)`.
-Everything is float64 and deterministic.
+`logits` computes Z alone, for scoring: it propagates the c columns of
+H W2 through A instead of the h columns of H. Everything is float64 and
+deterministic.
 
 A row of Z depends on the rows of H at its node's neighbours and on
 nothing else. So `forward` and `backward` also run on a row block
@@ -112,6 +114,29 @@ def forward(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray,
     N(S) of Â @ X; the logits are those of the rows S. H and Z are built in
     place: no pre-activation array outlives the ReLU.
     """
+    ax, hidden = _hidden(params, a_hat, x, ax)
+    ah = a_hat @ hidden
+    z = ah @ params.w2
+    z += params.b2
+    return ForwardTrace(ax=ax, h=hidden, ah=ah, z=z)
+
+
+def logits(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray,
+           ax: np.ndarray = None) -> np.ndarray:
+    """The logits Z = A (H W2) + b2 alone, for scoring; `ax` may carry A @ X.
+
+    The second propagation carries the c columns of H W2 instead of the h
+    of H, so Z equals `forward(...).z` up to rounding, not bitwise.
+    """
+    _, hidden = _hidden(params, a_hat, x, ax)
+    z = a_hat @ (hidden @ params.w2)
+    z += params.b2
+    return z
+
+
+def _hidden(params: GcnParams, a_hat, x: np.ndarray, ax: np.ndarray) -> tuple:
+    """(A @ X, H) after checking `x` against the params and the adjacency;
+    H is built in place, so no pre-activation array outlives the ReLU."""
     d, h, c = params.dims
     if x.shape[1] != d:
         raise ValueError(f"features have {x.shape[1]} columns, params expect {d}")
@@ -124,10 +149,7 @@ def forward(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray,
     hidden = ax @ params.w1
     hidden += params.b1
     np.maximum(hidden, 0.0, out=hidden)
-    ah = a_hat @ hidden
-    z = ah @ params.w2
-    z += params.b2
-    return ForwardTrace(ax=ax, h=hidden, ah=ah, z=z)
+    return ax, hidden
 
 
 def backward(

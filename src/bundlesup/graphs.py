@@ -245,7 +245,13 @@ class AdjacencyBlock(_SparseOperator):
 
     @cached_property
     def T(self):
-        return self.adjacency.block(self.cols, self.rows)
+        # Â[cols][:, rows] is this block's transpose: Â's entries dinv[u] * dinv[v]
+        # are bitwise symmetric, and a stable sort by column keeps each row ascending
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(self.cols.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.indices, minlength=self.cols.size), out=indptr[1:])
+        return AdjacencyBlock(self.adjacency, self.cols, self.rows, indptr,
+                              _row_ids(self.indptr)[order], self.data[order])
 
 
 def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:

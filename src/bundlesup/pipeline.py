@@ -22,9 +22,10 @@ arms on one seed share the dataset and, unless one samples at random,
 the bundles; `paired_difference` compares two reports seed by seed.
 
 A file dataset is loaded once per process: `materialize_dataset` keeps
-the last one it read (graph, features, node table and Â), keyed on the
-paths, the class names and each file's identity, and returns it
-read-only to every later replicate, arm and sweep value.
+the last one it read (graph, features, node table, Â and Â·X), keyed on
+the paths, the class names and each file's identity, and returns it
+read-only to every later replicate, arm and sweep value. Training and
+evaluation take Â·X from it instead of propagating the features again.
 """
 
 from __future__ import annotations
@@ -68,16 +69,16 @@ MODES = {
 }
 
 
-def accuracy(params: gnn.GcnParams, a_hat, x, labels) -> float:
-    """Fraction of nodes whose argmax logit matches the true label.
+def accuracy(params: gnn.GcnParams, a_hat, x, labels, ax=None) -> float:
+    """Fraction of nodes whose argmax logit (`gnn.logits`) matches the true
+    label; `ax` may carry a precomputed Â @ X.
 
     Ties resolve to the smallest class index.
     """
-    trace = gnn.forward(params, a_hat, x)
-    pred = np.argmax(trace.z, axis=1)
     truth = np.asarray(labels)
-    if truth.shape[0] != trace.z.shape[0]:
+    if truth.shape[0] != a_hat.n:
         raise ValueError("labels must cover all nodes")
+    pred = np.argmax(gnn.logits(params, a_hat, x, ax=ax), axis=1)
     return float((pred == truth).mean())
 
 
@@ -91,7 +92,7 @@ class DatasetPaths:
     class_names: tuple
 
 
-# the last file dataset `materialize_dataset` loaded: {key: (graph, emb, table, Â)}
+# the last file dataset `materialize_dataset` loaded: {key: (graph, emb, table, Â, Â·X)}
 _loaded_files = {}
 
 
@@ -101,7 +102,7 @@ def _identity(path) -> tuple:
 
 
 def materialize_dataset(dataset, seed: int):
-    """Return (graph, embeddings, table, Â) for either dataset source.
+    """Return (graph, embeddings, table, Â, Â·X) for either dataset source.
 
     Synthetic datasets are regenerated with the replicate-derived seed.
     File datasets are fixed across replicates, so they are loaded once per
@@ -115,7 +116,8 @@ def materialize_dataset(dataset, seed: int):
     """
     if isinstance(dataset, SbmConfig):
         graph, emb, table = gen_sbm(replace(dataset, seed=seed))
-        return graph, emb, table, normalized_adjacency(graph)
+        a_hat = normalized_adjacency(graph)
+        return graph, emb, table, a_hat, a_hat @ emb
     paths = (dataset.edges, dataset.embeddings, dataset.nodes)
     key = (paths, tuple(dataset.class_names), tuple(_identity(p) for p in paths))
     loaded = _loaded_files.get(key)
@@ -124,10 +126,11 @@ def materialize_dataset(dataset, seed: int):
         emb = load_embeddings(dataset.embeddings)
         table = load_node_table(dataset.nodes, list(dataset.class_names))
         a_hat = normalized_adjacency(graph)
-        for array in (graph.indptr, graph.indices, emb, a_hat.indptr, a_hat.indices, a_hat.data):
+        ax = a_hat @ emb
+        for array in (graph.indptr, graph.indices, emb, a_hat.indptr, a_hat.indices, a_hat.data, ax):
             array.flags.writeable = False
         _loaded_files.clear()
-        loaded = _loaded_files[key] = (graph, emb, table, a_hat)
+        loaded = _loaded_files[key] = (graph, emb, table, a_hat, ax)
     return loaded
 
 
@@ -206,11 +209,11 @@ def _component_seeds(replicate_seed: int) -> tuple:
 
 
 def _prepare(cfg: ExperimentConfig, replicate_seed: int) -> tuple:
-    """(emb, table, a_hat, bundles, oracle config, train config) of one
+    """(emb, table, a_hat, ax, bundles, oracle config, train config) of one
     replicate of `cfg.mode`."""
     mode = MODES[cfg.mode]
     sbm_seed, samp_seed, ann_seed, train_seed = _component_seeds(replicate_seed)
-    graph, emb, table, a_hat = materialize_dataset(cfg.dataset, sbm_seed)
+    graph, emb, table, a_hat, ax = materialize_dataset(cfg.dataset, sbm_seed)
     if table.labels is None:
         raise ValueError("the node table has no labels; a replicate scores its accuracy against them")
 
@@ -219,20 +222,21 @@ def _prepare(cfg: ExperimentConfig, replicate_seed: int) -> tuple:
     tcfg = replace(cfg.train, seed=train_seed)
     if not mode.refine:
         tcfg = replace(tcfg, refine_every=tcfg.epochs + 1)
-    return emb, table, a_hat, bundles, replace(cfg.oracle, seed=ann_seed), tcfg
+    return emb, table, a_hat, ax, bundles, replace(cfg.oracle, seed=ann_seed), tcfg
 
 
 def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult:
     """One full pass of `cfg.mode`: dataset, bundles, annotation, training,
     evaluation."""
-    emb, table, a_hat, bundles, oracle, tcfg = _prepare(cfg, replicate_seed)
+    emb, table, a_hat, ax, bundles, oracle, tcfg = _prepare(cfg, replicate_seed)
     objective = MODES[cfg.mode].objective
     if objective is None:
         nodes = sorted({m for b in bundles for m in b.members})
         labels = annotate_nodes_oracle(nodes, table, oracle)
         truth = [table.labels[v] for v in nodes]
         n_labeled, n_failed = len(nodes), 0
-        params, report = train_on_nodes(a_hat, emb, np.asarray(nodes), labels, tcfg, table.num_classes)
+        params, report = train_on_nodes(a_hat, emb, np.asarray(nodes), labels, tcfg, table.num_classes,
+                                        ax=ax)
     else:
         annotator = {"oracle": oracle} if cfg.llm is None else {
             "llm": cfg.llm, "cache": AnnotationCache(cfg.cache_path),
@@ -242,9 +246,9 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
         labels = [b.label for b in bundles]
         truth = [mode_label([table.labels[m] for m in b.members]) for b in bundles]
         n_labeled, n_failed = summary.n_labeled, summary.n_failed
-        params, report = train(a_hat, emb, bundles, tcfg, table.num_classes, objective=objective)
+        params, report = train(a_hat, emb, bundles, tcfg, table.num_classes, objective=objective, ax=ax)
 
-    acc = accuracy(params, a_hat, emb, table.labels)
+    acc = accuracy(params, a_hat, emb, table.labels, ax=ax)
     return ReplicateResult(
         seed=replicate_seed,
         accuracy=acc,

@@ -81,10 +81,10 @@ class SamplingConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _hop_from_levels(levels: np.ndarray, bundle_size: int) -> int:
+def _hop_from_reach(reach: np.ndarray, bundle_size: int) -> int:
     """The smallest radius holding bundle_size - 1 other nodes, or the largest
-    radius `levels` reaches when the core's component holds fewer."""
-    reach = levels[levels > 0]
+    radius reached when the core's component holds fewer; `reach` holds the
+    hop counts of the nodes reached other than the core."""
     need = bundle_size - 1
     if reach.size < need:
         return int(reach.max())
@@ -99,8 +99,10 @@ def sample_topological(
     if graph.degree(core) == 0:
         raise IsolatedCoreError(f"node {core} has no neighbors")
     levels = hop_distances(graph, core, bundle_size - 1)
-    k = _hop_from_levels(levels, bundle_size)
-    pool = np.flatnonzero((levels >= 1) & (levels <= k))
+    # the only two passes over the n levels; the rest reads the reached nodes
+    reached = np.flatnonzero(levels > 0)
+    reach = levels[reached]
+    pool = reached[reach <= _hop_from_reach(reach, bundle_size)]
     take = min(bundle_size - 1, pool.size)
     chosen = rng.choice(pool, size=take, replace=False)
     return Bundle(id=bundle_id, core=int(core), members=[int(core)] + [int(v) for v in chosen])

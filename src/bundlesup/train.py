@@ -28,7 +28,8 @@ their neighbours in Â, self included, the GCN runs on the block
 Â @ X, H, Â @ H and Z). A logit of S depends on no hidden row outside
 N(S), so this is the whole-graph descent restricted to the rows that carry
 gradient, not an approximation. Â @ X is computed once over the whole
-graph; the block is rebuilt only when a refinement evicts members.
+graph, or passed in as `ax` by a caller that keeps it; the block is
+rebuilt only when a refinement evicts members.
 """
 
 from __future__ import annotations
@@ -219,13 +220,15 @@ def _auto_eta(params, a_hat, x, ax: np.ndarray, members: np.ndarray, seed: int) 
     return eta, g_hat, m_hat
 
 
-def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = "full"):
+def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = "full",
+          ax: np.ndarray = None):
     """Gradient descent on the group objective; returns (params, report).
 
     A labeled bundle's label must lie in [0, n_classes) and its members in
     the graph; anything else raises a ValueError. Bundle refinement mutates
     `bundles` in place (members shrink, eviction history grows). With
-    cfg.refine_every > cfg.epochs, bundles are never modified.
+    cfg.refine_every > cfg.epochs, bundles are never modified. `ax` may
+    carry a precomputed Â @ X, which is then not computed again.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -246,7 +249,7 @@ def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = 
         local = replace(flat, members=np.searchsorted(rows, flat.members))
         return rows, lambda z: evaluate(z, local)
 
-    return _descend(a_hat, x, cfg, n_classes, supervise, bundles)
+    return _descend(a_hat, x, ax, cfg, n_classes, supervise, bundles)
 
 
 def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
@@ -255,13 +258,15 @@ def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
         raise ValueError(f"bundle {what} {bad[0]} is outside the {bound} {of}")
 
 
-def train_on_nodes(a_hat, x, node_idx, node_labels, cfg: TrainConfig, n_classes: int):
-    """Train on individually annotated nodes with plain cross-entropy."""
+def train_on_nodes(a_hat, x, node_idx, node_labels, cfg: TrainConfig, n_classes: int,
+                   ax: np.ndarray = None):
+    """Train on individually annotated nodes with plain cross-entropy; `ax`
+    as in `train`."""
     node_idx = np.asarray(node_idx, dtype=np.intp)
     node_labels = np.asarray(node_labels, dtype=np.intp)
     rows, local = np.unique(node_idx, return_inverse=True)
     evaluate = lambda z: node_ce_objective(z, local, node_labels)
-    return _descend(a_hat, x, cfg, n_classes, lambda: (rows, evaluate), bundles=None)
+    return _descend(a_hat, x, ax, cfg, n_classes, lambda: (rows, evaluate), bundles=None)
 
 
 def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
@@ -270,11 +275,12 @@ def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
     return block, ax if block is a_hat else ax[block.cols]
 
 
-def _descend(a_hat, x, cfg: TrainConfig, n_classes: int, supervise, bundles):
+def _descend(a_hat, x, ax, cfg: TrainConfig, n_classes: int, supervise, bundles):
     """Descent on the objective `supervise()` gives as (rows S, loss of the
     logits on S); bundles, when given, are refined and re-supervised."""
     params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
-    ax = a_hat @ x
+    if ax is None:
+        ax = a_hat @ x
     rows, evaluate = supervise()
 
     g_hat = m_hat = None

@@ -136,6 +136,26 @@ class TestForward:
         assert peak <= 1.1 * kept
 
 
+class TestLogits:
+    def test_agree_with_the_forward_logits(self):
+        """Z = A (H W2) + b2 is the forward pass's A (H) W2 + b2 up to rounding,
+        with the same argmax, on the whole graph and from a given ax."""
+        for seed in range(20):
+            a_hat, x, params = random_instance(seed, n=30, h=16, c=5, p_edge=0.15)
+            params.b2[:] = np.random.default_rng(seed).normal(size=params.b2.shape)
+            want = gnn.forward(params, a_hat, x).z
+            for got in (gnn.logits(params, a_hat, x), gnn.logits(params, a_hat, x, ax=a_hat @ x)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    def test_keep_the_forward_shape_checks(self):
+        a_hat, x, params = random_instance(1)
+        with pytest.raises(ValueError, match=f"features have 2 columns, params expect {x.shape[1]}"):
+            gnn.logits(params, a_hat, x[:, :2])
+        with pytest.raises(ValueError, match="feature rows do not match the adjacency"):
+            gnn.logits(params, a_hat, x[:-1])
+
+
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         a_hat, x, params = random_instance(2)

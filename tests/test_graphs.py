@@ -232,6 +232,25 @@ class TestNormalizedAdjacency:
             else:
                 np.testing.assert_array_equal(field.cols, reached)
 
+    def test_block_transpose_is_the_cut_of_the_swapped_nodes(self):
+        """`T` transposes the block's own entries into exactly the arrays that
+        cutting Â[cols][:, rows] gives, since Â is bitwise symmetric."""
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            mask = rng.random((n, n)) < rng.uniform(0.0, 0.4)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
+            a = normalized_adjacency(Graph.from_edges(n, edges))
+            rows = np.flatnonzero(rng.random(n) < 0.5)
+            cols = np.flatnonzero(rng.random(n) < 0.6)
+            for block in (a.block(rows, cols), a.block(rows)):
+                if block is a:
+                    continue
+                cut = a.block(block.cols, block.rows)
+                for name in ("rows", "cols", "indptr", "indices", "data"):
+                    got, want = getattr(block.T, name), getattr(cut, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_block_over_every_node_is_the_operator(self):
         a = normalized_adjacency(Graph.from_edges(4, [(0, 1), (2, 3)]))
         assert a.block(np.arange(4)) is a

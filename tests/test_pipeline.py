@@ -62,10 +62,11 @@ class TestAccuracy:
         labels = [0, 1, 0, 2]
         assert accuracy(params, a_hat, x, labels) == 0.5
 
-    def test_labels_must_cover_nodes(self):
+    def test_labels_must_cover_nodes(self, monkeypatch):
         _, a_hat, x = self._setup()
         params = gnn.init_params(3, 4, 3, seed=0)
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(gnn, "logits", None)   # checked before the whole-graph pass
+        with pytest.raises(ValueError, match="labels must cover all nodes"):
             accuracy(params, a_hat, x, [0, 1])
 
 
@@ -233,9 +234,9 @@ class TestAgreement:
         assert any(0 < share < 1 for share in seen)
 
     def test_a_node_table_without_labels_fails_before_sampling(self, monkeypatch):
-        graph, emb, table, a_hat = pipeline.materialize_dataset(TINY, 0)
+        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(TINY, 0)
         monkeypatch.setattr(pipeline, "materialize_dataset",
-                            lambda dataset, seed: (graph, emb, replace(table, labels=None), a_hat))
+                            lambda dataset, seed: (graph, emb, replace(table, labels=None), a_hat, ax))
         monkeypatch.setattr(pipeline, "sample_bundles", None)   # a call would raise TypeError
         with pytest.raises(ValueError, match="no labels"):
             run_replicate(tiny_experiment(), 0)
@@ -291,17 +292,22 @@ class TestFileDatasetKept:
             fh.write(f"{before.shape[0]} {before.shape[1]}\n")
             fh.writelines(" ".join(f"{2 * v:.3f}" for v in row) + "\n" for row in before)
         counts = _count_loads(monkeypatch)
-        graph, emb, table, a_hat = pipeline.materialize_dataset(tiny_files, 0)
+        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(tiny_files, 0)
         assert counts == Counter(LOADS)
         np.testing.assert_array_equal(emb, np.round(2 * before, 3))
         assert pipeline.materialize_dataset(tiny_files, 0)[1] is emb
 
     def test_in_place_writes_raise(self, tiny_files):
-        graph, emb, table, a_hat = pipeline.materialize_dataset(tiny_files, 0)
-        a_hat @ emb   # builds the SciPy matrix
-        for array in (emb, a_hat.data, a_hat.indices, a_hat.indptr, graph.indices, graph.indptr):
+        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(tiny_files, 0)
+        for array in (emb, ax, a_hat.data, a_hat.indices, a_hat.indptr, graph.indices, graph.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1
+
+    def test_the_kept_propagation_is_a_hat_times_the_features(self, tiny_files):
+        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(tiny_files, 0)
+        (kept,) = pipeline._loaded_files.values()
+        assert kept[4] is ax
+        assert ax.tobytes() == (a_hat @ emb).tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_mode_runs_on_the_read_only_arrays(self, tiny_files, mode):

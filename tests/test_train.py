@@ -167,6 +167,29 @@ class TestTrain:
         assert report.loss[-1] < report.loss[0]
         assert report.refinements == []
 
+    def test_a_given_ax_trains_bitwise_as_computing_it(self):
+        """`ax=` only skips the whole-graph Â @ X: parameters, report and
+        refined bundles are bitwise those of a run that computes it."""
+        a_hat, emb, table, bundles = small_problem(noise=0.2)
+        ax = a_hat @ emb
+        ax.flags.writeable = False
+        cfg = TrainConfig(learning_rate=0.5, epochs=40, warmup_epochs=5, refine_every=5, seed=2)
+
+        def bits(params, report):
+            arrays = (*params.tensors(), report.loss, report.loss_be, report.loss_rank, report.grad_norm)
+            return ([a.tobytes() for a in arrays]
+                    + [report.refinements, report.eta, report.final_loss, report.final_grad_norm])
+
+        runs = {}
+        for kind, given in (("computed", None), ("given", ax)):
+            b = copy.deepcopy(bundles)
+            bundle_run = train(a_hat, emb, b, cfg, table.num_classes, ax=given)
+            node_run = train_on_nodes(a_hat, emb, np.arange(0, 60, 3), np.array(table.labels)[::3],
+                                      cfg, table.num_classes, ax=given)
+            runs[kind] = [bits(*bundle_run), bits(*node_run), [(x.members, x.evicted) for x in b]]
+        assert runs["given"] == runs["computed"]
+        assert bundle_run[1].refinements
+
     def test_report_jsonl_round_trip(self, tmp_path):
         import json
 
