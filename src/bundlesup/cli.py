@@ -39,7 +39,15 @@ from .pipeline import (
     standard_experiment,
     sweep,
 )
-from .sampling import CRITERIA, SamplingBudgetError, SamplingConfig, load_bundles, sample_bundles, save_bundles
+from .sampling import (
+    CRITERIA,
+    SamplingBudgetError,
+    SamplingConfig,
+    apply_refinements,
+    load_bundles,
+    sample_bundles,
+    save_bundles,
+)
 from .synth import SbmConfig, gen_sbm, homophily
 from .train import TrainConfig, TrainingDivergedError, train
 from .theorems import (
@@ -152,7 +160,8 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     gnn.save_params(os.path.join(args.out, "params"), params, seed=cfg.seed)
     report.save_jsonl(os.path.join(args.out, "report.jsonl"))
-    save_bundles(os.path.join(args.out, "bundles_refined.jsonl"), bundles)
+    refined = apply_refinements(bundles, report.refinements)
+    save_bundles(os.path.join(args.out, "bundles_refined.jsonl"), refined)
     s = report.summary()
     print(
         f"trained {s['epochs']} epochs (eta={s['eta']:.4g}): final loss {s['final_loss']:.5f}, "

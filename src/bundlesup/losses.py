@@ -25,7 +25,7 @@ rows takes about 70-85 us, against 105 us before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -48,12 +48,13 @@ def log_softmax_rows(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlatBundles:
-    """Labeled bundles flattened for vectorized loss evaluation."""
+    """Labeled bundles flattened for vectorized loss evaluation and refinement."""
 
     members: np.ndarray   # all member indices, sorted within each bundle
     offsets: np.ndarray   # (n_bundles + 1,) segment boundaries
     sizes: np.ndarray     # (n_bundles,)
     labels: np.ndarray    # (n_bundles,)
+    ids: np.ndarray       # (n_bundles,) each bundle's own id
 
     @classmethod
     def from_bundles(cls, bundles) -> "FlatBundles":
@@ -69,7 +70,18 @@ class FlatBundles:
             offsets=offsets,
             sizes=sizes,
             labels=np.array([b.label for b in labeled], dtype=np.intp),
+            ids=np.array([b.id for b in labeled], dtype=np.intp),
         )
+
+    def keep(self, mask: np.ndarray) -> "FlatBundles":
+        """The bundles with only the members where `mask` (one entry per
+        member) is true; every bundle must keep at least one member."""
+        kept = np.concatenate(([0], np.cumsum(mask, dtype=np.intp)))
+        offsets = kept[self.offsets]
+        sizes = np.diff(offsets)
+        if not sizes.all():
+            raise ValueError("a keep mask may not empty a bundle")
+        return replace(self, members=self.members[mask], offsets=offsets, sizes=sizes)
 
     @property
     def count(self) -> int:
@@ -80,8 +92,8 @@ class FlatBundles:
         """(B, B^T): B the 0/1 (bundles x rows) SciPy CSR matrix with B[b, i] = 1
         for each member i of bundle b, rows running to the largest member.
 
-        Built on first use and kept; `dataclasses.replace` makes a new
-        instance, so new members get a new operator. B @ z adds each
+        Built on first use and kept; `keep` and `dataclasses.replace` make
+        a new instance, so new members get a new operator. B @ z adds each
         bundle's member rows in ascending order, one at a time, and B^T
         adds a row's bundles in ascending order.
         """

@@ -242,7 +242,6 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
             "llm": cfg.llm, "cache": AnnotationCache(cfg.cache_path),
             "dataset_description": cfg.dataset_description}
         summary = annotate_all(bundles, table, **annotator)
-        # read before training, whose refinement shrinks the bundles in place
         labels = [b.label for b in bundles]
         truth = [mode_label([table.labels[m] for m in b.members]) for b in bundles]
         n_labeled, n_failed = summary.n_labeled, summary.n_failed

@@ -15,7 +15,7 @@ depend on evaluation order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,10 +199,27 @@ def save_bundles(path, bundles) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def apply_refinements(bundles, refinements) -> list:
+    """Copies of `bundles` with a training report's (epoch, bundle id, node)
+    evictions applied: members keep their order, and each copy's `evicted`
+    gains its own events in report order."""
+    by_id = {}
+    for epoch, bundle_id, node in refinements:
+        by_id.setdefault(bundle_id, []).append((epoch, node))
+    out = []
+    for b in bundles:
+        gone = by_id.get(b.id, [])
+        dropped = {node for _, node in gone}
+        out.append(replace(b, members=[m for m in b.members if m not in dropped], evicted=b.evicted + gone))
+    return out
+
+
 def load_bundles(path) -> list:
     """Read bundles as `save_bundles` writes them; a line that is not a
-    bundle raises a FormatError naming the path and the line."""
+    bundle, or repeats an earlier bundle's id, raises a FormatError naming
+    the path and the line."""
     bundles = []
+    seen = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -228,4 +245,7 @@ def load_bundles(path) -> list:
                 )
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: invalid bundle: {exc}") from None
+            if bundles[-1].id in seen:
+                raise FormatError(f"{path}:{lineno}: bundle id {bundles[-1].id} repeats an earlier bundle's")
+            seen.add(bundles[-1].id)
     return bundles

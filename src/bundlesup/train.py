@@ -19,7 +19,12 @@ Refinement starts after the warmup and then runs every `refine_every`
 epochs: each labeled bundle drops the members least confident in the
 bundle label, unless that would cross the size floor or all confidences
 tie within 1e-12. The confidences are the row softmax of the epoch's
-logits, computed on refinement epochs only.
+logits, computed on refinement epochs only. Training reads its bundles
+once into flat arrays (`losses.FlatBundles`) and never modifies them: a
+round returns the flat positions of the evicted members, the report
+records each as an (epoch, bundle id, node) event, and the later epochs
+supervise on the kept members. `sampling.apply_refinements` turns the
+events back into bundles.
 
 Each epoch computes only what the objective reads. With S the sorted rows
 it reads (the labeled bundles' members, or the annotated nodes) and N(S)
@@ -135,31 +140,24 @@ class TrainReport:
             fh.write(json.dumps(self.summary()) + "\n")
 
 
-def refine(p: np.ndarray, bundles, floor: int, epoch: int) -> list:
-    """One eviction round: drop members least confident in the bundle label.
+def refine(p: np.ndarray, flat: FlatBundles, floor: int) -> np.ndarray:
+    """One eviction round: the flat positions of the members to drop.
 
-    Every member attaining the minimum confidence is evicted, unless the
-    bundle would fall below `floor` or all confidences tie within
-    REFINE_TIE_TOL. Returns (epoch, bundle id, node) events.
+    `p` holds class probabilities on the rows `flat.members` index. In each
+    bundle every member attaining the minimum confidence in the bundle
+    label is evicted, unless fewer than `floor` members would remain or
+    all confidences tie within REFINE_TIE_TOL. One ascending position per
+    eviction: bundle by bundle, by node within a bundle.
     """
-    events = []
-    for b in bundles:
-        # at or below the floor, any eviction would leave fewer than `floor` members
-        if b.label is None or len(b.members) <= floor:
-            continue
-        members = np.asarray(b.members, dtype=np.intp)
-        conf = p[members, b.label]
-        low = conf.min()
-        if conf.max() - low <= REFINE_TIE_TOL:
-            continue
-        keep = conf > low
-        if int(keep.sum()) < floor:
-            continue
-        for node in members[~keep]:
-            b.evicted.append((epoch, int(node)))
-            events.append((epoch, b.id, int(node)))
-        b.members = [int(m) for m in members[keep]]
-    return events
+    starts = flat.offsets[:-1]
+    conf = p[flat.members, np.repeat(flat.labels, flat.sizes)]
+    low = np.minimum.reduceat(conf, starts)
+    spread = np.maximum.reduceat(conf, starts) - low
+    at_low = conf <= np.repeat(low, flat.sizes)
+    # the minimum always goes, so a bundle at or below the floor never qualifies
+    left = flat.sizes - np.add.reduceat(at_low, starts)
+    go = (spread > REFINE_TIE_TOL) & (left >= floor)
+    return np.flatnonzero(at_low & np.repeat(go, flat.sizes))
 
 
 def _grad_norm(grads: gnn.GcnParams) -> float:
@@ -225,10 +223,11 @@ def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = 
     """Gradient descent on the group objective; returns (params, report).
 
     A labeled bundle's label must lie in [0, n_classes) and its members in
-    the graph; anything else raises a ValueError. Bundle refinement mutates
-    `bundles` in place (members shrink, eviction history grows). With
-    cfg.refine_every > cfg.epochs, bundles are never modified. `ax` may
-    carry a precomputed Â @ X, which is then not computed again.
+    the graph; anything else raises a ValueError. `bundles` is read once
+    and left as given: the report's `refinements` lists every eviction as
+    (epoch, bundle id, node), and with cfg.refine_every > cfg.epochs there
+    are none. `ax` may carry a precomputed Â @ X, which is then not
+    computed again.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -241,15 +240,16 @@ def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = 
     else:
         evaluate = bundle_objective
 
-    def supervise():
-        flat = FlatBundles.from_bundles(bundles)
-        _refuse_outside(flat.labels, n_classes, "label", "classes")
-        _refuse_outside(flat.members, a_hat.n, "member", "graph nodes")
-        rows = np.unique(flat.members)
-        local = replace(flat, members=np.searchsorted(rows, flat.members))
-        return rows, lambda z: evaluate(z, local)
+    flat = FlatBundles.from_bundles(bundles)
+    _refuse_outside(flat.labels, n_classes, "label", "classes")
+    _refuse_outside(flat.members, a_hat.n, "member", "graph nodes")
 
-    return _descend(a_hat, x, ax, cfg, n_classes, supervise, bundles)
+    def supervise(fb):
+        rows = np.unique(fb.members)
+        local = replace(fb, members=np.searchsorted(rows, fb.members))
+        return rows, local, lambda z: evaluate(z, local)
+
+    return _descend(a_hat, x, ax, cfg, n_classes, supervise, flat)
 
 
 def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
@@ -266,7 +266,7 @@ def train_on_nodes(a_hat, x, node_idx, node_labels, cfg: TrainConfig, n_classes:
     node_labels = np.asarray(node_labels, dtype=np.intp)
     rows, local = np.unique(node_idx, return_inverse=True)
     evaluate = lambda z: node_ce_objective(z, local, node_labels)
-    return _descend(a_hat, x, ax, cfg, n_classes, lambda: (rows, evaluate), bundles=None)
+    return _descend(a_hat, x, ax, cfg, n_classes, lambda _: (rows, None, evaluate), flat=None)
 
 
 def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
@@ -275,17 +275,18 @@ def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
     return block, ax if block is a_hat else ax[block.cols]
 
 
-def _descend(a_hat, x, ax, cfg: TrainConfig, n_classes: int, supervise, bundles):
-    """Descent on the objective `supervise()` gives as (rows S, loss of the
-    logits on S); bundles, when given, are refined and re-supervised."""
+def _descend(a_hat, x, ax, cfg: TrainConfig, n_classes: int, supervise, flat):
+    """Descent on the objective `supervise(flat)` gives as (rows S, the
+    bundles with members indexed into S, loss of the logits on S); bundles,
+    when given, are refined and re-supervised."""
     params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
     if ax is None:
         ax = a_hat @ x
-    rows, evaluate = supervise()
+    rows, local, evaluate = supervise(flat)
 
     g_hat = m_hat = None
     if cfg.eta_auto:
-        if bundles is None:
+        if flat is None:
             raise ValueError("eta_auto needs bundle supervision")
         eta, g_hat, m_hat = _auto_eta(params, a_hat, x, ax, rows, cfg.seed)
     else:
@@ -321,17 +322,18 @@ def _descend(a_hat, x, ax, cfg: TrainConfig, n_classes: int, supervise, bundles)
             params.b2 -= eta * grads.b2
 
             if (
-                bundles is not None
+                flat is not None
                 and t > cfg.warmup_epochs
                 and (t - cfg.warmup_epochs) % cfg.refine_every == 0
             ):
-                # refine indexes by node id; rows outside S are never read
-                p = np.full((a_hat.n, n_classes), np.nan)
-                p[rows] = softmax_rows(trace.z)
-                events = refine(p, bundles, cfg.bundle_floor, t)
-                if events:
-                    refinements.extend(events)
-                    rows, evaluate = supervise()
+                gone = refine(softmax_rows(trace.z), local, cfg.bundle_floor)
+                if gone.size:
+                    owners = np.repeat(flat.ids, flat.sizes)[gone]
+                    refinements.extend((t, b, v) for b, v in zip(owners.tolist(), flat.members[gone].tolist()))
+                    keep = np.ones(flat.members.size, dtype=bool)
+                    keep[gone] = False
+                    flat = flat.keep(keep)
+                    rows, local, evaluate = supervise(flat)
                     block, ax_field = _field(a_hat, ax, rows)
 
     trace = gnn.forward(params, block, x, ax=ax_field)

@@ -17,7 +17,7 @@ from bundlesup.losses import (
 )
 from bundlesup.sampling import IsolatedCoreError
 from bundlesup.synth import SbmConfig
-from bundlesup.train import TrainReport, refine
+from bundlesup.train import REFINE_TIE_TOL, TrainReport
 
 logger = logging.getLogger(__name__)
 
@@ -182,11 +182,40 @@ def loss_rank(p_bundle: np.ndarray, y_hat: int) -> float:
     return -min(gap, 0.0)
 
 
+def refine_bundles(p: np.ndarray, bundles, floor: int, epoch: int) -> list:
+    """`train.refine` as a loop over `Bundle` objects, each shrunk in place.
+
+    `p` is indexed by node id. Every member attaining the minimum
+    confidence in the bundle label is evicted, unless the bundle would fall
+    below `floor` or all confidences tie within REFINE_TIE_TOL. Returns
+    (epoch, bundle id, node) events, in member order within a bundle.
+    """
+    events = []
+    for b in bundles:
+        # at or below the floor, any eviction would leave fewer than `floor` members
+        if b.label is None or len(b.members) <= floor:
+            continue
+        members = np.asarray(b.members, dtype=np.intp)
+        conf = p[members, b.label]
+        low = conf.min()
+        if conf.max() - low <= REFINE_TIE_TOL:
+            continue
+        keep = conf > low
+        if int(keep.sum()) < floor:
+            continue
+        for node in members[~keep]:
+            b.evicted.append((epoch, int(node)))
+            events.append((epoch, b.id, int(node)))
+        b.members = [int(m) for m in members[keep]]
+    return events
+
+
 def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
                       node_idx=None, node_labels=None) -> tuple:
     """`train` (with `bundles`) or `train_on_nodes` (with `node_idx`,
     `node_labels`) at a fixed learning rate, every epoch a forward and a
-    backward pass over all n nodes. Returns (params, report)."""
+    backward pass over all n nodes, refining `bundles` in place with
+    `refine_bundles`. Returns (params, report)."""
     if objective == "member_ce":
         evaluate = member_ce_objective
     elif objective == "be_only":
@@ -220,7 +249,7 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
         for p, g in zip(params.tensors(), grads.tensors()):
             p -= eta * g
         if bundles is not None and t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0:
-            events = refine(softmax_rows(trace.z), bundles, cfg.bundle_floor, t)
+            events = refine_bundles(softmax_rows(trace.z), bundles, cfg.bundle_floor, t)
             if events:
                 refinements.extend(events)
                 flat = FlatBundles.from_bundles(bundles)

@@ -219,25 +219,24 @@ def test_criterion_06_distribution_invariances():
 
 
 def test_criterion_07_refinement_contract():
+    def refined(p, bundle):
+        flat = FlatBundles.from_bundles([bundle])
+        gone = refine(p, flat, floor=2)
+        return flat.members[gone].tolist(), np.delete(flat.members, gone).tolist()
+
     outcomes = []
     # unique minimum evicted
     p = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
-    b = Bundle(id=0, core=0, members=[0, 1, 2], label=0)
-    refine(p, [b], floor=2, epoch=1)
-    outcomes.append(b.members == [0, 1] and b.evicted == [(1, 2)])
+    outcomes.append(refined(p, Bundle(id=0, core=0, members=[0, 1, 2], label=0)) == ([2], [0, 1]))
     # every minimal member evicted at once
     p = np.array([[0.9, 0.1], [0.2, 0.8], [0.2, 0.8], [0.7, 0.3], [0.6, 0.4]])
-    b = Bundle(id=1, core=0, members=[0, 1, 2, 3, 4], label=0)
-    refine(p, [b], floor=2, epoch=2)
-    outcomes.append(b.members == [0, 3, 4])
+    outcomes.append(refined(p, Bundle(id=1, core=0, members=[0, 1, 2, 3, 4], label=0))[1] == [0, 3, 4])
     # all-tie skip
-    b = Bundle(id=2, core=0, members=[0, 1, 2], label=0)
-    refine(np.full((3, 2), 0.4), [b], floor=2, epoch=3)
-    outcomes.append(b.members == [0, 1, 2])
+    outcomes.append(refined(np.full((3, 2), 0.4), Bundle(id=2, core=0, members=[0, 1, 2], label=0))[1]
+                    == [0, 1, 2])
     # floor skip
-    b = Bundle(id=3, core=0, members=[0, 1], label=0)
-    refine(np.array([[0.9, 0.1], [0.1, 0.9]]), [b], floor=2, epoch=4)
-    outcomes.append(b.members == [0, 1])
+    p = np.array([[0.9, 0.1], [0.1, 0.9]])
+    outcomes.append(refined(p, Bundle(id=3, core=0, members=[0, 1], label=0))[1] == [0, 1])
     # deterministic across repeated runs
     runs = []
     for _ in range(2):
@@ -247,8 +246,9 @@ def test_criterion_07_refinement_contract():
             members = rng.choice(30, size=5, replace=False).tolist()
             bundles.append(Bundle(id=bid, core=members[0], members=members, label=int(rng.integers(3))))
         probs = rng.dirichlet(np.ones(3), size=30)
-        events = refine(probs, bundles, floor=2, epoch=9)
-        runs.append((events, [tuple(b.members) for b in bundles]))
+        flat = FlatBundles.from_bundles(bundles)
+        gone = refine(probs, flat, floor=2)
+        runs.append((gone.tolist(), flat.members.tolist()))
     outcomes.append(runs[0] == runs[1])
     ok = all(outcomes)
     verdict(7, "refinement contract", ok, f"checks {['ok' if o else 'BAD' for o in outcomes]}")

@@ -59,8 +59,21 @@ def test_full_command_chain(dataset, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "accuracy:" in out
-    assert (rundir / "report.jsonl").exists()
-    assert (rundir / "bundles_refined.jsonl").exists()
+    # the refined file is the annotated bundles minus the report's evictions,
+    # members in their sampled order
+    evictions = {}
+    for line in (rundir / "report.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        for bundle_id, node in rec.get("evictions", []):
+            evictions.setdefault(bundle_id, []).append([rec["epoch"], node])
+    assert evictions, "expected the run to evict members"
+    given = [json.loads(l) for l in labeled.read_text().splitlines()]
+    refined = [json.loads(l) for l in (rundir / "bundles_refined.jsonl").read_text().splitlines()]
+    assert [b["id"] for b in refined] == [b["id"] for b in given]
+    for before, after in zip(given, refined):
+        gone = evictions.get(before["id"], [])
+        assert after["members"] == [m for m in before["members"] if m not in {v for _, v in gone}]
+        assert after["evicted"] == before["evicted"] + gone
 
     records = [json.loads(l) for l in (dataset / "records.jsonl").read_text().splitlines()]
     assert len(records) == 10

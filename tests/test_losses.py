@@ -249,3 +249,25 @@ class TestMembershipOperator:
         np.testing.assert_array_equal(mine.d_z, whole.d_z[rows])
         with pytest.raises(FrozenInstanceError):
             flat.members = local.members
+
+    def test_keep_is_the_bundles_flattened_without_the_dropped_members(self):
+        """`keep(mask)` equals flattening the bundles without the masked-out
+        members, ids and labels included, and builds an operator of its own;
+        a mask that empties a bundle is refused."""
+        rng = np.random.default_rng(12)
+        bundles = make_bundles(rng, 30, 8, c=3, size=5)
+        bundles[2] = Bundle(id=41, core=0, members=[0, 1, 2], label=None)
+        flat = FlatBundles.from_bundles(bundles)
+        flat.membership   # built and kept before the mask
+        mask = rng.random(flat.members.size) < 0.5
+        mask[flat.offsets[:-1]] = mask[flat.offsets[:-1] + 1] = True   # every bundle keeps two
+        kept = flat.keep(mask)
+        dropped = set(zip(np.repeat(flat.ids, flat.sizes)[~mask].tolist(), flat.members[~mask].tolist()))
+        want = FlatBundles.from_bundles(
+            [Bundle(id=b.id, core=m[0], members=m, label=b.label) for b in bundles if b.label is not None
+             for m in [[v for v in b.members if (b.id, v) not in dropped]]])
+        for name in ("members", "offsets", "sizes", "labels", "ids"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(want, name))
+        np.testing.assert_array_equal(kept.membership[0].indices, kept.members)
+        with pytest.raises(ValueError, match="empty a bundle"):
+            flat.keep(np.arange(flat.members.size) >= flat.sizes[0])

@@ -7,6 +7,7 @@ from bundlesup.sampling import (
     IsolatedCoreError,
     SamplingBudgetError,
     SamplingConfig,
+    apply_refinements,
     load_bundles,
     sample_bundles,
     sample_semantic,
@@ -227,13 +228,37 @@ def test_bundle_serialization_round_trip(tmp_path):
 
 def test_refined_bundle_with_evicted_core_reloads(tmp_path):
     # refinement may evict the core; such bundles must survive a round trip
-    b = Bundle(id=0, core=3, members=[1, 2, 3], label=0)
-    b.members = [1, 2]
-    b.evicted.append((40, 3))
+    (b,) = apply_refinements([Bundle(id=0, core=3, members=[1, 2, 3], label=0)], [(40, 0, 3)])
     path = tmp_path / "bundles.jsonl"
     save_bundles(path, [b])
     back = load_bundles(path)[0]
     assert back.core == 3 and back.members == [1, 2] and back.evicted == [(40, 3)]
+
+
+def test_apply_refinements_copies_the_bundles_minus_their_evictions():
+    bundles = [
+        Bundle(id=5, core=3, members=[3, 1, 2, 0], label=0, evicted=[(1, 9)]),
+        Bundle(id=2, core=1, members=[1, 2, 3], label=1),
+        Bundle(id=8, core=0, members=[0, 4]),
+    ]
+    before = [(b.members[:], b.evicted[:]) for b in bundles]
+    out = apply_refinements(bundles, [(30, 5, 3), (30, 2, 2), (35, 5, 0)])
+    assert [(b.id, b.core, b.members, b.label, b.evicted) for b in out] == [
+        (5, 3, [1, 2], 0, [(1, 9), (30, 3), (35, 0)]),
+        (2, 1, [1, 3], 1, [(30, 2)]),
+        (8, 0, [0, 4], None, []),
+    ]
+    assert [(b.members, b.evicted) for b in bundles] == before
+
+
+def test_a_repeated_bundle_id_names_the_path_and_line(tmp_path):
+    # evictions, annotation records and the oracle's noise name a bundle by its id
+    path = tmp_path / "bundles.jsonl"
+    path.write_text('{"id": 0, "core": 1, "members": [1, 2]}\n{"id": 1, "core": 3, "members": [3, 4]}\n'
+                    '{"id": 0, "core": 5, "members": [5, 6]}\n')
+    with pytest.raises(FormatError) as exc:
+        load_bundles(path)
+    assert str(exc.value) == f"{path}:3: bundle id 0 repeats an earlier bundle's"
 
 
 _GOOD_BUNDLE = '{"id": 0, "core": 1, "members": [1, 2]}'
