@@ -224,7 +224,7 @@ def annotate_oracle(bundle: Bundle, table: NodeTable, cfg: OracleConfig) -> int:
     including classes no node carries. Deterministic given (cfg.seed,
     bundle.id) regardless of call order.
     """
-    true = mode_label([table.labels[m] for m in bundle.members])
+    true = mode_label(table.labels[bundle.members])
     return _corrupt(true, table.num_classes, cfg.noise_rate, (cfg.seed, _STREAM_ORACLE, bundle.id))
 
 

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -78,7 +79,7 @@ def _write_dataset(out_dir, graph, emb, table, seed):
         "num_edges": graph.num_edges,
         "class_names": table.class_names,
         "seed": seed,
-        "homophily": homophily(graph, table.labels) if table.labels else None,
+        "homophily": homophily(graph, table.labels) if table.labels is not None else None,
         "files": {"edges": "edges.txt", "embeddings": "embeddings.txt", "nodes": "nodes.jsonl"},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -184,18 +185,44 @@ def cmd_eval(args):
 
 
 def _check_keys(values: dict, known, where: str) -> None:
+    if type(values) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {values!r}")
     for key in values:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(sorted(known))}")
 
 
-def _section(cls, name: str, values: dict):
-    """`cls(**values)` for the config section `name`; a ValueError names any
-    key `cls` does not have, or the first one it needs that is missing."""
-    _check_keys(values, {f.name for f in fields(cls)}, f"section {name!r}")
+# the JSON values that fill a config field of each type: an int is a float too, and a bool is no int
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+               bool: ((bool,), "true or false"), type(None): ((type(None),), "null")}
+
+
+def _check_value(value, kind, key: str, where: str) -> None:
+    """A ValueError naming `key`, `where` and the type unless the JSON `value` fills
+    a field annotated `kind`: a `_JSON_TYPES` key, a union of them, or `tuple[T, ...]`."""
+    if typing.get_origin(kind) is tuple:
+        item = _JSON_TYPES[typing.get_args(kind)[0]]
+        if type(value) is not list or not all(type(v) in item[0] for v in value):
+            raise ValueError(f"key {key!r} in {where} must be a list, each item {item[1]}, got {value!r}")
+        return
+    kinds = typing.get_args(kind) or (kind,)
+    if not any(type(value) in _JSON_TYPES[k][0] for k in kinds):
+        expected = " or ".join(_JSON_TYPES[k][1] for k in kinds)
+        raise ValueError(f"key {key!r} in {where} must be {expected}, got {value!r}")
+
+
+def _section(cls, name: str, values):
+    """`cls(**values)` for the config section `name`; a ValueError names a
+    section that is not a JSON object, any key `cls` does not have, the first
+    one it needs that is missing, or the first value of the wrong type."""
+    where = f"section {name!r}"
+    _check_keys(values, {f.name for f in fields(cls)}, where)
+    hints = typing.get_type_hints(cls)
     for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
-            raise ValueError(f"missing key {f.name!r} in section {name!r}")
+        if f.name in values:
+            _check_value(values[f.name], hints[f.name], f.name, where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing key {f.name!r} in {where}")
     return cls(**values)
 
 
@@ -214,8 +241,12 @@ def _config_from_json(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     _check_keys(raw, {f.name for f in fields(ExperimentConfig)}, "the config")
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key in ("mode", "replicate_seeds", "dataset_description", "cache_path"):
+        if key in raw:
+            _check_value(raw[key], hints[key], key, "the config")
     dataset = raw.get("dataset", {})
-    if {"edges", "embeddings", "nodes"} <= set(dataset):
+    if type(dataset) is dict and {"edges", "embeddings", "nodes"} <= set(dataset):
         ds = _section(DatasetPaths, "dataset", dataset)
         ds = replace(ds, class_names=tuple(ds.class_names))
     else:

@@ -141,7 +141,7 @@ class NodeTable:
     n: int
     class_names: list
     texts: list | None = None
-    labels: list | None = None
+    labels: np.ndarray | None = None   # given as any integer sequence, kept as a read-only intp copy
 
     def __post_init__(self):
         folded = [name.strip().casefold() for name in self.class_names]
@@ -152,12 +152,16 @@ class NodeTable:
         if self.texts is not None and len(self.texts) != self.n:
             raise ValueError("texts length differs from node count")
         if self.labels is not None:
-            if len(self.labels) != self.n:
+            given = np.asarray(self.labels)
+            if given.shape != (self.n,):
                 raise ValueError("labels length differs from node count")
-            c = len(self.class_names)
-            for i, y in enumerate(self.labels):
-                if not (0 <= y < c):
-                    raise ValueError(f"label {y} of node {i} is out of range")
+            if given.size and given.dtype.kind not in "iu":
+                raise ValueError(f"labels must be integer class indices, not {given.dtype} values")
+            bad = np.flatnonzero((given < 0) | (given >= len(self.class_names)))
+            if bad.size:
+                raise ValueError(f"label {given[bad[0]]} of node {bad[0]} is out of range")
+            object.__setattr__(self, "labels", given.astype(np.intp))
+            self.labels.flags.writeable = False
 
     @property
     def num_classes(self) -> int:
@@ -266,8 +270,9 @@ def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(n=n, indptr=indptr, indices=indices, data=vals)
 
 
-def hop_distances(graph: Graph, core: int, need: int | None = None) -> np.ndarray:
-    """Shortest-path hop counts from `core`; UNREACHABLE (-1) if disconnected.
+def hop_distances(graph, core: int, need: int | None = None) -> np.ndarray:
+    """Shortest-path hop counts from `core` in a `Graph` or the pattern of its
+    `NormalizedAdjacency`, which give the same; UNREACHABLE (-1) if disconnected.
 
     With `need`, only the levels up to the first one by which `need` other
     nodes are reached are filled in; farther nodes stay UNREACHABLE.

@@ -14,18 +14,17 @@ what it changes in sampling or refinement.
   individual        per-member cross-entropy against the bundle label
   no_refine         full losses, refinement disabled
 
-`run_replicate` is the only code that runs an arm, and `run_pipeline`
-the only loop over replicate seeds: `sweep` calls it once per axis value,
-`compare_queries` once per query kind. Replicates derive all component
-seeds from one replicate seed, so a run is reproducible end to end and
-arms on one seed share the dataset and, unless one samples at random,
-the bundles; `paired_difference` compares two reports seed by seed.
+`run_replicate` is the only code that runs an arm. `run_pipeline` loops
+over replicate seeds, once per axis value in `sweep`; `compare_queries`
+runs its two arms seed by seed. Replicates derive all component seeds
+from one replicate seed, so a run is reproducible end to end and arms on
+one seed share the dataset and, unless one samples at random, the
+bundles; `paired_difference` compares two reports seed by seed.
 
-A file dataset is loaded once per process: `materialize_dataset` keeps
-the last one it read (graph, features, node table, Â and Â·X), keyed on
-the paths, the class names and each file's identity, and returns it
-read-only to every later replicate, arm and sweep value. Training and
-evaluation take Â·X from it instead of propagating the features again.
+`materialize_dataset` returns one read-only `Dataset` per (source, seed)
+and keeps the last one, so later replicates, arms and sweep values reuse
+it. The graph is dropped once Â is built: sampling walks Â's pattern,
+the same neighbours plus a self-connection that changes no BFS level.
 """
 
 from __future__ import annotations
@@ -41,6 +40,8 @@ import numpy as np
 from . import gnn
 from .annotate import AnnotationCache, OracleConfig, annotate_all, annotate_nodes_oracle, mode_label
 from .graphs import (
+    NodeTable,
+    NormalizedAdjacency,
     load_edge_list,
     load_embeddings,
     load_node_table,
@@ -89,11 +90,21 @@ class DatasetPaths:
     edges: str
     embeddings: str
     nodes: str
-    class_names: tuple
+    class_names: tuple[str, ...]
 
 
-# the last file dataset `materialize_dataset` loaded: {key: (graph, emb, table, Â, Â·X)}
-_loaded_files = {}
+class Dataset(NamedTuple):
+    """One replicate's inputs, all read-only: Â, the (n, d) features X, Â·X
+    and the node table."""
+
+    a_hat: NormalizedAdjacency
+    x: np.ndarray
+    ax: np.ndarray
+    table: NodeTable
+
+
+# the last dataset `materialize_dataset` built: {key: Dataset}
+_kept = {}
 
 
 def _identity(path) -> tuple:
@@ -101,37 +112,37 @@ def _identity(path) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def materialize_dataset(dataset, seed: int):
-    """Return (graph, embeddings, table, Â, Â·X) for either dataset source.
+def materialize_dataset(dataset, seed: int) -> Dataset:
+    """The `Dataset` of either source: a synthetic one drawn with `seed`, or
+    the files, which are the same for every seed.
 
-    Synthetic datasets are regenerated with the replicate-derived seed.
-    File datasets are fixed across replicates, so they are loaded once per
-    process: the last one loaded is kept, keyed on its three paths, its
-    class names and each file's (device, inode, size, modification time),
-    and returned again while that key holds; a changed or different file
-    loads anew and replaces it. The kept arrays are read-only, so an
-    in-place write raises instead of reaching the next replicate. A
-    rewrite that keeps a file's inode, size and modification time is not
-    seen.
+    The last dataset built is kept and returned again while its key holds:
+    the synthetic config with `seed` filled in, or a file dataset's three
+    paths, class names and each file's (device, inode, size, modification
+    time). Another key builds anew and replaces it. A rewrite that keeps a
+    file's inode, size and modification time is not seen.
     """
     if isinstance(dataset, SbmConfig):
-        graph, emb, table = gen_sbm(replace(dataset, seed=seed))
+        key = replace(dataset, seed=seed)
+    else:
+        paths = (dataset.edges, dataset.embeddings, dataset.nodes)
+        key = (paths, tuple(dataset.class_names), tuple(_identity(p) for p in paths))
+    kept = _kept.get(key)
+    if kept is not None:
+        return kept
+    _kept.clear()
+    if isinstance(dataset, SbmConfig):
+        graph, x, table = gen_sbm(key)
         a_hat = normalized_adjacency(graph)
-        return graph, emb, table, a_hat, a_hat @ emb
-    paths = (dataset.edges, dataset.embeddings, dataset.nodes)
-    key = (paths, tuple(dataset.class_names), tuple(_identity(p) for p in paths))
-    loaded = _loaded_files.get(key)
-    if loaded is None:
-        graph = load_edge_list(dataset.edges)
-        emb = load_embeddings(dataset.embeddings)
+    else:   # the graph is freed once Â is built, before the other files load
+        a_hat = normalized_adjacency(load_edge_list(dataset.edges))
+        x = load_embeddings(dataset.embeddings)
         table = load_node_table(dataset.nodes, list(dataset.class_names))
-        a_hat = normalized_adjacency(graph)
-        ax = a_hat @ emb
-        for array in (graph.indptr, graph.indices, emb, a_hat.indptr, a_hat.indices, a_hat.data, ax):
-            array.flags.writeable = False
-        _loaded_files.clear()
-        loaded = _loaded_files[key] = (graph, emb, table, a_hat, ax)
-    return loaded
+    ax = a_hat @ x
+    for array in (x, a_hat.indptr, a_hat.indices, a_hat.data, ax):
+        array.flags.writeable = False
+    _kept[key] = Dataset(a_hat, x, ax, table)
+    return _kept[key]
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class ExperimentConfig:
     llm: LlmEndpointConfig | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     mode: str = "bundle"
-    replicate_seeds: tuple = tuple(range(10))
+    replicate_seeds: tuple[int, ...] = tuple(range(10))
     dataset_description: str = ""
     cache_path: str | None = None
 
@@ -182,8 +193,15 @@ class ReplicateResult:
 class PipelineReport:
     mode: str
     replicates: list
-    mean_accuracy: float
-    std_accuracy: float
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean([r.accuracy for r in self.replicates]))
+
+    @property
+    def std_accuracy(self) -> float:   # ddof=1; 0.0 for a single replicate
+        accs = [r.accuracy for r in self.replicates]
+        return float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
 
     def rows(self) -> list:
         out = []
@@ -208,49 +226,40 @@ def _component_seeds(replicate_seed: int) -> tuple:
     return tuple(int(s) for s in ss.generate_state(4))
 
 
-def _prepare(cfg: ExperimentConfig, replicate_seed: int) -> tuple:
-    """(emb, table, a_hat, ax, bundles, oracle config, train config) of one
-    replicate of `cfg.mode`."""
+def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult:
+    """One full pass of `cfg.mode`: dataset, bundles, annotation, training,
+    evaluation."""
     mode = MODES[cfg.mode]
     sbm_seed, samp_seed, ann_seed, train_seed = _component_seeds(replicate_seed)
-    graph, emb, table, a_hat, ax = materialize_dataset(cfg.dataset, sbm_seed)
+    a_hat, x, ax, table = materialize_dataset(cfg.dataset, sbm_seed)
     if table.labels is None:
         raise ValueError("the node table has no labels; a replicate scores its accuracy against them")
 
     scfg = replace(cfg.sampling, seed=samp_seed, criterion=mode.criterion or cfg.sampling.criterion)
-    bundles = sample_bundles(graph, emb, scfg)
+    bundles = sample_bundles(a_hat, x, scfg)
+    oracle = replace(cfg.oracle, seed=ann_seed)
     tcfg = replace(cfg.train, seed=train_seed)
     if not mode.refine:
         tcfg = replace(tcfg, refine_every=tcfg.epochs + 1)
-    return emb, table, a_hat, ax, bundles, replace(cfg.oracle, seed=ann_seed), tcfg
-
-
-def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult:
-    """One full pass of `cfg.mode`: dataset, bundles, annotation, training,
-    evaluation."""
-    emb, table, a_hat, ax, bundles, oracle, tcfg = _prepare(cfg, replicate_seed)
-    objective = MODES[cfg.mode].objective
-    if objective is None:
-        nodes = sorted({m for b in bundles for m in b.members})
+    if mode.objective is None:
+        nodes = np.unique(np.concatenate([b.members for b in bundles]))
         labels = annotate_nodes_oracle(nodes, table, oracle)
-        truth = [table.labels[v] for v in nodes]
-        n_labeled, n_failed = len(nodes), 0
-        params, report = train_on_nodes(a_hat, emb, np.asarray(nodes), labels, tcfg, table.num_classes,
-                                        ax=ax)
+        truth = table.labels[nodes]
+        n_labeled, n_failed = nodes.size, 0
+        params, report = train_on_nodes(a_hat, x, nodes, labels, tcfg, table.num_classes, ax=ax)
     else:
         annotator = {"oracle": oracle} if cfg.llm is None else {
             "llm": cfg.llm, "cache": AnnotationCache(cfg.cache_path),
             "dataset_description": cfg.dataset_description}
         summary = annotate_all(bundles, table, **annotator)
         labels = [b.label for b in bundles]
-        truth = [mode_label([table.labels[m] for m in b.members]) for b in bundles]
+        truth = [mode_label(table.labels[b.members]) for b in bundles]
         n_labeled, n_failed = summary.n_labeled, summary.n_failed
-        params, report = train(a_hat, emb, bundles, tcfg, table.num_classes, objective=objective, ax=ax)
+        params, report = train(a_hat, x, bundles, tcfg, table.num_classes, objective=mode.objective, ax=ax)
 
-    acc = accuracy(params, a_hat, emb, table.labels, ax=ax)
     return ReplicateResult(
         seed=replicate_seed,
-        accuracy=acc,
+        accuracy=accuracy(params, a_hat, x, table.labels, ax=ax),
         n_labeled=n_labeled,
         n_failed=n_failed,
         refinement_events=len(report.refinements),
@@ -261,14 +270,7 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
 
 
 def run_pipeline(cfg: ExperimentConfig) -> PipelineReport:
-    replicates = [run_replicate(cfg, s) for s in cfg.replicate_seeds]
-    accs = np.array([r.accuracy for r in replicates])
-    return PipelineReport(
-        mode=cfg.mode,
-        replicates=replicates,
-        mean_accuracy=float(accs.mean()),
-        std_accuracy=float(accs.std(ddof=1)) if accs.size > 1 else 0.0,
-    )
+    return PipelineReport(cfg.mode, [run_replicate(cfg, s) for s in cfg.replicate_seeds])
 
 
 @dataclass(frozen=True)
@@ -384,14 +386,15 @@ class QueryComparison:
 def compare_queries(cfg: ExperimentConfig) -> QueryComparison:
     """Quantify aggregation robustness: bundle labels vs per-node labels.
 
-    Runs the pipeline in mode `bundle` and in mode `individual_query` on
-    the config's seeds. Both arms are labelled by the oracle: the
-    individual-query config, built first, refuses an LLM endpoint before
-    either arm runs.
+    Runs mode `bundle` and mode `individual_query` on the config's seeds,
+    both arms of a seed one after the other, so that they share its kept
+    dataset. Both arms are labelled by the oracle: the individual-query
+    config refuses an LLM endpoint before either arm runs.
     """
-    individual = replace(cfg, mode="individual_query")
-    return QueryComparison(bundle=run_pipeline(replace(cfg, mode="bundle")),
-                           individual=run_pipeline(individual))
+    arms = (replace(cfg, mode="bundle"), replace(cfg, mode="individual_query"))
+    bundle, individual = zip(*([run_replicate(arm, s) for arm in arms] for s in cfg.replicate_seeds))
+    return QueryComparison(bundle=PipelineReport("bundle", list(bundle)),
+                           individual=PipelineReport("individual_query", list(individual)))
 
 
 def save_report_json(path, report: PipelineReport) -> None:

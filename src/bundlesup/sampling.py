@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import FormatError, Graph, hop_distances, open_text
+from .graphs import FormatError, hop_distances, open_text
 
 CRITERIA = ("topological", "semantic", "random")
 
@@ -93,14 +93,15 @@ def _hop_from_reach(reach: np.ndarray, bundle_size: int) -> int:
 
 
 def sample_topological(
-    graph: Graph, core: int, bundle_size: int, rng: np.random.Generator, bundle_id: int = 0
+    graph, core: int, bundle_size: int, rng: np.random.Generator, bundle_id: int = 0
 ) -> Bundle:
-    """Core plus a uniform sample from its adaptive-hop neighborhood."""
-    if graph.degree(core) == 0:
-        raise IsolatedCoreError(f"node {core} has no neighbors")
+    """Core plus a uniform sample from its adaptive-hop neighborhood in a
+    `Graph` or its Â, whose self-connections change no BFS level."""
     levels = hop_distances(graph, core, bundle_size - 1)
     # the only two passes over the n levels; the rest reads the reached nodes
     reached = np.flatnonzero(levels > 0)
+    if reached.size == 0:
+        raise IsolatedCoreError(f"node {core} has no neighbors")
     reach = levels[reached]
     pool = reached[reach <= _hop_from_reach(reach, bundle_size)]
     take = min(bundle_size - 1, pool.size)
@@ -137,12 +138,13 @@ def _member_rng(seed: int, bundle_id: int) -> np.random.Generator:
     return np.random.default_rng((seed, _STREAM_MEMBERS, bundle_id))
 
 
-def sample_bundles(graph: Graph, embeddings: np.ndarray, cfg: SamplingConfig) -> list:
+def sample_bundles(graph, embeddings: np.ndarray, cfg: SamplingConfig) -> list:
     """Draw cfg.num_bundles bundles with ids 0..num_bundles-1.
 
-    Cores are drawn without replacement while the node count allows it.
-    Isolated cores under the topological criterion are redrawn, up to
-    cfg.max_resample_attempts redraws in total. The node count is the
+    `graph` is a `Graph` or its `NormalizedAdjacency`; both give the same
+    bundles. Cores are drawn without replacement while the node count
+    allows it. Isolated cores under the topological criterion are redrawn,
+    up to cfg.max_resample_attempts redraws in total. The node count is the
     graph's, except under the semantic criterion, which reads only the
     (n, d) embeddings; random sampling takes either.
     """

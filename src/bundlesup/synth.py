@@ -62,7 +62,7 @@ def gen_sbm(cfg: SbmConfig):
         n=cfg.n,
         class_names=[f"class_{c}" for c in range(cfg.n_classes)],
         texts=None,
-        labels=[int(y) for y in labels],
+        labels=labels,
     )
     return graph, x, table
 

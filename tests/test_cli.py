@@ -277,6 +277,39 @@ def test_pipeline_cli_rejects_unknown_config_key(tmp_path, section, key):
     assert not (tmp_path / "out" / "pipeline_report.json").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"replicate_seeds": ["a"]}, "key 'replicate_seeds' in the config must be a list, each item an integer"),
+    ({"replicate_seeds": 5}, "key 'replicate_seeds' in the config must be a list, each item an integer"),
+    ({"dataset": {"edges": "e", "embeddings": "x", "nodes": "v", "class_names": ["a", 1]}},
+     "key 'class_names' in section 'dataset' must be a list, each item a string"),
+    ({"dataset": {"n": "big"}}, "key 'n' in section 'dataset' must be an integer"),
+    ({"train": {"epochs": "5"}}, "key 'epochs' in section 'train' must be an integer"),
+    ({"sampling": {"bundle_size": 2.5}}, "key 'bundle_size' in section 'sampling' must be an integer"),
+    ({"train": {"eta_auto": 1}}, "key 'eta_auto' in section 'train' must be true or false"),
+    ({"oracle": {"seed": True}}, "key 'seed' in section 'oracle' must be an integer"),
+    ({"sampling": [4]}, "section 'sampling' must be a JSON object"),
+    ({"mode": ["bundle"]}, "key 'mode' in the config must be a string"),
+    ({"cache_path": 3}, "key 'cache_path' in the config must be a string or null"),
+])
+def test_pipeline_cli_rejects_config_values_of_the_wrong_type(tmp_path, edit, message):
+    cfg = {"sampling": {"num_bundles": 6}, "train": {"epochs": 5}, "replicate_seeds": [0], **edit}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", "--config", cfg_path, "--out", tmp_path / "out"])
+    assert str(exc.value.code).startswith(f"bundlesup pipeline: {message}, got ")
+    assert not (tmp_path / "out" / "pipeline_report.json").exists()
+
+
+def test_pipeline_cli_takes_an_integer_for_a_float_and_null_for_an_optional_value(tmp_path):
+    cfg = {"dataset": {"n": 48, "n_classes": 4, "dim": 8}, "sampling": {"num_bundles": 6},
+           "oracle": {"noise_rate": 0}, "train": {"epochs": 5, "learning_rate": 1},
+           "replicate_seeds": [0], "cache_path": None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["pipeline", "--config", cfg_path, "--out", tmp_path / "out"]) == 0
+
+
 def test_pipeline_cli_rejects_file_dataset_without_class_names(dataset, tmp_path):
     cfg = {
         "dataset": {"edges": str(dataset / "edges.txt"), "embeddings": str(dataset / "embeddings.txt"),

@@ -367,11 +367,11 @@ class TestNodeTable:
             '{"id": 0, "label": "A"}\n{"id": 1, "label": "A"}\n{"id": 2, "label": "B"}\n',
         )
         table = load_node_table(path, ["A", "B"])
-        assert table.labels == [0, 0, 1]
+        assert np.array_equal(table.labels, [0, 0, 1])
 
     def test_case_insensitive_label(self, tmp_path):
         path = _write(tmp_path, "nodes.jsonl", '{"id": 0, "label": "a"}\n')
-        assert load_node_table(path, ["A"]).labels == [0]
+        assert np.array_equal(load_node_table(path, ["A"]).labels, [0])
 
     def test_unknown_label_rejected(self, tmp_path):
         path = _write(tmp_path, "nodes.jsonl", '{"id": 0, "label": "Z"}\n')
@@ -395,6 +395,28 @@ class TestNodeTable:
     def test_class_names_must_be_distinct_after_folding(self):
         with pytest.raises(ValueError):
             NodeTable(n=0, class_names=["A", " a "])
+
+    @pytest.mark.parametrize("labels", [[0, 1.5, 1], [0, 1.0, 1], [0, None, 1], [True, False, True],
+                                        ["0", "1", "1"]])
+    def test_labels_that_are_not_integers_are_refused(self, labels):
+        with pytest.raises(ValueError, match="integer"):
+            NodeTable(n=3, class_names=["A", "B"], labels=labels)
+
+    @pytest.mark.parametrize("labels, message", [([0, 2, 1], "label 2 of node 1 is out of range"),
+                                                 ([0, 1, -1], "label -1 of node 2 is out of range"),
+                                                 ([0, 1], "length differs")])
+    def test_labels_outside_the_classes_or_nodes_are_refused(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            NodeTable(n=3, class_names=["A", "B"], labels=labels)
+
+    def test_labels_are_a_read_only_intp_copy(self):
+        given = np.array([1, 0, 1], dtype=np.int32)
+        table = NodeTable(n=3, class_names=["A", "B"], labels=given)
+        assert table.labels.dtype == np.intp and np.array_equal(table.labels, given)
+        with pytest.raises(ValueError, match="read-only"):
+            table.labels[0] = 0
+        given[0] = 0   # the caller's array stays its own
+        assert table.labels[0] == 1
 
     @pytest.mark.parametrize("record, message", [
         ("1", "record is not a JSON object"),

@@ -1,4 +1,6 @@
+import gc
 import json
+import types
 from collections import Counter
 from dataclasses import replace
 
@@ -234,9 +236,9 @@ class TestAgreement:
         assert any(0 < share < 1 for share in seen)
 
     def test_a_node_table_without_labels_fails_before_sampling(self, monkeypatch):
-        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(TINY, 0)
+        data = pipeline.materialize_dataset(TINY, 0)
         monkeypatch.setattr(pipeline, "materialize_dataset",
-                            lambda dataset, seed: (graph, emb, replace(table, labels=None), a_hat, ax))
+                            lambda dataset, seed: data._replace(table=replace(data.table, labels=None)))
         monkeypatch.setattr(pipeline, "sample_bundles", None)   # a call would raise TypeError
         with pytest.raises(ValueError, match="no labels"):
             run_replicate(tiny_experiment(), 0)
@@ -251,7 +253,7 @@ def tiny_files(tmp_path, monkeypatch):
     cli.main(["gen-synth", "--n", "48", "--classes", "4", "--p-in", "0.4", "--p-out", "0.03",
               "--dim", "8", "--separation", "2.5", "--seed", "0", "--out", str(tmp_path)])
     names = tuple(json.loads((tmp_path / "manifest.json").read_text())["class_names"])
-    monkeypatch.setattr(pipeline, "_loaded_files", {})
+    monkeypatch.setattr(pipeline, "_kept", {})
     return pipeline.DatasetPaths(str(tmp_path / "edges.txt"), str(tmp_path / "embeddings.txt"),
                                  str(tmp_path / "nodes.jsonl"), names)
 
@@ -267,6 +269,21 @@ def _count_loads(monkeypatch) -> Counter:
     return counts
 
 
+def _graphs_reachable(root) -> list:
+    """Every `Graph` reachable from `root` by object references; types, modules
+    and functions are not followed, since their globals reach everything."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Graph):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
 class TestFileDatasetKept:
     def test_a_run_over_three_seeds_loads_once(self, tiny_files, monkeypatch):
         counts = _count_loads(monkeypatch)
@@ -279,35 +296,61 @@ class TestFileDatasetKept:
         assert counts == Counter(LOADS)
 
     def test_synthetic_datasets_are_drawn_per_seed(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_loaded_files", {})
+        monkeypatch.setattr(pipeline, "_kept", {})
         counts = _count_loads(monkeypatch)
-        run_pipeline(tiny_experiment(seeds=(0, 1)))
+        run_pipeline(tiny_experiment(seeds=(0, 1, 1)))
         assert counts == Counter({"normalized_adjacency": 2})
-        assert not pipeline._loaded_files
+        (key,) = pipeline._kept
+        assert key == replace(TINY, seed=pipeline._component_seeds(1)[0])
+
+    def test_both_query_arms_share_one_draw_per_seed(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_kept", {})
+        counts = _count_loads(monkeypatch)
+        drawn, gen_sbm = [], pipeline.gen_sbm
+        monkeypatch.setattr(pipeline, "gen_sbm", lambda cfg: drawn.append(cfg.seed) or gen_sbm(cfg))
+        comparison = compare_queries(tiny_experiment(seeds=(0, 1, 2)))
+        assert drawn == [pipeline._component_seeds(s)[0] for s in (0, 1, 2)]
+        assert counts == Counter({"normalized_adjacency": 3})
+        assert [r.seed for r in comparison.individual.replicates] == [0, 1, 2]
 
     def test_a_rewritten_file_is_loaded_again(self, tiny_files, monkeypatch):
-        before = pipeline.materialize_dataset(tiny_files, 0)[1]
+        before = pipeline.materialize_dataset(tiny_files, 0).x
         # three decimals, not the seventeen digits written: the size differs too
         with open(tiny_files.embeddings, "w", encoding="utf-8") as fh:
             fh.write(f"{before.shape[0]} {before.shape[1]}\n")
             fh.writelines(" ".join(f"{2 * v:.3f}" for v in row) + "\n" for row in before)
         counts = _count_loads(monkeypatch)
-        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(tiny_files, 0)
+        data = pipeline.materialize_dataset(tiny_files, 0)
         assert counts == Counter(LOADS)
-        np.testing.assert_array_equal(emb, np.round(2 * before, 3))
-        assert pipeline.materialize_dataset(tiny_files, 0)[1] is emb
+        np.testing.assert_array_equal(data.x, np.round(2 * before, 3))
+        assert pipeline.materialize_dataset(tiny_files, 0) is data
 
     def test_in_place_writes_raise(self, tiny_files):
-        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(tiny_files, 0)
-        for array in (emb, ax, a_hat.data, a_hat.indices, a_hat.indptr, graph.indices, graph.indptr):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] += 1
+        for dataset in (tiny_files, TINY):
+            a_hat, x, ax, table = pipeline.materialize_dataset(dataset, 0)
+            for array in (x, ax, a_hat.data, a_hat.indices, a_hat.indptr, table.labels):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] += 1
 
     def test_the_kept_propagation_is_a_hat_times_the_features(self, tiny_files):
-        graph, emb, table, a_hat, ax = pipeline.materialize_dataset(tiny_files, 0)
-        (kept,) = pipeline._loaded_files.values()
-        assert kept[4] is ax
-        assert ax.tobytes() == (a_hat @ emb).tobytes()
+        data = pipeline.materialize_dataset(tiny_files, 0)
+        (kept,) = pipeline._kept.values()
+        assert kept is data
+        assert data.ax.tobytes() == (data.a_hat @ data.x).tobytes()
+
+    @pytest.mark.parametrize("source", ["files", "synthetic"])
+    def test_sampling_reads_a_hat_and_no_graph_is_kept(self, tiny_files, monkeypatch, source):
+        sampled_on, sample_bundles = [], pipeline.sample_bundles
+        monkeypatch.setattr(pipeline, "sample_bundles",
+                            lambda graph, x, cfg: sampled_on.append(graph) or sample_bundles(graph, x, cfg))
+        run_replicate(replace(tiny_experiment(), dataset=tiny_files if source == "files" else TINY), 0)
+        (data,) = pipeline._kept.values()
+        assert sampled_on == [data.a_hat]
+        assert not _graphs_reachable(pipeline._kept)
+
+    def test_a_kept_graph_would_be_found(self):
+        graph = Graph.from_edges(2, [(0, 1)])
+        assert _graphs_reachable({"key": (np.zeros(2), [graph])}) == [graph]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_mode_runs_on_the_read_only_arrays(self, tiny_files, mode):
@@ -319,10 +362,10 @@ class TestFileDatasetKept:
         cfg = replace(tiny_experiment(noise=0.2, seeds=(0, 1, 2)), dataset=tiny_files)
         cold = []
         for seed in cfg.replicate_seeds:
-            pipeline._loaded_files.clear()
+            pipeline._kept.clear()
             cold.append(run_replicate(cfg, seed))
         warm = run_pipeline(cfg).replicates
-        pipeline._loaded_files.clear()
+        pipeline._kept.clear()
         cleared = run_pipeline(cfg).replicates
         assert [repr(r) for r in warm] == [repr(r) for r in cold] == [repr(r) for r in cleared]
         assert any(r.refinement_events for r in cold)
@@ -333,8 +376,16 @@ def _report(accuracies, seeds=None):
     replicates = [ReplicateResult(seed=s, accuracy=a, n_labeled=0, n_failed=0, refinement_events=0,
                                   final_loss=0.0, final_grad_norm=0.0, agreement=1.0)
                   for s, a in zip(seeds, accuracies)]
-    return PipelineReport(mode="bundle", replicates=replicates,
-                          mean_accuracy=float(np.mean(accuracies)), std_accuracy=0.0)
+    return PipelineReport(mode="bundle", replicates=replicates)
+
+
+def test_report_statistics_are_read_from_its_replicates():
+    report = _report([0.5, 0.75, 0.25])
+    assert report.mean_accuracy == 0.5
+    assert report.std_accuracy == 0.25   # ddof=1
+    assert _report([0.5]).std_accuracy == 0.0
+    report.replicates.pop()
+    assert report.mean_accuracy == 0.625
 
 
 class TestPairedDifference:

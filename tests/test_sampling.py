@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bundlesup.graphs import FormatError, Graph, hop_distances
+from bundlesup.graphs import FormatError, Graph, hop_distances, normalized_adjacency
 from bundlesup.sampling import (
     Bundle,
     IsolatedCoreError,
@@ -210,6 +212,32 @@ class TestBundleBasics:
     def test_uniform_sampler_small_pool(self):
         b = sample_uniform(3, 0, 5, np.random.default_rng(0))
         assert sorted(b.members) == [0, 1, 2]
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """A graph of 2-16 nodes, at least one of them isolated."""
+    n = draw(st.integers(2, 16))
+    isolated = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 4)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = [e for e in draw(st.lists(pair, min_size=n, max_size=4 * n)) if not isolated & set(e)]
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_isolated_nodes(), st.integers(2, 9), st.integers(1, 24), st.integers(0, 8),
+       st.integers(0, 2**32), st.sampled_from(["topological", "random"]))
+def test_the_normalized_adjacency_gives_the_graphs_bundles(graph, bundle_size, num_bundles, attempts,
+                                                          seed, criterion):
+    cfg = SamplingConfig(criterion=criterion, bundle_size=bundle_size, num_bundles=num_bundles,
+                         seed=seed, max_resample_attempts=attempts)
+    outcomes = []
+    for pattern in (graph, normalized_adjacency(graph)):
+        try:
+            outcomes.append(sample_bundles(pattern, None, cfg))
+        except SamplingBudgetError as exc:
+            outcomes.append(("exhausted", exc.succeeded, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_bundle_serialization_round_trip(tmp_path):
