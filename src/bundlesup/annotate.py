@@ -21,12 +21,12 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import llm as llm_client
-from .graphs import NodeTable
+from .graphs import FormatError, NodeTable
 from .sampling import Bundle
 
 logger = logging.getLogger(__name__)
@@ -74,9 +74,9 @@ class AnnotationRecord:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "AnnotationRecord":
-        return cls(**json.loads(line))
+
+# the keys of every cache line, as `to_json` writes them
+_RECORD_FIELDS = frozenset(f.name for f in fields(AnnotationRecord))
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,9 @@ class AnnotationCache:
     """Append-only JSONL store keyed by prompt digest; safe across threads.
 
     A last line that is not valid JSON, as left by a crash mid-append, is
-    dropped from the file with a warning; a bad line anywhere else raises.
+    dropped from the file with a warning. Any other line that is not a JSON
+    object with exactly `AnnotationRecord`'s fields raises a FormatError
+    naming the path and line.
     Inside `appending()`, every `put` writes through one open handle and
     flushes; outside it, each `put` opens the file for its one record.
     """
@@ -264,17 +266,20 @@ class AnnotationCache:
             lines = fh.readlines()
         offset = 0
         for lineno, raw in enumerate(lines, start=1):
-            line = raw.decode("utf-8")
-            if line.strip():
+            if raw.strip():
                 try:
-                    rec = AnnotationRecord.from_json(line)
-                except json.JSONDecodeError:
+                    values = json.loads(raw.decode("utf-8"))
+                except ValueError as exc:   # not UTF-8, or not JSON
                     if any(rest.strip() for rest in lines[lineno:]):
-                        raise
+                        raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
                     logger.warning("%s:%d: dropping a cut-short last line", path, lineno)
                     # later appends must start on a line of their own
                     os.truncate(path, offset)
                     return
+                if type(values) is not dict or values.keys() != _RECORD_FIELDS:
+                    raise FormatError(f"{path}:{lineno}: not an annotation record, a JSON object with "
+                                      f"exactly the keys {', '.join(sorted(_RECORD_FIELDS))}")
+                rec = AnnotationRecord(**values)
                 self._records[rec.prompt_sha256] = rec
             offset += len(raw)
 

@@ -27,6 +27,7 @@ from .graphs import (
     save_embeddings,
 )
 from .llm import LlmEndpointConfig
+from .losses import FlatBundles
 from .pipeline import (
     DatasetPaths,
     ExperimentConfig,
@@ -157,7 +158,7 @@ def cmd_train(args):
     bundles = load_bundles(args.bundles)
     n_classes = args.classes if args.classes else len(_class_names(args))
     a_hat = normalized_adjacency(graph)
-    params, report = train(a_hat, emb, bundles, cfg, n_classes)
+    params, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, n_classes)
     os.makedirs(args.out, exist_ok=True)
     gnn.save_params(os.path.join(args.out, "params"), params, seed=cfg.seed)
     report.save_jsonl(os.path.join(args.out, "report.jsonl"))

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import AdjacencyBlock, NormalizedAdjacency, load_embeddings, save_embeddings
+from .graphs import AdjacencyBlock, FormatError, NormalizedAdjacency, load_embeddings, save_embeddings
 
 
 @dataclass
@@ -310,12 +310,14 @@ def _propagate(ax_nbr: np.ndarray, a_ij: np.ndarray, starts: np.ndarray, h_pre: 
     return s, t, ah
 
 
+_TENSOR_NAMES = ("w1", "b1", "w2", "b2")
+
+
 def save_params(out_dir, params: GcnParams, seed: int = None) -> None:
     """Write one text matrix per tensor plus a manifest of shapes."""
     os.makedirs(out_dir, exist_ok=True)
-    names = ["w1", "b1", "w2", "b2"]
     manifest = {"tensors": {}, "seed": seed}
-    for name, tensor in zip(names, params.tensors()):
+    for name, tensor in zip(_TENSOR_NAMES, params.tensors()):
         mat = tensor if tensor.ndim == 2 else tensor[None, :]
         save_embeddings(os.path.join(out_dir, f"{name}.txt"), mat)
         manifest["tensors"][name] = list(tensor.shape)
@@ -324,9 +326,24 @@ def save_params(out_dir, params: GcnParams, seed: int = None) -> None:
 
 
 def load_params(out_dir) -> GcnParams:
-    with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """The parameters `save_params` wrote; a manifest that does not describe
+    the four tensor files raises a FormatError naming it."""
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    tensors = manifest.get("tensors") if type(manifest) is dict else None
+    if type(tensors) is not dict:
+        raise FormatError(f"{path}: manifest has no tensors object")
+    if sorted(tensors) != sorted(_TENSOR_NAMES):
+        raise FormatError(f"{path}: tensors must be {', '.join(_TENSOR_NAMES)}, got {', '.join(tensors) or 'none'}")
     loaded = {}
-    for name, shape in manifest["tensors"].items():
-        loaded[name] = load_embeddings(os.path.join(out_dir, f"{name}.txt")).reshape(shape)
+    for name, shape in tensors.items():
+        values = load_embeddings(os.path.join(out_dir, f"{name}.txt"))
+        if type(shape) is not list or any(type(k) is not int or k < 0 for k in shape) \
+                or values.size != np.prod(shape, dtype=np.int64):
+            raise FormatError(f"{path}: {name} has shape {shape}, but {name}.txt holds {values.size} values")
+        loaded[name] = values.reshape(shape)
     return GcnParams(**loaded)

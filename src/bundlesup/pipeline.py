@@ -1,14 +1,15 @@
 """End-to-end experiment runner: sample, annotate, train, evaluate.
 
 `MODES` holds the ablation lattice: each mode's training objective and
-what it changes in sampling or refinement.
+what it changes in sampling or refinement. Every mode trains through one
+`train` call on one `FlatBundles`; only annotation differs by mode.
 
   bundle            the full method: proximity sampling, group losses,
                     refinement
   random_sampling   members drawn uniformly instead of by proximity
   individual_query  every distinct member annotated on its own by the
-                    oracle, plain node-level cross-entropy, no bundles in
-                    the loss
+                    oracle and supervised as a group of one, plain
+                    node-level cross-entropy, no bundles in the loss
   r_only            ranking loss only (entropy term dropped)
   be_only           entropy loss only (ranking term dropped)
   individual        per-member cross-entropy against the bundle label
@@ -48,13 +49,14 @@ from .graphs import (
     normalized_adjacency,
 )
 from .llm import LlmEndpointConfig
+from .losses import FlatBundles
 from .sampling import SamplingConfig, sample_bundles
 from .synth import SbmConfig, gen_sbm
-from .train import TrainConfig, train, train_on_nodes
+from .train import TrainConfig, train
 
 
 class Mode(NamedTuple):
-    objective: str | None       # `train`'s objective; None: oracle node labels, node CE
+    objective: str              # `train`'s objective; "node_ce" annotates each node on its own
     criterion: str | None = None  # sampling criterion in place of the config's
     refine: bool = True
 
@@ -62,7 +64,7 @@ class Mode(NamedTuple):
 MODES = {
     "bundle": Mode("full"),
     "random_sampling": Mode("full", criterion="random"),
-    "individual_query": Mode(None),
+    "individual_query": Mode("node_ce", refine=False),
     "r_only": Mode("rank_only"),
     "be_only": Mode("be_only"),
     "individual": Mode("member_ce"),
@@ -203,22 +205,9 @@ class PipelineReport:
         accs = [r.accuracy for r in self.replicates]
         return float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
 
-    def rows(self) -> list:
-        out = []
-        for r in self.replicates:
-            out.append(
-                {
-                    "mode": self.mode,
-                    "seed": r.seed,
-                    "accuracy": r.accuracy,
-                    "n_labeled": r.n_labeled,
-                    "n_failed": r.n_failed,
-                    "refinement_events": r.refinement_events,
-                    "final_loss": r.final_loss,
-                    "final_grad_norm": r.final_grad_norm,
-                }
-            )
-        return out
+    def rows(self) -> list:   # per replicate: the mode, then every result field but agreement
+        return [{"mode": self.mode, **{k: v for k, v in vars(r).items() if k != "agreement"}}
+                for r in self.replicates]
 
 
 def _component_seeds(replicate_seed: int) -> tuple:
@@ -241,12 +230,12 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
     tcfg = replace(cfg.train, seed=train_seed)
     if not mode.refine:
         tcfg = replace(tcfg, refine_every=tcfg.epochs + 1)
-    if mode.objective is None:
+    if mode.objective == "node_ce":
         nodes = np.unique(np.concatenate([b.members for b in bundles]))
         labels = annotate_nodes_oracle(nodes, table, oracle)
         truth = table.labels[nodes]
         n_labeled, n_failed = nodes.size, 0
-        params, report = train_on_nodes(a_hat, x, nodes, labels, tcfg, table.num_classes, ax=ax)
+        groups = FlatBundles.from_nodes(nodes, labels)
     else:
         annotator = {"oracle": oracle} if cfg.llm is None else {
             "llm": cfg.llm, "cache": AnnotationCache(cfg.cache_path),
@@ -255,7 +244,8 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
         labels = [b.label for b in bundles]
         truth = [mode_label(table.labels[b.members]) for b in bundles]
         n_labeled, n_failed = summary.n_labeled, summary.n_failed
-        params, report = train(a_hat, x, bundles, tcfg, table.num_classes, objective=mode.objective, ax=ax)
+        groups = FlatBundles.from_bundles(bundles)
+    params, report = train(a_hat, x, groups, tcfg, table.num_classes, objective=mode.objective, ax=ax)
 
     return ReplicateResult(
         seed=replicate_seed,

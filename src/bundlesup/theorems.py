@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gnn
 from .graphs import Graph, normalized_adjacency
-from .losses import log_softmax_rows, softmax_rows
+from .losses import FlatBundles, log_softmax_rows, softmax_rows
 from .annotate import OracleConfig, annotate_all
 from .sampling import SamplingConfig, sample_bundles
 from .synth import SbmConfig, gen_sbm
@@ -399,9 +399,8 @@ def verify_theorem3(
         seed=seed,
         refine_every=TrainConfig.refine_every if refinement else epochs + 1,
     )
-    params, report = train(
-        normalized_adjacency(graph), emb, bundles, tcfg, table.num_classes, objective="be_only"
-    )
+    groups = FlatBundles.from_bundles(bundles)
+    params, report = train(normalized_adjacency(graph), emb, groups, tcfg, table.num_classes, objective="be_only")
 
     eta = report.eta
     smoothness_const = 2 * params.n_params * (report.m_hat + report.g_hat**2)

@@ -19,22 +19,24 @@ Refinement starts after the warmup and then runs every `refine_every`
 epochs: each labeled bundle drops the members least confident in the
 bundle label, unless that would cross the size floor or all confidences
 tie within 1e-12. The confidences are the row softmax of the epoch's
-logits, computed on refinement epochs only. Training reads its bundles
-once into flat arrays (`losses.FlatBundles`) and never modifies them: a
-round returns the flat positions of the evicted members, the report
-records each as an (epoch, bundle id, node) event, and the later epochs
-supervise on the kept members. `sampling.apply_refinements` turns the
-events back into bundles.
+logits, computed on refinement epochs only. `train` is the one training
+path: it takes its groups as one `losses.FlatBundles` and never modifies
+it. Bundle queries are the labeled bundles; individual queries are
+annotated nodes as groups of one, under the node cross-entropy, and a
+group of one is never refined. A round returns the flat positions of the
+evicted members, the report records each as an (epoch, bundle id, node)
+event, and the later epochs supervise on the kept members.
+`sampling.apply_refinements` turns the events back into bundles.
 
 Each epoch computes only what the objective reads. With S the sorted rows
-it reads (the labeled bundles' members, or the annotated nodes) and N(S)
-their neighbours in Â, self included, the GCN runs on the block
-Â[S, N(S)]: hidden rows on N(S), logits on S (see `gnn`; its trace keeps
-Â @ X, H, Â @ H and Z). A logit of S depends on no hidden row outside
-N(S), so this is the whole-graph descent restricted to the rows that carry
-gradient, not an approximation. Â @ X is computed once over the whole
-graph, or passed in as `ax` by a caller that keeps it; the block is
-rebuilt only when a refinement evicts members.
+it reads (the groups' members) and N(S) their neighbours in Â, self
+included, the GCN runs on the block Â[S, N(S)]: hidden rows on N(S),
+logits on S (see `gnn`; its trace keeps Â @ X, H, Â @ H and Z). A logit
+of S depends on no hidden row outside N(S), so this is the whole-graph
+descent restricted to the rows that carry gradient, not an approximation.
+Â @ X is computed once over the whole graph, or passed in as `ax` by a
+caller that keeps it; the block is rebuilt only when a refinement evicts
+members.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from .losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_
 
 REFINE_TIE_TOL = 1e-12
 
-OBJECTIVES = ("full", "be_only", "rank_only", "member_ce")
+# the `bundle_objective` terms of each group objective
+_TERMS = {"full": ("be", "rank"), "be_only": ("be",), "rank_only": ("rank",)}
+OBJECTIVES = (*_TERMS, "member_ce", "node_ce")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -126,14 +130,8 @@ class TrainReport:
             by_epoch.setdefault(epoch, []).append([bundle_id, node])
         with open(path, "w", encoding="utf-8") as fh:
             for t in range(self.epochs):
-                rec = {
-                    "kind": "epoch",
-                    "epoch": t + 1,
-                    "loss": float(self.loss[t]),
-                    "loss_be": float(self.loss_be[t]),
-                    "loss_rank": float(self.loss_rank[t]),
-                    "grad_norm": float(self.grad_norm[t]),
-                }
+                rec = {"kind": "epoch", "epoch": t + 1,
+                       **{k: float(getattr(self, k)[t]) for k in ("loss", "loss_be", "loss_rank", "grad_norm")}}
                 if t + 1 in by_epoch:
                     rec["evictions"] = by_epoch[t + 1]
                 fh.write(json.dumps(rec) + "\n")
@@ -218,55 +216,16 @@ def _auto_eta(params, a_hat, x, ax: np.ndarray, members: np.ndarray, seed: int) 
     return eta, g_hat, m_hat
 
 
-def train(a_hat, x, bundles, cfg: TrainConfig, n_classes: int, objective: str = "full",
-          ax: np.ndarray = None):
-    """Gradient descent on the group objective; returns (params, report).
-
-    A labeled bundle's label must lie in [0, n_classes) and its members in
-    the graph; anything else raises a ValueError. `bundles` is read once
-    and left as given: the report's `refinements` lists every eviction as
-    (epoch, bundle id, node), and with cfg.refine_every > cfg.epochs there
-    are none. `ax` may carry a precomputed Â @ X, which is then not
-    computed again.
-    """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if objective == "member_ce":
-        evaluate = member_ce_objective
-    elif objective == "be_only":
-        evaluate = lambda z, fb: bundle_objective(z, fb, terms=("be",))
-    elif objective == "rank_only":
-        evaluate = lambda z, fb: bundle_objective(z, fb, terms=("rank",))
-    else:
-        evaluate = bundle_objective
-
-    flat = FlatBundles.from_bundles(bundles)
-    _refuse_outside(flat.labels, n_classes, "label", "classes")
-    _refuse_outside(flat.members, a_hat.n, "member", "graph nodes")
-
-    def supervise(fb):
-        rows = np.unique(fb.members)
-        local = replace(fb, members=np.searchsorted(rows, fb.members))
-        return rows, local, lambda z: evaluate(z, local)
-
-    return _descend(a_hat, x, ax, cfg, n_classes, supervise, flat)
-
-
 def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
     bad = values[(values < 0) | (values >= bound)]
     if bad.size:
         raise ValueError(f"bundle {what} {bad[0]} is outside the {bound} {of}")
 
 
-def train_on_nodes(a_hat, x, node_idx, node_labels, cfg: TrainConfig, n_classes: int,
-                   ax: np.ndarray = None):
-    """Train on individually annotated nodes with plain cross-entropy; `ax`
-    as in `train`."""
-    node_idx = np.asarray(node_idx, dtype=np.intp)
-    node_labels = np.asarray(node_labels, dtype=np.intp)
-    rows, local = np.unique(node_idx, return_inverse=True)
-    evaluate = lambda z: node_ce_objective(z, local, node_labels)
-    return _descend(a_hat, x, ax, cfg, n_classes, lambda _: (rows, None, evaluate), flat=None)
+def _supervised(groups: FlatBundles) -> tuple:
+    """The sorted rows S the objective reads, and `groups` with members indexed into S."""
+    rows = np.unique(groups.members)
+    return rows, replace(groups, members=np.searchsorted(rows, groups.members))
 
 
 def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
@@ -275,81 +234,82 @@ def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
     return block, ax if block is a_hat else ax[block.cols]
 
 
-def _descend(a_hat, x, ax, cfg: TrainConfig, n_classes: int, supervise, flat):
-    """Descent on the objective `supervise(flat)` gives as (rows S, the
-    bundles with members indexed into S, loss of the logits on S); bundles,
-    when given, are refined and re-supervised."""
+def _evaluate(objective: str, z: np.ndarray, groups: FlatBundles):
+    """`objective` at the logits on S, with the members of `groups` indexed
+    into S. The loss functions are looked up by name on each call, so a
+    wrapper installed on this module's names is the one that runs."""
+    if objective == "member_ce":
+        return member_ce_objective(z, groups)
+    if objective == "node_ce":
+        return node_ce_objective(z, groups.members, groups.labels)
+    return bundle_objective(z, groups, terms=_TERMS[objective])
+
+
+def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objective: str = "full",
+          ax: np.ndarray = None):
+    """Gradient descent on the group objective; returns (params, report).
+
+    `groups` holds the labeled bundles (`FlatBundles.from_bundles`) or, for
+    `objective="node_ce"`, individually annotated nodes as groups of one
+    (`FlatBundles.from_nodes`); node_ce refuses a group of more than one
+    member. A label must lie in [0, n_classes) and a member in the graph;
+    anything else raises a ValueError. `groups` is left as given: the
+    report's `refinements` lists every eviction as (epoch, bundle id,
+    node), and with cfg.refine_every > cfg.epochs there are none. A group
+    of one is never refined, since the floor is at least 2. `ax` may carry
+    a precomputed Â @ X, which is then not computed again.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    if objective == "node_ce" and (groups.sizes != 1).any():
+        raise ValueError(f"objective node_ce supervises groups of one node, got one of {groups.sizes.max()}")
+    _refuse_outside(groups.labels, n_classes, "label", "classes")
+    _refuse_outside(groups.members, a_hat.n, "member", "graph nodes")
+
     params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
     if ax is None:
         ax = a_hat @ x
-    rows, local, evaluate = supervise(flat)
+    rows, local = _supervised(groups)
 
     g_hat = m_hat = None
     if cfg.eta_auto:
-        if flat is None:
-            raise ValueError("eta_auto needs bundle supervision")
         eta, g_hat, m_hat = _auto_eta(params, a_hat, x, ax, rows, cfg.seed)
     else:
         eta = cfg.learning_rate
 
     block, ax_field = _field(a_hat, ax, rows)
-    t_max = cfg.epochs
-    loss = np.empty(t_max)
-    loss_be = np.empty(t_max)
-    loss_rank = np.empty(t_max)
-    grad_norm = np.empty(t_max)
+    curves = np.empty((4, cfg.epochs))   # per epoch: loss, its two terms, gradient norm
     refinements = []
 
     # a diverging step overflows in the forward pass and the objective before
     # the loss check sees a non-finite value; the check, not NumPy's
     # floating-point warnings, reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(1, t_max + 1):
+        for t in range(1, cfg.epochs + 1):
             trace = gnn.forward(params, block, x, ax=ax_field)
-            value = evaluate(trace.z)
+            value = _evaluate(objective, trace.z, local)
             if not np.isfinite(value.loss):
                 raise TrainingDivergedError(t, eta)
             grads = gnn.backward(params, block, x, trace, value.d_z)
-            idx = t - 1
-            loss[idx] = value.loss
-            loss_be[idx] = value.be_mean
-            loss_rank[idx] = value.rank_mean
-            grad_norm[idx] = _grad_norm(grads)
+            curves[:, t - 1] = value.loss, value.be_mean, value.rank_mean, _grad_norm(grads)
+            for tensor, grad in zip(params.tensors(), grads.tensors()):
+                tensor -= eta * grad
 
-            params.w1 -= eta * grads.w1
-            params.b1 -= eta * grads.b1
-            params.w2 -= eta * grads.w2
-            params.b2 -= eta * grads.b2
-
-            if (
-                flat is not None
-                and t > cfg.warmup_epochs
-                and (t - cfg.warmup_epochs) % cfg.refine_every == 0
-            ):
+            if t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0:
                 gone = refine(softmax_rows(trace.z), local, cfg.bundle_floor)
                 if gone.size:
-                    owners = np.repeat(flat.ids, flat.sizes)[gone]
-                    refinements.extend((t, b, v) for b, v in zip(owners.tolist(), flat.members[gone].tolist()))
-                    keep = np.ones(flat.members.size, dtype=bool)
+                    owners = np.repeat(groups.ids, groups.sizes)[gone]
+                    refinements.extend((t, b, v) for b, v in zip(owners.tolist(), groups.members[gone].tolist()))
+                    keep = np.ones(groups.members.size, dtype=bool)
                     keep[gone] = False
-                    flat = flat.keep(keep)
-                    rows, local, evaluate = supervise(flat)
+                    groups = groups.keep(keep)
+                    rows, local = _supervised(groups)
                     block, ax_field = _field(a_hat, ax, rows)
 
     trace = gnn.forward(params, block, x, ax=ax_field)
-    value = evaluate(trace.z)
+    value = _evaluate(objective, trace.z, local)
     final_grads = gnn.backward(params, block, x, trace, value.d_z)
-
-    report = TrainReport(
-        loss=loss,
-        loss_be=loss_be,
-        loss_rank=loss_rank,
-        grad_norm=grad_norm,
-        refinements=refinements,
-        eta=eta,
-        final_loss=value.loss,
-        final_grad_norm=_grad_norm(final_grads),
-        g_hat=g_hat,
-        m_hat=m_hat,
-    )
-    return params, report
+    loss, loss_be, loss_rank, grad_norm = curves
+    return params, TrainReport(loss=loss, loss_be=loss_be, loss_rank=loss_rank, grad_norm=grad_norm,
+                               refinements=refinements, eta=eta, final_loss=value.loss,
+                               final_grad_norm=_grad_norm(final_grads), g_hat=g_hat, m_hat=m_hat)

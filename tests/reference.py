@@ -212,8 +212,8 @@ def refine_bundles(p: np.ndarray, bundles, floor: int, epoch: int) -> list:
 
 def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
                       node_idx=None, node_labels=None) -> tuple:
-    """`train` (with `bundles`) or `train_on_nodes` (with `node_idx`,
-    `node_labels`) at a fixed learning rate, every epoch a forward and a
+    """`train` on `bundles`, or on `node_idx` with `node_labels` as groups of
+    one under node_ce, at a fixed learning rate, every epoch a forward and a
     backward pass over all n nodes, refining `bundles` in place with
     `refine_bundles`. Returns (params, report)."""
     if objective == "member_ce":

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bundlesup.annotate import (
     mode_label,
     parse_response,
 )
-from bundlesup.graphs import NodeTable
+from bundlesup.graphs import FormatError, NodeTable
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.sampling import Bundle
 
@@ -233,7 +234,7 @@ class TestCache:
 
     def test_json_round_trip(self):
         rec = self._record()
-        assert AnnotationRecord.from_json(rec.to_json()) == rec
+        assert AnnotationRecord(**json.loads(rec.to_json())) == rec
 
     def test_cut_short_last_line_is_dropped(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -254,7 +255,36 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         good = self._record(sha="k1").to_json()
         path.write_text(good + "\n" + good[:25] + "\n" + self._record(sha="k2").to_json() + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: invalid JSON: "):
+            AnnotationCache(path)
+
+    @pytest.mark.parametrize("line", [
+        b'{"foo": 1}',
+        b'[1, 2]',
+        b'null',
+        b'"text"',
+        b'{"bundle_id": 0, "prompt_sha256": "k9"}',
+        None,   # a whole record with one more key
+    ])
+    @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
+    def test_a_line_that_is_not_a_record_names_the_path_and_line(self, tmp_path, line, last):
+        """Valid JSON that is not an object with exactly the record's keys
+        raises wherever it stands; only a cut-short last line is dropped."""
+        if line is None:
+            line = json.dumps({**json.loads(self._record(sha="k9").to_json()), "extra": 1}).encode()
+        path = tmp_path / "cache.jsonl"
+        good = [self._record(sha=k).to_json().encode() for k in ("k1", "k2")]
+        lines = [good[0], good[1], line] if last else [good[0], line, good[1]]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        where = 3 if last else 2
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{where}: not an annotation record"):
+            AnnotationCache(path)
+
+    def test_a_line_that_is_not_utf8_names_the_path_and_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = self._record(sha="k1").to_json().encode()
+        path.write_bytes(good + b"\n\xff\xfe\n" + good + b"\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: invalid JSON: 'utf-8' codec"):
             AnnotationCache(path)
 
 

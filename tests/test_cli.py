@@ -479,6 +479,42 @@ def test_a_broken_manifest_exits_with_a_message_naming_it(labeled, tmp_path, sta
     assert not (tmp_path / "o").exists()
 
 
+_BAD_PARAMS = {
+    "bad-json": ('{"tensors": [}', ":1: invalid JSON: Expecting value"),
+    "empty": ("{}", ": manifest has no tensors object"),
+    "tensors-not-an-object": ('{"tensors": [[8, 4], [4]]}', ": manifest has no tensors object"),
+    "unknown-tensor": ('{"tensors": {"w1": [8, 4], "b1": [4], "w2": [4, 4], "b2": [4], "w3": [4]}}',
+                       ": tensors must be w1, b1, w2, b2, got w1, b1, w2, b2, w3"),
+    "shape-not-filled": ('{"tensors": {"w1": [8, 5], "b1": [4], "w2": [4, 4], "b2": [4]}}',
+                         r": w1 has shape \[8, 5\], but w1.txt holds 32 values"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_PARAMS)
+def test_a_broken_params_manifest_exits_with_a_message_naming_it(labeled, tmp_path, case):
+    text, message = _BAD_PARAMS[case]
+    params = tmp_path / "params"
+    gnn.save_params(params, gnn.init_params(8, 4, 4, seed=0))
+    (params / "manifest.json").write_text(text + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--params", params, "--graph", labeled / "edges.txt", "--embeddings",
+             labeled / "embeddings.txt", "--nodes", labeled / "nodes.jsonl", "--manifest", labeled / "manifest.json"])
+    assert re.fullmatch(f"bundlesup eval: {re.escape(str(params / 'manifest.json'))}{message}", exc.value.code)
+
+
+@pytest.mark.parametrize("lines, where", [
+    (['{"foo": 1}'], ":1: not an annotation record"),
+    (["{", '{"foo": 1}'], ":1: invalid JSON: "),
+], ids=["not-a-record", "corrupt-line-before-the-last"])
+def test_a_broken_annotation_cache_exits_with_a_message_naming_the_line(labeled, tmp_path, lines, where):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(SystemExit) as exc:
+        run(_required(labeled, tmp_path / "o")["annotate-llm"] + ["--cache", cache])
+    assert exc.value.code.startswith(f"bundlesup annotate: {cache}{where}")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("stage", ["annotate-oracle", "train"])
 def test_a_bundle_file_without_members_exits_with_a_message_naming_the_line(labeled, tmp_path, stage):
     bundles = tmp_path / "bundles.jsonl"

@@ -164,6 +164,33 @@ class TestObjectiveGradients:
         _, g = total_loss_and_grad(z, both)
         np.testing.assert_allclose(g, (g1 + g2) / 2, atol=1e-14)
 
+    def test_nodes_are_groups_of_one_in_the_given_order(self):
+        """`from_nodes` keeps order and repeats; node_ce on its groups is
+        `node_ce_objective` on the nodes and labels given."""
+        flat = FlatBundles.from_nodes([5, 2, 5, 0], [1, 0, 2, 2])
+        np.testing.assert_array_equal(flat.members, [5, 2, 5, 0])
+        np.testing.assert_array_equal(flat.offsets, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(flat.sizes, [1, 1, 1, 1])
+        np.testing.assert_array_equal(flat.labels, [1, 0, 2, 2])
+        np.testing.assert_array_equal(flat.ids, [0, 1, 2, 3])
+        # a group of one's distribution is its node's softmax: the entropy
+        # term is the node's cross-entropy
+        z = np.random.default_rng(11).normal(size=(6, 3))
+        assert bundle_objective(z, flat, terms=("be",)).loss == pytest.approx(
+            node_ce_objective(z, flat.members, flat.labels).loss, rel=1e-14)
+
+    @pytest.mark.parametrize("nodes, labels, message", [
+        ([], [], "no annotated nodes"),
+        ([0, 1], [0], "one label per node"),
+        ([[0, 1]], [[0, 1]], "one label per node"),
+        ([0, 1.5], [0, 1], "must be integers"),
+        ([0, 1], [0.0, 1.0], "must be integers"),
+        ([0, 1], [True, False], "must be integers"),
+    ])
+    def test_nodes_without_one_label_each_are_refused(self, nodes, labels, message):
+        with pytest.raises(ValueError, match=message):
+            FlatBundles.from_nodes(nodes, labels)
+
     def test_no_labeled_bundles_rejected(self):
         with pytest.raises(ValueError, match="labeled"):
             FlatBundles.from_bundles([Bundle(id=0, core=0, members=[0, 1])])

@@ -11,6 +11,7 @@ from bundlesup import cli, gnn, pipeline
 from bundlesup.annotate import OracleConfig
 from bundlesup.graphs import Graph, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
+from bundlesup.losses import FlatBundles
 from bundlesup.pipeline import (
     MODES,
     ExperimentConfig,
@@ -116,6 +117,27 @@ class TestRunPipeline:
             replace(tiny_experiment(mode="individual_query"), llm=llm)
         with pytest.raises(ValueError, match="oracle"):
             replace(tiny_experiment(), llm=llm, mode="individual_query")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_trains_through_one_train_call(self, monkeypatch, mode):
+        """One `train` call per replicate, on one `FlatBundles` and the
+        mode's objective; individual queries are groups of one."""
+        calls, train = [], pipeline.train
+
+        def spy(*args, **kwargs):
+            groups = args[2]
+            calls.append((type(groups), kwargs["objective"], bool((groups.sizes == 1).all())))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", spy)
+        run_pipeline(tiny_experiment(mode=mode, seeds=(0, 1, 2)))
+        assert calls == [(FlatBundles, MODES[mode].objective, mode == "individual_query")] * 3
+
+    def test_individual_query_trains_with_the_derived_step(self):
+        cfg = tiny_experiment(mode="individual_query", seeds=(0,))
+        rep = run_pipeline(replace(cfg, train=replace(cfg.train, eta_auto=True))).replicates[0]
+        assert np.isfinite(rep.final_loss)
+        assert 0.0 <= rep.accuracy <= 1.0
 
 
 class TestSweep:

@@ -17,7 +17,6 @@ from bundlesup.train import (
     estimate_logit_bounds,
     refine,
     train,
-    train_on_nodes,
 )
 from bundlesup import gnn, kernels
 
@@ -179,10 +178,9 @@ class TestTrain:
     def test_bitwise_deterministic(self):
         a_hat, emb, table, bundles = small_problem()
         cfg = TrainConfig(learning_rate=0.4, epochs=40, warmup_epochs=5, refine_every=10, seed=3)
-        import copy
-
-        p1, r1 = train(a_hat, emb, copy.deepcopy(bundles), cfg, table.num_classes)
-        p2, r2 = train(a_hat, emb, copy.deepcopy(bundles), cfg, table.num_classes)
+        groups = FlatBundles.from_bundles(bundles)
+        p1, r1 = train(a_hat, emb, groups, cfg, table.num_classes)
+        p2, r2 = train(a_hat, emb, groups, cfg, table.num_classes)
         for ta, tb in zip(p1.tensors(), p2.tensors()):
             np.testing.assert_array_equal(ta, tb)
         np.testing.assert_array_equal(r1.loss, r2.loss)
@@ -191,26 +189,26 @@ class TestTrain:
 
     def test_refine_every_beyond_epochs_never_refines(self):
         a_hat, emb, table, bundles = small_problem()
-        sizes_before = [len(b.members) for b in bundles]
         cfg = TrainConfig(learning_rate=0.4, epochs=30, refine_every=31, warmup_epochs=0, seed=0)
-        _, report = train(a_hat, emb, bundles, cfg, table.num_classes)
+        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         assert report.refinements == []
-        assert [len(b.members) for b in bundles] == sizes_before
 
     def test_bundles_are_left_as_given(self):
-        """Refinement evicts from flat copies: the caller's bundles, members
-        and eviction history, equal a deep copy taken before training."""
+        """Refinement evicts from new flat arrays: every array of the
+        caller's groups equals a copy taken before training."""
         a_hat, emb, table, bundles = small_problem(noise=0.2)
-        before = copy.deepcopy(bundles)
+        groups = FlatBundles.from_bundles(bundles)
+        before = copy.deepcopy(groups)
         cfg = TrainConfig(learning_rate=0.5, epochs=60, warmup_epochs=10, refine_every=10, seed=0)
-        _, report = train(a_hat, emb, bundles, cfg, table.num_classes)
+        _, report = train(a_hat, emb, groups, cfg, table.num_classes)
         assert report.refinements, "expected at least one eviction"
-        assert bundles == before
+        for name in ("members", "offsets", "sizes", "labels", "ids"):
+            np.testing.assert_array_equal(getattr(groups, name), getattr(before, name))
 
     def test_refinement_events_recorded_in_window(self):
         a_hat, emb, table, bundles = small_problem(noise=0.2)
         cfg = TrainConfig(learning_rate=0.5, epochs=60, warmup_epochs=10, refine_every=10, seed=0)
-        _, report = train(a_hat, emb, bundles, cfg, table.num_classes)
+        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         assert report.refinements, "expected at least one eviction"
         for epoch, bundle_id, node in report.refinements:
             assert 10 < epoch <= 60
@@ -221,12 +219,12 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e9, epochs=200, refine_every=300, seed=0)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingDivergedError):
-                train(a_hat, emb, bundles, cfg, table.num_classes)
+                train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
 
     def test_report_fields_finite_and_sized(self):
         a_hat, emb, table, bundles = small_problem()
         cfg = TrainConfig(learning_rate=0.4, epochs=25, refine_every=100, seed=1)
-        _, report = train(a_hat, emb, bundles, cfg, table.num_classes)
+        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         for arr in (report.loss, report.loss_be, report.loss_rank, report.grad_norm):
             assert arr.shape == (25,)
             assert np.isfinite(arr).all()
@@ -235,13 +233,11 @@ class TestTrain:
 
     def test_objective_variants_run(self):
         a_hat, emb, table, bundles = small_problem()
-        import copy
-
         for objective in ("be_only", "rank_only", "member_ce"):
             _, report = train(
                 a_hat,
                 emb,
-                copy.deepcopy(bundles),
+                FlatBundles.from_bundles(bundles),
                 TrainConfig(learning_rate=0.3, epochs=10, refine_every=100, seed=0),
                 table.num_classes,
                 objective=objective,
@@ -249,13 +245,40 @@ class TestTrain:
             assert np.isfinite(report.loss).all()
 
     def test_node_supervision_path(self):
+        """Annotated nodes train as groups of one under node_ce; refinement
+        may run but never evicts from a group of one."""
         a_hat, emb, table, _ = small_problem()
-        idx = np.arange(30)
-        labels = np.array(table.labels)[:30]
-        cfg = TrainConfig(learning_rate=0.4, epochs=30, refine_every=100, seed=0)
-        params, report = train_on_nodes(a_hat, emb, idx, labels, cfg, table.num_classes)
+        groups = FlatBundles.from_nodes(np.arange(30), table.labels[:30])
+        cfg = TrainConfig(learning_rate=0.4, epochs=30, warmup_epochs=0, refine_every=1, seed=0)
+        params, report = train(a_hat, emb, groups, cfg, table.num_classes, objective="node_ce")
         assert report.loss[-1] < report.loss[0]
         assert report.refinements == []
+
+    def test_node_ce_refuses_a_group_of_more_than_one(self):
+        a_hat, emb, table, _ = small_problem()
+        groups = FlatBundles(members=np.array([0, 1, 2]), offsets=np.array([0, 1, 3]), sizes=np.array([1, 2]),
+                             labels=np.array([0, 1]), ids=np.array([0, 1]))
+        with pytest.raises(ValueError, match="node_ce supervises groups of one node, got one of 2"):
+            train(a_hat, emb, groups, TrainConfig(epochs=2), table.num_classes, objective="node_ce")
+
+    @pytest.mark.parametrize("nodes, labels, message", [
+        ([0, 60], [0, 1], "bundle member 60 is outside the 60 graph nodes"),
+        ([0, -1], [0, 1], "bundle member -1 is outside the 60 graph nodes"),
+        ([0, 1], [0, 4], "bundle label 4 is outside the 4 classes"),
+    ])
+    def test_node_supervision_checks_members_and_labels(self, nodes, labels, message):
+        a_hat, emb, table, _ = small_problem()
+        with pytest.raises(ValueError, match=message):
+            train(a_hat, emb, FlatBundles.from_nodes(nodes, labels), TrainConfig(epochs=2), table.num_classes,
+                  objective="node_ce")
+
+    def test_eta_auto_trains_on_nodes(self):
+        a_hat, emb, table, _ = small_problem()
+        groups = FlatBundles.from_nodes(np.arange(0, 60, 2), table.labels[::2])
+        cfg = TrainConfig(epochs=5, eta_auto=True, seed=0, hidden=8)
+        params, report = train(a_hat, emb, groups, cfg, table.num_classes, objective="node_ce")
+        assert report.eta == 0.9 / (params.n_params * (report.m_hat + report.g_hat**2))
+        assert report.loss[-1] < report.loss[0]
 
     def test_a_given_ax_trains_bitwise_as_computing_it(self):
         """`ax=` only skips the whole-graph Â @ X: parameters and report,
@@ -271,10 +294,10 @@ class TestTrain:
                     + [report.refinements, report.eta, report.final_loss, report.final_grad_norm])
 
         runs = {}
+        nodes = FlatBundles.from_nodes(np.arange(0, 60, 3), table.labels[::3])
         for kind, given in (("computed", None), ("given", ax)):
-            bundle_run = train(a_hat, emb, bundles, cfg, table.num_classes, ax=given)
-            node_run = train_on_nodes(a_hat, emb, np.arange(0, 60, 3), np.array(table.labels)[::3],
-                                      cfg, table.num_classes, ax=given)
+            bundle_run = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes, ax=given)
+            node_run = train(a_hat, emb, nodes, cfg, table.num_classes, objective="node_ce", ax=given)
             runs[kind] = [bits(*bundle_run), bits(*node_run)]
         assert runs["given"] == runs["computed"]
         assert bundle_run[1].refinements
@@ -284,7 +307,7 @@ class TestTrain:
 
         a_hat, emb, table, bundles = small_problem(noise=0.2)
         cfg = TrainConfig(learning_rate=0.5, epochs=40, warmup_epochs=5, refine_every=5, seed=0)
-        _, report = train(a_hat, emb, bundles, cfg, table.num_classes)
+        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         path = tmp_path / "report.jsonl"
         report.save_jsonl(path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -409,7 +432,7 @@ class TestBoundEstimates:
     def test_eta_auto_consistent_with_estimates(self):
         a_hat, emb, table, bundles = small_problem()
         cfg = TrainConfig(epochs=5, eta_auto=True, refine_every=100, seed=0, hidden=8)
-        _, report = train(a_hat, emb, bundles, cfg, table.num_classes)
+        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         n_d = emb.shape[1] * 8 + 8 + 8 * table.num_classes + table.num_classes
         # 1.8/L with the smoothness constant L = 2*n_d*(M+G^2); parameters
         # shared by all members leave no 1/|B| factor in L
@@ -451,7 +474,7 @@ def assert_close(got, want):
 class TestSupervisedField:
     @settings(max_examples=150, deadline=None)
     @given(problem=field_problems(),
-           objective=st.sampled_from(("full", "be_only", "rank_only", "member_ce", "nodes")),
+           objective=st.sampled_from(("full", "be_only", "rank_only", "member_ce", "node_ce")),
            refine_every=st.sampled_from((2, 3, 100)), seed=st.integers(0, 3))
     def test_matches_whole_graph_training(self, problem, objective, refine_every, seed):
         """Training on Â[S, N(S)] reproduces whole-graph training: losses and
@@ -462,14 +485,14 @@ class TestSupervisedField:
         a_hat, x, bundles, c = problem
         cfg = TrainConfig(learning_rate=0.5, epochs=12, warmup_epochs=2, refine_every=refine_every,
                           seed=seed, hidden=6)
-        if objective == "nodes":
-            idx = np.concatenate([b.members for b in bundles])   # repeats allowed
-            labels = np.array([b.label for b in bundles for _ in b.members])
-            got = train_on_nodes(a_hat, x, idx, labels, cfg, c)
+        if objective == "node_ce":   # each member a group of one; the first one twice
+            idx = np.concatenate([b.members for b in bundles] + [bundles[0].members[:1]])
+            labels = np.array([b.label for b in bundles for _ in b.members] + [bundles[0].label])
+            got = train(a_hat, x, FlatBundles.from_nodes(idx, labels), cfg, c, objective=objective)
             want = whole_graph_train(a_hat, x, cfg, c, node_idx=idx, node_labels=labels)
         else:
             theirs = copy.deepcopy(bundles)
-            got = train(a_hat, x, bundles, cfg, c, objective=objective)
+            got = train(a_hat, x, FlatBundles.from_bundles(bundles), cfg, c, objective=objective)
             want = whole_graph_train(a_hat, x, cfg, c, objective=objective, bundles=theirs)
             mine = apply_refinements(bundles, got[1].refinements)
             assert [(b.members, b.evicted) for b in mine] == [(b.members, sorted(b.evicted)) for b in theirs]
@@ -505,7 +528,7 @@ class TestSupervisedField:
 
         monkeypatch.setattr(kernels, "spmm", recording)
         cfg = TrainConfig(learning_rate=0.5, epochs=20, warmup_epochs=2, refine_every=2, seed=0, hidden=8)
-        _, report = train(normalized_adjacency(graph), emb, bundles, cfg, table.num_classes)
+        _, report = train(normalized_adjacency(graph), emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         assert report.refinements, "expected refinement to shrink the field"
         assert calls[0] == (graph.n, graph.n)
         assert len(calls) == 1 + 2 * (cfg.epochs + 1)
