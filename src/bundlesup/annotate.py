@@ -21,7 +21,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,8 +75,11 @@ class AnnotationRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-# the keys of every cache line, as `to_json` writes them
-_RECORD_FIELDS = frozenset(f.name for f in fields(AnnotationRecord))
+# the keys of every cache line, as `to_json` writes them, and the JSON
+# types each value may take; a bool is not an int here
+_RECORD_TYPES = {"bundle_id": (int,), "prompt_sha256": (str,), "raw_response": (str,),
+                 "label": (int, type(None)), "attempts": (int,), "annotator": (str,),
+                 "error": (str, type(None))}
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,8 @@ class AnnotationCache:
 
     A last line that is not valid JSON, as left by a crash mid-append, is
     dropped from the file with a warning. Any other line that is not a JSON
-    object with exactly `AnnotationRecord`'s fields raises a FormatError
-    naming the path and line.
+    object with exactly `AnnotationRecord`'s fields, each of its type,
+    raises a FormatError naming the path and line.
     Inside `appending()`, every `put` writes through one open handle and
     flushes; outside it, each `put` opens the file for its one record.
     """
@@ -276,9 +279,13 @@ class AnnotationCache:
                     # later appends must start on a line of their own
                     os.truncate(path, offset)
                     return
-                if type(values) is not dict or values.keys() != _RECORD_FIELDS:
+                if type(values) is not dict or values.keys() != _RECORD_TYPES.keys():
                     raise FormatError(f"{path}:{lineno}: not an annotation record, a JSON object with "
-                                      f"exactly the keys {', '.join(sorted(_RECORD_FIELDS))}")
+                                      f"exactly the keys {', '.join(sorted(_RECORD_TYPES))}")
+                for key, allowed in _RECORD_TYPES.items():
+                    if type(values[key]) not in allowed:
+                        kinds = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                        raise FormatError(f"{path}:{lineno}: {key} must be {kinds}, got {values[key]!r}")
                 rec = AnnotationRecord(**values)
                 self._records[rec.prompt_sha256] = rec
             offset += len(raw)

@@ -4,23 +4,39 @@ Forward map, for normalized adjacency A, an (n, d) float64 feature array
 X and parameters (W1, b1, W2, b2):
 
     H = relu(A X W1 + b1)
-    Z = A H W2 + b2
+    Z = A (H W2) + b2
 
-The trace of a pass keeps what `backward` reads: A X, H, A H and the
-logits Z. The ReLU mask is H > 0, and the subgradient at exactly zero is
-fixed to zero. Class probabilities are `losses.softmax_rows(Z)`.
-`logits` computes Z alone, for scoring: it propagates the c columns of
-H W2 through A instead of the h columns of H. Everything is float64 and
-deterministic.
+The second layer transforms before it propagates (Kipf & Welling, ICLR
+2017), so A carries the c columns of H W2, not the h of H. The trace of
+a pass keeps what `backward` and refinement read: A X, H, the logits Z
+and, where the second layer propagated first (below), P H. The ReLU
+mask is H > 0, and the subgradient at exactly zero is fixed to zero.
+Class probabilities are `losses.softmax_rows(Z)`. Everything is float64
+and deterministic.
 
 A row of Z depends on the rows of H at its node's neighbours and on
-nothing else. So `forward` and `backward` also run on a row block
-Â[S, N(S)] (`NormalizedAdjacency.block`), N(S) holding every neighbour
-of S, self included: H on N(S), then Z on S. Training passes the rows S
-its objective reads and gets their logits and the exact gradients, with
-no work on rows that no loss term reads. The block keeps Â's column order
-within each row, so each logit adds the same terms in the same order as
-the whole-graph pass, and on S = every node the block is Â itself.
+nothing else. So `forward` and `backward` also run with any sparse
+operator P in place of the second A whose columns are N(S), every
+neighbour of a node set S, self included: H on N(S), then logits on P's
+rows. P is the row block Â[S, N(S)] (`NormalizedAdjacency.block`), whose
+logits are those of S, or its `group_means`, whose logits are the mean
+logits of node groups. Training passes the P its objective reads and
+gets those logits and the exact gradients, with no work on rows that no
+loss term reads. The block keeps Â's column order within each row, so
+each logit adds the same terms in the same order as the whole-graph
+pass, and on S = every node the block is Â itself.
+
+Through group means the second layer is P (H W2) + b2 or (P H) W2 + b2,
+whichever takes fewer multiply-adds over a forward and a backward pass
+(`_propagates_first`): the first on small fields of a few classes, the
+second when P has far fewer rows than columns and c is large, as the
+group means of a large field have. The two differ only by rounding,
+and the choice depends on the shapes alone. Â and its row blocks always
+transform first.
+
+Parameters and their gradients may live in one flat vector in
+`GcnParams.to_vector` order, with `GcnParams.on` views onto it;
+`backward` writes its gradients into such views.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import AdjacencyBlock, FormatError, NormalizedAdjacency, load_embeddings, save_embeddings
+from .graphs import FormatError, NormalizedAdjacency, SparseRows, load_embeddings, save_embeddings
 
 
 @dataclass
@@ -62,14 +78,17 @@ class GcnParams:
         return np.concatenate([t.ravel() for t in self.tensors()])
 
     def from_vector(self, vec: np.ndarray) -> "GcnParams":
-        d, h, c = self.dims
-        shapes = [(d, h), (h,), (h, c), (c,)]
-        parts, pos = [], 0
-        for shape in shapes:
-            size = int(np.prod(shape))
-            parts.append(np.asarray(vec[pos:pos + size], dtype=np.float64).reshape(shape).copy())
-            pos += size
-        return GcnParams(*parts)
+        """Parameters of this shape holding a copy of `vec`."""
+        return GcnParams.on(np.array(vec, dtype=np.float64), *self.dims)
+
+    @classmethod
+    def on(cls, vec: np.ndarray, d: int, h: int, c: int) -> "GcnParams":
+        """The four tensors as views onto the flat float64 vector `vec`, in
+        `to_vector` order: writing a tensor writes `vec`, and the reverse."""
+        if vec.shape != (d * h + h + h * c + c,):
+            raise ValueError(f"a flat vector of {d * h + h + h * c + c} parameters is needed, got shape {vec.shape}")
+        w1, b1, w2, b2 = np.split(vec, np.cumsum([d * h, h, h * c]))
+        return cls(w1.reshape(d, h), b1, w2.reshape(h, c), b2)
 
     def copy(self) -> "GcnParams":
         return GcnParams(*(t.copy() for t in self.tensors()))
@@ -78,15 +97,16 @@ class GcnParams:
 @dataclass
 class ForwardTrace:
     """The arrays of one forward pass that `backward` reads: A X, the hidden
-    layer H, A H and the logits Z.
+    layer H, P H where the second layer propagated first (else None), and
+    the logits Z.
 
-    On a block Â[S, N(S)], ax and h hold the rows N(S), and ah and z the
-    rows S.
+    With an operator P whose columns are N(S) in place of the second A, ax
+    and h hold the rows N(S), and ph and z the rows of P.
     """
 
     ax: np.ndarray
     h: np.ndarray
-    ah: np.ndarray
+    ph: np.ndarray | None
     z: np.ndarray
 
 
@@ -105,75 +125,81 @@ def init_params(d: int, h: int, c: int, seed: int) -> GcnParams:
     )
 
 
-def forward(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray,
-            ax: np.ndarray = None) -> ForwardTrace:
+def forward(params: GcnParams, a_hat, x: np.ndarray, ax: np.ndarray = None) -> ForwardTrace:
     """Run the two-layer convolution on features `x`; `ax` may carry a
     precomputed A @ X.
 
-    On a block `a_hat` = Â[S, N(S)], `ax` is required and holds the rows
-    N(S) of Â @ X; the logits are those of the rows S. H and Z are built in
+    `a_hat` is Â itself or an operator P onto its columns N(S) (see the
+    module docstring), for which `ax` is required and holds the rows N(S)
+    of Â @ X; the logits are those of P's rows. H and Z are built in
     place: no pre-activation array outlives the ReLU.
     """
-    ax, hidden = _hidden(params, a_hat, x, ax)
-    ah = a_hat @ hidden
-    z = ah @ params.w2
-    z += params.b2
-    return ForwardTrace(ax=ax, h=hidden, ah=ah, z=z)
-
-
-def logits(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray,
-           ax: np.ndarray = None) -> np.ndarray:
-    """The logits Z = A (H W2) + b2 alone, for scoring; `ax` may carry A @ X.
-
-    The second propagation carries the c columns of H W2 instead of the h
-    of H, so Z equals `forward(...).z` up to rounding, not bitwise.
-    """
-    _, hidden = _hidden(params, a_hat, x, ax)
-    z = a_hat @ (hidden @ params.w2)
-    z += params.b2
-    return z
-
-
-def _hidden(params: GcnParams, a_hat, x: np.ndarray, ax: np.ndarray) -> tuple:
-    """(A @ X, H) after checking `x` against the params and the adjacency;
-    H is built in place, so no pre-activation array outlives the ReLU."""
     d, h, c = params.dims
     if x.shape[1] != d:
         raise ValueError(f"features have {x.shape[1]} columns, params expect {d}")
     if x.shape[0] != a_hat.n:
         raise ValueError("feature rows do not match the adjacency")
     if ax is None:
-        if isinstance(a_hat, AdjacencyBlock):
-            raise ValueError("a row block needs ax, the rows of A @ X at its columns")
+        if not isinstance(a_hat, NormalizedAdjacency):
+            raise ValueError("an operator other than Â needs ax, the rows of Â @ X at its columns")
         ax = a_hat @ x
     hidden = ax @ params.w1
     hidden += params.b1
     np.maximum(hidden, 0.0, out=hidden)
-    return ax, hidden
+    z, ph = second_layer(params, a_hat, hidden)
+    return ForwardTrace(ax=ax, h=hidden, ph=ph, z=z)
 
 
-def backward(
-    params: GcnParams,
-    a_hat: NormalizedAdjacency,
-    x: np.ndarray,
-    trace: ForwardTrace,
-    d_z: np.ndarray,
-) -> GcnParams:
+def second_layer(params: GcnParams, a_hat, hidden: np.ndarray) -> tuple:
+    """(Z, P H) of the hidden rows `hidden` through `a_hat` = P, as `forward`
+    computes them; P H is None where the layer transformed first."""
+    if _propagates_first(a_hat, *params.dims[1:]):
+        ph = a_hat @ hidden
+        z = ph @ params.w2
+    else:
+        ph = None
+        z = a_hat @ (hidden @ params.w2)
+    z += params.b2
+    return z, ph
+
+
+def _propagates_first(a_hat, h: int, c: int) -> bool:
+    """Whether the second layer through `a_hat` = P is (P H) W2: for group
+    means (`SparseRows`) that take fewer multiply-adds that way over a
+    forward and a backward pass, 2 nnz(P) h + 3 rows h c against
+    2 nnz(P) c + 3 cols h c. Â and its row blocks keep P (H W2), so a
+    block's logits stay bitwise the whole graph's rows."""
+    if not isinstance(a_hat, SparseRows):
+        return False
+    rows, cols = a_hat.shape
+    return 2 * a_hat.indices.size * (h - c) < 3 * h * c * (cols - rows)
+
+
+def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: np.ndarray,
+             out: GcnParams = None) -> GcnParams:
     """Exact gradients of any scalar loss whose logit gradient is `d_z`.
 
     The logit gradient flows back through `a_hat.T`: Â itself on the whole
-    graph, by symmetry, and Â[N(S), S] on a block Â[S, N(S)]. Returns a
-    GcnParams-shaped container of gradients.
+    graph, by symmetry, and P^T for an operator P. The gradients are
+    written into `out`, views onto one flat vector (`GcnParams.on`), which
+    a new vector backs when `out` is None; returns `out`.
     """
     if d_z.shape != trace.z.shape:
         raise ValueError(f"upstream gradient shape {d_z.shape} != logits {trace.z.shape}")
-    d_w2 = trace.ah.T @ d_z
-    d_b2 = d_z.sum(axis=0)
-    a_dz = a_hat.T @ d_z
-    d_hidden = (a_dz @ params.w2.T) * (trace.h > 0.0)
-    d_w1 = trace.ax.T @ d_hidden
-    d_b1 = d_hidden.sum(axis=0)
-    return GcnParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
+    if out is None:
+        out = GcnParams.on(np.empty(params.n_params), *params.dims)
+    if trace.ph is None:
+        d_hw = a_hat.T @ d_z
+        np.matmul(trace.h.T, d_hw, out=out.w2)
+        d_hidden = d_hw @ params.w2.T
+    else:
+        np.matmul(trace.ph.T, d_z, out=out.w2)
+        d_hidden = a_hat.T @ (d_z @ params.w2.T)
+    d_z.sum(axis=0, out=out.b2)
+    d_hidden *= trace.h > 0.0
+    np.matmul(trace.ax.T, d_hidden, out=out.w1)
+    d_hidden.sum(axis=0, out=out.b1)
+    return out
 
 
 def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray, probe,

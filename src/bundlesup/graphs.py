@@ -2,7 +2,8 @@
 
 A graph stores its edges only as CSR arrays (`indptr`, `indices`);
 `Graph.edge_array` lists them as pairs. `_csr` builds every CSR from its
-entries, and `_block_csr` cuts a block out of a stored one.
+entries, `_block_csr` cuts a block out of a stored one, and
+`group_means` averages an operator's rows over groups of them.
 
 File formats
 ------------
@@ -35,8 +36,6 @@ import numpy as np
 from . import kernels
 
 logger = logging.getLogger(__name__)
-
-UNREACHABLE = -1
 
 # the largest node count n whose n * n fits in intp: edge keys are lo * n + hi
 MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
@@ -168,6 +167,15 @@ class NodeTable:
         return len(self.class_names)
 
 
+def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, cols: int) -> tuple:
+    """CSR (indptr, indices, data) of the transpose of a CSR matrix with `cols`
+    columns; a stable sort by column keeps each of its rows ascending."""
+    order = np.argsort(indices, kind="stable")
+    out = np.zeros(cols + 1, dtype=np.intp)
+    np.cumsum(np.bincount(indices, minlength=cols), out=out[1:])
+    return out, _row_ids(indptr)[order], data[order]
+
+
 class _SparseOperator:
     """`@ dense` through `kernels.spmm` on one SciPy matrix, built on the first product and kept."""
 
@@ -180,6 +188,30 @@ class _SparseOperator:
     @cached_property
     def _matrix(self):
         return kernels.csr(self.indptr, self.indices, self.data, self.shape[1])
+
+    def group_means(self, offsets: np.ndarray, members: np.ndarray) -> "SparseRows":
+        """P = diag(1/|B|)·B·M, M this operator and B the 0/1 matrix of the
+        groups members[offsets[g]:offsets[g + 1]] of its rows: row g of P is
+        the mean of M's rows of group g, so P @ Y is the groups' mean rows
+        of M @ Y.
+
+        Each entry adds its members' values of M strictly in the order
+        `members` lists them, then divides the sum by the group size; the
+        columns of a row ascend. A member may repeat.
+        """
+        sizes = np.diff(offsets)
+        counts = self.indptr[members + 1] - self.indptr[members]
+        entries = _row_entries(self.indptr, members)
+        cols = self.shape[1]
+        keys = np.repeat(np.repeat(np.arange(sizes.size), sizes), counts) * cols + self.indices[entries]
+        order = np.argsort(keys, kind="stable")   # keeps member order within an entry
+        keys = keys[order]
+        first = np.diff(keys, prepend=-1) != 0
+        sums = np.bincount(np.cumsum(first) - 1, weights=self.data[entries[order]])
+        rows, cols_of = np.divmod(keys[first], cols)
+        indptr = np.zeros(sizes.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=sizes.size), out=indptr[1:])
+        return SparseRows(self.n, (sizes.size, cols), indptr, cols_of, sums / sizes[rows])
 
 
 @dataclass(frozen=True)
@@ -250,12 +282,26 @@ class AdjacencyBlock(_SparseOperator):
     @cached_property
     def T(self):
         # Â[cols][:, rows] is this block's transpose: Â's entries dinv[u] * dinv[v]
-        # are bitwise symmetric, and a stable sort by column keeps each row ascending
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.zeros(self.cols.size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.indices, minlength=self.cols.size), out=indptr[1:])
-        return AdjacencyBlock(self.adjacency, self.cols, self.rows, indptr,
-                              _row_ids(self.indptr)[order], self.data[order])
+        # are bitwise symmetric
+        return AdjacencyBlock(self.adjacency, self.cols, self.rows,
+                              *_transpose(self.indptr, self.indices, self.data, self.cols.size))
+
+
+@dataclass(frozen=True)
+class SparseRows(_SparseOperator):
+    """A CSR operator onto rows of the graph's node space, such as the group
+    means `group_means` builds; `n` is the graph's node count."""
+
+    n: int
+    shape: tuple
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
+
+    @cached_property
+    def T(self) -> "SparseRows":
+        rows, cols = self.shape
+        return SparseRows(self.n, (cols, rows), *_transpose(self.indptr, self.indices, self.data, cols))
 
 
 def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:
@@ -270,16 +316,18 @@ def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(n=n, indptr=indptr, indices=indices, data=vals)
 
 
-def hop_distances(graph, core: int, need: int | None = None) -> np.ndarray:
+def hop_distances(graph, core: int, need: int | None = None) -> tuple:
     """Shortest-path hop counts from `core` in a `Graph` or the pattern of its
-    `NormalizedAdjacency`, which give the same; UNREACHABLE (-1) if disconnected.
+    `NormalizedAdjacency`, which give the same, as (nodes, levels) over the
+    nodes reached (`kernels.bfs_levels`): `core` first at level 0, then
+    level by level, ascending within a level. Unreached nodes are absent.
 
     With `need`, only the levels up to the first one by which `need` other
-    nodes are reached are filled in; farther nodes stay UNREACHABLE.
+    nodes are reached are returned.
     """
     if not (0 <= core < graph.n):
         raise ValueError(f"core {core} out of range for n={graph.n}")
-    return kernels.bfs_levels(graph.indptr, graph.indices, graph.n, core, need)
+    return kernels.bfs_levels(graph.indptr, graph.indices, core, need)
 
 
 @contextmanager

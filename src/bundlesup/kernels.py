@@ -1,5 +1,7 @@
 """The two hot kernels: CSR-sparse times dense product, and BFS hop counts."""
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -25,24 +27,28 @@ def spmm(indptr, indices, data, dense, *, matrix=None):
     return matrix @ dense
 
 
-def bfs_levels(indptr, indices, n, source, need=None):
-    """Breadth-first hop counts from `source`; unreached nodes get -1.
+def bfs_levels(indptr, indices, source, need=None):
+    """Breadth-first hop counts from `source`, as (nodes, levels): the
+    nodes reached, level by level and ascending within a level, the source
+    first at level 0, and the hop count of each.
 
     With `need`, the search stops after the first complete level by which
-    at least `need` nodes other than `source` are reached; nodes beyond
-    that level stay -1. Without it, or when the component holds fewer,
-    every reachable node gets its level.
+    at least `need` nodes other than `source` are reached. Without it, or
+    when the component holds fewer, every reachable node is returned.
+    Nothing the size of the graph is allocated or scanned: the search
+    keeps the nodes it reached in a set, which costs less than NumPy calls
+    at the few dozen nodes a bundle's search reaches.
     """
-    levels = np.full(n, -1, dtype=np.intp)
-    levels[source] = 0
-    frontier = np.array([source], dtype=np.intp)
-    depth = 0
-    reached = 0
-    while frontier.size and (need is None or reached < need):
-        depth += 1
-        chunks = [indices[indptr[u]:indptr[u + 1]] for u in frontier]
-        neighbors = np.unique(np.concatenate(chunks))
-        frontier = neighbors[levels[neighbors] < 0]
-        levels[frontier] = depth
-        reached += frontier.size
-    return levels
+    seen = {source}
+    found = [[source]]
+    while found[-1] and (need is None or len(seen) - 1 < need):
+        level = set()
+        for u in found[-1]:
+            level.update(indices[indptr[u]:indptr[u + 1]].tolist())
+        level -= seen
+        seen |= level
+        found.append(sorted(level))
+    if not found[-1]:
+        found.pop()
+    levels = np.repeat(np.arange(len(found), dtype=np.intp), [len(f) for f in found])
+    return np.fromiter(chain.from_iterable(found), dtype=np.intp, count=len(seen)), levels

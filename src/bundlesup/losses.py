@@ -1,7 +1,8 @@
 """Group-level losses on GCN logits and their exact gradients.
 
 For a node group B with annotated class y, the group distribution is
-q = softmax(mean of member logits). Two terms act on it:
+q = softmax(zbar), zbar the mean of the member logits. Two terms act on
+it:
 
   entropy term   -log q[y]
   ranking term   max(log max_c q[c] - log q[y], 0)
@@ -11,16 +12,12 @@ ranking term is zero exactly when y attains the row maximum (ties
 included); when it is positive and the maximum is tied among classes
 other than y, the smallest class index defines the competing class.
 
-The group means and the gradient's scatter back to member rows are two
-sparse products with the bundles' 0/1 membership matrix B and its
-transpose (`FlatBundles.membership`), built once per set of members.
-B @ z sums each bundle's member rows one at a time in ascending node
-order, so the group distribution is bitwise invariant under member
-permutations. It replaced a gather, `np.add.reduceat`, `np.repeat` and
-`np.add.at` per call; reduceat does not add a segment of 8 or more rows
-strictly left to right, so group means moved in the last digits. On a
-2-vCPU VM (NumPy 2.4, SciPy 1.17), a call on 100 bundles of 5 over 100
-rows takes about 70-85 us, against 105 us before.
+`bundle_objective` takes the (groups, classes) group logits zbar
+themselves. Training computes them in one product, with the group mean
+folded into the propagation operator (`group_means`, see `gnn`), and
+sends their gradient back through that operator's transpose, so no
+member logit is formed. `member_ce_objective` and `node_ce_objective`
+read member logits.
 
 `FlatBundles` holds the groups training supervises: labeled bundles, or
 annotated nodes as groups of one, scored by `node_ce_objective`.
@@ -29,11 +26,8 @@ annotated nodes as groups of one, scored by `node_ce_objective`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
-
-from . import kernels
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -105,20 +99,6 @@ class FlatBundles:
     def count(self) -> int:
         return self.sizes.size
 
-    @cached_property
-    def membership(self) -> tuple:
-        """(B, B^T): B the 0/1 (bundles x rows) SciPy CSR matrix with B[b, i] = 1
-        for each member i of bundle b, rows running to the largest member.
-
-        Built on first use and kept; `keep` and `dataclasses.replace` make
-        a new instance, so new members get a new operator. B @ z adds each
-        bundle's member rows in ascending order, one at a time, and B^T
-        adds a row's bundles in ascending order.
-        """
-        ones = np.ones(self.members.size)
-        b = kernels.csr(self.offsets, self.members, ones, int(self.members.max()) + 1)
-        return b, b.T.tocsr()
-
 
 @dataclass
 class ObjectiveValue:
@@ -130,42 +110,33 @@ class ObjectiveValue:
     d_z: np.ndarray
 
 
-def bundle_objective(z: np.ndarray, flat: FlatBundles, terms=("be", "rank")) -> ObjectiveValue:
-    """Mean group loss over labeled bundles with its exact logit gradient."""
-    nb = flat.count
+def bundle_objective(zbar: np.ndarray, labels: np.ndarray, terms=("be", "rank")) -> ObjectiveValue:
+    """Mean group loss over labeled groups with its exact gradient in the
+    group logits `zbar`, one row per group, each labeled by `labels`."""
+    nb = labels.size
     rows = np.arange(nb)
-    b, b_t = flat.membership
-    zbar = (b @ z[:b.shape[1]]) / flat.sizes[:, None]
     logq = log_softmax_rows(zbar)
-    q = np.exp(logq)
+    at_label = logq[rows, labels]
+    top = logq.argmax(axis=1)
+    rank = logq[rows, top] - at_label
+    active = np.flatnonzero(rank > 0.0)
 
-    be = -logq[rows, flat.labels]
-    top = np.argmax(logq, axis=1)
-    rank = logq[rows, top] - logq[rows, flat.labels]
-    active = rank > 0.0
-
-    d_zbar = q.copy() if "be" in terms else np.zeros_like(q)
+    d_zbar = np.exp(logq) if "be" in terms else np.zeros_like(logq)
     if "be" in terms:
-        d_zbar[rows, flat.labels] -= 1.0
+        d_zbar[rows, labels] -= 1.0
     if "rank" in terms:
-        act = np.flatnonzero(active)
-        d_zbar[act, top[act]] += 1.0
-        d_zbar[act, flat.labels[act]] -= 1.0
+        d_zbar[active, top[active]] += 1.0
+        d_zbar[active, labels[active]] -= 1.0
+    d_zbar /= nb
 
-    be_mean = float(be.mean())
-    rank_mean = float(rank[active].sum() / nb)
+    be_mean = float(-at_label.sum()) / nb
+    rank_mean = float(rank[active].sum()) / nb
     loss = (be_mean if "be" in terms else 0.0) + (rank_mean if "rank" in terms else 0.0)
-
-    scale = 1.0 / (flat.sizes * nb)
-    d_z = b_t @ (d_zbar * scale[:, None])
-    if d_z.shape[0] < z.shape[0]:   # rows past the largest member carry no gradient
-        d_z = np.concatenate([d_z, np.zeros((z.shape[0] - d_z.shape[0], z.shape[1]))])
-
     return ObjectiveValue(
         loss=loss,
         be_mean=be_mean if "be" in terms else 0.0,
         rank_mean=rank_mean if "rank" in terms else 0.0,
-        d_z=d_z,
+        d_z=d_zbar,
     )
 
 

@@ -73,15 +73,15 @@ MODES = {
 
 
 def accuracy(params: gnn.GcnParams, a_hat, x, labels, ax=None) -> float:
-    """Fraction of nodes whose argmax logit (`gnn.logits`) matches the true
-    label; `ax` may carry a precomputed Â @ X.
+    """Fraction of nodes whose argmax logit (`gnn.forward` on Â) matches
+    the true label; `ax` may carry a precomputed Â @ X.
 
     Ties resolve to the smallest class index.
     """
     truth = np.asarray(labels)
     if truth.shape[0] != a_hat.n:
         raise ValueError("labels must cover all nodes")
-    pred = np.argmax(gnn.logits(params, a_hat, x, ax=ax), axis=1)
+    pred = np.argmax(gnn.forward(params, a_hat, x, ax=ax).z, axis=1)
     return float((pred == truth).mean())
 
 

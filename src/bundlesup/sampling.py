@@ -97,13 +97,12 @@ def sample_topological(
 ) -> Bundle:
     """Core plus a uniform sample from its adaptive-hop neighborhood in a
     `Graph` or its Â, whose self-connections change no BFS level."""
-    levels = hop_distances(graph, core, bundle_size - 1)
-    # the only two passes over the n levels; the rest reads the reached nodes
-    reached = np.flatnonzero(levels > 0)
+    nodes, levels = hop_distances(graph, core, bundle_size - 1)
+    reached, reach = nodes[1:], levels[1:]   # the core comes first
     if reached.size == 0:
         raise IsolatedCoreError(f"node {core} has no neighbors")
-    reach = levels[reached]
-    pool = reached[reach <= _hop_from_reach(reach, bundle_size)]
+    # ascending node order, the draw's pool order
+    pool = np.sort(reached[reach <= _hop_from_reach(reach, bundle_size)])
     take = min(bundle_size - 1, pool.size)
     chosen = rng.choice(pool, size=take, replace=False)
     return Bundle(id=bundle_id, core=int(core), members=[int(core)] + [int(v) for v in chosen])

@@ -19,29 +19,41 @@ Refinement starts after the warmup and then runs every `refine_every`
 epochs: each labeled bundle drops the members least confident in the
 bundle label, unless that would cross the size floor or all confidences
 tie within 1e-12. The confidences are the row softmax of the epoch's
-logits, computed on refinement epochs only. `train` is the one training
-path: it takes its groups as one `losses.FlatBundles` and never modifies
-it. Bundle queries are the labeled bundles; individual queries are
-annotated nodes as groups of one, under the node cross-entropy, and a
-group of one is never refined. A round returns the flat positions of the
-evicted members, the report records each as an (epoch, bundle id, node)
-event, and the later epochs supervise on the kept members.
+member logits, computed on refinement epochs only. A round in which no
+group is larger than the floor cannot evict, so it is skipped: no member
+logits, no softmax, no `refine` call. `train` is the one training path:
+it takes its groups as one `losses.FlatBundles` and never modifies it.
+Bundle queries are the labeled bundles; individual queries are annotated
+nodes as groups of one, under the node cross-entropy, and a group of one
+is never refined. A round returns the flat positions of the evicted
+members, the report records each as an (epoch, bundle id, node) event,
+and the later epochs supervise on the kept members.
 `sampling.apply_refinements` turns the events back into bundles.
 
 Each epoch computes only what the objective reads. With S the sorted rows
 it reads (the groups' members) and N(S) their neighbours in Â, self
-included, the GCN runs on the block Â[S, N(S)]: hidden rows on N(S),
-logits on S (see `gnn`; its trace keeps Â @ X, H, Â @ H and Z). A logit
-of S depends on no hidden row outside N(S), so this is the whole-graph
-descent restricted to the rows that carry gradient, not an approximation.
-Â @ X is computed once over the whole graph, or passed in as `ax` by a
-caller that keeps it; the block is rebuilt only when a refinement evicts
-members.
+included, the GCN runs on one field operator P from hidden rows on N(S)
+to the objective's logits (see `gnn`). For the bundle objectives it is
+P = diag(1/|B|)·B·Â[S, N(S)] (`group_means` of the block), whose logits
+are the group logits the loss reads, so no member logit is formed; for
+`member_ce` and `node_ce` it is the block Â[S, N(S)] itself. A logit of
+S depends on no hidden row outside N(S), so this is the whole-graph
+descent restricted to the rows that carry gradient, not an
+approximation. A refinement epoch of a bundle objective computes the
+member logits Â[S, N(S)] (H W2) + b2 from the trace's H
+(`gnn.second_layer`). Â @ X is computed once over the whole graph, or
+passed in as `ax` by a caller that keeps it; the block and P are rebuilt
+only when a refinement evicts members.
+
+The parameters and their gradient are each one flat vector in
+`GcnParams.to_vector` order, with `GcnParams` views onto it, so an epoch
+updates them in one step, theta -= eta * g, and takes one norm.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,10 +170,6 @@ def refine(p: np.ndarray, flat: FlatBundles, floor: int) -> np.ndarray:
     return np.flatnonzero(at_low & np.repeat(go, flat.sizes))
 
 
-def _grad_norm(grads: gnn.GcnParams) -> float:
-    return float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
-
-
 def estimate_logit_bounds(
     params: gnn.GcnParams,
     a_hat,
@@ -222,27 +230,27 @@ def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
         raise ValueError(f"bundle {what} {bad[0]} is outside the {bound} {of}")
 
 
-def _supervised(groups: FlatBundles) -> tuple:
-    """The sorted rows S the objective reads, and `groups` with members indexed into S."""
+def _field(a_hat, ax: np.ndarray, groups: FlatBundles, objective: str) -> tuple:
+    """What an epoch reads for one set of members: `groups` with members
+    indexed into the sorted rows S they cover, the block Â[S, N(S)],
+    (Â @ X)[N(S)], and the field operator P onto the objective's logits."""
     rows = np.unique(groups.members)
-    return rows, replace(groups, members=np.searchsorted(rows, groups.members))
-
-
-def _field(a_hat, ax: np.ndarray, rows: np.ndarray) -> tuple:
-    """The block Â[S, N(S)] of the rows S the objective reads, and (Â @ X)[N(S)]."""
+    local = replace(groups, members=np.searchsorted(rows, groups.members))
     block = a_hat.block(rows)
-    return block, ax if block is a_hat else ax[block.cols]
+    op = block if objective in ("member_ce", "node_ce") else block.group_means(local.offsets, local.members)
+    return local, block, ax if block is a_hat else ax[block.cols], op
 
 
 def _evaluate(objective: str, z: np.ndarray, groups: FlatBundles):
-    """`objective` at the logits on S, with the members of `groups` indexed
-    into S. The loss functions are looked up by name on each call, so a
-    wrapper installed on this module's names is the one that runs."""
+    """`objective` at the field's logits z: the group logits for a bundle
+    objective, the logits on S otherwise, with the members of `groups`
+    indexed into S. The loss functions are looked up by name on each call,
+    so a wrapper installed on this module's names is the one that runs."""
     if objective == "member_ce":
         return member_ce_objective(z, groups)
     if objective == "node_ce":
         return node_ce_objective(z, groups.members, groups.labels)
-    return bundle_objective(z, groups, terms=_TERMS[objective])
+    return bundle_objective(z, groups.labels, terms=_TERMS[objective])
 
 
 def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objective: str = "full",
@@ -257,7 +265,8 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     report's `refinements` lists every eviction as (epoch, bundle id,
     node), and with cfg.refine_every > cfg.epochs there are none. A group
     of one is never refined, since the floor is at least 2. `ax` may carry
-    a precomputed Â @ X, which is then not computed again.
+    a precomputed Â @ X, which is then not computed again. The returned
+    parameters are views onto one flat vector.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -267,17 +276,20 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     _refuse_outside(groups.members, a_hat.n, "member", "graph nodes")
 
     params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
+    theta = params.to_vector()
+    params = gnn.GcnParams.on(theta, *params.dims)
+    grad = np.empty_like(theta)
+    grads = gnn.GcnParams.on(grad, *params.dims)
     if ax is None:
         ax = a_hat @ x
-    rows, local = _supervised(groups)
 
     g_hat = m_hat = None
     if cfg.eta_auto:
-        eta, g_hat, m_hat = _auto_eta(params, a_hat, x, ax, rows, cfg.seed)
+        eta, g_hat, m_hat = _auto_eta(params, a_hat, x, ax, np.unique(groups.members), cfg.seed)
     else:
         eta = cfg.learning_rate
 
-    block, ax_field = _field(a_hat, ax, rows)
+    local, block, ax_field, op = _field(a_hat, ax, groups, objective)
     curves = np.empty((4, cfg.epochs))   # per epoch: loss, its two terms, gradient norm
     refinements = []
 
@@ -286,30 +298,32 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     # floating-point warnings, reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, cfg.epochs + 1):
-            trace = gnn.forward(params, block, x, ax=ax_field)
+            trace = gnn.forward(params, op, x, ax=ax_field)
             value = _evaluate(objective, trace.z, local)
-            if not np.isfinite(value.loss):
+            if not math.isfinite(value.loss):
                 raise TrainingDivergedError(t, eta)
-            grads = gnn.backward(params, block, x, trace, value.d_z)
-            curves[:, t - 1] = value.loss, value.be_mean, value.rank_mean, _grad_norm(grads)
-            for tensor, grad in zip(params.tensors(), grads.tensors()):
-                tensor -= eta * grad
+            gnn.backward(params, op, x, trace, value.d_z, out=grads)
+            curves[:, t - 1] = value.loss, value.be_mean, value.rank_mean, np.sqrt(grad @ grad)
 
-            if t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0:
-                gone = refine(softmax_rows(trace.z), local, cfg.bundle_floor)
+            # a round can evict only from a group above the floor; it reads
+            # the logits before this epoch's step
+            if t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0 \
+                    and groups.sizes.max() > cfg.bundle_floor:
+                z = trace.z if op is block else gnn.second_layer(params, block, trace.h)[0]
+                gone = refine(softmax_rows(z), local, cfg.bundle_floor)
                 if gone.size:
                     owners = np.repeat(groups.ids, groups.sizes)[gone]
                     refinements.extend((t, b, v) for b, v in zip(owners.tolist(), groups.members[gone].tolist()))
                     keep = np.ones(groups.members.size, dtype=bool)
                     keep[gone] = False
                     groups = groups.keep(keep)
-                    rows, local = _supervised(groups)
-                    block, ax_field = _field(a_hat, ax, rows)
+                    local, block, ax_field, op = _field(a_hat, ax, groups, objective)
+            theta -= eta * grad
 
-    trace = gnn.forward(params, block, x, ax=ax_field)
+    trace = gnn.forward(params, op, x, ax=ax_field)
     value = _evaluate(objective, trace.z, local)
-    final_grads = gnn.backward(params, block, x, trace, value.d_z)
+    gnn.backward(params, op, x, trace, value.d_z, out=grads)
     loss, loss_be, loss_rank, grad_norm = curves
     return params, TrainReport(loss=loss, loss_be=loss_be, loss_rank=loss_rank, grad_norm=grad_norm,
                                refinements=refinements, eta=eta, final_loss=value.loss,
-                               final_grad_norm=_grad_norm(final_grads), g_hat=g_hat, m_hat=m_hat)
+                               final_grad_norm=float(np.sqrt(grad @ grad)), g_hat=g_hat, m_hat=m_hat)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from bundlesup import gnn
-from bundlesup.graphs import FormatError, Graph, NodeTable, hop_distances
+from bundlesup.graphs import FormatError, Graph, NodeTable, SparseRows, hop_distances
 from bundlesup.losses import (
     FlatBundles,
     ObjectiveValue,
@@ -23,16 +23,34 @@ logger = logging.getLogger(__name__)
 
 
 def dense_adjacency(a_hat) -> np.ndarray:
-    """The normalized adjacency operator as a dense (n, n) array."""
-    out = np.zeros((a_hat.n, a_hat.n))
-    out[np.repeat(np.arange(a_hat.n), np.diff(a_hat.indptr)), a_hat.indices] = a_hat.data
+    """A CSR operator, such as the normalized adjacency, as a dense array of its shape."""
+    out = np.zeros(a_hat.shape)
+    out[np.repeat(np.arange(a_hat.shape[0]), np.diff(a_hat.indptr)), a_hat.indices] = a_hat.data
     return out
 
 
 def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:
-    """Combined entropy+ranking loss over labeled bundles and dL/dZ."""
-    value = bundle_objective(z, FlatBundles.from_bundles(bundles))
-    return value.loss, value.d_z
+    """Combined entropy+ranking loss over labeled bundles at the member
+    logits z, and dL/dZ: `bundle_objective` at the group means P z, P the
+    `group_means` of the identity, and its gradient back through P^T."""
+    flat = FlatBundles.from_bundles(bundles)
+    n = z.shape[0]
+    identity = SparseRows(n, (n, n), np.arange(n + 1), np.arange(n), np.ones(n))
+    p = identity.group_means(flat.offsets, flat.members)
+    value = bundle_objective(p @ z, flat.labels)
+    return value.loss, p.T @ value.d_z
+
+
+UNREACHABLE = -1
+
+
+def hop_array(graph, core: int, need=None) -> np.ndarray:
+    """`hop_distances` as one hop count per node, UNREACHABLE where the
+    search did not reach."""
+    nodes, levels = hop_distances(graph, core, need)
+    out = np.full(graph.n, UNREACHABLE, dtype=np.intp)
+    out[nodes] = levels
+    return out
 
 
 def one_hot_rows(params, a_hat, x, probe) -> np.ndarray:
@@ -210,53 +228,97 @@ def refine_bundles(p: np.ndarray, bundles, floor: int, epoch: int) -> list:
     return events
 
 
+_TERMS = {"full": ("be", "rank"), "be_only": ("be",), "rank_only": ("rank",)}
+
+
+def _member_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
+    """One whole-graph epoch on member logits, propagating first:
+    Z = (Â H) W2 + b2 on every node, the group loss on gathered and summed
+    member rows (`segment_objective`), and the gradients back through Â.
+    Returns (Z, value, gradients)."""
+    hidden = np.maximum(ax @ params.w1 + params.b1, 0.0)
+    ah = a_hat @ hidden
+    z = ah @ params.w2 + params.b2
+    if objective == "node_ce":
+        value = node_ce_objective(z, *nodes)
+    elif objective == "member_ce":
+        value = member_ce_objective(z, flat)
+    else:
+        value = segment_objective(z, flat, terms=_TERMS[objective])
+    d_hidden = ((a_hat @ value.d_z) @ params.w2.T) * (hidden > 0.0)
+    grads = gnn.GcnParams(w1=ax.T @ d_hidden, b1=d_hidden.sum(axis=0), w2=ah.T @ value.d_z,
+                          b2=value.d_z.sum(axis=0))
+    return z, value, grads
+
+
+def _group_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
+    """One whole-graph epoch in `train`'s order: `gnn.forward` and
+    `gnn.backward` through P, `a_hat.group_means` of the bundles for a
+    bundle objective and Â itself otherwise. Returns (member logits,
+    value, gradients); the member logits are Â (H W2) + b2."""
+    op = a_hat if objective in ("member_ce", "node_ce") else a_hat.group_means(flat.offsets, flat.members)
+    trace = gnn.forward(params, op, x, ax=ax)
+    if objective == "node_ce":
+        value = node_ce_objective(trace.z, *nodes)
+    elif objective == "member_ce":
+        value = member_ce_objective(trace.z, flat)
+    else:
+        value = bundle_objective(trace.z, flat.labels, terms=_TERMS[objective])
+    grads = gnn.backward(params, op, x, trace, value.d_z)
+    z = trace.z if op is a_hat else a_hat @ (trace.h @ params.w2) + params.b2
+    return z, value, grads
+
+
 def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
-                      node_idx=None, node_labels=None) -> tuple:
+                      node_idx=None, node_labels=None, group_logits=False) -> tuple:
     """`train` on `bundles`, or on `node_idx` with `node_labels` as groups of
     one under node_ce, at a fixed learning rate, every epoch a forward and a
     backward pass over all n nodes, refining `bundles` in place with
-    `refine_bundles`. Returns (params, report)."""
-    if objective == "member_ce":
-        evaluate = member_ce_objective
-    elif objective == "be_only":
-        evaluate = lambda z, fb: bundle_objective(z, fb, terms=("be",))
-    elif objective == "rank_only":
-        evaluate = lambda z, fb: bundle_objective(z, fb, terms=("rank",))
-    else:
-        evaluate = bundle_objective
-    if bundles is None:
-        idx, labels = np.asarray(node_idx, dtype=np.intp), np.asarray(node_labels, dtype=np.intp)
-        evaluate = lambda z, fb: node_ce_objective(z, idx, labels)
+    `refine_bundles`. Returns (params, report).
+
+    By default each epoch is `_member_logit_pass`, with updates and gradient
+    norms tensor by tensor; with `group_logits` it is `_group_logit_pass`, with
+    the parameters and the gradient as flat vectors, as `train` holds them.
+    """
     flat = FlatBundles.from_bundles(bundles) if bundles is not None else None
+    nodes = None
+    if bundles is None:
+        nodes = np.asarray(node_idx, dtype=np.intp), np.asarray(node_labels, dtype=np.intp)
+        objective = "node_ce"
 
     feats = np.asarray(x, dtype=np.float64)
     params = gnn.init_params(feats.shape[1], cfg.hidden, n_classes, cfg.seed)
+    theta = params.to_vector()
+    params = gnn.GcnParams.on(theta, *params.dims)
     ax = a_hat @ feats
     eta = cfg.learning_rate
+    epoch = _group_logit_pass if group_logits else _member_logit_pass
     loss, loss_be_, loss_rank_, grad_norm, refinements = [], [], [], [], []
 
     def norm(grads):
+        if group_logits:
+            g = grads.to_vector()
+            return float(np.sqrt(g @ g))
         return float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
 
     for t in range(1, cfg.epochs + 1):
-        trace = gnn.forward(params, a_hat, feats, ax=ax)
-        value = evaluate(trace.z, flat)
-        grads = gnn.backward(params, a_hat, feats, trace, value.d_z)
+        z, value, grads = epoch(params, a_hat, feats, ax, objective, flat, nodes)
         loss.append(value.loss)
         loss_be_.append(value.be_mean)
         loss_rank_.append(value.rank_mean)
         grad_norm.append(norm(grads))
-        for p, g in zip(params.tensors(), grads.tensors()):
-            p -= eta * g
+        if group_logits:
+            theta -= eta * grads.to_vector()
+        else:
+            for p, g in zip(params.tensors(), grads.tensors()):
+                p -= eta * g
         if bundles is not None and t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0:
-            events = refine_bundles(softmax_rows(trace.z), bundles, cfg.bundle_floor, t)
+            events = refine_bundles(softmax_rows(z), bundles, cfg.bundle_floor, t)
             if events:
                 refinements.extend(events)
                 flat = FlatBundles.from_bundles(bundles)
 
-    trace = gnn.forward(params, a_hat, feats, ax=ax)
-    value = evaluate(trace.z, flat)
-    final_grads = gnn.backward(params, a_hat, feats, trace, value.d_z)
+    _, value, final_grads = epoch(params, a_hat, feats, ax, objective, flat, nodes)
     report = TrainReport(
         loss=np.array(loss), loss_be=np.array(loss_be_), loss_rank=np.array(loss_rank_),
         grad_norm=np.array(grad_norm), refinements=refinements, eta=eta,
@@ -405,7 +467,7 @@ def adaptive_hop(graph: Graph, core: int, bundle_size: int) -> tuple:
         raise ValueError("bundle_size must be >= 2")
     if graph.degree(core) == 0:
         raise IsolatedCoreError(f"node {core} has no neighbors")
-    levels = hop_distances(graph, core)
+    levels = hop_array(graph, core)
     radius = int(levels.max())
     for k in range(1, radius + 1):
         if int(((levels >= 1) & (levels <= k)).sum()) >= bundle_size - 1:

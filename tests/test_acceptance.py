@@ -65,14 +65,16 @@ def test_criterion_01_gradient_correctness():
     worst = 0.0
     for seed in range(20):
         a_hat, x, params, flat = random_supervised_instance(seed)
+        # the bundles' group logits, through the group means of Â
+        op, ax = a_hat.group_means(flat.offsets, flat.members), a_hat @ x
 
         def loss_of(vec):
-            trace = gnn.forward(params.from_vector(vec), a_hat, x)
-            return bundle_objective(trace.z, flat).loss
+            trace = gnn.forward(params.from_vector(vec), op, x, ax=ax)
+            return bundle_objective(trace.z, flat.labels).loss
 
-        trace = gnn.forward(params, a_hat, x)
-        value = bundle_objective(trace.z, flat)
-        grads = gnn.backward(params, a_hat, x, trace, value.d_z).to_vector()
+        trace = gnn.forward(params, op, x, ax=ax)
+        value = bundle_objective(trace.z, flat.labels)
+        grads = gnn.backward(params, op, x, trace, value.d_z).to_vector()
         vec = params.to_vector()
         fd = np.zeros_like(vec)
         for j in range(vec.size):

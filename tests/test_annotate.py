@@ -280,6 +280,29 @@ class TestCache:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{where}: not an annotation record"):
             AnnotationCache(path)
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("label", "B", "int or null"),
+        ("label", True, "int or null"),
+        ("label", 1.0, "int or null"),
+        ("attempts", "x", "int"),
+        ("attempts", False, "int"),
+        ("attempts", None, "int"),
+        ("bundle_id", True, "int"),
+        ("prompt_sha256", 7, "str"),
+        ("raw_response", None, "str"),
+        ("annotator", ["llm"], "str"),
+        ("error", 0, "str or null"),
+    ])
+    def test_a_value_of_the_wrong_type_names_the_path_and_line(self, tmp_path, key, value, want):
+        """A line with exactly the record's keys but a value of another JSON
+        type, a bool where an int belongs included, raises a FormatError."""
+        path = tmp_path / "cache.jsonl"
+        good = self._record(sha="k1").to_json()
+        bad = json.dumps({**json.loads(self._record(sha="k2").to_json()), key: value})
+        path.write_text(good + "\n" + bad + "\n" + self._record(sha="k3").to_json() + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: {key} must be {want}, got "):
+            AnnotationCache(path)
+
     def test_a_line_that_is_not_utf8_names_the_path_and_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         good = self._record(sha="k1").to_json().encode()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bundlesup import gnn
 from bundlesup.graphs import Graph, normalized_adjacency
 from bundlesup.losses import softmax_rows
+from bundlesup.pipeline import accuracy
 
 from reference import one_hot_rows, softmax_row
 
@@ -117,8 +118,8 @@ class TestForward:
 
     def test_a_whole_graph_pass_keeps_only_the_four_arrays(self):
         """The traced peak of one forward pass is the arrays its trace keeps,
-        A X, H, A H and Z, within 10%: no pre-activation or probability array
-        is held beside them."""
+        A X, H and Z, and the H W2 that Z propagates, within 10%: no
+        pre-activation or probability array is held beside them."""
         rng = np.random.default_rng(0)
         n, d, h, c = 2000, 8, 64, 20
         edges = rng.integers(0, n, size=(8 * n, 2))
@@ -132,28 +133,66 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (trace.ax, trace.h, trace.ah, trace.z))
+        assert trace.ph is None
+        kept = sum(a.nbytes for a in (trace.ax, trace.h, trace.z)) + n * c * 8   # H W2: n x c floats
         assert peak <= 1.1 * kept
 
 
 class TestLogits:
     def test_agree_with_the_forward_logits(self):
-        """Z = A (H W2) + b2 is the forward pass's A (H) W2 + b2 up to rounding,
-        with the same argmax, on the whole graph and from a given ax."""
+        """The logits Z = A (H W2) + b2 are the propagate-first A (H) W2 + b2
+        up to rounding, with the same argmax, on the whole graph and from a
+        given ax, and bitwise A applied to H W2, plus b2."""
         for seed in range(20):
             a_hat, x, params = random_instance(seed, n=30, h=16, c=5, p_edge=0.15)
             params.b2[:] = np.random.default_rng(seed).normal(size=params.b2.shape)
-            want = gnn.forward(params, a_hat, x).z
-            for got in (gnn.logits(params, a_hat, x), gnn.logits(params, a_hat, x, ax=a_hat @ x)):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-                np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+            hidden = np.maximum((a_hat @ x) @ params.w1 + params.b1, 0.0)
+            want = (a_hat @ hidden) @ params.w2 + params.b2
+            for trace in (gnn.forward(params, a_hat, x), gnn.forward(params, a_hat, x, ax=a_hat @ x)):
+                np.testing.assert_allclose(trace.z, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                np.testing.assert_array_equal(trace.z.argmax(axis=1), want.argmax(axis=1))
+                np.testing.assert_array_equal(trace.z, a_hat @ (hidden @ params.w2) + params.b2)
 
     def test_keep_the_forward_shape_checks(self):
+        """Scoring reads the forward pass's logits, and with them its checks."""
         a_hat, x, params = random_instance(1)
+        labels = np.zeros(x.shape[0], dtype=np.intp)
         with pytest.raises(ValueError, match=f"features have 2 columns, params expect {x.shape[1]}"):
-            gnn.logits(params, a_hat, x[:, :2])
+            accuracy(params, a_hat, x[:, :2], labels)
         with pytest.raises(ValueError, match="feature rows do not match the adjacency"):
-            gnn.logits(params, a_hat, x[:-1])
+            accuracy(params, a_hat, x[:-1], labels)
+
+
+class TestFlatParameters:
+    def test_views_write_through_to_the_vector(self):
+        """`GcnParams.on` views the vector in `to_vector` order: a write to a
+        tensor is a write to the vector and the reverse; `from_vector` copies."""
+        params = gnn.init_params(3, 4, 2, seed=5)
+        vec = params.to_vector()
+        views = gnn.GcnParams.on(vec, *params.dims)
+        for got, want in zip(views.tensors(), params.tensors()):
+            np.testing.assert_array_equal(got, want)
+            assert np.shares_memory(got, vec)
+        views.w2[1, 0] = 7.0
+        views.b2 -= 1.0
+        vec[0] = -3.0
+        np.testing.assert_array_equal(views.to_vector(), vec)
+        assert views.w1[0, 0] == -3.0
+        copied = params.from_vector(vec)
+        assert not any(np.shares_memory(t, vec) for t in copied.tensors())
+        with pytest.raises(ValueError, match="flat vector of 26"):
+            gnn.GcnParams.on(vec[:-1], *params.dims)
+
+    def test_backward_writes_into_the_given_views(self):
+        """`backward(..., out=views)` fills the views' vector with the same
+        gradients, bitwise, as a call that allocates its own."""
+        a_hat, x, params = random_instance(3)
+        trace = gnn.forward(params, a_hat, x)
+        d_z = np.random.default_rng(3).normal(size=trace.z.shape)
+        grad = np.full(params.n_params, np.nan)
+        out = gnn.backward(params, a_hat, x, trace, d_z, out=gnn.GcnParams.on(grad, *params.dims))
+        assert np.shares_memory(out.w1, grad)
+        np.testing.assert_array_equal(grad, gnn.backward(params, a_hat, x, trace, d_z).to_vector())
 
 
 class TestBackward:
@@ -226,10 +265,58 @@ class TestRowBlock:
             want = gnn.backward(params, a_hat, x, whole, d_full).to_vector()
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    def test_group_means_pass_equals_mean_block_rows(self):
+        """Through P = `group_means` of Â[S, N(S)] the logits are the groups'
+        mean rows of the block pass's logits, and the gradients those of the
+        block pass with each group's gradient spread over its members,
+        within 1e-12 relative."""
+        for seed in range(10):
+            a_hat, x, params = random_instance(seed, n=20, p_edge=0.12)
+            rng = np.random.default_rng(seed)
+            rows = np.flatnonzero(rng.random(20) < 0.4)
+            groups = [np.sort(rng.choice(rows.size, size=int(rng.integers(1, rows.size + 1)), replace=False))
+                      for _ in range(4)]
+            offsets = np.concatenate([[0], np.cumsum([g.size for g in groups])])
+            members = np.concatenate(groups)
+            block = a_hat.block(rows)
+            ax = (a_hat @ x)[block.cols]
+            member = gnn.forward(params, block, x, ax=ax)
+            trace = gnn.forward(params, block.group_means(offsets, members), x, ax=ax)
+            want = np.array([member.z[g].mean(axis=0) for g in groups])
+            np.testing.assert_allclose(trace.z, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            d_group = rng.normal(size=trace.z.shape)
+            d_member = np.zeros_like(member.z)
+            for g, d in zip(groups, d_group):
+                d_member[g] += d / g.size
+            got = gnn.backward(params, block.group_means(offsets, members), x, trace, d_group).to_vector()
+            want = gnn.backward(params, block, x, member, d_member).to_vector()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_both_second_layer_orders_agree(self, monkeypatch, first):
+        """P (H W2) + b2 and (P H) W2 + b2 through group means give the same
+        logits and gradients within 1e-12 relative; the trace keeps P H
+        where the layer propagated first."""
+        a_hat, x, params = random_instance(5, n=20, p_edge=0.2)
+        offsets, members = np.array([0, 3, 4, 7]), np.array([0, 2, 5, 1, 3, 4, 6])
+        block = a_hat.block(np.arange(7))
+        op, ax = block.group_means(offsets, members), (a_hat @ x)[block.cols]
+        d_z = np.random.default_rng(5).normal(size=(3, params.dims[2]))
+        want = gnn.forward(params, op, x, ax=ax)
+        want_grads = gnn.backward(params, op, x, want, d_z).to_vector()
+        monkeypatch.setattr(gnn, "_propagates_first", lambda *args: first)
+        got = gnn.forward(params, op, x, ax=ax)
+        assert (got.ph is None) == (not first)
+        np.testing.assert_allclose(got.z, want.z, rtol=1e-12, atol=1e-12 * np.abs(want.z).max())
+        got_grads = gnn.backward(params, op, x, got, d_z).to_vector()
+        np.testing.assert_allclose(got_grads, want_grads, rtol=1e-12, atol=1e-12 * np.abs(want_grads).max())
+
     def test_block_needs_ax(self):
         a_hat, x, params = random_instance(0)
         with pytest.raises(ValueError, match="ax"):
             gnn.forward(params, a_hat.block([0, 1]), x)
+        with pytest.raises(ValueError, match="ax"):
+            gnn.forward(params, a_hat.group_means(np.array([0, 2]), np.array([0, 1])), x)
 
 
 @st.composite

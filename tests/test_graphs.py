@@ -14,7 +14,6 @@ from bundlesup.graphs import (
     Graph,
     MAX_NODES,
     NodeTable,
-    UNREACHABLE,
     hop_distances,
     load_edge_list,
     load_embeddings,
@@ -24,7 +23,7 @@ from bundlesup.graphs import (
 )
 
 import reference
-from reference import dense_adjacency, edge_set
+from reference import UNREACHABLE, dense_adjacency, edge_set, hop_array
 
 
 def _write(tmp_path, name, text):
@@ -122,15 +121,15 @@ def test_bytes_that_are_not_utf8_raise_a_format_error_naming_the_path(tmp_path, 
 class TestHopDistances:
     def test_triangle(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        assert hop_distances(g, 0).tolist() == [0, 1, 1]
+        assert hop_array(g, 0).tolist() == [0, 1, 1]
 
     def test_chain(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert hop_distances(g, 0).tolist() == [0, 1, 2, 3]
+        assert hop_array(g, 0).tolist() == [0, 1, 2, 3]
 
     def test_unreachable_sentinel(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
-        assert hop_distances(g, 0)[3] == UNREACHABLE
+        assert hop_array(g, 0)[3] == UNREACHABLE
 
     def test_core_out_of_range(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -145,7 +144,7 @@ class TestHopDistances:
             mask = rng.random((n, n)) < 0.15
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
             g = Graph.from_edges(n, edges)
-            dist = hop_distances(g, int(rng.integers(n)))
+            dist = hop_array(g, int(rng.integers(n)))
             for u, v in edge_set(g):
                 if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE:
                     assert abs(int(dist[u]) - int(dist[v])) <= 1
@@ -294,6 +293,56 @@ class TestNormalizedAdjacency:
             x = rng.normal(size=(5, cols))
             np.testing.assert_allclose(a @ x, dense @ x, atol=1e-12)
         assert seen == [(5, a.indices.size, (5, c)) for c in (1, 4, 2)]
+
+
+@st.composite
+def grouped_fields(draw):
+    """Â of a small graph whose last nodes may be isolated, rows S (every
+    node, or a draw of them), and groups of S's rows, local ids into S, a
+    row possibly repeating within a group and across groups."""
+    n = draw(st.integers(1, 12))
+    linked = n - draw(st.integers(0, n // 2))
+    pairs = draw(st.lists(st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1)), max_size=3 * n))
+    a_hat = normalized_adjacency(Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+    if draw(st.booleans()):
+        rows = np.arange(n)
+    else:
+        rows = np.unique(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    groups = draw(st.lists(st.lists(st.integers(0, rows.size - 1), min_size=1, max_size=6), min_size=1, max_size=6))
+    return a_hat, rows, groups
+
+
+class TestGroupMeans:
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_fields())
+    def test_equals_the_dense_group_means_of_the_block(self, case):
+        """P = `group_means` of Â[S, N(S)] is the dense diag(1/|B|)·B·Â[S, N(S)],
+        B counting each listed row once per listing, each entry summed in
+        listing order; its rows keep ascending columns, and P.T is its
+        transpose."""
+        a_hat, rows, groups = case
+        block = a_hat.block(rows)
+        offsets = np.concatenate([[0], np.cumsum([len(g) for g in groups])])
+        p = block.group_means(offsets, np.concatenate(groups))
+        dense = dense_adjacency(a_hat)[rows][:, np.flatnonzero(dense_adjacency(a_hat)[rows].any(axis=0))]
+        want = []
+        for g in groups:
+            acc = dense[g[0]].copy()
+            for m in g[1:]:
+                acc = acc + dense[m]
+            want.append(acc / len(g))
+        assert p.shape == (len(groups), dense.shape[1]) and p.n == a_hat.n
+        np.testing.assert_array_equal(dense_adjacency(p), np.array(want))
+        b = np.zeros((len(groups), rows.size))
+        for k, g in enumerate(groups):
+            np.add.at(b[k], g, 1.0)
+        np.testing.assert_allclose(dense_adjacency(p), (b / b.sum(axis=1, keepdims=True)) @ dense, rtol=1e-14)
+        for k in range(p.shape[0]):
+            assert (np.diff(p.indices[p.indptr[k]:p.indptr[k + 1]]) > 0).all()
+        assert p.T.shape == p.shape[::-1] and p.T.n == a_hat.n
+        np.testing.assert_array_equal(dense_adjacency(p.T), dense_adjacency(p).T)
+        y = np.random.default_rng(len(groups)).normal(size=(p.shape[1], 3))
+        np.testing.assert_allclose(p @ y, dense_adjacency(p) @ y, rtol=1e-12, atol=1e-15)
 
 
 @st.composite

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import bundlesup
 from bundlesup import kernels, sampling
-from bundlesup.graphs import UNREACHABLE, Graph, hop_distances
+from bundlesup.graphs import Graph, hop_distances
 from bundlesup.sampling import SamplingBudgetError, SamplingConfig, sample_bundles
+
+from reference import UNREACHABLE, hop_array
 
 
 def random_csr(rng, n, density=0.1, allow_empty_rows=True):
@@ -80,20 +82,23 @@ class TestBfs:
             np.cumsum(mask.sum(axis=1), out=indptr[1:])
             indices = np.nonzero(mask)[1].astype(np.intp)
             src = int(rng.integers(n))
-            got = kernels.bfs_levels(indptr, indices, n, src)
-            assert got.tolist() == self._levels_by_reference(adj_sets, n, src)
+            nodes, levels = kernels.bfs_levels(indptr, indices, src)
+            want = self._levels_by_reference(adj_sets, n, src)
+            # level by level, ascending within a level, every reached node once
+            order = sorted((lv, v) for v, lv in enumerate(want) if lv >= 0)
+            assert list(zip(levels.tolist(), nodes.tolist())) == order
 
     def test_stops_at_first_level_with_enough_nodes(self):
         path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert hop_distances(path, 0, need=2).tolist() == [0, 1, 2, -1, -1]
+        assert hop_array(path, 0, need=2).tolist() == [0, 1, 2, -1, -1]
         star = Graph.from_edges(6, [(0, i) for i in range(1, 6)] + [(5, 4)])
         # level 1 holds one node, level 2 four: all of level 2 is kept
-        assert hop_distances(star, 1, need=3).tolist() == [1, 0, 2, 2, 2, 2]
+        assert hop_array(star, 1, need=3).tolist() == [1, 0, 2, 2, 2, 2]
 
     def test_small_component_runs_to_exhaustion(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-        assert hop_distances(g, 0, need=4).tolist() == [0, 1, 2, -1, -1, -1]
-        assert hop_distances(g, 0, need=None).tolist() == [0, 1, 2, -1, -1, -1]
+        assert hop_array(g, 0, need=4).tolist() == [0, 1, 2, -1, -1, -1]
+        assert hop_array(g, 0, need=None).tolist() == [0, 1, 2, -1, -1, -1]
 
 
 def random_graph(draw, max_n=30):
@@ -124,8 +129,8 @@ class TestEarlyStopProperties:
     @given(graph_and_core(), st.integers(1, 10))
     def test_agrees_with_full_bfs_within_radius(self, gc, need):
         g, core = gc
-        full = hop_distances(g, core)
-        got = hop_distances(g, core, need)
+        full = hop_array(g, core)
+        got = hop_array(g, core, need)
         radius = int(got.max())
         inside = (full >= 0) & (full <= radius)
         np.testing.assert_array_equal(got[inside], full[inside])

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundlesup.graphs import Graph, SparseRows, normalized_adjacency
 from bundlesup.losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
 from bundlesup.sampling import Bundle
 
 from reference import (
     bundle_distribution,
+    dense_adjacency,
     loss_be,
     loss_rank,
     segment_objective,
@@ -115,15 +117,15 @@ class TestObjectiveGradients:
     def test_bundle_objective_matches_fd(self):
         rng = np.random.default_rng(4)
         flat = FlatBundles.from_bundles(make_bundles(rng, 15, 6, c=4))
-        z = rng.normal(size=(15, 4))
-        self._fd_check(lambda zz: bundle_objective(zz, flat), z)
+        zbar = rng.normal(size=(flat.count, 4))
+        self._fd_check(lambda zz: bundle_objective(zz, flat.labels), zbar)
 
     def test_be_only_and_rank_only_match_fd(self):
         rng = np.random.default_rng(5)
         flat = FlatBundles.from_bundles(make_bundles(rng, 12, 5, c=3))
-        z = rng.normal(size=(12, 3))
-        self._fd_check(lambda zz: bundle_objective(zz, flat, terms=("be",)), z)
-        self._fd_check(lambda zz: bundle_objective(zz, flat, terms=("rank",)), z)
+        zbar = rng.normal(size=(flat.count, 3))
+        self._fd_check(lambda zz: bundle_objective(zz, flat.labels, terms=("be",)), zbar)
+        self._fd_check(lambda zz: bundle_objective(zz, flat.labels, terms=("rank",)), zbar)
 
     def test_member_ce_matches_fd(self):
         rng = np.random.default_rng(6)
@@ -146,11 +148,11 @@ class TestObjectiveGradients:
         assert not d_z[3:].any()
 
     def test_fitted_bundle_rank_gradient_vanishes(self):
-        z = np.zeros((3, 3))
-        z[:, 2] = 5.0
-        flat = FlatBundles.from_bundles([Bundle(id=0, core=0, members=[0, 1, 2], label=2)])
-        full = bundle_objective(z, flat)
-        be = bundle_objective(z, flat, terms=("be",))
+        zbar = np.zeros((1, 3))
+        zbar[:, 2] = 5.0
+        labels = np.array([2])
+        full = bundle_objective(zbar, labels)
+        be = bundle_objective(zbar, labels, terms=("be",))
         np.testing.assert_array_equal(full.d_z, be.d_z)
         assert full.rank_mean == 0.0
 
@@ -176,7 +178,7 @@ class TestObjectiveGradients:
         # a group of one's distribution is its node's softmax: the entropy
         # term is the node's cross-entropy
         z = np.random.default_rng(11).normal(size=(6, 3))
-        assert bundle_objective(z, flat, terms=("be",)).loss == pytest.approx(
+        assert bundle_objective(z[flat.members], flat.labels, terms=("be",)).loss == pytest.approx(
             node_ce_objective(z, flat.members, flat.labels).loss, rel=1e-14)
 
     @pytest.mark.parametrize("nodes, labels, message", [
@@ -220,72 +222,76 @@ def overlapping_bundles(draw):
 
 
 class TestMembershipOperator:
+    """The group means P = diag(1/|B|)·B·M, B the bundles' 0/1 membership
+    matrix, that carry member rows to the group loss and back."""
+
     @settings(max_examples=100, deadline=None)
     @given(problem=overlapping_bundles())
     def test_b_z_is_a_left_to_right_sum_of_member_rows(self, problem):
-        """B @ z adds each bundle's member rows one at a time in ascending
-        order, and B^T @ g adds each row's bundles in bundle order, as
-        np.add.at does."""
+        """Each row of B M adds the bundle's member rows of M one at a time
+        in ascending order, then P divides it by |B|; P^T is P's transpose."""
         flat, z = problem
-        b, b_t = flat.membership
+        cols = z.shape[1] + 3
+        m = np.where(np.random.default_rng(z.shape[1]).random((30, cols)) < 0.4, 1.0, 0.0) * z.sum(axis=1)[:, None]
+        entries = np.nonzero(m)
+        op = SparseRows(30, m.shape, np.concatenate([[0], np.cumsum((m != 0).sum(axis=1))]), entries[1], m[entries])
+        p = op.group_means(flat.offsets, flat.members)
         want = []
         for lo, hi in zip(flat.offsets[:-1], flat.offsets[1:]):
-            acc = z[flat.members[lo]].copy()
-            for m in flat.members[lo + 1:hi]:
-                acc = acc + z[m]
-            want.append(acc)
-        np.testing.assert_array_equal(b @ z[:b.shape[1]], np.array(want))
-
-        g = z[:flat.count] * 0.37
-        scattered = np.zeros((b.shape[1], z.shape[1]))
-        np.add.at(scattered, flat.members, np.repeat(g, flat.sizes, axis=0))
-        np.testing.assert_array_equal(b_t @ g, scattered)
+            acc = m[flat.members[lo]].copy()
+            for k in flat.members[lo + 1:hi]:
+                acc = acc + m[k]
+            want.append(acc / (hi - lo))
+        np.testing.assert_array_equal(dense_adjacency(p), np.array(want))
+        np.testing.assert_array_equal(dense_adjacency(p.T), dense_adjacency(p).T)
 
     @settings(max_examples=100, deadline=None)
     @given(problem=overlapping_bundles(), terms=st.sampled_from((("be", "rank"), ("be",), ("rank",))))
     def test_objective_matches_segment_sums(self, problem, terms):
-        """The membership products give the loss and gradient of the gather,
-        reduceat and add.at objective within 1e-12 relative; they differ
-        only in the order the member rows are added."""
+        """The group loss at the group means P z, with its gradient carried
+        back through P^T, gives the loss and member-logit gradient of the
+        gather, reduceat and add.at objective within 1e-12 relative; they
+        differ only in the order the member rows are added."""
         flat, z = problem
-        got = bundle_objective(z, flat, terms=terms)
+        identity = SparseRows(30, (30, 30), np.arange(31), np.arange(30), np.ones(30))
+        p = identity.group_means(flat.offsets, flat.members)
+        got = bundle_objective(p @ z, flat.labels, terms=terms)
+        d_z = p.T @ got.d_z
         want = segment_objective(z, flat, terms=terms)
         for name in ("loss", "be_mean", "rank_mean"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-300)
-        np.testing.assert_allclose(got.d_z, want.d_z, rtol=1e-12, atol=1e-12 * np.abs(want.d_z).max())
-        assert got.d_z.shape == z.shape
-        assert not got.d_z[flat.members.max() + 1:].any()
+        np.testing.assert_allclose(d_z, want.d_z, rtol=1e-12, atol=1e-12 * np.abs(want.d_z).max())
+        assert got.d_z.shape == (flat.count, z.shape[1])
+        assert not d_z[np.setdiff1d(np.arange(30), flat.members)].any()
 
     def test_replaced_members_get_their_own_operator(self):
-        """`replace(flat, members=...)`, as training re-indexes members to
-        its rows, builds an operator of the new members even after the old
-        instance built and kept its own; fields cannot be reassigned."""
+        """With members re-indexed into their sorted rows S, as training
+        re-indexes them, the group means of the block Â[S, N(S)] are those
+        of Â with the node ids, bitwise, on the columns N(S) and zero
+        elsewhere; fields cannot be reassigned."""
         rng = np.random.default_rng(11)
         flat = FlatBundles.from_bundles(make_bundles(rng, 40, 6, c=3, size=5))
-        z = rng.normal(size=(40, 3))
-        whole = bundle_objective(z, flat)   # builds and keeps flat's operator
+        edges = rng.integers(0, 40, size=(60, 2))
+        a_hat = normalized_adjacency(Graph.from_edges(40, edges[edges[:, 0] != edges[:, 1]]))
         rows = np.unique(flat.members)
         local = replace(flat, members=np.searchsorted(rows, flat.members))
-        b, b_t = local.membership
-        assert b.shape == (flat.count, rows.size)
-        np.testing.assert_array_equal(b.indices, local.members)
-        np.testing.assert_array_equal(b_t.toarray(), b.toarray().T)
-        assert flat.membership[0].shape == (flat.count, flat.members.max() + 1)
-        mine = bundle_objective(z[rows], local)
-        assert mine.loss == whole.loss
-        np.testing.assert_array_equal(mine.d_z, whole.d_z[rows])
+        block = a_hat.block(rows)
+        mine = dense_adjacency(block.group_means(local.offsets, local.members))
+        whole = dense_adjacency(a_hat.group_means(flat.offsets, flat.members))
+        assert mine.shape == (flat.count, block.cols.size)
+        np.testing.assert_array_equal(mine, whole[:, block.cols])
+        assert not np.delete(whole, block.cols, axis=1).any()
         with pytest.raises(FrozenInstanceError):
             flat.members = local.members
 
     def test_keep_is_the_bundles_flattened_without_the_dropped_members(self):
         """`keep(mask)` equals flattening the bundles without the masked-out
-        members, ids and labels included, and builds an operator of its own;
-        a mask that empties a bundle is refused."""
+        members, ids and labels included; a mask that empties a bundle is
+        refused."""
         rng = np.random.default_rng(12)
         bundles = make_bundles(rng, 30, 8, c=3, size=5)
         bundles[2] = Bundle(id=41, core=0, members=[0, 1, 2], label=None)
         flat = FlatBundles.from_bundles(bundles)
-        flat.membership   # built and kept before the mask
         mask = rng.random(flat.members.size) < 0.5
         mask[flat.offsets[:-1]] = mask[flat.offsets[:-1] + 1] = True   # every bundle keeps two
         kept = flat.keep(mask)
@@ -295,6 +301,5 @@ class TestMembershipOperator:
              for m in [[v for v in b.members if (b.id, v) not in dropped]]])
         for name in ("members", "offsets", "sizes", "labels", "ids"):
             np.testing.assert_array_equal(getattr(kept, name), getattr(want, name))
-        np.testing.assert_array_equal(kept.membership[0].indices, kept.members)
         with pytest.raises(ValueError, match="empty a bundle"):
             flat.keep(np.arange(flat.members.size) >= flat.sizes[0])

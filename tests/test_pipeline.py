@@ -68,7 +68,7 @@ class TestAccuracy:
     def test_labels_must_cover_nodes(self, monkeypatch):
         _, a_hat, x = self._setup()
         params = gnn.init_params(3, 4, 3, seed=0)
-        monkeypatch.setattr(gnn, "logits", None)   # checked before the whole-graph pass
+        monkeypatch.setattr(gnn, "forward", None)   # checked before the whole-graph pass
         with pytest.raises(ValueError, match="labels must cover all nodes"):
             accuracy(params, a_hat, x, [0, 1])
 
