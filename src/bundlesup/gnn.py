@@ -31,8 +31,11 @@ whichever takes fewer multiply-adds over a forward and a backward pass
 (`_propagates_first`): the first on small fields of a few classes, the
 second when P has far fewer rows than columns and c is large, as the
 group means of a large field have. The two differ only by rounding,
-and the choice depends on the shapes alone. Â and its row blocks always
-transform first.
+and the choice depends on the shapes and the stored entries alone.
+Group means with at least one stored entry in `graphs.DENSE_RATIO`, as
+small fields have, multiply as a dense array through BLAS, and the
+count then takes every entry of P; the rest multiply as SciPy CSR. Â
+and its row blocks are always CSR and always transform first.
 
 Parameters and their gradients may live in one flat vector in
 `GcnParams.to_vector` order, with `GcnParams.on` views onto it;
@@ -166,13 +169,15 @@ def second_layer(params: GcnParams, a_hat, hidden: np.ndarray) -> tuple:
 def _propagates_first(a_hat, h: int, c: int) -> bool:
     """Whether the second layer through `a_hat` = P is (P H) W2: for group
     means (`SparseRows`) that take fewer multiply-adds that way over a
-    forward and a backward pass, 2 nnz(P) h + 3 rows h c against
-    2 nnz(P) c + 3 cols h c. Â and its row blocks keep P (H W2), so a
-    block's logits stay bitwise the whole graph's rows."""
+    forward and a backward pass, 2 m h + 3 rows h c against
+    2 m c + 3 cols h c, with m the multiply-adds of the storage P
+    multiplies with: nnz(P), or rows·cols when P is stored dense. Â and
+    its row blocks keep P (H W2), so a block's logits stay bitwise the
+    whole graph's rows."""
     if not isinstance(a_hat, SparseRows):
         return False
     rows, cols = a_hat.shape
-    return 2 * a_hat.indices.size * (h - c) < 3 * h * c * (cols - rows)
+    return 2 * a_hat.multiply_adds * (h - c) < 3 * h * c * (cols - rows)
 
 
 def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: np.ndarray,

@@ -177,7 +177,9 @@ def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, cols: 
 
 
 class _SparseOperator:
-    """`@ dense` through `kernels.spmm` on one SciPy matrix, built on the first product and kept."""
+    """`@ dense` through `kernels.spmm` on one matrix, built on the first
+    product and kept: SciPy CSR, or a dense array for a `SparseRows`
+    operator with many stored entries."""
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         dense = np.asarray(dense, dtype=np.float64)
@@ -287,16 +289,67 @@ class AdjacencyBlock(_SparseOperator):
                               *_transpose(self.indptr, self.indices, self.data, self.cols.size))
 
 
+# a `SparseRows` operator multiplies as a dense array when at least one
+# entry in DENSE_RATIO is stored (see its docstring for the measurement)
+DENSE_RATIO = 9
+
+
 @dataclass(frozen=True)
 class SparseRows(_SparseOperator):
     """A CSR operator onto rows of the graph's node space, such as the group
-    means `group_means` builds; `n` is the graph's node count."""
+    means `group_means` builds; `n` is the graph's node count.
+
+    The operator keeps its CSR arrays, but multiplies through a dense
+    float64 array of its shape when rows·cols <= DENSE_RATIO·nnz, and
+    through SciPy CSR otherwise. On small operators SciPy's per-product
+    Python dispatch costs more than the arithmetic, which BLAS does on the
+    dense array. DENSE_RATIO = 9 is the measured break-even: P @ Y plus
+    P.T @ Y through `kernels.spmm`, median of 15 interleaved rounds
+    (2 vCPUs, NumPy 2.4, SciPy 1.17; microseconds, CSR / dense):
+
+        P shape    k    density 1/4  1/8         1/9         1/12
+        100x100    5    33 / 12      20 / 11     21 / 10     16 / 10
+        100x100    64   151 / 68     89 / 61     81 / 62     49 / 57
+        100x400    5    110 / 42     61 / 39     63 / 45     35 / 33
+        100x400    64   421 / 138    331 / 170   197 / 140   159 / 177
+        100x1000   5    200 / 93     105 / 89    86 / 82     70 / 83
+        100x1000   64   1203 / 466   798 / 437   514 / 431   361 / 423
+        100x4333   5    866 / 658    537 / 650   419 / 658   406 / 671
+        100x4333   64   7589 / 1818  2572 / 1805 2329 / 1849 2594 / 1859
+
+    Up to 1000 columns dense wins at every shape down to density 1/9 and
+    loses at 1/12 on four of six. Dense reads the whole array on every
+    product, so it loses where that array is large and the operand
+    narrow: at 100x4333 and k=5, below density 1/4. The two storages
+    differ only by rounding. Entries are distinct (row, column) pairs, as
+    `group_means` and `T` produce them.
+    """
 
     n: int
     shape: tuple
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
+
+    @property
+    def stored_dense(self) -> bool:
+        """Whether products run on a dense array (see the class docstring)."""
+        rows, cols = self.shape
+        return rows * cols <= DENSE_RATIO * self.indices.size
+
+    @property
+    def multiply_adds(self) -> int:
+        """Multiply-adds of one product per operand column: nnz, or rows·cols
+        when the operator is stored dense."""
+        return self.shape[0] * self.shape[1] if self.stored_dense else self.indices.size
+
+    @cached_property
+    def _matrix(self):
+        if not self.stored_dense:
+            return kernels.csr(self.indptr, self.indices, self.data, self.shape[1])
+        dense = np.zeros(self.shape)
+        dense[_row_ids(self.indptr), self.indices] = self.data
+        return dense
 
     @cached_property
     def T(self) -> "SparseRows":

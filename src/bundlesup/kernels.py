@@ -20,7 +20,9 @@ def spmm(indptr, indices, data, dense, *, matrix=None):
 
     indptr/indices describe the sparsity pattern row-wise, data holds the
     nonzero values. Empty rows produce zero rows in the output. `matrix`
-    may carry `csr` of the same arrays, built once by the caller.
+    may carry `csr` of the same arrays, or the dense array they describe,
+    built once by the caller; the product is then `matrix @ dense`, which
+    NumPy hands to BLAS for a dense array.
     """
     if matrix is None:
         matrix = csr(indptr, indices, data, dense.shape[0])

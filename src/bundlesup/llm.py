@@ -9,8 +9,6 @@ also reads the API key from the environment variable named in the config.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 SYSTEM_INSTRUCTION = (
@@ -45,6 +43,11 @@ class LlmEndpointConfig:
 
 def chat_completion(cfg: LlmEndpointConfig, api_key: str, user_content: str) -> str:
     """One POST to the chat-completions endpoint; returns the reply text."""
+    # imported here, not at the top: urllib.request takes 18-30 ms to import,
+    # which every process importing bundlesup would pay without a request
+    import urllib.error
+    import urllib.request
+
     body = {
         "model": cfg.model,
         "temperature": 0,

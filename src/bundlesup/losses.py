@@ -117,27 +117,22 @@ def bundle_objective(zbar: np.ndarray, labels: np.ndarray, terms=("be", "rank"))
     rows = np.arange(nb)
     logq = log_softmax_rows(zbar)
     at_label = logq[rows, labels]
-    top = logq.argmax(axis=1)
-    rank = logq[rows, top] - at_label
-    active = np.flatnonzero(rank > 0.0)
-
-    d_zbar = np.exp(logq) if "be" in terms else np.zeros_like(logq)
+    be_mean = rank_mean = 0.0
     if "be" in terms:
+        be_mean = float(-at_label.sum()) / nb
+        d_zbar = np.exp(logq)
         d_zbar[rows, labels] -= 1.0
+    else:
+        d_zbar = np.zeros_like(logq)
     if "rank" in terms:
+        top = logq.argmax(axis=1)
+        rank = logq[rows, top] - at_label
+        active = np.flatnonzero(rank > 0.0)
         d_zbar[active, top[active]] += 1.0
         d_zbar[active, labels[active]] -= 1.0
+        rank_mean = float(rank[active].sum()) / nb
     d_zbar /= nb
-
-    be_mean = float(-at_label.sum()) / nb
-    rank_mean = float(rank[active].sum()) / nb
-    loss = (be_mean if "be" in terms else 0.0) + (rank_mean if "rank" in terms else 0.0)
-    return ObjectiveValue(
-        loss=loss,
-        be_mean=be_mean if "be" in terms else 0.0,
-        rank_mean=rank_mean if "rank" in terms else 0.0,
-        d_z=d_zbar,
-    )
+    return ObjectiveValue(loss=be_mean + rank_mean, be_mean=be_mean, rank_mean=rank_mean, d_z=d_zbar)
 
 
 def _row_ce(z: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tuple:

@@ -81,28 +81,17 @@ class SamplingConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _hop_from_reach(reach: np.ndarray, bundle_size: int) -> int:
-    """The smallest radius holding bundle_size - 1 other nodes, or the largest
-    radius reached when the core's component holds fewer; `reach` holds the
-    hop counts of the nodes reached other than the core."""
-    need = bundle_size - 1
-    if reach.size < need:
-        return int(reach.max())
-    cumulative = np.cumsum(np.bincount(reach))
-    return int(np.searchsorted(cumulative, need, side="left"))
-
-
 def sample_topological(
     graph, core: int, bundle_size: int, rng: np.random.Generator, bundle_id: int = 0
 ) -> Bundle:
     """Core plus a uniform sample from its adaptive-hop neighborhood in a
     `Graph` or its Â, whose self-connections change no BFS level."""
-    nodes, levels = hop_distances(graph, core, bundle_size - 1)
-    reached, reach = nodes[1:], levels[1:]   # the core comes first
+    # the search stops at the adaptive radius, so the pool is every node it
+    # reached but the core, which comes first
+    reached = hop_distances(graph, core, bundle_size - 1)[0][1:]
     if reached.size == 0:
         raise IsolatedCoreError(f"node {core} has no neighbors")
-    # ascending node order, the draw's pool order
-    pool = np.sort(reached[reach <= _hop_from_reach(reach, bundle_size)])
+    pool = np.sort(reached)   # ascending node order, the draw's pool order
     take = min(bundle_size - 1, pool.size)
     chosen = rng.choice(pool, size=take, replace=False)
     return Bundle(id=bundle_id, core=int(core), members=[int(core)] + [int(v) for v in chosen])

@@ -475,6 +475,16 @@ def adaptive_hop(graph: Graph, core: int, bundle_size: int) -> tuple:
     return radius, True
 
 
+def adaptive_hop_distances(graph: Graph, core: int, bundle_size: int) -> tuple:
+    """`hop_distances` as a topological bundle of `bundle_size` needs it,
+    from a whole BFS: every reachable node's hop count, then cut to the
+    `adaptive_hop` radius, which keeps the whole component when it holds
+    fewer than bundle_size - 1 other nodes."""
+    nodes, levels = hop_distances(graph, core)
+    k, _ = adaptive_hop(graph, core, bundle_size)
+    return nodes[levels <= k], levels[levels <= k]
+
+
 def outlier_gradient_pair(scores: np.ndarray, y_hat: int, outlier: int = 0, step: float = 1e-5):
     """(g_group, g_individual) at the outlier's top score coordinate, by FD.
 

@@ -341,8 +341,35 @@ class TestGroupMeans:
             assert (np.diff(p.indices[p.indptr[k]:p.indptr[k + 1]]) > 0).all()
         assert p.T.shape == p.shape[::-1] and p.T.n == a_hat.n
         np.testing.assert_array_equal(dense_adjacency(p.T), dense_adjacency(p).T)
-        y = np.random.default_rng(len(groups)).normal(size=(p.shape[1], 3))
-        np.testing.assert_allclose(p @ y, dense_adjacency(p) @ y, rtol=1e-12, atol=1e-15)
+        # products match the dense reference through the storage the density
+        # selects, dense on fields this small, and through SciPy CSR as well
+        rng = np.random.default_rng(len(groups))
+        for op in (p, p.T):
+            y = rng.normal(size=(op.shape[1], 3))
+            want = dense_adjacency(op) @ y
+            np.testing.assert_allclose(op @ y, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(kernels.spmm(op.indptr, op.indices, op.data, y), want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("stored, dense", [(8, True), (7, False)])
+    def test_storage_follows_the_density(self, stored, dense):
+        """Group means of (4, 2·DENSE_RATIO) rows with 8 stored entries sit at
+        density 1/DENSE_RATIO and multiply as a dense array; with 7, just
+        below it, they stay SciPy CSR. Products match the dense reference
+        either way, and the transpose is stored as the operator is."""
+        from scipy.sparse import issparse
+
+        shape = (4, 2 * graphs.DENSE_RATIO)
+        rng = np.random.default_rng(stored)
+        rows, cols = np.divmod(np.sort(rng.choice(shape[0] * shape[1], size=stored, replace=False)), shape[1])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+        m = graphs.SparseRows(30, shape, indptr, cols, rng.uniform(0.1, 1.0, stored))
+        p = m.group_means(np.arange(5), np.arange(4))   # each row a group of one
+        for op in (p, p.T):
+            assert op.stored_dense is dense
+            assert isinstance(op._matrix, np.ndarray) is dense and issparse(op._matrix) is not dense
+            assert op.multiply_adds == (shape[0] * shape[1] if dense else stored)
+            y = rng.normal(size=(op.shape[1], 5))
+            np.testing.assert_allclose(op @ y, dense_adjacency(op) @ y, rtol=1e-12, atol=1e-15)
 
 
 @st.composite

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import bundlesup
 from bundlesup import kernels, sampling
-from bundlesup.graphs import Graph, hop_distances
+from bundlesup.graphs import Graph
 from bundlesup.sampling import SamplingBudgetError, SamplingConfig, sample_bundles
 
-from reference import UNREACHABLE, hop_array
+from reference import UNREACHABLE, adaptive_hop_distances, hop_array
 
 
 def random_csr(rng, n, density=0.1, allow_empty_rows=True):
@@ -113,10 +113,6 @@ def graph_and_core(draw):
     return g, draw(st.integers(0, g.n - 1))
 
 
-def _full_bfs(graph, core, need=None):
-    return hop_distances(graph, core)
-
-
 def _outcome(fn):
     try:
         return [(b.id, b.core, b.members) for b in fn()]
@@ -148,16 +144,23 @@ class TestEarlyStopProperties:
         cfg = SamplingConfig(criterion="topological", bundle_size=size, num_bundles=count,
                              seed=seed, max_resample_attempts=20)
         got = _outcome(lambda: sample_bundles(g, None, cfg))
-        with mock.patch.object(sampling, "hop_distances", _full_bfs):
+
+        def whole_bfs(graph, core, need):
+            # cut to the adaptive radius of `size`, whatever depth the sampler asks for
+            return adaptive_hop_distances(graph, core, size)
+
+        with mock.patch.object(sampling, "hop_distances", whole_bfs):
             expect = _outcome(lambda: sample_bundles(g, None, cfg))
         assert got == expect
 
 
 def test_importing_the_package_leaves_scipy_sparse_out():
-    # scipy.sparse is imported on the first product, so start-up stays cheap
+    # scipy.sparse is imported on the first product and urllib.request on the
+    # first chat request, so start-up stays cheap
     src = os.path.dirname(os.path.dirname(bundlesup.__file__))
-    code = "import sys, bundlesup.pipeline, bundlesup.theorems; print('scipy.sparse' in sys.modules)"
+    code = ("import sys, bundlesup.pipeline, bundlesup.theorems; "
+            "print([name in sys.modules for name in ('scipy.sparse', 'urllib.request')])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
