@@ -18,24 +18,24 @@ A row of Z depends on the rows of H at its node's neighbours and on
 nothing else. So `forward` and `backward` also run with any sparse
 operator P in place of the second A whose columns are N(S), every
 neighbour of a node set S, self included: H on N(S), then logits on P's
-rows. P is the row block Â[S, N(S)] (`NormalizedAdjacency.block`), whose
-logits are those of S, or its `group_means`, whose logits are the mean
-logits of node groups. Training passes the P its objective reads and
-gets those logits and the exact gradients, with no work on rows that no
-loss term reads. The block keeps Â's column order within each row, so
-each logit adds the same terms in the same order as the whole-graph
-pass, and on S = every node the block is Â itself.
+rows. P is the row block Â[S, N(S)] (`Csr.block`), whose logits are
+those of S, or its `group_means`, whose logits are the mean logits of
+node groups. Training passes the P its objective reads and gets those
+logits and the exact gradients, with no work on rows that no loss term
+reads. The block keeps Â's column order within each row, so each logit
+adds the same terms in the same order as the whole-graph pass, and on
+S = every node the block is Â itself. Every operator is a `graphs.Csr`;
+only the symmetric Â may come without `ax`.
 
-Through group means the second layer is P (H W2) + b2 or (P H) W2 + b2,
-whichever takes fewer multiply-adds over a forward and a backward pass
-(`_propagates_first`): the first on small fields of a few classes, the
-second when P has far fewer rows than columns and c is large, as the
-group means of a large field have. The two differ only by rounding,
-and the choice depends on the shapes and the stored entries alone.
-Group means with at least one stored entry in `graphs.DENSE_RATIO`, as
-small fields have, multiply as a dense array through BLAS, and the
-count then takes every entry of P; the rest multiply as SciPy CSR. Â
-and its row blocks are always CSR and always transform first.
+The second layer is P (H W2) + b2 by default, or (P H) W2 + b2 when the
+caller asks for it with `propagate_first`. The two differ only by
+rounding. Training asks for it on group means that take fewer
+multiply-adds that way over a forward and a backward pass
+(`propagates_first`): small fields of a few classes transform first,
+while the group means of a large field, with far fewer rows than
+columns, propagate first when c is large. Â and its row blocks always
+transform first, so a block's logits stay bitwise the whole graph's
+rows.
 
 Parameters and their gradients may live in one flat vector in
 `GcnParams.to_vector` order, with `GcnParams.on` views onto it;
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import FormatError, NormalizedAdjacency, SparseRows, load_embeddings, save_embeddings
+from .graphs import Csr, FormatError, load_embeddings, save_embeddings
 
 
 @dataclass
@@ -128,14 +128,16 @@ def init_params(d: int, h: int, c: int, seed: int) -> GcnParams:
     )
 
 
-def forward(params: GcnParams, a_hat, x: np.ndarray, ax: np.ndarray = None) -> ForwardTrace:
+def forward(params: GcnParams, a_hat: Csr, x: np.ndarray, ax: np.ndarray = None, *,
+            propagate_first: bool = False) -> ForwardTrace:
     """Run the two-layer convolution on features `x`; `ax` may carry a
     precomputed A @ X.
 
     `a_hat` is Â itself or an operator P onto its columns N(S) (see the
     module docstring), for which `ax` is required and holds the rows N(S)
-    of Â @ X; the logits are those of P's rows. H and Z are built in
-    place: no pre-activation array outlives the ReLU.
+    of Â @ X; the logits are those of P's rows. `propagate_first` picks
+    the second layer's order (`second_layer`). H and Z are built in place:
+    no pre-activation array outlives the ReLU.
     """
     d, h, c = params.dims
     if x.shape[1] != d:
@@ -143,20 +145,21 @@ def forward(params: GcnParams, a_hat, x: np.ndarray, ax: np.ndarray = None) -> F
     if x.shape[0] != a_hat.n:
         raise ValueError("feature rows do not match the adjacency")
     if ax is None:
-        if not isinstance(a_hat, NormalizedAdjacency):
+        if not a_hat.symmetric:
             raise ValueError("an operator other than Â needs ax, the rows of Â @ X at its columns")
         ax = a_hat @ x
     hidden = ax @ params.w1
     hidden += params.b1
     np.maximum(hidden, 0.0, out=hidden)
-    z, ph = second_layer(params, a_hat, hidden)
+    z, ph = second_layer(params, a_hat, hidden, propagate_first=propagate_first)
     return ForwardTrace(ax=ax, h=hidden, ph=ph, z=z)
 
 
-def second_layer(params: GcnParams, a_hat, hidden: np.ndarray) -> tuple:
+def second_layer(params: GcnParams, a_hat: Csr, hidden: np.ndarray, *, propagate_first: bool = False) -> tuple:
     """(Z, P H) of the hidden rows `hidden` through `a_hat` = P, as `forward`
-    computes them; P H is None where the layer transformed first."""
-    if _propagates_first(a_hat, *params.dims[1:]):
+    computes them: (P H) W2 + b2 with `propagate_first`, else P (H W2) + b2
+    with P H None."""
+    if propagate_first:
         ph = a_hat @ hidden
         z = ph @ params.w2
     else:
@@ -166,18 +169,13 @@ def second_layer(params: GcnParams, a_hat, hidden: np.ndarray) -> tuple:
     return z, ph
 
 
-def _propagates_first(a_hat, h: int, c: int) -> bool:
-    """Whether the second layer through `a_hat` = P is (P H) W2: for group
-    means (`SparseRows`) that take fewer multiply-adds that way over a
-    forward and a backward pass, 2 m h + 3 rows h c against
+def propagates_first(p: Csr, h: int, c: int) -> bool:
+    """Whether (P H) W2 takes fewer multiply-adds than P (H W2) over a
+    forward and a backward pass: 2 m h + 3 rows h c against
     2 m c + 3 cols h c, with m the multiply-adds of the storage P
-    multiplies with: nnz(P), or rows·cols when P is stored dense. Â and
-    its row blocks keep P (H W2), so a block's logits stay bitwise the
-    whole graph's rows."""
-    if not isinstance(a_hat, SparseRows):
-        return False
-    rows, cols = a_hat.shape
-    return 2 * a_hat.multiply_adds * (h - c) < 3 * h * c * (cols - rows)
+    multiplies with (`Csr.multiply_adds`)."""
+    rows, cols = p.shape
+    return 2 * p.multiply_adds * (h - c) < 3 * h * c * (cols - rows)
 
 
 def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: np.ndarray,
@@ -207,7 +205,7 @@ def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: 
     return out
 
 
-def logit_jacobian(params: GcnParams, a_hat: NormalizedAdjacency, x: np.ndarray, probe,
+def logit_jacobian(params: GcnParams, a_hat: Csr, x: np.ndarray, probe,
                    ax: np.ndarray = None) -> np.ndarray:
     """Exact d z_ic / d theta of the probe nodes, shape (probes, classes, n_params).
 
@@ -254,7 +252,7 @@ class ProbePass(NamedTuple):
         return jac
 
 
-def probe_pass(params: GcnParams, a_hat: NormalizedAdjacency, probe, ax: np.ndarray) -> ProbePass:
+def probe_pass(params: GcnParams, a_hat: Csr, probe, ax: np.ndarray) -> ProbePass:
     """The `ProbePass` of the nodes `probe` at `params`; `ax` = A @ X."""
     ax_nbr, a_ij, starts = _probe_entries(a_hat, ax, np.asarray(probe, dtype=np.intp))
     s, t, ah = _propagate(ax_nbr, a_ij, starts, ax_nbr @ params.w1 + params.b1)
@@ -323,10 +321,10 @@ def jacobian_differences(at: ProbePass, coords, step: float) -> np.ndarray:
     return out
 
 
-def _probe_entries(a_hat, ax: np.ndarray, probe: np.ndarray) -> tuple:
+def _probe_entries(a_hat: Csr, ax: np.ndarray, probe: np.ndarray) -> tuple:
     """The stored entries (i, j) of every probe row, probe by probe: the rows
     (A @ X)[j], the values A_ij as a column, and where each probe's run starts."""
-    entries = np.concatenate([np.arange(a_hat.indptr[i], a_hat.indptr[i + 1]) for i in probe])
+    entries = a_hat.row_entries(probe)
     starts = np.concatenate([[0], np.cumsum(np.diff(a_hat.indptr)[probe])[:-1]])
     return ax[a_hat.indices[entries]], a_hat.data[entries][:, None], starts
 

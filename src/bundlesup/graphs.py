@@ -1,9 +1,9 @@
-"""Graphs, node tables, embeddings, and the normalized adjacency operator.
+"""Graphs, node tables, embeddings, and the one sparse type, `Csr`.
 
-A graph stores its edges only as CSR arrays (`indptr`, `indices`);
-`Graph.edge_array` lists them as pairs. `_csr` builds every CSR from its
-entries, `_block_csr` cuts a block out of a stored one, and
-`group_means` averages an operator's rows over groups of them.
+Every sparse matrix of the package is a `Csr`: a graph (its edges, with
+no `data`; `Csr.edge_array` lists them as pairs), its normalized
+adjacency Â, a row block of Â (`Csr.block`), and the `group_means` that
+average a matrix's rows over groups of them.
 
 File formats
 ------------
@@ -28,7 +28,7 @@ import logging
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,26 +40,40 @@ logger = logging.getLogger(__name__)
 # the largest node count n whose n * n fits in intp: edge keys are lo * n + hi
 MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
 
+# group means multiply as a dense array when at least one entry in
+# DENSE_RATIO is stored (see `Csr.stored_dense` for the measurement)
+DENSE_RATIO = 9
+
 
 class FormatError(ValueError):
     """An input file does not match its documented format."""
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph over nodes 0..n-1.
+class Csr:
+    """A sparse matrix over the nodes 0..n-1 of a graph, stored only as CSR.
 
-    Edges are stored only as CSR (`indptr`, `indices`), each in the rows of
-    both endpoints, every row sorted ascending. No self-loops or duplicates.
+    Each row keeps its stored columns ascending, and no (row, column) pair
+    is stored twice. A graph is the (n, n) pattern with no `data`: every
+    edge in the rows of both endpoints, no self-loop. Â, its row blocks and
+    their group means hold `data` and `n`, the graph's node count, whatever
+    their `shape`. `symmetric` marks a matrix equal to its transpose, whose
+    `T` is then the matrix itself; any other builds its transpose on the
+    first `T` and keeps it. `dense_ok` marks the group means, the only
+    matrices that may multiply as a dense array (`stored_dense`).
     """
 
     n: int
+    shape: tuple
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
+    data: np.ndarray | None = field(default=None, repr=False)
+    symmetric: bool = False
+    dense_ok: bool = False
 
     @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        """Build from pairs (u, v) or an (m, 2) integer array; duplicates collapse."""
+    def from_edges(cls, n: int, edges) -> "Csr":
+        """The graph of pairs (u, v) or an (m, 2) integer array; duplicates collapse."""
         if n < 1:
             raise ValueError("graph needs at least one node")
         if n > MAX_NODES:
@@ -75,62 +89,171 @@ class Graph:
             if lo[k] == hi[k]:
                 raise ValueError(f"self-loop ({u[k]},{u[k]}) is not storable")
             raise ValueError(f"edge ({u[k]},{v[k]}) has an endpoint >= n={n}")
-        keys = lo * n   # in place, as in _csr
+        keys = lo * n   # in place, as in _pattern
         keys += hi
         keys.sort()
         # not np.unique: its first call imports numpy.ma, ~15 ms of every loader's start-up
         lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
         rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        del keys, lo, hi   # freed before _csr's own entry-sized array
-        return cls(n, *_csr(n, rows, cols))
+        del keys, lo, hi   # freed before _pattern's own entry-sized array
+        return cls._pattern(n, rows, cols)
+
+    @classmethod
+    def _pattern(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "Csr":
+        """The symmetric (n, n) pattern of the entries (rows[k], cols[k]), all
+        distinct and closed under swapping row and column."""
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        keys = rows * n   # in place from here: one entry-sized array at a time
+        keys += cols
+        keys.sort()
+        keys %= n
+        return cls(n, (n, n), indptr, keys, symmetric=True)
 
     @property
     def num_edges(self) -> int:
+        """The edge count of a graph."""
         return self.indices.size // 2
 
     def edge_array(self) -> np.ndarray:
-        """(num_edges, 2) array of the edges (u, v) with u < v, in ascending order."""
-        pairs = np.column_stack((_row_ids(self.indptr), self.indices))
+        """(num_edges, 2) array of a graph's edges (u, v) with u < v, in ascending order."""
+        pairs = np.column_stack((self.entry_rows(), self.indices))
         return pairs[pairs[:, 0] < pairs[:, 1]]
 
     def degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
 
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.intp), np.diff(self.indptr))
 
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
-    """The row of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(indptr.size - 1, dtype=np.intp), np.diff(indptr))
+    def row_entries(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the stored entries of `rows`, row by row in stored order."""
+        counts = self.indptr[rows + 1] - self.indptr[rows]
+        return np.arange(counts.sum()) + np.repeat(self.indptr[rows] - np.cumsum(counts) + counts, counts)
 
+    def reach(self, rows) -> np.ndarray:
+        """The ascending columns stored in `rows`: in Â, N(rows), every node
+        adjacent to a row, the row itself included."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return np.flatnonzero(np.bincount(self.indices[self.row_entries(rows)], minlength=self.shape[1]))
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """Row-sorted CSR (indptr, indices) of the entries (rows[k], cols[k]), all distinct."""
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    keys = rows * n   # in place from here: one entry-sized array at a time
-    keys += cols
-    keys.sort()
-    keys %= n
-    return indptr, keys
+    def block(self, rows, cols=None) -> "Csr":
+        """The block M[rows][:, cols] over ascending, distinct ids.
 
+        `cols` defaults to `reach(rows)`, so the block holds every stored
+        entry of its rows. Every row keeps M's ascending column order, so a
+        product with the block adds the same nonzero terms in the same
+        order as the product with M does. Returns the matrix itself when
+        rows and columns cover all of it. The transpose of a block of Â is,
+        bitwise, the block Â[cols][:, rows], since Â's entries
+        dinv[u] * dinv[v] are bitwise symmetric.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = self.reach(rows) if cols is None else np.asarray(cols, dtype=np.intp)
+        if (rows.size, cols.size) == self.shape:
+            return self
+        entries = self.row_entries(rows)
+        local = np.full(self.shape[1], -1, dtype=np.intp)
+        local[cols] = np.arange(cols.size)
+        col = local[self.indices[entries]]
+        keep = col >= 0
+        row = np.repeat(np.arange(rows.size), self.indptr[rows + 1] - self.indptr[rows])
+        indptr = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row[keep], minlength=rows.size), out=indptr[1:])
+        return Csr(self.n, (rows.size, cols.size), indptr, col[keep], self.data[entries[keep]])
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positions of the stored entries of `rows` of a CSR matrix, row by row in stored order."""
-    counts = indptr[rows + 1] - indptr[rows]
-    return np.arange(counts.sum()) + np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts)
+    def group_means(self, offsets: np.ndarray, members: np.ndarray) -> "Csr":
+        """P = diag(1/|B|)·B·M, M this matrix and B the 0/1 matrix of the
+        groups members[offsets[g]:offsets[g + 1]] of its rows: row g of P is
+        the mean of M's rows of group g, so P @ Y is the groups' mean rows
+        of M @ Y.
 
+        Each entry adds its members' values of M strictly in the order
+        `members` lists them, then divides the sum by the group size; the
+        columns of a row ascend. A member may repeat.
+        """
+        sizes = np.diff(offsets)
+        counts = self.indptr[members + 1] - self.indptr[members]
+        entries = self.row_entries(members)
+        cols = self.shape[1]
+        keys = np.repeat(np.repeat(np.arange(sizes.size), sizes), counts) * cols + self.indices[entries]
+        order = np.argsort(keys, kind="stable")   # keeps member order within an entry
+        keys = keys[order]
+        first = np.diff(keys, prepend=-1) != 0
+        sums = np.bincount(np.cumsum(first) - 1, weights=self.data[entries[order]])
+        rows, cols_of = np.divmod(keys[first], cols)
+        indptr = np.zeros(sizes.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=sizes.size), out=indptr[1:])
+        return Csr(self.n, (sizes.size, cols), indptr, cols_of, sums / sizes[rows], dense_ok=True)
 
-def _block_csr(n: int, indptr, indices, data, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """CSR (indptr, indices, data) of M[rows][:, cols], M a row-sorted CSR matrix with
-    n columns and `cols` ascending, so every row keeps M's ascending column order."""
-    entries = _row_entries(indptr, rows)
-    local = np.full(n, -1, dtype=np.intp)
-    local[cols] = np.arange(cols.size)
-    col = local[indices[entries]]
-    keep = col >= 0
-    row = np.repeat(np.arange(rows.size), indptr[rows + 1] - indptr[rows])
-    out = np.zeros(rows.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row[keep], minlength=rows.size), out=out[1:])
-    return out, col[keep], data[entries[keep]]
+    @property
+    def T(self) -> "Csr":
+        return self if self.symmetric else self._transpose
+
+    @cached_property
+    def _transpose(self) -> "Csr":
+        # a stable sort by column keeps each row of the transpose ascending
+        rows, cols = self.shape
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(cols + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.indices, minlength=cols), out=indptr[1:])
+        return Csr(self.n, (cols, rows), indptr, self.entry_rows()[order], self.data[order],
+                   dense_ok=self.dense_ok)
+
+    @property
+    def stored_dense(self) -> bool:
+        """Whether products run on a dense float64 array of the shape, not
+        on SciPy CSR: for group means and their transposes with
+        rows·cols <= DENSE_RATIO·nnz. Â and its blocks are always CSR, so
+        a block's products stay bitwise the whole graph's rows.
+
+        On small operators SciPy's per-product Python dispatch costs more
+        than the arithmetic, which BLAS does on the dense array.
+        DENSE_RATIO = 9 is the measured break-even: P @ Y plus P.T @ Y
+        through `kernels.spmm`, median of 15 interleaved rounds (2 vCPUs,
+        NumPy 2.4, SciPy 1.17; microseconds, CSR / dense):
+
+            P shape    k    density 1/4  1/8         1/9         1/12
+            100x100    5    33 / 12      20 / 11     21 / 10     16 / 10
+            100x100    64   151 / 68     89 / 61     81 / 62     49 / 57
+            100x400    5    110 / 42     61 / 39     63 / 45     35 / 33
+            100x400    64   421 / 138    331 / 170   197 / 140   159 / 177
+            100x1000   5    200 / 93     105 / 89    86 / 82     70 / 83
+            100x1000   64   1203 / 466   798 / 437   514 / 431   361 / 423
+            100x4333   5    866 / 658    537 / 650   419 / 658   406 / 671
+            100x4333   64   7589 / 1818  2572 / 1805 2329 / 1849 2594 / 1859
+
+        Up to 1000 columns dense wins at every shape down to density 1/9
+        and loses at 1/12 on four of six. Dense reads the whole array on
+        every product, so it loses where that array is large and the
+        operand narrow: at 100x4333 and k=5, below density 1/4. The two
+        storages differ only by rounding.
+        """
+        rows, cols = self.shape
+        return self.dense_ok and rows * cols <= DENSE_RATIO * self.indices.size
+
+    @property
+    def multiply_adds(self) -> int:
+        """Multiply-adds of one product per operand column: nnz, or rows·cols
+        when the matrix is stored dense."""
+        return self.shape[0] * self.shape[1] if self.stored_dense else self.indices.size
+
+    @cached_property
+    def _matrix(self):
+        """The one matrix every product multiplies through: SciPy CSR, or the
+        dense array (`stored_dense`), built on the first product and kept."""
+        if not self.stored_dense:
+            return kernels.csr(self.indptr, self.indices, self.data, self.shape[1])
+        dense = np.zeros(self.shape)
+        dense[self.entry_rows(), self.indices] = self.data
+        return dense
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] != self.shape[1]:
+            raise ValueError(f"operand must be ({self.shape[1]}, k), got {dense.shape}")
+        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix)
 
 
 @dataclass(frozen=True)
@@ -167,213 +290,23 @@ class NodeTable:
         return len(self.class_names)
 
 
-def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, cols: int) -> tuple:
-    """CSR (indptr, indices, data) of the transpose of a CSR matrix with `cols`
-    columns; a stable sort by column keeps each of its rows ascending."""
-    order = np.argsort(indices, kind="stable")
-    out = np.zeros(cols + 1, dtype=np.intp)
-    np.cumsum(np.bincount(indices, minlength=cols), out=out[1:])
-    return out, _row_ids(indptr)[order], data[order]
-
-
-class _SparseOperator:
-    """`@ dense` through `kernels.spmm` on one matrix, built on the first
-    product and kept: SciPy CSR, or a dense array for a `SparseRows`
-    operator with many stored entries."""
-
-    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != self.shape[1]:
-            raise ValueError(f"operand must be ({self.shape[1]}, k), got {dense.shape}")
-        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix)
-
-    @cached_property
-    def _matrix(self):
-        return kernels.csr(self.indptr, self.indices, self.data, self.shape[1])
-
-    def group_means(self, offsets: np.ndarray, members: np.ndarray) -> "SparseRows":
-        """P = diag(1/|B|)·B·M, M this operator and B the 0/1 matrix of the
-        groups members[offsets[g]:offsets[g + 1]] of its rows: row g of P is
-        the mean of M's rows of group g, so P @ Y is the groups' mean rows
-        of M @ Y.
-
-        Each entry adds its members' values of M strictly in the order
-        `members` lists them, then divides the sum by the group size; the
-        columns of a row ascend. A member may repeat.
-        """
-        sizes = np.diff(offsets)
-        counts = self.indptr[members + 1] - self.indptr[members]
-        entries = _row_entries(self.indptr, members)
-        cols = self.shape[1]
-        keys = np.repeat(np.repeat(np.arange(sizes.size), sizes), counts) * cols + self.indices[entries]
-        order = np.argsort(keys, kind="stable")   # keeps member order within an entry
-        keys = keys[order]
-        first = np.diff(keys, prepend=-1) != 0
-        sums = np.bincount(np.cumsum(first) - 1, weights=self.data[entries[order]])
-        rows, cols_of = np.divmod(keys[first], cols)
-        indptr = np.zeros(sizes.size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=sizes.size), out=indptr[1:])
-        return SparseRows(self.n, (sizes.size, cols), indptr, cols_of, sums / sizes[rows])
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency(_SparseOperator):
-    """Symmetrically normalized adjacency with implicit self-connections.
-
-    Entries are deg̃(u)^-1/2 * deg̃(v)^-1/2 on the pattern of (A + I),
-    where deg̃ counts the self-connection. Stored CSR; supports `@ dense`.
-    Symmetric, so `T` is the operator itself.
-    """
-
-    n: int
-    indptr: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-    data: np.ndarray = field(repr=False)
-
-    @property
-    def shape(self) -> tuple:
-        return (self.n, self.n)
-
-    @property
-    def T(self) -> "NormalizedAdjacency":
-        return self
-
-    def block(self, rows, cols=None):
-        """The block Â[rows][:, cols] over ascending, distinct node ids.
-
-        `cols` defaults to N(rows): every node adjacent to a row, the row
-        itself included, so the block holds every stored entry of its rows.
-        Returns the operator itself when rows and columns cover every node.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        if cols is None:
-            reached = np.bincount(self.indices[_row_entries(self.indptr, rows)], minlength=self.n)
-            cols = np.flatnonzero(reached)
-        cols = np.asarray(cols, dtype=np.intp)
-        if rows.size == cols.size == self.n:
-            return self
-        csr = _block_csr(self.n, self.indptr, self.indices, self.data, rows, cols)
-        return AdjacencyBlock(self, rows, cols, *csr)
-
-
-@dataclass(frozen=True)
-class AdjacencyBlock(_SparseOperator):
-    """The block Â[rows][:, cols] of a normalized adjacency; see `NormalizedAdjacency.block`.
-
-    Row k is node rows[k] and column k is node cols[k]. Every row keeps Â's
-    ascending column order, so a product with the block adds the same
-    nonzero terms in the same order as the product with Â does. `T` is
-    Â[cols][:, rows], the transpose by the symmetry of Â.
-    """
-
-    adjacency: NormalizedAdjacency = field(repr=False)
-    rows: np.ndarray
-    cols: np.ndarray
-    indptr: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-    data: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.n
-
-    @property
-    def shape(self) -> tuple:
-        return (self.rows.size, self.cols.size)
-
-    @cached_property
-    def T(self):
-        # Â[cols][:, rows] is this block's transpose: Â's entries dinv[u] * dinv[v]
-        # are bitwise symmetric
-        return AdjacencyBlock(self.adjacency, self.cols, self.rows,
-                              *_transpose(self.indptr, self.indices, self.data, self.cols.size))
-
-
-# a `SparseRows` operator multiplies as a dense array when at least one
-# entry in DENSE_RATIO is stored (see its docstring for the measurement)
-DENSE_RATIO = 9
-
-
-@dataclass(frozen=True)
-class SparseRows(_SparseOperator):
-    """A CSR operator onto rows of the graph's node space, such as the group
-    means `group_means` builds; `n` is the graph's node count.
-
-    The operator keeps its CSR arrays, but multiplies through a dense
-    float64 array of its shape when rows·cols <= DENSE_RATIO·nnz, and
-    through SciPy CSR otherwise. On small operators SciPy's per-product
-    Python dispatch costs more than the arithmetic, which BLAS does on the
-    dense array. DENSE_RATIO = 9 is the measured break-even: P @ Y plus
-    P.T @ Y through `kernels.spmm`, median of 15 interleaved rounds
-    (2 vCPUs, NumPy 2.4, SciPy 1.17; microseconds, CSR / dense):
-
-        P shape    k    density 1/4  1/8         1/9         1/12
-        100x100    5    33 / 12      20 / 11     21 / 10     16 / 10
-        100x100    64   151 / 68     89 / 61     81 / 62     49 / 57
-        100x400    5    110 / 42     61 / 39     63 / 45     35 / 33
-        100x400    64   421 / 138    331 / 170   197 / 140   159 / 177
-        100x1000   5    200 / 93     105 / 89    86 / 82     70 / 83
-        100x1000   64   1203 / 466   798 / 437   514 / 431   361 / 423
-        100x4333   5    866 / 658    537 / 650   419 / 658   406 / 671
-        100x4333   64   7589 / 1818  2572 / 1805 2329 / 1849 2594 / 1859
-
-    Up to 1000 columns dense wins at every shape down to density 1/9 and
-    loses at 1/12 on four of six. Dense reads the whole array on every
-    product, so it loses where that array is large and the operand
-    narrow: at 100x4333 and k=5, below density 1/4. The two storages
-    differ only by rounding. Entries are distinct (row, column) pairs, as
-    `group_means` and `T` produce them.
-    """
-
-    n: int
-    shape: tuple
-    indptr: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-    data: np.ndarray = field(repr=False)
-
-    @property
-    def stored_dense(self) -> bool:
-        """Whether products run on a dense array (see the class docstring)."""
-        rows, cols = self.shape
-        return rows * cols <= DENSE_RATIO * self.indices.size
-
-    @property
-    def multiply_adds(self) -> int:
-        """Multiply-adds of one product per operand column: nnz, or rows·cols
-        when the operator is stored dense."""
-        return self.shape[0] * self.shape[1] if self.stored_dense else self.indices.size
-
-    @cached_property
-    def _matrix(self):
-        if not self.stored_dense:
-            return kernels.csr(self.indptr, self.indices, self.data, self.shape[1])
-        dense = np.zeros(self.shape)
-        dense[_row_ids(self.indptr), self.indices] = self.data
-        return dense
-
-    @cached_property
-    def T(self) -> "SparseRows":
-        rows, cols = self.shape
-        return SparseRows(self.n, (cols, rows), *_transpose(self.indptr, self.indices, self.data, cols))
-
-
-def normalized_adjacency(graph: Graph) -> NormalizedAdjacency:
-    """Build the normalized operator used by the graph convolution."""
+def normalized_adjacency(graph: Csr) -> Csr:
+    """Â, the graph's symmetrically normalized adjacency with implicit
+    self-connections: deg̃(u)^-1/2 * deg̃(v)^-1/2 on the pattern of (A + I),
+    where deg̃ counts the self-connection."""
     n = graph.n
     deg = np.diff(graph.indptr).astype(np.float64) + 1.0
     dinv = 1.0 / np.sqrt(deg)
     diag = np.arange(n, dtype=np.intp)
-    rows = np.concatenate([_row_ids(graph.indptr), diag])
-    indptr, indices = _csr(n, rows, np.concatenate([graph.indices, diag]))
-    vals = dinv[_row_ids(indptr)] * dinv[indices]
-    return NormalizedAdjacency(n=n, indptr=indptr, indices=indices, data=vals)
+    pattern = Csr._pattern(n, np.concatenate([graph.entry_rows(), diag]), np.concatenate([graph.indices, diag]))
+    return replace(pattern, data=dinv[pattern.entry_rows()] * dinv[pattern.indices])
 
 
 def hop_distances(graph, core: int, need: int | None = None) -> tuple:
-    """Shortest-path hop counts from `core` in a `Graph` or the pattern of its
-    `NormalizedAdjacency`, which give the same, as (nodes, levels) over the
-    nodes reached (`kernels.bfs_levels`): `core` first at level 0, then
-    level by level, ascending within a level. Unreached nodes are absent.
+    """Shortest-path hop counts from `core` in a graph or the pattern of its
+    Â, which give the same, as (nodes, levels) over the nodes reached
+    (`kernels.bfs_levels`): `core` first at level 0, then level by level,
+    ascending within a level. Unreached nodes are absent.
 
     With `need`, only the levels up to the first one by which `need` other
     nodes are reached are returned.
@@ -394,7 +327,7 @@ def open_text(path):
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_edge_list(path) -> Graph:
+def load_edge_list(path) -> Csr:
     """Read an undirected edge list; see the module docstring for the format.
 
     A node count (the header's, or the largest id + 1) above MAX_NODES
@@ -413,7 +346,7 @@ def load_edge_list(path) -> Graph:
             n, pairs = _edge_lines(path, fh, lineno, header_n)
     if n > MAX_NODES:
         raise FormatError(f"{path}: node count {n} (largest id + 1) is too large to index")
-    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
+    return Csr.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
 
 
 def _plain_edges(pairs: np.ndarray, header_n) -> bool:

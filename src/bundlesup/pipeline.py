@@ -41,8 +41,8 @@ import numpy as np
 from . import gnn
 from .annotate import AnnotationCache, OracleConfig, annotate_all, annotate_nodes_oracle, mode_label
 from .graphs import (
+    Csr,
     NodeTable,
-    NormalizedAdjacency,
     load_edge_list,
     load_embeddings,
     load_node_table,
@@ -99,7 +99,7 @@ class Dataset(NamedTuple):
     """One replicate's inputs, all read-only: Â, the (n, d) features X, Â·X
     and the node table."""
 
-    a_hat: NormalizedAdjacency
+    a_hat: Csr
     x: np.ndarray
     ax: np.ndarray
     table: NodeTable

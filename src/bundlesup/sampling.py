@@ -9,7 +9,8 @@ Three member-selection criteria:
   random       uniform over all other nodes, ignoring proximity
 
 Per-bundle randomness is derived from (seed, bundle id) so results do not
-depend on evaluation order.
+depend on evaluation order. The topological criterion walks the CSR rows
+of a `graphs.Csr`: the graph itself or its Â, which give the same bundles.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def sample_topological(
     graph, core: int, bundle_size: int, rng: np.random.Generator, bundle_id: int = 0
 ) -> Bundle:
     """Core plus a uniform sample from its adaptive-hop neighborhood in a
-    `Graph` or its Â, whose self-connections change no BFS level."""
+    graph or its Â, whose self-connections change no BFS level."""
     # the search stops at the adaptive radius, so the pool is every node it
     # reached but the core, which comes first
     reached = hop_distances(graph, core, bundle_size - 1)[0][1:]
@@ -129,10 +130,10 @@ def _member_rng(seed: int, bundle_id: int) -> np.random.Generator:
 def sample_bundles(graph, embeddings: np.ndarray, cfg: SamplingConfig) -> list:
     """Draw cfg.num_bundles bundles with ids 0..num_bundles-1.
 
-    `graph` is a `Graph` or its `NormalizedAdjacency`; both give the same
-    bundles. Cores are drawn without replacement while the node count
-    allows it. Isolated cores under the topological criterion are redrawn,
-    up to cfg.max_resample_attempts redraws in total. The node count is the
+    `graph` is a graph `Csr` or its Â; both give the same bundles. Cores
+    are drawn without replacement while the node count allows it.
+    Isolated cores under the topological criterion are redrawn, up to
+    cfg.max_resample_attempts redraws in total. The node count is the
     graph's, except under the semantic criterion, which reads only the
     (n, d) embeddings; random sampling takes either.
     """
@@ -204,38 +205,55 @@ def apply_refinements(bundles, refinements) -> list:
     return out
 
 
+def _json_int(value, what: str, where: str) -> int:
+    """`value` if it is a JSON integer; 1.7, true or "1" raises, not cast."""
+    if type(value) is not int:   # bool is an int subclass
+        raise FormatError(f"{where}: {what} {value!r} is not an integer")
+    return value
+
+
+def _json_list(value, what: str, where: str) -> list:
+    if type(value) is not list:
+        raise FormatError(f"{where}: {what} {value!r} is not a list")
+    return value
+
+
 def load_bundles(path) -> list:
     """Read bundles as `save_bundles` writes them; a line that is not a
     bundle, or repeats an earlier bundle's id, raises a FormatError naming
-    the path and the line."""
+    the path and the line. Ids, nodes, labels and epochs must be JSON
+    integers, and members and evicted JSON lists."""
     bundles = []
     seen = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid record: {exc}") from None
+                raise FormatError(f"{where}: invalid record: {exc}") from None
             if not isinstance(rec, dict):
-                raise FormatError(f"{path}:{lineno}: record is not a JSON object")
+                raise FormatError(f"{where}: record is not a JSON object")
             for key in ("id", "core", "members"):
                 if key not in rec:
-                    raise FormatError(f"{path}:{lineno}: record has no {key}")
+                    raise FormatError(f"{where}: record has no {key}")
+            fields = dict(
+                id=_json_int(rec["id"], "id", where),
+                core=_json_int(rec["core"], "core", where),
+                members=[_json_int(v, "member", where) for v in _json_list(rec["members"], "members", where)],
+                label=None if rec.get("label") is None else _json_int(rec["label"], "label", where),
+                evicted=[tuple(_json_int(v, "evicted entry", where) for v in _json_list(pair, "eviction", where))
+                         for pair in _json_list(rec.get("evicted", []), "evicted", where)],
+            )
+            if any(len(pair) != 2 for pair in fields["evicted"]):
+                raise FormatError(f"{where}: an eviction is not an [epoch, node] pair")
             try:
-                bundles.append(
-                    Bundle(
-                        id=int(rec["id"]),
-                        core=int(rec["core"]),
-                        members=[int(v) for v in rec["members"]],
-                        label=int(rec["label"]) if rec.get("label") is not None else None,
-                        evicted=[(int(e), int(v)) for e, v in rec.get("evicted", [])],
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: invalid bundle: {exc}") from None
+                bundles.append(Bundle(**fields))
+            except ValueError as exc:
+                raise FormatError(f"{where}: invalid bundle: {exc}") from None
             if bundles[-1].id in seen:
-                raise FormatError(f"{path}:{lineno}: bundle id {bundles[-1].id} repeats an earlier bundle's")
+                raise FormatError(f"{where}: bundle id {bundles[-1].id} repeats an earlier bundle's")
             seen.add(bundles[-1].id)
     return bundles

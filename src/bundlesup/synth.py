@@ -3,6 +3,7 @@
 Nodes split into equal-size class blocks; intra-class pairs connect with
 probability p_in, inter-class pairs with p_out. Class c's embedding mean
 sits at separation * e_c, with isotropic Gaussian noise of scale sigma.
+The graph is a `graphs.Csr` with no data, as `Csr.from_edges` builds it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, NodeTable
+from .graphs import Csr, NodeTable
 
 _BLOCK_ROWS = 64
 
@@ -47,12 +48,12 @@ class SbmConfig:
 
 
 def gen_sbm(cfg: SbmConfig):
-    """Returns (Graph, (n, dim) embedding array, NodeTable), deterministic per seed."""
+    """Returns (graph `Csr`, (n, dim) embedding array, NodeTable), deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
     per = cfg.n // cfg.n_classes
     labels = np.repeat(np.arange(cfg.n_classes), per)
 
-    graph = Graph.from_edges(cfg.n, _sbm_edges(cfg, labels, rng))
+    graph = Csr.from_edges(cfg.n, _sbm_edges(cfg, labels, rng))
 
     means = np.zeros((cfg.n_classes, cfg.dim))
     means[np.arange(cfg.n_classes), np.arange(cfg.n_classes)] = cfg.separation
@@ -83,7 +84,7 @@ def _sbm_edges(cfg: SbmConfig, labels: np.ndarray, rng) -> np.ndarray:
     return np.column_stack(np.divmod(np.concatenate(keys), cfg.n))
 
 
-def homophily(graph: Graph, labels) -> float:
+def homophily(graph: Csr, labels) -> float:
     """Fraction of edges joining same-class endpoints."""
     if graph.num_edges == 0:
         return float("nan")

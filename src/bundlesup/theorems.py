@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gnn
-from .graphs import Graph, normalized_adjacency
+from .graphs import Csr, normalized_adjacency
 from .losses import FlatBundles, log_softmax_rows, softmax_rows
 from .annotate import OracleConfig, annotate_all
 from .sampling import SamplingConfig, sample_bundles
@@ -133,7 +133,7 @@ def verify_theorem1(
 class Theorem2Instance:
     """A deliberately tiny single-bundle problem (n, d, h, C all <= 10)."""
 
-    graph: Graph
+    graph: Csr
     x: np.ndarray
     members: tuple
     label: int
@@ -153,7 +153,7 @@ def default_theorem2_instance(seed: int = 0, n_points: int = 10) -> Theorem2Inst
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
         if edges:
             break
-    graph = Graph.from_edges(n, edges)
+    graph = Csr.from_edges(n, edges)
     x = rng.normal(0.0, 1.0, size=(n, d))
     members = tuple(int(v) for v in rng.choice(n, size=size, replace=False))
     label = int(rng.integers(c))

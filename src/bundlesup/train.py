@@ -39,7 +39,11 @@ are the group logits the loss reads, so no member logit is formed; for
 `member_ce` and `node_ce` it is the block Â[S, N(S)] itself. A logit of
 S depends on no hidden row outside N(S), so this is the whole-graph
 descent restricted to the rows that carry gradient, not an
-approximation. A refinement epoch of a bundle objective computes the
+approximation. Â, the block and P are each a `graphs.Csr`. Training
+alone knows which operator is group means, so it picks the second
+layer's order and passes it to `gnn.forward`: propagate first where
+`gnn.propagates_first` counts fewer multiply-adds, which only group
+means may do. A refinement epoch of a bundle objective computes the
 member logits Â[S, N(S)] (H W2) + b2 from the trace's H
 (`gnn.second_layer`). Â @ X is computed once over the whole graph, or
 passed in as `ax` by a caller that keeps it; the block and P are rebuilt
@@ -230,15 +234,21 @@ def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
         raise ValueError(f"bundle {what} {bad[0]} is outside the {bound} {of}")
 
 
-def _field(a_hat, ax: np.ndarray, groups: FlatBundles, objective: str) -> tuple:
+def _field(a_hat, ax: np.ndarray, groups: FlatBundles, objective: str, h: int, c: int) -> tuple:
     """What an epoch reads for one set of members: `groups` with members
     indexed into the sorted rows S they cover, the block Â[S, N(S)],
-    (Â @ X)[N(S)], and the field operator P onto the objective's logits."""
+    (Â @ X)[N(S)], the field operator P onto the objective's logits, and
+    whether the second layer propagates through P first: only group means
+    may, by `gnn.propagates_first`."""
     rows = np.unique(groups.members)
     local = replace(groups, members=np.searchsorted(rows, groups.members))
-    block = a_hat.block(rows)
-    op = block if objective in ("member_ce", "node_ce") else block.group_means(local.offsets, local.members)
-    return local, block, ax if block is a_hat else ax[block.cols], op
+    cols = a_hat.reach(rows)
+    block = a_hat.block(rows, cols)
+    ax_field = ax if block is a_hat else ax[cols]
+    if objective in ("member_ce", "node_ce"):
+        return local, block, ax_field, block, False
+    op = block.group_means(local.offsets, local.members)
+    return local, block, ax_field, op, gnn.propagates_first(op, h, c)
 
 
 def _evaluate(objective: str, z: np.ndarray, groups: FlatBundles):
@@ -289,7 +299,7 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     else:
         eta = cfg.learning_rate
 
-    local, block, ax_field, op = _field(a_hat, ax, groups, objective)
+    local, block, ax_field, op, first = _field(a_hat, ax, groups, objective, cfg.hidden, n_classes)
     curves = np.empty((4, cfg.epochs))   # per epoch: loss, its two terms, gradient norm
     refinements = []
 
@@ -298,7 +308,7 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     # floating-point warnings, reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, cfg.epochs + 1):
-            trace = gnn.forward(params, op, x, ax=ax_field)
+            trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first)
             value = _evaluate(objective, trace.z, local)
             if not math.isfinite(value.loss):
                 raise TrainingDivergedError(t, eta)
@@ -317,10 +327,11 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
                     keep = np.ones(groups.members.size, dtype=bool)
                     keep[gone] = False
                     groups = groups.keep(keep)
-                    local, block, ax_field, op = _field(a_hat, ax, groups, objective)
+                    local, block, ax_field, op, first = _field(a_hat, ax, groups, objective,
+                                                               cfg.hidden, n_classes)
             theta -= eta * grad
 
-    trace = gnn.forward(params, op, x, ax=ax_field)
+    trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first)
     value = _evaluate(objective, trace.z, local)
     gnn.backward(params, op, x, trace, value.d_z, out=grads)
     loss, loss_be, loss_rank, grad_norm = curves

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from bundlesup import gnn
-from bundlesup.graphs import FormatError, Graph, NodeTable, SparseRows, hop_distances
+from bundlesup.graphs import Csr, FormatError, NodeTable, hop_distances
 from bundlesup.losses import (
     FlatBundles,
     ObjectiveValue,
@@ -35,7 +35,7 @@ def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:
     `group_means` of the identity, and its gradient back through P^T."""
     flat = FlatBundles.from_bundles(bundles)
     n = z.shape[0]
-    identity = SparseRows(n, (n, n), np.arange(n + 1), np.arange(n), np.ones(n))
+    identity = Csr(n, (n, n), np.arange(n + 1), np.arange(n), np.ones(n))
     p = identity.group_means(flat.offsets, flat.members)
     value = bundle_objective(p @ z, flat.labels)
     return value.loss, p.T @ value.d_z
@@ -254,10 +254,13 @@ def _member_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
 def _group_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
     """One whole-graph epoch in `train`'s order: `gnn.forward` and
     `gnn.backward` through P, `a_hat.group_means` of the bundles for a
-    bundle objective and Â itself otherwise. Returns (member logits,
-    value, gradients); the member logits are Â (H W2) + b2."""
+    bundle objective and Â itself otherwise, with the second layer in the
+    order `train` picks (`gnn.propagates_first` on group means). Returns
+    (member logits, value, gradients); the member logits are
+    Â (H W2) + b2."""
     op = a_hat if objective in ("member_ce", "node_ce") else a_hat.group_means(flat.offsets, flat.members)
-    trace = gnn.forward(params, op, x, ax=ax)
+    first = op is not a_hat and gnn.propagates_first(op, *params.dims[1:])
+    trace = gnn.forward(params, op, x, ax=ax, propagate_first=first)
     if objective == "node_ce":
         value = node_ce_objective(trace.z, *nodes)
     elif objective == "member_ce":
@@ -334,7 +337,7 @@ def softmax_row(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def load_edge_list(path) -> Graph:
+def load_edge_list(path) -> Csr:
     """`graphs.load_edge_list` as one per-line loop: the reference for its
     graphs, FormatError messages and self-loop warnings."""
     us, vs = [], []
@@ -381,7 +384,7 @@ def load_edge_list(path) -> Graph:
     if n * n > np.iinfo(np.intp).max:
         raise FormatError(f"{path}: node count {n} (largest id + 1) is too large to index")
     pairs = np.array((us, vs), dtype=np.intp).T
-    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
+    return Csr.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops warned above
 
 
 def load_embeddings(path) -> np.ndarray:
@@ -436,7 +439,7 @@ def gen_sbm(cfg: SbmConfig):
     draw = rng.random((cfg.n, cfg.n))
     upper = np.triu(np.ones((cfg.n, cfg.n), dtype=bool), k=1)
     rows, cols = np.nonzero(upper & (draw < prob))
-    graph = Graph.from_edges(cfg.n, np.column_stack((rows, cols)))
+    graph = Csr.from_edges(cfg.n, np.column_stack((rows, cols)))
 
     means = np.zeros((cfg.n_classes, cfg.dim))
     means[np.arange(cfg.n_classes), np.arange(cfg.n_classes)] = cfg.separation
@@ -451,12 +454,12 @@ def gen_sbm(cfg: SbmConfig):
     return graph, x, table
 
 
-def edge_set(graph: Graph) -> frozenset:
+def edge_set(graph: Csr) -> frozenset:
     """The graph's edges as a frozenset of pairs (u, v) with u < v."""
     return frozenset(map(tuple, graph.edge_array().tolist()))
 
 
-def adaptive_hop(graph: Graph, core: int, bundle_size: int) -> tuple:
+def adaptive_hop(graph: Csr, core: int, bundle_size: int) -> tuple:
     """Smallest hop radius whose neighbourhood holds bundle_size - 1 other
     nodes, counted radius by radius on a whole BFS, as (k, saturated).
 
@@ -475,7 +478,7 @@ def adaptive_hop(graph: Graph, core: int, bundle_size: int) -> tuple:
     return radius, True
 
 
-def adaptive_hop_distances(graph: Graph, core: int, bundle_size: int) -> tuple:
+def adaptive_hop_distances(graph: Csr, core: int, bundle_size: int) -> tuple:
     """`hop_distances` as a topological bundle of `bundle_size` needs it,
     from a whole BFS: every reachable node's hop count, then cut to the
     `adaptive_hop` radius, which keeps the whole component when it holds

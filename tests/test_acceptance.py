@@ -18,7 +18,7 @@ import pytest
 
 from bundlesup import gnn
 from bundlesup.annotate import AnnotationCache, annotate_all
-from bundlesup.graphs import Graph, NodeTable, normalized_adjacency
+from bundlesup.graphs import Csr, NodeTable, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.losses import FlatBundles, bundle_objective
 from bundlesup.pipeline import paired_difference, run_pipeline, standard_experiment
@@ -47,7 +47,7 @@ def random_supervised_instance(seed):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
         if edges:
             break
-    a_hat = normalized_adjacency(Graph.from_edges(n, edges))
+    a_hat = normalized_adjacency(Csr.from_edges(n, edges))
     x = rng.normal(size=(n, d))
     params = gnn.init_params(d, h, c, seed)
     bundles = []
@@ -65,14 +65,16 @@ def test_criterion_01_gradient_correctness():
     worst = 0.0
     for seed in range(20):
         a_hat, x, params, flat = random_supervised_instance(seed)
-        # the bundles' group logits, through the group means of Â
+        # the bundles' group logits, through the group means of Â, in the
+        # second-layer order training picks
         op, ax = a_hat.group_means(flat.offsets, flat.members), a_hat @ x
+        first = gnn.propagates_first(op, *params.dims[1:])
 
         def loss_of(vec):
-            trace = gnn.forward(params.from_vector(vec), op, x, ax=ax)
+            trace = gnn.forward(params.from_vector(vec), op, x, ax=ax, propagate_first=first)
             return bundle_objective(trace.z, flat.labels).loss
 
-        trace = gnn.forward(params, op, x, ax=ax)
+        trace = gnn.forward(params, op, x, ax=ax, propagate_first=first)
         value = bundle_objective(trace.z, flat.labels)
         grads = gnn.backward(params, op, x, trace, value.d_z).to_vector()
         vec = params.to_vector()

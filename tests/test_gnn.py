@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlesup import gnn
-from bundlesup.graphs import Graph, normalized_adjacency
+from bundlesup.graphs import Csr, normalized_adjacency
 from bundlesup.losses import softmax_rows
 from bundlesup.pipeline import accuracy
 
@@ -20,7 +20,7 @@ def random_instance(seed, n=12, d=4, h=5, c=3, p_edge=0.3):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
         if edges:
             break
-    graph = Graph.from_edges(n, edges)
+    graph = Csr.from_edges(n, edges)
     x = rng.normal(size=(n, d))
     params = gnn.init_params(d, h, c, seed)
     return normalized_adjacency(graph), x, params
@@ -79,7 +79,7 @@ class TestForward:
         np.testing.assert_allclose(p, 1.0 / p.shape[1])
 
     def test_isolated_node_is_plain_mlp(self):
-        g = Graph.from_edges(1, [])
+        g = Csr.from_edges(1, [])
         a_hat = normalized_adjacency(g)
         rng = np.random.default_rng(3)
         x = np.abs(rng.normal(size=(1, 4))) + 0.5
@@ -104,8 +104,8 @@ class TestForward:
         params = gnn.init_params(3, 4, 2, seed=0)
         perm = rng.permutation(n)
         inv = np.argsort(perm)
-        g1 = Graph.from_edges(n, edges)
-        g2 = Graph.from_edges(n, [(int(inv[u]), int(inv[v])) for u, v in edges])
+        g1 = Csr.from_edges(n, edges)
+        g2 = Csr.from_edges(n, [(int(inv[u]), int(inv[v])) for u, v in edges])
         z1 = gnn.forward(params, normalized_adjacency(g1), x).z
         z2 = gnn.forward(params, normalized_adjacency(g2), x[perm][np.argsort(inv[perm])]).z
         # relabeling nodes by perm: row i of the first run appears at inv[i]
@@ -123,7 +123,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         n, d, h, c = 2000, 8, 64, 20
         edges = rng.integers(0, n, size=(8 * n, 2))
-        a_hat = normalized_adjacency(Graph.from_edges(n, edges[edges[:, 0] != edges[:, 1]]))
+        a_hat = normalized_adjacency(Csr.from_edges(n, edges[edges[:, 0] != edges[:, 1]]))
         x = rng.normal(size=(n, d))
         params = gnn.init_params(d, h, c, seed=0)
         gnn.forward(params, a_hat, x)   # builds the SciPy operator Â keeps
@@ -253,11 +253,11 @@ class TestRowBlock:
         for seed in range(10):
             a_hat, x, params = random_instance(seed, n=20, p_edge=0.12)
             rows = np.flatnonzero(np.random.default_rng(seed).random(20) < 0.3)
-            block = a_hat.block(rows)
+            block, cols = a_hat.block(rows), a_hat.reach(rows)
             whole = gnn.forward(params, a_hat, x)
-            trace = gnn.forward(params, block, x, ax=whole.ax[block.cols])
+            trace = gnn.forward(params, block, x, ax=whole.ax[cols])
             np.testing.assert_array_equal(trace.z, whole.z[rows])
-            np.testing.assert_array_equal(trace.h, whole.h[block.cols])
+            np.testing.assert_array_equal(trace.h, whole.h[cols])
             d_z = np.random.default_rng(100 + seed).normal(size=trace.z.shape)
             d_full = np.zeros_like(whole.z)
             d_full[rows] = d_z
@@ -279,7 +279,7 @@ class TestRowBlock:
             offsets = np.concatenate([[0], np.cumsum([g.size for g in groups])])
             members = np.concatenate(groups)
             block = a_hat.block(rows)
-            ax = (a_hat @ x)[block.cols]
+            ax = (a_hat @ x)[a_hat.reach(rows)]
             member = gnn.forward(params, block, x, ax=ax)
             trace = gnn.forward(params, block.group_means(offsets, members), x, ax=ax)
             want = np.array([member.z[g].mean(axis=0) for g in groups])
@@ -293,19 +293,18 @@ class TestRowBlock:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("first", [False, True])
-    def test_both_second_layer_orders_agree(self, monkeypatch, first):
+    def test_both_second_layer_orders_agree(self, first):
         """P (H W2) + b2 and (P H) W2 + b2 through group means give the same
         logits and gradients within 1e-12 relative; the trace keeps P H
         where the layer propagated first."""
         a_hat, x, params = random_instance(5, n=20, p_edge=0.2)
         offsets, members = np.array([0, 3, 4, 7]), np.array([0, 2, 5, 1, 3, 4, 6])
         block = a_hat.block(np.arange(7))
-        op, ax = block.group_means(offsets, members), (a_hat @ x)[block.cols]
+        op, ax = block.group_means(offsets, members), (a_hat @ x)[a_hat.reach(np.arange(7))]
         d_z = np.random.default_rng(5).normal(size=(3, params.dims[2]))
-        want = gnn.forward(params, op, x, ax=ax)
+        want = gnn.forward(params, op, x, ax=ax, propagate_first=not first)
         want_grads = gnn.backward(params, op, x, want, d_z).to_vector()
-        monkeypatch.setattr(gnn, "_propagates_first", lambda *args: first)
-        got = gnn.forward(params, op, x, ax=ax)
+        got = gnn.forward(params, op, x, ax=ax, propagate_first=first)
         assert (got.ph is None) == (not first)
         np.testing.assert_allclose(got.z, want.z, rtol=1e-12, atol=1e-12 * np.abs(want.z).max())
         got_grads = gnn.backward(params, op, x, got, d_z).to_vector()
@@ -339,7 +338,7 @@ def jacobian_cases(draw):
         params.b1[0] = 0.0
     x = rng.normal(size=(n, d))
     probe = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    return normalized_adjacency(Graph.from_edges(n, edges)), x, params, probe
+    return normalized_adjacency(Csr.from_edges(n, edges)), x, params, probe
 
 
 class TestLogitJacobian:

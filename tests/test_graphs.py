@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from bundlesup import graphs, kernels
 from bundlesup.graphs import (
+    Csr,
     FormatError,
-    Graph,
     MAX_NODES,
     NodeTable,
     hop_distances,
@@ -101,7 +101,7 @@ class TestLoadEdgeList:
     def test_the_largest_count_is_the_square_root_of_intp(self):
         assert MAX_NODES**2 <= np.iinfo(np.intp).max < (MAX_NODES + 1) ** 2
         with pytest.raises(ValueError, match="too large"):
-            Graph.from_edges(MAX_NODES + 1, [(0, 1)])
+            Csr.from_edges(MAX_NODES + 1, [(0, 1)])
 
 
 @pytest.mark.parametrize("load, data", [
@@ -120,19 +120,19 @@ def test_bytes_that_are_not_utf8_raise_a_format_error_naming_the_path(tmp_path, 
 
 class TestHopDistances:
     def test_triangle(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        g = Csr.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         assert hop_array(g, 0).tolist() == [0, 1, 1]
 
     def test_chain(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g = Csr.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert hop_array(g, 0).tolist() == [0, 1, 2, 3]
 
     def test_unreachable_sentinel(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        g = Csr.from_edges(4, [(0, 1), (1, 2)])
         assert hop_array(g, 0)[3] == UNREACHABLE
 
     def test_core_out_of_range(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        g = Csr.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             hop_distances(g, 2)
 
@@ -143,7 +143,7 @@ class TestHopDistances:
             n = int(rng.integers(5, 30))
             mask = rng.random((n, n)) < 0.15
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-            g = Graph.from_edges(n, edges)
+            g = Csr.from_edges(n, edges)
             dist = hop_array(g, int(rng.integers(n)))
             for u, v in edge_set(g):
                 if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE:
@@ -152,12 +152,12 @@ class TestHopDistances:
 
 class TestNormalizedAdjacency:
     def test_isolated_node(self):
-        g = Graph.from_edges(1, [])
+        g = Csr.from_edges(1, [])
         a = normalized_adjacency(g)
         assert dense_adjacency(a).tolist() == [[1.0]]
 
     def test_two_connected_nodes(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        g = Csr.from_edges(2, [(0, 1)])
         np.testing.assert_allclose(dense_adjacency(normalized_adjacency(g)), 0.5 * np.ones((2, 2)))
 
     def test_symmetric_and_bounded(self):
@@ -166,13 +166,13 @@ class TestNormalizedAdjacency:
             n = int(rng.integers(2, 25))
             mask = rng.random((n, n)) < 0.2
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-            dense = dense_adjacency(normalized_adjacency(Graph.from_edges(n, edges)))
+            dense = dense_adjacency(normalized_adjacency(Csr.from_edges(n, edges)))
             np.testing.assert_array_equal(dense, dense.T)
             vals = dense[dense != 0]
             assert (vals > 0).all() and (vals <= 1).all()
 
     def test_pattern_is_adjacency_plus_identity(self):
-        g = Graph.from_edges(3, [(0, 1)])
+        g = Csr.from_edges(3, [(0, 1)])
         dense = dense_adjacency(normalized_adjacency(g))
         expect = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
         np.testing.assert_array_equal(dense != 0, expect)
@@ -182,7 +182,7 @@ class TestNormalizedAdjacency:
         n = 15
         mask = rng.random((n, n)) < 0.3
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-        a = normalized_adjacency(Graph.from_edges(n, edges))
+        a = normalized_adjacency(Csr.from_edges(n, edges))
         x = rng.normal(size=(n, 4))
         np.testing.assert_allclose(a @ x, dense_adjacency(a) @ x, atol=1e-12)
 
@@ -196,7 +196,7 @@ class TestNormalizedAdjacency:
 
         monkeypatch.setattr(kernels, "csr", counting)
         rng = np.random.default_rng(12)
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+        g = Csr.from_edges(6, [(0, 1), (1, 2), (3, 4)])
         a, b = normalized_adjacency(g), normalized_adjacency(g)
         for _ in range(20):
             a @ rng.normal(size=(6, 3))
@@ -211,7 +211,7 @@ class TestNormalizedAdjacency:
             n = int(rng.integers(1, 20))
             mask = rng.random((n, n)) < rng.uniform(0.0, 0.4)
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-            a = normalized_adjacency(Graph.from_edges(n, edges))
+            a = normalized_adjacency(Csr.from_edges(n, edges))
             dense = dense_adjacency(a)
             rows = np.flatnonzero(rng.random(n) < 0.5)
             cols = np.flatnonzero(rng.random(n) < 0.6)
@@ -221,15 +221,16 @@ class TestNormalizedAdjacency:
             np.testing.assert_array_equal(got, dense[rows][:, cols])
             assert all((np.diff(block.indices[block.indptr[k]:block.indptr[k + 1]]) > 0).all()
                        for k in range(rows.size))
-            np.testing.assert_array_equal(block.T.rows, cols)
-            np.testing.assert_array_equal(block.T.cols, rows)
+            assert block.T.shape == (cols.size, rows.size) and block.T.n == n
+            np.testing.assert_array_equal(dense_adjacency(block.T), dense[cols][:, rows])
             x = rng.normal(size=(rows.size, 2))
             np.testing.assert_allclose(block.T @ x, dense[cols][:, rows] @ x, atol=1e-15)
             field, reached = a.block(rows), np.flatnonzero(dense[rows].any(axis=0))
+            np.testing.assert_array_equal(a.reach(rows), reached)
             if rows.size == reached.size == n:
                 assert field is a
             else:
-                np.testing.assert_array_equal(field.cols, reached)
+                np.testing.assert_array_equal(dense_adjacency(field), dense[rows][:, reached])
 
     def test_block_transpose_is_the_cut_of_the_swapped_nodes(self):
         """`T` transposes the block's own entries into exactly the arrays that
@@ -239,39 +240,56 @@ class TestNormalizedAdjacency:
             n = int(rng.integers(1, 30))
             mask = rng.random((n, n)) < rng.uniform(0.0, 0.4)
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-            a = normalized_adjacency(Graph.from_edges(n, edges))
+            a = normalized_adjacency(Csr.from_edges(n, edges))
             rows = np.flatnonzero(rng.random(n) < 0.5)
             cols = np.flatnonzero(rng.random(n) < 0.6)
-            for block in (a.block(rows, cols), a.block(rows)):
+            for block, used in ((a.block(rows, cols), cols), (a.block(rows), a.reach(rows))):
                 if block is a:
                     continue
-                cut = a.block(block.cols, block.rows)
-                for name in ("rows", "cols", "indptr", "indices", "data"):
+                cut = a.block(used, rows)
+                assert (block.T.n, block.T.shape) == (cut.n, cut.shape)
+                for name in ("indptr", "indices", "data"):
                     got, want = getattr(block.T, name), getattr(cut, name)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_block_over_every_node_is_the_operator(self):
-        a = normalized_adjacency(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        a = normalized_adjacency(Csr.from_edges(4, [(0, 1), (2, 3)]))
         assert a.block(np.arange(4)) is a
         assert a.block([0, 1, 2, 3], [0, 1, 2, 3]) is a
         assert a.T is a
 
-    def test_block_products_keep_the_whole_graph_terms(self):
+    def test_block_products_keep_the_whole_graph_terms(self, monkeypatch):
         """A block row adds the same terms in the same order as Â's row, so
         block products equal the whole-graph rows bitwise when the dropped
-        columns are zero rows of the operand."""
+        columns are zero rows of the operand. Â, the block and its `T` sit
+        above density 1/DENSE_RATIO, yet each multiplies through SciPy CSR,
+        never a dense array: only group means switch storage."""
+        from scipy.sparse import issparse
+
+        matrices = []
+        real = kernels.spmm
+
+        def recording(*args, matrix=None):
+            matrices.append(matrix)
+            return real(*args, matrix=matrix)
+
+        monkeypatch.setattr(kernels, "spmm", recording)
         rng = np.random.default_rng(15)
         n = 30
         mask = rng.random((n, n)) < 0.15
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-        a = normalized_adjacency(Graph.from_edges(n, edges))
+        a = normalized_adjacency(Csr.from_edges(n, edges))
         rows = np.flatnonzero(rng.random(n) < 0.3)
-        block = a.block(rows)
+        block, cols = a.block(rows), a.reach(rows)
         x = rng.normal(size=(n, 5))
-        np.testing.assert_array_equal(block @ x[block.cols], (a @ x)[rows])
+        np.testing.assert_array_equal(block @ x[cols], (a @ x)[rows])
         d = np.zeros((n, 3))
         d[rows] = rng.normal(size=(rows.size, 3))
-        np.testing.assert_array_equal(block.T @ d[rows], (a @ d)[block.cols])
+        np.testing.assert_array_equal(block.T @ d[rows], (a @ d)[cols])
+        for op in (a, block, block.T):
+            assert op.shape[0] * op.shape[1] <= graphs.DENSE_RATIO * op.indices.size
+            assert not op.stored_dense and issparse(op._matrix)
+        assert len(matrices) == 4 and all(issparse(m) for m in matrices)
 
     def test_every_product_goes_through_spmm_with_four_positional_arguments(self, monkeypatch):
         """perfbench's tracer unpacks (indptr, indices, data, dense) from the
@@ -286,7 +304,7 @@ class TestNormalizedAdjacency:
 
         monkeypatch.setattr(kernels, "spmm", counting)
         rng = np.random.default_rng(13)
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        g = Csr.from_edges(5, [(0, 1), (1, 2), (2, 3)])
         a = normalized_adjacency(g)
         dense = dense_adjacency(a)
         for cols in (1, 4, 2):
@@ -303,7 +321,7 @@ def grouped_fields(draw):
     n = draw(st.integers(1, 12))
     linked = n - draw(st.integers(0, n // 2))
     pairs = draw(st.lists(st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1)), max_size=3 * n))
-    a_hat = normalized_adjacency(Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+    a_hat = normalized_adjacency(Csr.from_edges(n, [(u, v) for u, v in pairs if u != v]))
     if draw(st.booleans()):
         rows = np.arange(n)
     else:
@@ -362,7 +380,7 @@ class TestGroupMeans:
         rng = np.random.default_rng(stored)
         rows, cols = np.divmod(np.sort(rng.choice(shape[0] * shape[1], size=stored, replace=False)), shape[1])
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-        m = graphs.SparseRows(30, shape, indptr, cols, rng.uniform(0.1, 1.0, stored))
+        m = graphs.Csr(30, shape, indptr, cols, rng.uniform(0.1, 1.0, stored))
         p = m.group_means(np.arange(5), np.arange(4))   # each row a group of one
         for op in (p, p.T):
             assert op.stored_dense is dense
@@ -399,7 +417,7 @@ class TestCsrProperties:
         dense = _dense(n, edges)
         canonical = {(min(u, v), max(u, v)) for u, v in edges}
         for source in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
-            g = Graph.from_edges(n, source)
+            g = Csr.from_edges(n, source)
             np.testing.assert_array_equal(g.indptr, np.r_[0, np.cumsum(dense.sum(axis=1))])
             np.testing.assert_array_equal(g.indices, np.nonzero(dense)[1])
             assert edge_set(g) == canonical
@@ -415,24 +433,24 @@ class TestCsrProperties:
         r, c = np.nonzero(pattern)
         expect = np.zeros((n, n))
         expect[r, c] = dinv[r] * dinv[c]
-        np.testing.assert_array_equal(dense_adjacency(normalized_adjacency(Graph.from_edges(n, edges))), expect)
+        np.testing.assert_array_equal(dense_adjacency(normalized_adjacency(Csr.from_edges(n, edges))), expect)
 
 
 class TestFromEdges:
     def test_edges_are_derived_not_stored(self):
-        assert "edges" not in {f.name for f in dataclasses.fields(Graph)}
+        assert "edges" not in {f.name for f in dataclasses.fields(Csr)}
 
     def test_first_bad_pair_in_input_order_is_reported(self):
         with pytest.raises(ValueError, match=r"edge \(5,0\) has an endpoint >= n=3"):
-            Graph.from_edges(3, [(0, 1), (5, 0), (2, 2)])
+            Csr.from_edges(3, [(0, 1), (5, 0), (2, 2)])
         with pytest.raises(ValueError, match=r"self-loop \(2,2\)"):
-            Graph.from_edges(3, [(0, 1), (2, 2), (5, 0)])
+            Csr.from_edges(3, [(0, 1), (2, 2), (5, 0)])
         with pytest.raises(ValueError, match=r"edge \(-1,2\)"):
-            Graph.from_edges(3, np.array([[-1, 2]]))
+            Csr.from_edges(3, np.array([[-1, 2]]))
 
     def test_rejects_what_is_not_pairs(self):
         with pytest.raises(ValueError):
-            Graph.from_edges(3, [(0, 1, 2)])
+            Csr.from_edges(3, [(0, 1, 2)])
 
 
 class TestNodeTable:
@@ -670,7 +688,7 @@ def _outcome(load, path, caplog):
     except Exception as exc:
         got = (type(exc).__name__, str(exc))
     else:
-        arrays = (out.indptr, out.indices) if isinstance(out, Graph) else (out,)
+        arrays = (out.indptr, out.indices) if isinstance(out, Csr) else (out,)
         got = (getattr(out, "n", None), [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
     return got, [(rec.levelname, rec.getMessage()) for rec in caplog.records]
 

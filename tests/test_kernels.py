@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bundlesup
 from bundlesup import kernels, sampling
-from bundlesup.graphs import Graph
+from bundlesup.graphs import Csr
 from bundlesup.sampling import SamplingBudgetError, SamplingConfig, sample_bundles
 
 from reference import UNREACHABLE, adaptive_hop_distances, hop_array
@@ -89,14 +89,14 @@ class TestBfs:
             assert list(zip(levels.tolist(), nodes.tolist())) == order
 
     def test_stops_at_first_level_with_enough_nodes(self):
-        path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        path = Csr.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert hop_array(path, 0, need=2).tolist() == [0, 1, 2, -1, -1]
-        star = Graph.from_edges(6, [(0, i) for i in range(1, 6)] + [(5, 4)])
+        star = Csr.from_edges(6, [(0, i) for i in range(1, 6)] + [(5, 4)])
         # level 1 holds one node, level 2 four: all of level 2 is kept
         assert hop_array(star, 1, need=3).tolist() == [1, 0, 2, 2, 2, 2]
 
     def test_small_component_runs_to_exhaustion(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+        g = Csr.from_edges(6, [(0, 1), (1, 2), (3, 4)])
         assert hop_array(g, 0, need=4).tolist() == [0, 1, 2, -1, -1, -1]
         assert hop_array(g, 0, need=None).tolist() == [0, 1, 2, -1, -1, -1]
 
@@ -104,7 +104,7 @@ class TestBfs:
 def random_graph(draw, max_n=30):
     n = draw(st.integers(2, max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
-    return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+    return Csr.from_edges(n, [(u, v) for u, v in pairs if u != v])
 
 
 @st.composite

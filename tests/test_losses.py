@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlesup.graphs import Graph, SparseRows, normalized_adjacency
+from bundlesup.graphs import Csr, normalized_adjacency
 from bundlesup.losses import FlatBundles, bundle_objective, member_ce_objective, node_ce_objective
 from bundlesup.sampling import Bundle
 
@@ -234,7 +234,7 @@ class TestMembershipOperator:
         cols = z.shape[1] + 3
         m = np.where(np.random.default_rng(z.shape[1]).random((30, cols)) < 0.4, 1.0, 0.0) * z.sum(axis=1)[:, None]
         entries = np.nonzero(m)
-        op = SparseRows(30, m.shape, np.concatenate([[0], np.cumsum((m != 0).sum(axis=1))]), entries[1], m[entries])
+        op = Csr(30, m.shape, np.concatenate([[0], np.cumsum((m != 0).sum(axis=1))]), entries[1], m[entries])
         p = op.group_means(flat.offsets, flat.members)
         want = []
         for lo, hi in zip(flat.offsets[:-1], flat.offsets[1:]):
@@ -253,7 +253,7 @@ class TestMembershipOperator:
         gather, reduceat and add.at objective within 1e-12 relative; they
         differ only in the order the member rows are added."""
         flat, z = problem
-        identity = SparseRows(30, (30, 30), np.arange(31), np.arange(30), np.ones(30))
+        identity = Csr(30, (30, 30), np.arange(31), np.arange(30), np.ones(30))
         p = identity.group_means(flat.offsets, flat.members)
         got = bundle_objective(p @ z, flat.labels, terms=terms)
         d_z = p.T @ got.d_z
@@ -272,15 +272,15 @@ class TestMembershipOperator:
         rng = np.random.default_rng(11)
         flat = FlatBundles.from_bundles(make_bundles(rng, 40, 6, c=3, size=5))
         edges = rng.integers(0, 40, size=(60, 2))
-        a_hat = normalized_adjacency(Graph.from_edges(40, edges[edges[:, 0] != edges[:, 1]]))
+        a_hat = normalized_adjacency(Csr.from_edges(40, edges[edges[:, 0] != edges[:, 1]]))
         rows = np.unique(flat.members)
         local = replace(flat, members=np.searchsorted(rows, flat.members))
-        block = a_hat.block(rows)
+        block, cols = a_hat.block(rows), a_hat.reach(rows)
         mine = dense_adjacency(block.group_means(local.offsets, local.members))
         whole = dense_adjacency(a_hat.group_means(flat.offsets, flat.members))
-        assert mine.shape == (flat.count, block.cols.size)
-        np.testing.assert_array_equal(mine, whole[:, block.cols])
-        assert not np.delete(whole, block.cols, axis=1).any()
+        assert mine.shape == (flat.count, cols.size)
+        np.testing.assert_array_equal(mine, whole[:, cols])
+        assert not np.delete(whole, cols, axis=1).any()
         with pytest.raises(FrozenInstanceError):
             flat.members = local.members
 

@@ -9,7 +9,7 @@ import pytest
 
 from bundlesup import cli, gnn, pipeline
 from bundlesup.annotate import OracleConfig
-from bundlesup.graphs import Graph, normalized_adjacency
+from bundlesup.graphs import Csr, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.losses import FlatBundles
 from bundlesup.pipeline import (
@@ -45,7 +45,7 @@ def tiny_experiment(mode="bundle", noise=0.0, seeds=(0, 1)):
 
 class TestAccuracy:
     def _setup(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        g = Csr.from_edges(4, [(0, 1), (2, 3)])
         a_hat = normalized_adjacency(g)
         x = np.eye(4)[:, :3]
         return g, a_hat, x
@@ -292,15 +292,16 @@ def _count_loads(monkeypatch) -> Counter:
 
 
 def _graphs_reachable(root) -> list:
-    """Every `Graph` reachable from `root` by object references; types, modules
-    and functions are not followed, since their globals reach everything."""
+    """Every graph, a `Csr` with no data, reachable from `root` by object
+    references; types, modules and functions are not followed, since their
+    globals reach everything."""
     seen, stack, found = set(), [root], []
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, Graph):
+        if isinstance(obj, Csr) and obj.data is None:
             found.append(obj)
         stack.extend(gc.get_referents(obj))
     return found
@@ -371,7 +372,7 @@ class TestFileDatasetKept:
         assert not _graphs_reachable(pipeline._kept)
 
     def test_a_kept_graph_would_be_found(self):
-        graph = Graph.from_edges(2, [(0, 1)])
+        graph = Csr.from_edges(2, [(0, 1)])
         assert _graphs_reachable({"key": (np.zeros(2), [graph])}) == [graph]
 
     @pytest.mark.parametrize("mode", MODES)

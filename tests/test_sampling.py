@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlesup.graphs import FormatError, Graph, normalized_adjacency
+from bundlesup.graphs import Csr, FormatError, normalized_adjacency
 from bundlesup.sampling import (
     Bundle,
     IsolatedCoreError,
@@ -22,7 +22,7 @@ from reference import adaptive_hop, hop_array
 
 
 def star(leaves=6):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Csr.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 class TestAdaptiveHop:
@@ -31,15 +31,15 @@ class TestAdaptiveHop:
 
     def test_path_needs_four_hops(self):
         # hand BFS: cumulative neighborhood sizes 1, 2, 3, 4 -> first >= 4 at k=4
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        g = Csr.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert adaptive_hop(g, 0, 5) == (4, False)
 
     def test_saturated_component(self):
-        g = Graph.from_edges(5, [(0, 1)])
+        g = Csr.from_edges(5, [(0, 1)])
         assert adaptive_hop(g, 0, 5) == (1, True)
 
     def test_isolated_core(self):
-        g = Graph.from_edges(3, [(1, 2)])
+        g = Csr.from_edges(3, [(1, 2)])
         with pytest.raises(IsolatedCoreError):
             adaptive_hop(g, 0, 5)
 
@@ -49,7 +49,7 @@ class TestAdaptiveHop:
             n = int(rng.integers(6, 40))
             mask = rng.random((n, n)) < 0.12
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-            g = Graph.from_edges(n, edges)
+            g = Csr.from_edges(n, edges)
             core = int(rng.integers(n))
             if g.degree(core) == 0:
                 continue
@@ -59,7 +59,7 @@ class TestAdaptiveHop:
 
 class TestSampleTopological:
     def test_triangle_forced(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        g = Csr.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         for seed in range(5):
             b = sample_topological(g, 0, 3, np.random.default_rng(seed))
             assert sorted(b.members) == [0, 1, 2]
@@ -89,7 +89,7 @@ class TestSampleTopological:
             n = 25
             mask = rng.random((n, n)) < 0.1
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-            g = Graph.from_edges(n, edges)
+            g = Csr.from_edges(n, edges)
             core = int(rng.integers(n))
             if g.degree(core) == 0:
                 continue
@@ -101,7 +101,7 @@ class TestSampleTopological:
                     assert 1 <= dist[m] <= k
 
     def test_saturated_bundle_covers_component(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        g = Csr.from_edges(4, [(0, 1), (2, 3)])
         b = sample_topological(g, 0, 5, np.random.default_rng(0))
         assert sorted(b.members) == [0, 1]
 
@@ -136,7 +136,7 @@ class TestSampleSemantic:
 class TestSampleBundles:
     def _grid_graph(self, n=30):
         edges = [(i, i + 1) for i in range(n - 1)]
-        return Graph.from_edges(n, edges)
+        return Csr.from_edges(n, edges)
 
     def test_ids_and_count(self):
         g = self._grid_graph()
@@ -151,13 +151,13 @@ class TestSampleBundles:
         assert [(x.core, x.members) for x in a] == [(y.core, y.members) for y in b]
 
     def test_more_bundles_than_nodes_uses_replacement(self):
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        g = Csr.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         bundles = sample_bundles(g, None, SamplingConfig(num_bundles=12, bundle_size=3, seed=1))
         assert len(bundles) == 12
         assert len({b.core for b in bundles}) <= 5
 
     def test_all_isolated_exhausts_budget(self):
-        g = Graph.from_edges(6, [])
+        g = Csr.from_edges(6, [])
         cfg = SamplingConfig(num_bundles=3, seed=0, max_resample_attempts=10)
         with pytest.raises(SamplingBudgetError) as err:
             sample_bundles(g, None, cfg)
@@ -165,7 +165,7 @@ class TestSampleBundles:
 
     def test_isolated_cores_redrawn(self):
         # nodes 3..9 isolated; sampling still builds every bundle
-        g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 0)])
+        g = Csr.from_edges(10, [(0, 1), (1, 2), (2, 0)])
         bundles = sample_bundles(g, None, SamplingConfig(num_bundles=6, bundle_size=3, seed=0))
         assert len(bundles) == 6
         assert all(b.core in (0, 1, 2) for b in bundles)
@@ -221,7 +221,7 @@ def graphs_with_isolated_nodes(draw):
     isolated = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 4)))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     edges = [e for e in draw(st.lists(pair, min_size=n, max_size=4 * n)) if not isolated & set(e)]
-    return Graph.from_edges(n, edges)
+    return Csr.from_edges(n, edges)
 
 
 @settings(max_examples=300, deadline=None)
@@ -299,8 +299,20 @@ _GOOD_BUNDLE = '{"id": 0, "core": 1, "members": [1, 2]}'
     ('{"id": 1, "members": [4, 5]}', "record has no core"),
     ('[1, 4, [4, 5]]', "record is not a JSON object"),
     ('{"id": 1, "core": 4, "members": [4, 4]}', "invalid bundle: bundle members must be distinct"),
-    ('{"id": 1, "core": 4, "members": 4}', "invalid bundle: 'int' object is not iterable"),
-], ids=["bad-json", "no-members", "no-id", "no-core", "not-an-object", "duplicate-members", "members-not-a-list"])
+    ('{"id": 1, "core": 4, "members": 4}', "members 4 is not a list"),
+    # a value that is not a JSON integer is refused, not truncated or cast
+    ('{"id": 1.7, "core": 4, "members": [4, 5]}', "id 1.7 is not an integer"),
+    ('{"id": true, "core": 4, "members": [4, 5]}', "id True is not an integer"),
+    ('{"id": 1, "core": 4.9, "members": [4, 5]}', "core 4.9 is not an integer"),
+    ('{"id": 1, "core": 4, "members": [4.2, 5.5]}', "member 4.2 is not an integer"),
+    ('{"id": 1, "core": 0, "members": "012"}', "members '012' is not a list"),
+    ('{"id": 1, "core": 4, "members": [4, 5], "label": true}', "label True is not an integer"),
+    ('{"id": 1, "core": 4, "members": [4, 5], "label": "1"}', "label '1' is not an integer"),
+    ('{"id": 1, "core": 4, "members": [4, 5], "evicted": {}}', "evicted {} is not a list"),
+    ('{"id": 1, "core": 4, "members": [4, 5], "evicted": [[1.5, 6]]}', "evicted entry 1.5 is not an integer"),
+], ids=["bad-json", "no-members", "no-id", "no-core", "not-an-object", "duplicate-members", "members-not-a-list",
+        "float-id", "bool-id", "float-core", "float-members", "string-members", "bool-label", "string-label",
+        "evicted-not-a-list", "float-eviction-epoch"])
 def test_a_line_that_is_not_a_bundle_names_the_path_and_line(tmp_path, line, message):
     path = tmp_path / "bundles.jsonl"
     path.write_text(f"{_GOOD_BUNDLE}\n\n{line}\n{_GOOD_BUNDLE}\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlesup.annotate import OracleConfig, annotate_all
-from bundlesup.graphs import Graph, normalized_adjacency
+from bundlesup.graphs import Csr, normalized_adjacency
 from bundlesup.losses import FlatBundles
 from bundlesup.sampling import Bundle, SamplingConfig, apply_refinements, sample_bundles
 from bundlesup.synth import SbmConfig, gen_sbm
@@ -235,7 +235,7 @@ class TestTrain:
                 train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
 
     def test_dense_field_is_bitwise_reproducible_and_detects_divergence(self, monkeypatch):
-        """Group means stored as a dense array (`SparseRows.stored_dense`)
+        """Group means stored as a dense array (`Csr.stored_dense`)
         train bitwise the same from run to run, refinement included, and a
         diverging step on them still raises TrainingDivergedError."""
         fields = []
@@ -385,7 +385,7 @@ def probe_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_edge = draw(st.floats(0.1, 0.8))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_edge]
-    a_hat = normalized_adjacency(Graph.from_edges(n, edges))
+    a_hat = normalized_adjacency(Csr.from_edges(n, edges))
     d, h, c = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(2, 4))
     x = rng.normal(size=(n, d))
     params = gnn.init_params(d, h, c, int(rng.integers(2**31)))
@@ -511,7 +511,7 @@ def field_problems(draw):
     linked = n - draw(st.integers(0, n // 3))
     p_edge = draw(st.floats(0.05, 0.6))
     edges = [(i, j) for i in range(linked) for j in range(i + 1, linked) if rng.random() < p_edge]
-    graph = Graph.from_edges(n, edges)
+    graph = Csr.from_edges(n, edges)
     c = draw(st.integers(2, 4))
     x = rng.normal(size=(n, 3))
     if draw(st.booleans()):   # bundles cover every node
