@@ -250,10 +250,14 @@ class Csr:
         return dense
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        return self.matmul(dense)
+
+    def matmul(self, dense: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """self @ dense, written into `out` when given (`kernels.spmm`)."""
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != self.shape[1]:
             raise ValueError(f"operand must be ({self.shape[1]}, k), got {dense.shape}")
-        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix)
+        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix, out=out)
 
 
 @dataclass(frozen=True)

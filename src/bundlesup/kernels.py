@@ -15,18 +15,42 @@ def csr(indptr, indices, data, cols):
     return csr_matrix((data, indices, indptr), shape=(indptr.shape[0] - 1, cols), copy=False)
 
 
-def spmm(indptr, indices, data, dense, *, matrix=None):
+def spmm(indptr, indices, data, dense, *, matrix=None, out=None):
     """CSR-sparse times dense matrix product.
 
     indptr/indices describe the sparsity pattern row-wise, data holds the
     nonzero values. Empty rows produce zero rows in the output. `matrix`
     may carry `csr` of the same arrays, or the dense array they describe,
     built once by the caller; the product is then `matrix @ dense`, which
-    NumPy hands to BLAS for a dense array.
+    NumPy hands to BLAS for a dense array. With `out`, a C-contiguous
+    float64 array of the product's shape (anything else raises a
+    ValueError), the product is written there and `out` returned: bitwise
+    the array `matrix @ dense` would allocate, since SciPy forms that
+    product with the same `csr_matvecs` call into an array of zeros. That
+    call lives in SciPy's private `_sparsetools`; where it is missing, the
+    product is formed as `matrix @ dense` and copied into `out`.
     """
     if matrix is None:
         matrix = csr(indptr, indices, data, dense.shape[0])
-    return matrix @ dense
+    if out is None:
+        return matrix @ dense
+    rows, cols = matrix.shape
+    if out.shape != (rows, dense.shape[1]) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(rows, dense.shape[1])}, "
+                         f"got {out.dtype} of shape {out.shape}"
+                         f"{'' if out.flags.c_contiguous else ', not C-contiguous'}")
+    if isinstance(matrix, np.ndarray):
+        return np.matmul(matrix, dense, out=out)
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:
+        out[...] = matrix @ dense
+        return out
+    out.fill(0.0)
+    # ravel of a C-contiguous array is a view, so the product lands in `out`
+    csr_matvecs(rows, cols, dense.shape[1], matrix.indptr, matrix.indices, matrix.data,
+                np.ascontiguousarray(dense, dtype=np.float64).ravel(), out.ravel())
+    return out
 
 
 def bfs_levels(indptr, indices, source, need=None):

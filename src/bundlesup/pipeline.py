@@ -73,15 +73,17 @@ MODES = {
 
 
 def accuracy(params: gnn.GcnParams, a_hat, x, labels, ax=None) -> float:
-    """Fraction of nodes whose argmax logit (`gnn.forward` on Â) matches
-    the true label; `ax` may carry a precomputed Â @ X.
+    """Fraction of nodes whose argmax logit matches the true label; `ax`
+    may carry a precomputed [ÂX | 1] (`gnn.ax_ones`).
 
-    Ties resolve to the smallest class index.
+    The logits are `gnn.logits`: those of `gnn.forward` on Â, with H W2
+    formed a block of rows at a time, so evaluation holds no (n, h)
+    array. Ties resolve to the smallest class index.
     """
     truth = np.asarray(labels)
     if truth.shape[0] != a_hat.n:
         raise ValueError("labels must cover all nodes")
-    pred = np.argmax(gnn.forward(params, a_hat, x, ax=ax).z, axis=1)
+    pred = np.argmax(gnn.logits(params, a_hat, x, ax=ax), axis=1)
     return float((pred == truth).mean())
 
 
@@ -96,8 +98,9 @@ class DatasetPaths:
 
 
 class Dataset(NamedTuple):
-    """One replicate's inputs, all read-only: Â, the (n, d) features X, Â·X
-    and the node table."""
+    """One replicate's inputs, all read-only: Â, the (n, d) features X,
+    [ÂX | 1] (`gnn.ax_ones`, built once per dataset; training gathers its
+    field's rows) and the node table."""
 
     a_hat: Csr
     x: np.ndarray
@@ -140,7 +143,7 @@ def materialize_dataset(dataset, seed: int) -> Dataset:
         a_hat = normalized_adjacency(load_edge_list(dataset.edges))
         x = load_embeddings(dataset.embeddings)
         table = load_node_table(dataset.nodes, list(dataset.class_names))
-    ax = a_hat @ x
+    ax = gnn.ax_ones(a_hat, x)
     for array in (x, a_hat.indptr, a_hat.indices, a_hat.data, ax):
         array.flags.writeable = False
     _kept[key] = Dataset(a_hat, x, ax, table)

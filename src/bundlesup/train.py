@@ -45,9 +45,17 @@ layer's order and passes it to `gnn.forward`: propagate first where
 `gnn.propagates_first` counts fewer multiply-adds, which only group
 means may do. A refinement epoch of a bundle objective computes the
 member logits Â[S, N(S)] (H W2) + b2 from the trace's H
-(`gnn.second_layer`). Â @ X is computed once over the whole graph, or
-passed in as `ax` by a caller that keeps it; the block and P are rebuilt
-only when a refinement evicts members.
+(`gnn.second_layer`). [ÂX | 1] (`gnn.ax_ones`) is computed once over the
+whole graph, or passed in as `ax` by a caller that keeps it, and the
+field gathers its rows N(S), ones column included; the block and P are
+rebuilt only when a refinement evicts members.
+
+A `train` call keeps one set of field buffers: H, the hidden layer's
+gradient and the ReLU mask, each of (N(S), h), sized by the first field.
+Every pass hands the previous trace to `gnn.forward`, which writes into
+the first rows of those arrays, and `gnn.backward` fills the other two;
+a refinement only shrinks N(S), so no epoch allocates an array of that
+size.
 
 The parameters and their gradient are each one flat vector in
 `GcnParams.to_vector` order, with `GcnParams` views onto it, so an epoch
@@ -196,11 +204,11 @@ def estimate_logit_bounds(
     Both read one `gnn.probe_pass` at theta.
     With d=8, h=64, c=5 and five probes, an estimate takes about 1 ms on a
     2-vCPU VM, against 40 ms for two whole Jacobians per coordinate.
-    `ax` may carry a precomputed A @ X.
+    `ax` may carry a precomputed [ÂX | 1] (`gnn.ax_ones`).
     """
     probe = np.asarray(probe_nodes, dtype=np.intp)
     if ax is None:
-        ax = a_hat @ x
+        ax = gnn.ax_ones(a_hat, x)
     n_d = params.n_params
     at = gnn.probe_pass(params, a_hat, probe, ax)
     g_hat = float(np.abs(at.jacobian()).max())
@@ -237,7 +245,7 @@ def _refuse_outside(values: np.ndarray, bound: int, what: str, of: str) -> None:
 def _field(a_hat, ax: np.ndarray, groups: FlatBundles, objective: str, h: int, c: int) -> tuple:
     """What an epoch reads for one set of members: `groups` with members
     indexed into the sorted rows S they cover, the block Â[S, N(S)],
-    (Â @ X)[N(S)], the field operator P onto the objective's logits, and
+    the rows N(S) of `ax` = [ÂX | 1], the field operator P onto the objective's logits, and
     whether the second layer propagates through P first: only group means
     may, by `gnn.propagates_first`."""
     rows = np.unique(groups.members)
@@ -275,7 +283,8 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     report's `refinements` lists every eviction as (epoch, bundle id,
     node), and with cfg.refine_every > cfg.epochs there are none. A group
     of one is never refined, since the floor is at least 2. `ax` may carry
-    a precomputed Â @ X, which is then not computed again. The returned
+    a precomputed [ÂX | 1] (`gnn.ax_ones`), which is then not computed
+    again. The returned
     parameters are views onto one flat vector.
     """
     if objective not in OBJECTIVES:
@@ -291,7 +300,7 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     grad = np.empty_like(theta)
     grads = gnn.GcnParams.on(grad, *params.dims)
     if ax is None:
-        ax = a_hat @ x
+        ax = gnn.ax_ones(a_hat, x)
 
     g_hat = m_hat = None
     if cfg.eta_auto:
@@ -302,13 +311,14 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     local, block, ax_field, op, first = _field(a_hat, ax, groups, objective, cfg.hidden, n_classes)
     curves = np.empty((4, cfg.epochs))   # per epoch: loss, its two terms, gradient norm
     refinements = []
+    trace = None   # each pass writes into the last pass's buffers: N(S) only shrinks
 
     # a diverging step overflows in the forward pass and the objective before
     # the loss check sees a non-finite value; the check, not NumPy's
     # floating-point warnings, reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, cfg.epochs + 1):
-            trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first)
+            trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first, out=trace)
             value = _evaluate(objective, trace.z, local)
             if not math.isfinite(value.loss):
                 raise TrainingDivergedError(t, eta)
@@ -331,7 +341,7 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
                                                                cfg.hidden, n_classes)
             theta -= eta * grad
 
-    trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first)
+    trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first, out=trace)
     value = _evaluate(objective, trace.z, local)
     gnn.backward(params, op, x, trace, value.d_z, out=grads)
     loss, loss_be, loss_rank, grad_norm = curves

@@ -235,7 +235,9 @@ def _member_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
     """One whole-graph epoch on member logits, propagating first:
     Z = (Â H) W2 + b2 on every node, the group loss on gathered and summed
     member rows (`segment_objective`), and the gradients back through Â.
+    `ax` is [ÂX | 1]; this pass reads its ÂX columns and adds b1 apart.
     Returns (Z, value, gradients)."""
+    ax = ax[:, :-1]
     hidden = np.maximum(ax @ params.w1 + params.b1, 0.0)
     ah = a_hat @ hidden
     z = ah @ params.w2 + params.b2
@@ -293,7 +295,7 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
     params = gnn.init_params(feats.shape[1], cfg.hidden, n_classes, cfg.seed)
     theta = params.to_vector()
     params = gnn.GcnParams.on(theta, *params.dims)
-    ax = a_hat @ feats
+    ax = gnn.ax_ones(a_hat, feats)
     eta = cfg.learning_rate
     epoch = _group_logit_pass if group_logits else _member_logit_pass
     loss, loss_be_, loss_rank_, grad_norm, refinements = [], [], [], [], []
@@ -328,6 +330,48 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
         final_loss=value.loss, final_grad_norm=norm(final_grads),
     )
     return params, report
+
+
+def fresh_field_train(a_hat, x, groups, cfg, n_classes, objective="full", ax=None) -> tuple:
+    """`train`'s epochs on its field operator (`train._field`), with every
+    array allocated afresh: each pass a new trace with no buffers handed
+    on, a new gradient vector from `gnn.backward`, and each step a new
+    parameter vector. Returns (parameter vector, refinements, curves of
+    shape (4, epochs), final loss)."""
+    from bundlesup import train as train_module
+
+    params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
+    theta = params.to_vector()
+    ax = gnn.ax_ones(a_hat, x) if ax is None else ax
+    eta = cfg.learning_rate
+    if cfg.eta_auto:
+        eta = train_module._auto_eta(params, a_hat, x, ax, np.unique(groups.members), cfg.seed)[0]
+    local, block, ax_field, op, first = train_module._field(a_hat, ax, groups, objective, cfg.hidden, n_classes)
+    curves, refinements = [], []
+
+    def epoch(theta):
+        p = params.from_vector(theta)
+        trace = gnn.forward(p, op, x, ax=ax_field, propagate_first=first)
+        value = train_module._evaluate(objective, trace.z, local)
+        return p, trace, value, gnn.backward(p, op, x, trace, value.d_z).to_vector()
+
+    for t in range(1, cfg.epochs + 1):
+        p, trace, value, g = epoch(theta)
+        curves.append((value.loss, value.be_mean, value.rank_mean, np.sqrt(g @ g)))
+        if t > cfg.warmup_epochs and (t - cfg.warmup_epochs) % cfg.refine_every == 0 \
+                and groups.sizes.max() > cfg.bundle_floor:
+            z = trace.z if op is block else gnn.second_layer(p, block, trace.h)[0]
+            gone = train_module.refine(softmax_rows(z), local, cfg.bundle_floor)
+            if gone.size:
+                owners = np.repeat(groups.ids, groups.sizes)[gone]
+                refinements.extend((t, b, v) for b, v in zip(owners.tolist(), groups.members[gone].tolist()))
+                keep = np.ones(groups.members.size, dtype=bool)
+                keep[gone] = False
+                groups = groups.keep(keep)
+                local, block, ax_field, op, first = train_module._field(a_hat, ax, groups, objective,
+                                                                        cfg.hidden, n_classes)
+        theta = theta - eta * g
+    return theta, refinements, np.array(curves).T, epoch(theta)[2].loss
 
 
 def softmax_row(z: np.ndarray) -> np.ndarray:

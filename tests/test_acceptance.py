@@ -67,7 +67,7 @@ def test_criterion_01_gradient_correctness():
         a_hat, x, params, flat = random_supervised_instance(seed)
         # the bundles' group logits, through the group means of Â, in the
         # second-layer order training picks
-        op, ax = a_hat.group_means(flat.offsets, flat.members), a_hat @ x
+        op, ax = a_hat.group_means(flat.offsets, flat.members), gnn.ax_ones(a_hat, x)
         first = gnn.propagates_first(op, *params.dims[1:])
 
         def loss_of(vec):

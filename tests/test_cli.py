@@ -5,11 +5,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bundlesup import cli, gnn
 from bundlesup.annotate import OracleConfig
 from bundlesup.cli import main
+from bundlesup.graphs import save_embeddings
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.sampling import SamplingConfig
 from bundlesup.synth import SbmConfig
@@ -487,15 +489,24 @@ _BAD_PARAMS = {
                        ": tensors must be w1, b1, w2, b2, got w1, b1, w2, b2, w3"),
     "shape-not-filled": ('{"tensors": {"w1": [8, 5], "b1": [4], "w2": [4, 4], "b2": [4]}}',
                          r": w1 has shape \[8, 5\], but w1.txt holds 32 values"),
+    # every file fills its shape and the total is right, but one b1 value sits in b2's place
+    "b1-into-b2": ('{"tensors": {"w1": [8, 4], "b1": [5], "w2": [4, 4], "b2": [3]}}',
+                   re.escape(": w1, b1, w2, b2 must have shapes (d, h), (h,), (h, c), (c,), "
+                             "got (8, 4), (5,), (4, 4), (3,)"), {"b1": (1, 5), "b2": (1, 3)}),
+    "w2-rows-into-b2": ('{"tensors": {"w1": [8, 4], "b1": [4], "w2": [3, 4], "b2": [8]}}',
+                        re.escape(": w1, b1, w2, b2 must have shapes (d, h), (h,), (h, c), (c,), "
+                                  "got (8, 4), (4,), (3, 4), (8,)"), {"w2": (3, 4), "b2": (1, 8)}),
 }
 
 
 @pytest.mark.parametrize("case", _BAD_PARAMS)
 def test_a_broken_params_manifest_exits_with_a_message_naming_it(labeled, tmp_path, case):
-    text, message = _BAD_PARAMS[case]
+    text, message, *files = _BAD_PARAMS[case]
     params = tmp_path / "params"
     gnn.save_params(params, gnn.init_params(8, 4, 4, seed=0))
     (params / "manifest.json").write_text(text + "\n")
+    for name, shape in (files[0] if files else {}).items():
+        save_embeddings(params / f"{name}.txt", np.ones(shape))
     with pytest.raises(SystemExit) as exc:
         run(["eval", "--params", params, "--graph", labeled / "edges.txt", "--embeddings",
              labeled / "embeddings.txt", "--nodes", labeled / "nodes.jsonl", "--manifest", labeled / "manifest.json"])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         x = np.abs(rng.normal(size=(1, 4))) + 0.5
         params = gnn.init_params(4, 5, 3, seed=1)
-        params.w1 = np.abs(params.w1)  # keep the hidden layer in the linear regime
+        params.w1[:] = np.abs(params.w1)  # keep the hidden layer in the linear regime
         trace = gnn.forward(params, a_hat, x)
         expect = (x @ params.w1 + params.b1) @ params.w2 + params.b2
         np.testing.assert_allclose(trace.z, expect, atol=1e-12)
@@ -148,7 +149,7 @@ class TestLogits:
             params.b2[:] = np.random.default_rng(seed).normal(size=params.b2.shape)
             hidden = np.maximum((a_hat @ x) @ params.w1 + params.b1, 0.0)
             want = (a_hat @ hidden) @ params.w2 + params.b2
-            for trace in (gnn.forward(params, a_hat, x), gnn.forward(params, a_hat, x, ax=a_hat @ x)):
+            for trace in (gnn.forward(params, a_hat, x), gnn.forward(params, a_hat, x, ax=gnn.ax_ones(a_hat, x))):
                 np.testing.assert_allclose(trace.z, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
                 np.testing.assert_array_equal(trace.z.argmax(axis=1), want.argmax(axis=1))
                 np.testing.assert_array_equal(trace.z, a_hat @ (hidden @ params.w2) + params.b2)
@@ -161,6 +162,80 @@ class TestLogits:
             accuracy(params, a_hat, x[:, :2], labels)
         with pytest.raises(ValueError, match="feature rows do not match the adjacency"):
             accuracy(params, a_hat, x[:-1], labels)
+
+
+def planted_instance(n, d, c, seed=0):
+    """A planted partition: node v in class v % c, four same-class edges per
+    node and one cross-class edge per ten, features the class mean plus
+    noise; returns (Â, X, labels)."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % c
+    u = rng.integers(0, n, size=4 * n)
+    same = np.column_stack([u, (u + c * rng.integers(1, max(n // c, 2), size=u.size)) % n])
+    cross = rng.integers(0, n, size=(n // 10, 2))
+    edges = np.concatenate([same, cross])
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    x = np.eye(c, d)[labels] + rng.normal(scale=0.5, size=(n, d))
+    return normalized_adjacency(Csr.from_edges(n, edges)), x, labels
+
+
+class TestBlockedEvaluation:
+    def test_accuracy_holds_no_n_by_h_array(self):
+        """Scoring n = 20,000 nodes with h = 64 peaks below half an (n, h)
+        float array, with [ÂX | 1] given or formed inside: H is formed a
+        block of rows at a time."""
+        n, d, h, c = 20_000, 8, 64, 4
+        a_hat, x, labels = planted_instance(n, d, c)
+        params = gnn.init_params(d, h, c, seed=0)
+        ax = gnn.ax_ones(a_hat, x)
+        accuracy(params, a_hat, x, labels, ax=ax)   # builds the SciPy operator Â keeps
+        for given in (ax, None):
+            tracemalloc.start()
+            try:
+                accuracy(params, a_hat, x, labels, ax=given)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * h * 8 / 2
+
+    @pytest.mark.parametrize("extra", [0, -1, 1, 2 * gnn.EVAL_ROWS + 5, 1 - gnn.EVAL_ROWS])
+    def test_blocked_logits_match_the_forward_pass(self, extra):
+        """At n = 1, block - 1, block, block + 1 and 3 block + 5 the blocked
+        logits are the forward pass's up to rounding, with the same argmax
+        and the same accuracy."""
+        n = gnn.EVAL_ROWS + extra
+        rng = np.random.default_rng(n)
+        a_hat, x, labels = planted_instance(n, 5, 4, seed=n) if n > 4 else (
+            normalized_adjacency(Csr.from_edges(1, [])), rng.normal(size=(1, 5)), np.zeros(1, dtype=np.intp))
+        params = gnn.init_params(5, 16, 4, seed=1)
+        params.b1[:] = rng.normal(scale=0.3, size=16)
+        params.b2[:] = rng.normal(size=4)
+        want = gnn.forward(params, a_hat, x).z
+        got = gnn.logits(params, a_hat, x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        assert accuracy(params, a_hat, x, labels) == float((want.argmax(axis=1) == labels).mean())
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), c=st.integers(2, 5), data=st.data())
+    def test_ties_go_to_the_smallest_class_index(self, n, c, data):
+        """Classes i < j whose W2 columns and b2 entries are equal, with b2
+        lifting them above the rest, tie on every node: each is predicted i."""
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        edges = data.draw(st.lists(pair, max_size=20)) if n > 1 else []
+        i, j = sorted(data.draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=2, unique=True)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a_hat = normalized_adjacency(Csr.from_edges(n, edges))
+        x = rng.normal(size=(n, 3))
+        params = gnn.init_params(3, 6, c, seed=0).from_vector(rng.normal(size=3 * 6 + 6 + 6 * c + c))
+        params.w2[:, j] = params.w2[:, i]
+        params.b2[:] = 0.0
+        params.b2[[i, j]] = 1e3
+        labels = rng.integers(0, c, size=n)
+        z = gnn.logits(params, a_hat, x)
+        np.testing.assert_array_equal(z[:, i], z[:, j])
+        np.testing.assert_array_equal(z.argmax(axis=1), i)
+        assert accuracy(params, a_hat, x, labels) == float((labels == i).mean())
 
 
 class TestFlatParameters:
@@ -182,6 +257,42 @@ class TestFlatParameters:
         assert not any(np.shares_memory(t, vec) for t in copied.tensors())
         with pytest.raises(ValueError, match="flat vector of 26"):
             gnn.GcnParams.on(vec[:-1], *params.dims)
+
+    def test_the_first_layer_view_aliases_w1_b1_and_the_vector(self):
+        """`layer1` of `GcnParams.on` is [W1; b1] as one (d+1, h) view: a write
+        to any of layer1, w1, b1 or the vector shows in the others."""
+        params = gnn.init_params(3, 4, 2, seed=5)
+        vec = params.to_vector()
+        views = gnn.GcnParams.on(vec, *params.dims)
+        assert views.layer1.shape == (4, 4)
+        assert np.shares_memory(views.layer1, vec)
+        np.testing.assert_array_equal(views.layer1, np.vstack([params.w1, params.b1]))
+        views.layer1[0, 1] = 11.0
+        assert views.w1[0, 1] == 11.0 and vec[1] == 11.0
+        views.layer1[3, 2] = 12.0
+        assert views.b1[2] == 12.0 and vec[3 * 4 + 2] == 12.0
+        views.w1[2, 3] = 13.0
+        assert views.layer1[2, 3] == 13.0 and vec[2 * 4 + 3] == 13.0
+        views.b1[0] = 14.0
+        assert views.layer1[3, 0] == 14.0 and vec[12] == 14.0
+        vec[13] = 15.0
+        assert views.layer1[3, 1] == 15.0 and views.b1[1] == 15.0
+        vec[5] = 16.0
+        assert views.layer1[1, 1] == 16.0 and views.w1[1, 1] == 16.0
+        np.testing.assert_array_equal(views.to_vector(), vec)
+
+    @pytest.mark.parametrize("shapes", [
+        [(3, 4), (5,), (4, 2), (1,)],       # the right total, one b1 value moved into b2's place
+        [(3, 4), (4,), (3, 2), (4,)],       # w2 one row short, b2 two values long
+        [(3, 4), (1, 4), (4, 2), (2,)],     # b1 a row, not a vector
+        [(12,), (4,), (4, 2), (2,)],        # w1 not a matrix
+    ], ids=["b1-into-b2", "w2-rows-into-b2", "b1-2d", "w1-1d"])
+    def test_tensors_of_mismatched_shapes_are_refused(self, shapes):
+        tensors = [np.zeros(shape) for shape in shapes]
+        with pytest.raises(ValueError, match=re.escape(
+                "w1, b1, w2, b2 must have shapes (d, h), (h,), (h, c), (c,), got "
+                + ", ".join(map(str, shapes)))):
+            gnn.GcnParams(*tensors)
 
     def test_backward_writes_into_the_given_views(self):
         """`backward(..., out=views)` fills the views' vector with the same
@@ -279,7 +390,7 @@ class TestRowBlock:
             offsets = np.concatenate([[0], np.cumsum([g.size for g in groups])])
             members = np.concatenate(groups)
             block = a_hat.block(rows)
-            ax = (a_hat @ x)[a_hat.reach(rows)]
+            ax = gnn.ax_ones(a_hat, x)[a_hat.reach(rows)]
             member = gnn.forward(params, block, x, ax=ax)
             trace = gnn.forward(params, block.group_means(offsets, members), x, ax=ax)
             want = np.array([member.z[g].mean(axis=0) for g in groups])
@@ -300,7 +411,7 @@ class TestRowBlock:
         a_hat, x, params = random_instance(5, n=20, p_edge=0.2)
         offsets, members = np.array([0, 3, 4, 7]), np.array([0, 2, 5, 1, 3, 4, 6])
         block = a_hat.block(np.arange(7))
-        op, ax = block.group_means(offsets, members), (a_hat @ x)[a_hat.reach(np.arange(7))]
+        op, ax = block.group_means(offsets, members), gnn.ax_ones(a_hat, x)[a_hat.reach(np.arange(7))]
         d_z = np.random.default_rng(5).normal(size=(3, params.dims[2]))
         want = gnn.forward(params, op, x, ax=ax, propagate_first=not first)
         want_grads = gnn.backward(params, op, x, want, d_z).to_vector()
@@ -316,6 +427,27 @@ class TestRowBlock:
             gnn.forward(params, a_hat.block([0, 1]), x)
         with pytest.raises(ValueError, match="ax"):
             gnn.forward(params, a_hat.group_means(np.array([0, 2]), np.array([0, 1])), x)
+
+    def test_an_ax_of_the_wrong_width_names_both_shapes(self):
+        """`ax` holds [ÂX | 1], d + 1 columns: Â X alone, or any other width,
+        is refused with one error naming the given and the needed shape."""
+        a_hat, x, params = random_instance(0)
+        n, d = x.shape
+        for ax in (a_hat @ x, np.ones((n, d + 2))):
+            with pytest.raises(ValueError) as err:
+                gnn.forward(params, a_hat, x, ax=ax)
+            assert str(ax.shape) in str(err.value) and str((n, d + 1)) in str(err.value)
+
+    def test_a_whole_graph_ax_with_a_row_block_names_both_shapes(self):
+        """A row block reads the rows N(S) of [ÂX | 1]: the whole graph's
+        array is refused with one error naming its shape and the block's."""
+        a_hat, x, params = random_instance(2, n=100, p_edge=0.02)
+        block = a_hat.block(np.arange(10))
+        ax = gnn.ax_ones(a_hat, x)
+        with pytest.raises(ValueError) as err:
+            gnn.forward(params, block, x, ax=ax)
+        assert str(ax.shape) in str(err.value) and str(block.shape) in str(err.value)
+        assert str((block.shape[1], x.shape[1] + 1)) in str(err.value)
 
 
 @st.composite

@@ -269,9 +269,9 @@ class TestNormalizedAdjacency:
         matrices = []
         real = kernels.spmm
 
-        def recording(*args, matrix=None):
+        def recording(*args, matrix=None, **kwargs):
             matrices.append(matrix)
-            return real(*args, matrix=matrix)
+            return real(*args, matrix=matrix, **kwargs)
 
         monkeypatch.setattr(kernels, "spmm", recording)
         rng = np.random.default_rng(15)

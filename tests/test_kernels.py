@@ -4,6 +4,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,40 @@ class TestSpmm:
         indptr = np.zeros(4, dtype=np.intp)
         out = kernels.spmm(indptr, np.empty(0, dtype=np.intp), np.empty(0), np.ones((3, 2)))
         np.testing.assert_array_equal(out, 0.0)
+
+    def test_out_holds_the_allocated_product_bitwise(self):
+        """`out` receives bitwise `matrix @ dense`, from SciPy's CSR, from a
+        dense-stored matrix, and where SciPy's private kernel is missing."""
+        rng = np.random.default_rng(3)
+        indptr, indices, data, mask = random_csr(rng, 30, density=0.2)
+        dense = rng.normal(size=(30, 6))
+        matrix = kernels.csr(indptr, indices, data, 30)
+        expect = matrix @ dense
+        for stored in (matrix, matrix.toarray()):
+            out = np.full((30, 6), np.nan)
+            assert kernels.spmm(indptr, indices, data, dense, matrix=stored, out=out) is out
+            np.testing.assert_array_equal(out, stored @ dense)
+        out = np.full((30, 6), np.nan)
+        with mock.patch.dict(sys.modules, {"scipy.sparse._sparsetools": None}):
+            kernels.spmm(indptr, indices, data, dense, matrix=matrix, out=out)
+        np.testing.assert_array_equal(out, expect)
+
+    def test_an_out_it_cannot_write_through_is_refused(self):
+        """A view that is not C-contiguous, another dtype or another shape
+        raises instead of receiving a copy of the product."""
+        rng = np.random.default_rng(4)
+        indptr, indices, data, _ = random_csr(rng, 12, density=0.3)
+        dense = rng.normal(size=(12, 4))
+        matrix = kernels.csr(indptr, indices, data, 12)
+        for out, what in [(np.zeros((12, 8))[:, ::2], "not C-contiguous"),
+                          (np.zeros((4, 12)).T, "not C-contiguous"),
+                          (np.zeros((12, 4), dtype=np.float32), "float32 of shape"),
+                          (np.zeros((11, 4)), r"got float64 of shape \(11, 4\)")]:
+            for stored in (matrix, matrix.toarray()):
+                with pytest.raises(ValueError, match=r"out must be a C-contiguous float64 array of shape "
+                                                     rf"\(12, 4\), .*{what}"):
+                    kernels.spmm(indptr, indices, data, dense, matrix=stored, out=out)
+                assert not out.any()
 
 
 class TestBfs:

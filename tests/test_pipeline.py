@@ -359,7 +359,8 @@ class TestFileDatasetKept:
         data = pipeline.materialize_dataset(tiny_files, 0)
         (kept,) = pipeline._kept.values()
         assert kept is data
-        assert data.ax.tobytes() == (data.a_hat @ data.x).tobytes()
+        assert data.ax[:, :-1].tobytes() == (data.a_hat @ data.x).tobytes()
+        assert (data.ax[:, -1] == 1.0).all()
 
     @pytest.mark.parametrize("source", ["files", "synthetic"])
     def test_sampling_reads_a_hat_and_no_graph_is_kept(self, tiny_files, monkeypatch, source):

@@ -19,6 +19,7 @@ from bundlesup.train import (
     train,
 )
 from bundlesup import gnn, kernels
+from bundlesup.pipeline import MODES
 from bundlesup import train as train_module
 
 import reference
@@ -342,10 +343,10 @@ class TestTrain:
         assert report.loss[-1] < report.loss[0]
 
     def test_a_given_ax_trains_bitwise_as_computing_it(self):
-        """`ax=` only skips the whole-graph Â @ X: parameters and report,
+        """`ax=` only skips the whole-graph [ÂX | 1]: parameters and report,
         evictions included, are bitwise those of a run that computes it."""
         a_hat, emb, table, bundles = small_problem(noise=0.2)
-        ax = a_hat @ emb
+        ax = gnn.ax_ones(a_hat, emb)
         ax.flags.writeable = False
         cfg = TrainConfig(learning_rate=0.5, epochs=40, warmup_epochs=5, refine_every=5, seed=2)
 
@@ -411,7 +412,7 @@ class TestBoundEstimates:
         or backward pass and no sparse product over the graph."""
         a_hat, emb, table, bundles = small_problem()
         params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
-        ax = a_hat @ emb
+        ax = gnn.ax_ones(a_hat, emb)
         calls = []
 
         def counted(name, real):
@@ -444,7 +445,7 @@ class TestBoundEstimates:
         """Per coordinate, the entries recomputed for it differ as the whole
         Jacobians do; b2 moves no entry at all."""
         params, a_hat, x, probe = problem
-        ax = a_hat @ x
+        ax = gnn.ax_ones(a_hat, x)
         coords = np.arange(params.n_params)
         got = gnn.jacobian_differences(gnn.probe_pass(params, a_hat, probe, ax), coords, 1e-4)
         want = reference.jacobian_differences(params, a_hat, x, probe, coords, 1e-4, ax=ax)
@@ -459,12 +460,12 @@ class TestBoundEstimates:
         a_hat, emb, table, bundles = small_problem()
         x = emb / 100.0
         params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
-        ax = a_hat @ x
+        ax = gnn.ax_ones(a_hat, x)
         probe, u, step = [2, 17, 40], 3, 1e-4
         entry = a_hat.indptr[17]   # Â[17, j] for the first neighbour j of probe 17
         j = a_hat.indices[entry]
-        params.b1[u] = step / 2 - ax[j] @ params.w1[:, u]
-        h_pre = (ax[j] @ params.w1 + params.b1)[u]
+        params.b1[u] = step / 2 - ax[j, :-1] @ params.w1[:, u]
+        h_pre = (ax[j, :-1] @ params.w1 + params.b1)[u]
         assert 0.0 < h_pre < step
         layer1 = emb.shape[1] * 8 + 8
         g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, ax=ax,
@@ -617,3 +618,40 @@ class TestSupervisedField:
         assert len(calls) == 1 + 2 * (cfg.epochs + 1) + len(rounds)
         for written, read in calls[1:]:
             assert written <= field and read <= field
+
+
+class TestFieldBuffers:
+    @pytest.mark.parametrize("mode", ["bundle", "random_sampling", "individual_query", "r_only", "be_only",
+                                      "individual", "no_refine"])
+    def test_reused_buffers_match_fresh_arrays(self, mode, monkeypatch):
+        """`train` hands each pass the last pass's buffers; on the standard
+        benchmark, seeds 0-2 at noise 0 and 0.3, its evictions, curves,
+        final loss and parameters are bitwise those of a loop that
+        allocates every array afresh, so no buffer is written while a
+        later read still needs it."""
+        from bundlesup import pipeline
+
+        runs = []
+        real = pipeline.train
+
+        def keeping(*args, **kwargs):
+            result = real(*args, **kwargs)
+            runs.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(pipeline, "train", keeping)
+        for noise in (0.0, 0.3):
+            cfg = pipeline.standard_experiment(mode=mode, noise_rate=noise, replicate_seeds=(0, 1, 2))
+            pipeline.run_pipeline(cfg)
+        assert len(runs) == 6
+        evicted = 0
+        for (a_hat, x, groups, tcfg, n_classes), kwargs, (params, report) in runs:
+            theta, refinements, curves, final_loss = reference.fresh_field_train(
+                a_hat, x, groups, tcfg, n_classes, objective=kwargs["objective"], ax=kwargs["ax"])
+            assert report.refinements == refinements
+            got = np.stack([report.loss, report.loss_be, report.loss_rank, report.grad_norm])
+            assert got.tobytes() == curves.tobytes()
+            assert report.final_loss == final_loss
+            assert params.to_vector().tobytes() == theta.tobytes()
+            evicted += len(refinements)
+        assert (evicted > 0) == MODES[mode].refine
