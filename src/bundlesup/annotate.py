@@ -21,7 +21,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,16 +49,17 @@ class AnnotationConfigError(RuntimeError):
 
 @dataclass(frozen=True)
 class Prompt:
+    """A bundle's prompt text and its SHA-256 hex digest, the cache key,
+    derived from the text here alone."""
+
     bundle_id: int
     text: str
-    sha256: str
+    sha256: str = field(init=False)
 
     def __post_init__(self):
         if not self.text:
             raise ValueError("prompt text must be non-empty")
-        digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-        if digest != self.sha256:
-            raise ValueError("prompt digest does not match its text")
+        object.__setattr__(self, "sha256", hashlib.sha256(self.text.encode("utf-8")).hexdigest())
 
 
 @dataclass
@@ -127,12 +128,7 @@ def build_prompt(
         "belong to. Answer with exactly one category name from the candidate "
         "list, and nothing else."
     )
-    text = "\n".join(lines)
-    return Prompt(
-        bundle_id=bundle.id,
-        text=text,
-        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    )
+    return Prompt(bundle_id=bundle.id, text="\n".join(lines))
 
 
 def parse_response(raw: str, class_names) -> int:
@@ -249,7 +245,9 @@ class AnnotationCache:
     """Append-only JSONL store keyed by prompt digest; safe across threads.
 
     A last line that is not valid JSON, as left by a crash mid-append, is
-    dropped from the file with a warning. Any other line that is not a JSON
+    dropped from the file with a warning; a valid one that lacks its
+    newline gets it, so appends start on a line of their own. Any other
+    line that is not a JSON
     object with exactly `AnnotationRecord`'s fields, each of its type,
     raises a FormatError naming the path and line.
     Inside `appending()`, every `put` writes through one open handle and
@@ -289,6 +287,10 @@ class AnnotationCache:
                 rec = AnnotationRecord(**values)
                 self._records[rec.prompt_sha256] = rec
             offset += len(raw)
+        if lines and not lines[-1].endswith(b"\n"):
+            # a whole last record whose newline never reached the disk
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
 
     def get(self, sha256: str) -> AnnotationRecord | None:
         with self._lock:

@@ -260,18 +260,18 @@ def logits(params: GcnParams, a_hat: Csr, x: np.ndarray, ax: np.ndarray = None) 
 def propagates_first(p: Csr, h: int, c: int) -> bool:
     """Whether (P H) W2 takes fewer multiply-adds than P (H W2) over a
     forward and a backward pass: 2 m h + 3 rows h c against
-    2 m c + 3 cols h c, with m the multiply-adds of the storage P
-    multiplies with (`Csr.multiply_adds`)."""
+    2 m c + 3 cols h c, with m the entries P stores."""
     rows, cols = p.shape
-    return 2 * p.multiply_adds * (h - c) < 3 * h * c * (cols - rows)
+    return 2 * p.indices.size * (h - c) < 3 * h * c * (cols - rows)
 
 
 def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: np.ndarray,
              out: GcnParams = None) -> GcnParams:
     """Exact gradients of any scalar loss whose logit gradient is `d_z`.
 
-    The logit gradient flows back through `a_hat.T`: Â itself on the whole
-    graph, by symmetry, and P^T for an operator P. The gradients are
+    The logit gradient flows back through the transposed product with
+    `a_hat` (`Csr.matmul`): Â itself on the whole graph, by symmetry, and
+    P^T on P's own arrays for an operator P. The gradients are
     written into `out`, views onto one flat vector (`GcnParams.on`), which
     a new vector backs when `out` is None; returns `out`. W1 and b1 take
     one product, [ÂX | 1]^T D with D the hidden layer's gradient, written
@@ -285,12 +285,12 @@ def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: 
         trace.d_h, trace.live = np.empty(trace.h.shape), np.empty(trace.h.shape, dtype=bool)
     d_hidden = trace.d_h
     if trace.ph is None:
-        d_hw = a_hat.T @ d_z
+        d_hw = a_hat.matmul(d_z, transpose=True)
         np.matmul(trace.h.T, d_hw, out=out.w2)
         np.matmul(d_hw, params.w2.T, out=d_hidden)
     else:
         np.matmul(trace.ph.T, d_z, out=out.w2)
-        a_hat.T.matmul(d_z @ params.w2.T, out=d_hidden)
+        a_hat.matmul(d_z @ params.w2.T, out=d_hidden, transpose=True)
     d_z.sum(axis=0, out=out.b2)
     d_hidden *= np.greater(trace.h, 0.0, out=trace.live)
     np.matmul(trace.ax.T, d_hidden, out=out.layer1)

@@ -3,7 +3,8 @@
 Every sparse matrix of the package is a `Csr`: a graph (its edges, with
 no `data`; `Csr.edge_array` lists them as pairs), its normalized
 adjacency Â, a row block of Â (`Csr.block`), and the `group_means` that
-average a matrix's rows over groups of them.
+average a matrix's rows over groups of them. Each multiplies both ways,
+M @ Y and M.T @ Y, on its own CSR arrays (`Csr.matmul`).
 
 File formats
 ------------
@@ -29,7 +30,6 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -39,10 +39,6 @@ logger = logging.getLogger(__name__)
 
 # the largest node count n whose n * n fits in intp: edge keys are lo * n + hi
 MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
-
-# group means multiply as a dense array when at least one entry in
-# DENSE_RATIO is stored (see `Csr.stored_dense` for the measurement)
-DENSE_RATIO = 9
 
 
 class FormatError(ValueError):
@@ -57,10 +53,10 @@ class Csr:
     is stored twice. A graph is the (n, n) pattern with no `data`: every
     edge in the rows of both endpoints, no self-loop. Â, its row blocks and
     their group means hold `data` and `n`, the graph's node count, whatever
-    their `shape`. `symmetric` marks a matrix equal to its transpose, whose
-    `T` is then the matrix itself; any other builds its transpose on the
-    first `T` and keeps it. `dense_ok` marks the group means, the only
-    matrices that may multiply as a dense array (`stored_dense`).
+    their `shape`. Every product, M @ Y or M.T @ Y (`matmul`), runs SciPy's
+    compiled kernels on these three arrays (`kernels.spmm`): no transpose
+    and no other storage is built. `symmetric` marks a matrix equal to its
+    transpose, whose transposed products are then its plain ones.
     """
 
     n: int
@@ -69,7 +65,6 @@ class Csr:
     indices: np.ndarray = field(repr=False)
     data: np.ndarray | None = field(default=None, repr=False)
     symmetric: bool = False
-    dense_ok: bool = False
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Csr":
@@ -145,9 +140,9 @@ class Csr:
         entry of its rows. Every row keeps M's ascending column order, so a
         product with the block adds the same nonzero terms in the same
         order as the product with M does. Returns the matrix itself when
-        rows and columns cover all of it. The transpose of a block of Â is,
-        bitwise, the block Â[cols][:, rows], since Â's entries
-        dinv[u] * dinv[v] are bitwise symmetric.
+        rows and columns cover all of it. A transposed product with a block
+        of Â is, bitwise, the product with the block Â[cols][:, rows], since
+        Â's entries dinv[u] * dinv[v] are bitwise symmetric.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = self.reach(rows) if cols is None else np.asarray(cols, dtype=np.intp)
@@ -185,79 +180,17 @@ class Csr:
         rows, cols_of = np.divmod(keys[first], cols)
         indptr = np.zeros(sizes.size + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=sizes.size), out=indptr[1:])
-        return Csr(self.n, (sizes.size, cols), indptr, cols_of, sums / sizes[rows], dense_ok=True)
-
-    @property
-    def T(self) -> "Csr":
-        return self if self.symmetric else self._transpose
-
-    @cached_property
-    def _transpose(self) -> "Csr":
-        # a stable sort by column keeps each row of the transpose ascending
-        rows, cols = self.shape
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.zeros(cols + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.indices, minlength=cols), out=indptr[1:])
-        return Csr(self.n, (cols, rows), indptr, self.entry_rows()[order], self.data[order],
-                   dense_ok=self.dense_ok)
-
-    @property
-    def stored_dense(self) -> bool:
-        """Whether products run on a dense float64 array of the shape, not
-        on SciPy CSR: for group means and their transposes with
-        rows·cols <= DENSE_RATIO·nnz. Â and its blocks are always CSR, so
-        a block's products stay bitwise the whole graph's rows.
-
-        On small operators SciPy's per-product Python dispatch costs more
-        than the arithmetic, which BLAS does on the dense array.
-        DENSE_RATIO = 9 is the measured break-even: P @ Y plus P.T @ Y
-        through `kernels.spmm`, median of 15 interleaved rounds (2 vCPUs,
-        NumPy 2.4, SciPy 1.17; microseconds, CSR / dense):
-
-            P shape    k    density 1/4  1/8         1/9         1/12
-            100x100    5    33 / 12      20 / 11     21 / 10     16 / 10
-            100x100    64   151 / 68     89 / 61     81 / 62     49 / 57
-            100x400    5    110 / 42     61 / 39     63 / 45     35 / 33
-            100x400    64   421 / 138    331 / 170   197 / 140   159 / 177
-            100x1000   5    200 / 93     105 / 89    86 / 82     70 / 83
-            100x1000   64   1203 / 466   798 / 437   514 / 431   361 / 423
-            100x4333   5    866 / 658    537 / 650   419 / 658   406 / 671
-            100x4333   64   7589 / 1818  2572 / 1805 2329 / 1849 2594 / 1859
-
-        Up to 1000 columns dense wins at every shape down to density 1/9
-        and loses at 1/12 on four of six. Dense reads the whole array on
-        every product, so it loses where that array is large and the
-        operand narrow: at 100x4333 and k=5, below density 1/4. The two
-        storages differ only by rounding.
-        """
-        rows, cols = self.shape
-        return self.dense_ok and rows * cols <= DENSE_RATIO * self.indices.size
-
-    @property
-    def multiply_adds(self) -> int:
-        """Multiply-adds of one product per operand column: nnz, or rows·cols
-        when the matrix is stored dense."""
-        return self.shape[0] * self.shape[1] if self.stored_dense else self.indices.size
-
-    @cached_property
-    def _matrix(self):
-        """The one matrix every product multiplies through: SciPy CSR, or the
-        dense array (`stored_dense`), built on the first product and kept."""
-        if not self.stored_dense:
-            return kernels.csr(self.indptr, self.indices, self.data, self.shape[1])
-        dense = np.zeros(self.shape)
-        dense[self.entry_rows(), self.indices] = self.data
-        return dense
+        return Csr(self.n, (sizes.size, cols), indptr, cols_of, sums / sizes[rows])
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         return self.matmul(dense)
 
-    def matmul(self, dense: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """self @ dense, written into `out` when given (`kernels.spmm`)."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != self.shape[1]:
-            raise ValueError(f"operand must be ({self.shape[1]}, k), got {dense.shape}")
-        return kernels.spmm(self.indptr, self.indices, self.data, dense, matrix=self._matrix, out=out)
+    def matmul(self, dense: np.ndarray, out: np.ndarray = None, *, transpose: bool = False) -> np.ndarray:
+        """self @ dense, or self.T @ dense with `transpose`, written into
+        `out` when given (`kernels.spmm`). A symmetric matrix is its own
+        transpose, so its transposed product is its plain one."""
+        return kernels.spmm(self.indptr, self.indices, self.data, dense, shape=self.shape,
+                            transpose=transpose and not self.symmetric, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,56 +1,74 @@
 """The two hot kernels: CSR-sparse times dense product, and BFS hop counts."""
 
+from functools import cache
 from itertools import chain
 
 import numpy as np
 
 
-def csr(indptr, indices, data, cols):
-    """The SciPy CSR matrix of the given arrays (SciPy keeps int32 copies of
-    the index arrays when the values fit)."""
+@cache
+def _matvecs():
+    """SciPy's compiled (csr_matvecs, csc_matvecs), or None where its private
+    `_sparsetools` cannot be imported; looked up on the first product."""
     # imported here, not at the top: scipy.sparse takes ~70 ms to import,
     # which every process importing bundlesup would pay without multiplying
-    from scipy.sparse import csr_matrix
-
-    return csr_matrix((data, indices, indptr), shape=(indptr.shape[0] - 1, cols), copy=False)
-
-
-def spmm(indptr, indices, data, dense, *, matrix=None, out=None):
-    """CSR-sparse times dense matrix product.
-
-    indptr/indices describe the sparsity pattern row-wise, data holds the
-    nonzero values. Empty rows produce zero rows in the output. `matrix`
-    may carry `csr` of the same arrays, or the dense array they describe,
-    built once by the caller; the product is then `matrix @ dense`, which
-    NumPy hands to BLAS for a dense array. With `out`, a C-contiguous
-    float64 array of the product's shape (anything else raises a
-    ValueError), the product is written there and `out` returned: bitwise
-    the array `matrix @ dense` would allocate, since SciPy forms that
-    product with the same `csr_matvecs` call into an array of zeros. That
-    call lives in SciPy's private `_sparsetools`; where it is missing, the
-    product is formed as `matrix @ dense` and copied into `out`.
-    """
-    if matrix is None:
-        matrix = csr(indptr, indices, data, dense.shape[0])
-    if out is None:
-        return matrix @ dense
-    rows, cols = matrix.shape
-    if out.shape != (rows, dense.shape[1]) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {(rows, dense.shape[1])}, "
-                         f"got {out.dtype} of shape {out.shape}"
-                         f"{'' if out.flags.c_contiguous else ', not C-contiguous'}")
-    if isinstance(matrix, np.ndarray):
-        return np.matmul(matrix, dense, out=out)
     try:
-        from scipy.sparse._sparsetools import csr_matvecs
+        from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
     except ImportError:
-        out[...] = matrix @ dense
+        return None
+    return csr_matvecs, csc_matvecs
+
+
+def spmm(indptr, indices, data, dense, *, shape, transpose=False, out=None):
+    """CSR-sparse times dense matrix product: M @ dense, or M.T @ dense with
+    `transpose`, M the `shape` matrix stored row-wise in indptr/indices/data.
+
+    The product is written into `out`, a C-contiguous float64 array of its
+    shape, zeroed first, or into a new array of zeros, and that array is
+    returned. M's arrays are, unchanged, the column-wise arrays of M.T, so
+    M.T @ dense runs SciPy's `csc_matvecs` on them and M @ dense its
+    `csr_matvecs`, with no transpose built: row i of M.T @ dense adds the
+    terms of M's column i in ascending row order, as the product with M's
+    stored transpose would. The kernels check no bounds, so an operand,
+    `indptr` or `out` that does not fit `shape` raises a ValueError naming
+    the shapes first. Where SciPy's private `_sparsetools` is missing, the
+    product goes through its public `csr_array`, which calls the same
+    kernels.
+    """
+    dense = np.ascontiguousarray(dense, dtype=np.float64)
+    if dense.ndim != 2:
+        raise ValueError(f"the operand must be 2-D, got shape {dense.shape}")
+    rows, cols = shape
+    inner, outer = (rows, cols) if transpose else (cols, rows)
+    if indptr.shape != (rows + 1,):
+        raise ValueError(f"indptr of a {(rows, cols)} matrix needs {rows + 1} entries, got shape {indptr.shape}")
+    if dense.shape[0] != inner:
+        raise ValueError(f"the operand of {_named(shape, transpose)} must be ({inner}, k), got shape {dense.shape}")
+    product = (outer, dense.shape[1])
+    if out is None:
+        out = np.zeros(product)
+    elif out.shape != product or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {product}, the product of "
+                         f"{_named(shape, transpose)} and a {dense.shape} operand, got {out.dtype} of shape "
+                         f"{out.shape}{'' if out.flags.c_contiguous else ', not C-contiguous'}")
+    else:
+        out.fill(0.0)
+    kernels = _matvecs()
+    if kernels is None:
+        from scipy.sparse import csr_array
+
+        matrix = csr_array((data, indices, indptr), shape=shape)
+        out[...] = (matrix.T if transpose else matrix) @ dense
         return out
-    out.fill(0.0)
-    # ravel of a C-contiguous array is a view, so the product lands in `out`
-    csr_matvecs(rows, cols, dense.shape[1], matrix.indptr, matrix.indices, matrix.data,
-                np.ascontiguousarray(dense, dtype=np.float64).ravel(), out.ravel())
+    # (outer, inner) is the shape of M, or of M.T stored column-wise; ravel
+    # of a C-contiguous array is a view, so the product lands in `out`
+    kernels[transpose](outer, inner, dense.shape[1], indptr, indices, data, dense.ravel(), out.ravel())
     return out
+
+
+def _named(shape, transpose) -> str:
+    """The matrix an spmm error names, formatted only when raising."""
+    return f"{'the transpose of ' if transpose else ''}a {tuple(shape)} matrix"
 
 
 def bfs_levels(indptr, indices, source, need=None):

@@ -29,6 +29,16 @@ def dense_adjacency(a_hat) -> np.ndarray:
     return out
 
 
+def transpose(m: Csr) -> Csr:
+    """M's transpose as its own CSR arrays, as the package once stored it: a
+    stable sort of the entries by column keeps each row ascending."""
+    rows, cols = m.shape
+    order = np.argsort(m.indices, kind="stable")
+    indptr = np.zeros(cols + 1, dtype=np.intp)
+    np.cumsum(np.bincount(m.indices, minlength=cols), out=indptr[1:])
+    return Csr(m.n, (cols, rows), indptr, m.entry_rows()[order], m.data[order])
+
+
 def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:
     """Combined entropy+ranking loss over labeled bundles at the member
     logits z, and dL/dZ: `bundle_objective` at the group means P z, P the
@@ -38,7 +48,7 @@ def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:
     identity = Csr(n, (n, n), np.arange(n + 1), np.arange(n), np.ones(n))
     p = identity.group_means(flat.offsets, flat.members)
     value = bundle_objective(p @ z, flat.labels)
-    return value.loss, p.T @ value.d_z
+    return value.loss, transpose(p) @ value.d_z
 
 
 UNREACHABLE = -1

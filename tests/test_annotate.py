@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -11,6 +12,7 @@ from bundlesup.annotate import (
     AnnotationRecord,
     NO_TEXT_PLACEHOLDER,
     OracleConfig,
+    Prompt,
     ResponseParseError,
     TRUNCATION_MARKER,
     annotate_all,
@@ -67,6 +69,13 @@ class TestBuildPrompt:
         p2 = build_prompt(Bundle(id=0, core=0, members=[1, 0]), table, "d")
         assert p1.text != p2.text
         assert p1.sha256 != p2.sha256
+
+    def test_the_digest_is_derived_from_the_text_alone(self):
+        prompt = build_prompt(Bundle(id=3, core=0, members=[0, 1]), table_for(texts=["alpha", "beta"]), "d")
+        assert prompt.sha256 == hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()
+        assert Prompt(3, prompt.text) == prompt
+        with pytest.raises(TypeError):
+            Prompt(3, prompt.text, "0" * 64)
 
     def test_member_without_row_rejected(self):
         """`annotate_all` refuses a member outside the table once, before any
@@ -250,6 +259,21 @@ class TestCache:
         assert path.read_text() == whole
         reopened.put(self._record(sha="k4", label=1))
         assert AnnotationCache(path).get("k4").label == 1
+
+    def test_appends_after_a_last_record_without_newline_start_a_new_line(self, tmp_path):
+        """A whole last record whose newline never reached the disk is kept,
+        and records appended after it land on lines of their own."""
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self._record(sha="k1", label=2).to_json())
+        cache = AnnotationCache(path)
+        assert cache.get("k1").label == 2
+        cache.put(self._record(sha="k2", label=0))
+        with cache.appending():
+            cache.put(self._record(sha="k3", label=None))
+        reopened = AnnotationCache(path)
+        assert len(reopened) == 3
+        assert [reopened.get(k).label for k in ("k1", "k2", "k3")] == [2, 0, None]
+        assert len(path.read_text().splitlines()) == 3
 
     def test_bad_line_in_the_middle_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -186,26 +186,22 @@ class TestNormalizedAdjacency:
         x = rng.normal(size=(n, 4))
         np.testing.assert_allclose(a @ x, dense_adjacency(a) @ x, atol=1e-12)
 
-    def test_sparse_matrix_built_once_per_operator(self, monkeypatch):
-        built = []
-        real = kernels.csr
-
-        def counting(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(kernels, "csr", counting)
+    def test_products_build_and_keep_nothing(self):
+        """Both orientations multiply on the operator's own arrays: after
+        many products the operator holds its fields and nothing else."""
         rng = np.random.default_rng(12)
-        g = Csr.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-        a, b = normalized_adjacency(g), normalized_adjacency(g)
-        for _ in range(20):
-            a @ rng.normal(size=(6, 3))
-        b @ np.ones((6, 1))
-        assert len(built) == 2
+        a = normalized_adjacency(Csr.from_edges(6, [(0, 1), (1, 2), (3, 4)]))
+        block = a.block([1, 3])
+        p = block.group_means(np.array([0, 2]), np.array([0, 1]))
+        for op in (a, block, p):
+            for transpose in (False, True, False):
+                op.matmul(rng.normal(size=(op.shape[transpose == 0], 3)), transpose=transpose)
+            assert vars(op).keys() == {f.name for f in dataclasses.fields(Csr)}
 
     def test_block_equals_dense_submatrix(self):
         """Â[rows][:, cols] entry for entry, each row in ascending column
-        order; `T` is the transposed block; default columns are N(rows)."""
+        order; its transposed products are those of the transposed block;
+        default columns are N(rows)."""
         rng = np.random.default_rng(14)
         for _ in range(40):
             n = int(rng.integers(1, 20))
@@ -221,10 +217,8 @@ class TestNormalizedAdjacency:
             np.testing.assert_array_equal(got, dense[rows][:, cols])
             assert all((np.diff(block.indices[block.indptr[k]:block.indptr[k + 1]]) > 0).all()
                        for k in range(rows.size))
-            assert block.T.shape == (cols.size, rows.size) and block.T.n == n
-            np.testing.assert_array_equal(dense_adjacency(block.T), dense[cols][:, rows])
             x = rng.normal(size=(rows.size, 2))
-            np.testing.assert_allclose(block.T @ x, dense[cols][:, rows] @ x, atol=1e-15)
+            np.testing.assert_allclose(block.matmul(x, transpose=True), dense[cols][:, rows] @ x, atol=1e-15)
             field, reached = a.block(rows), np.flatnonzero(dense[rows].any(axis=0))
             np.testing.assert_array_equal(a.reach(rows), reached)
             if rows.size == reached.size == n:
@@ -233,8 +227,8 @@ class TestNormalizedAdjacency:
                 np.testing.assert_array_equal(dense_adjacency(field), dense[rows][:, reached])
 
     def test_block_transpose_is_the_cut_of_the_swapped_nodes(self):
-        """`T` transposes the block's own entries into exactly the arrays that
-        cutting Â[cols][:, rows] gives, since Â is bitwise symmetric."""
+        """A block's transposed products are bitwise the products of the cut
+        Â[cols][:, rows], since Â is bitwise symmetric."""
         rng = np.random.default_rng(16)
         for _ in range(60):
             n = int(rng.integers(1, 30))
@@ -247,33 +241,36 @@ class TestNormalizedAdjacency:
                 if block is a:
                     continue
                 cut = a.block(used, rows)
-                assert (block.T.n, block.T.shape) == (cut.n, cut.shape)
-                for name in ("indptr", "indices", "data"):
-                    got, want = getattr(block.T, name), getattr(cut, name)
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                assert cut.shape == block.shape[::-1]
+                y = rng.normal(size=(rows.size, 3))
+                assert block.matmul(y, transpose=True).tobytes() == (cut @ y).tobytes()
 
     def test_block_over_every_node_is_the_operator(self):
         a = normalized_adjacency(Csr.from_edges(4, [(0, 1), (2, 3)]))
         assert a.block(np.arange(4)) is a
         assert a.block([0, 1, 2, 3], [0, 1, 2, 3]) is a
-        assert a.T is a
 
-    def test_block_products_keep_the_whole_graph_terms(self, monkeypatch):
-        """A block row adds the same terms in the same order as Â's row, so
-        block products equal the whole-graph rows bitwise when the dropped
-        columns are zero rows of the operand. Â, the block and its `T` sit
-        above density 1/DENSE_RATIO, yet each multiplies through SciPy CSR,
-        never a dense array: only group means switch storage."""
-        from scipy.sparse import issparse
-
-        matrices = []
+    def test_symmetric_transposed_products_are_the_plain_ones(self, monkeypatch):
+        """Â is its own transpose, so its transposed product runs as its
+        plain one, bitwise what the transposed kernel gives."""
+        calls = []
         real = kernels.spmm
 
-        def recording(*args, matrix=None, **kwargs):
-            matrices.append(matrix)
-            return real(*args, matrix=matrix, **kwargs)
+        def recording(*args, **kwargs):
+            calls.append(kwargs["transpose"])
+            return real(*args, **kwargs)
 
+        a = normalized_adjacency(Csr.from_edges(5, [(0, 1), (1, 2), (2, 4)]))
+        y = np.random.default_rng(17).normal(size=(5, 3))
+        kernel = kernels.spmm(a.indptr, a.indices, a.data, y, shape=a.shape, transpose=True)
         monkeypatch.setattr(kernels, "spmm", recording)
+        assert a.matmul(y, transpose=True).tobytes() == (a @ y).tobytes() == kernel.tobytes()
+        assert calls == [False, False]
+
+    def test_block_products_keep_the_whole_graph_terms(self):
+        """A block row adds the same terms in the same order as Â's row, so
+        block products, plain and transposed, equal the whole-graph rows
+        bitwise when the dropped columns are zero rows of the operand."""
         rng = np.random.default_rng(15)
         n = 30
         mask = rng.random((n, n)) < 0.15
@@ -285,15 +282,11 @@ class TestNormalizedAdjacency:
         np.testing.assert_array_equal(block @ x[cols], (a @ x)[rows])
         d = np.zeros((n, 3))
         d[rows] = rng.normal(size=(rows.size, 3))
-        np.testing.assert_array_equal(block.T @ d[rows], (a @ d)[cols])
-        for op in (a, block, block.T):
-            assert op.shape[0] * op.shape[1] <= graphs.DENSE_RATIO * op.indices.size
-            assert not op.stored_dense and issparse(op._matrix)
-        assert len(matrices) == 4 and all(issparse(m) for m in matrices)
+        np.testing.assert_array_equal(block.matmul(d[rows], transpose=True), (a @ d)[cols])
 
     def test_every_product_goes_through_spmm_with_four_positional_arguments(self, monkeypatch):
         """perfbench's tracer unpacks (indptr, indices, data, dense) from the
-        positional arguments of every spmm call."""
+        positional arguments of every spmm call, in both orientations."""
         seen = []
         real = kernels.spmm
 
@@ -306,11 +299,16 @@ class TestNormalizedAdjacency:
         rng = np.random.default_rng(13)
         g = Csr.from_edges(5, [(0, 1), (1, 2), (2, 3)])
         a = normalized_adjacency(g)
-        dense = dense_adjacency(a)
-        for cols in (1, 4, 2):
-            x = rng.normal(size=(5, cols))
-            np.testing.assert_allclose(a @ x, dense @ x, atol=1e-12)
-        assert seen == [(5, a.indices.size, (5, c)) for c in (1, 4, 2)]
+        block = a.block([0, 3])
+        for op in (a, block):
+            dense = dense_adjacency(op)
+            for cols in (1, 4, 2):
+                x = rng.normal(size=(op.shape[1], cols))
+                np.testing.assert_allclose(op @ x, dense @ x, atol=1e-12)
+                y = rng.normal(size=(op.shape[0], cols))
+                np.testing.assert_allclose(op.matmul(y, transpose=True), dense.T @ y, atol=1e-12)
+        assert seen == [(op.shape[0], op.indices.size, (op.shape[k], c))
+                        for op in (a, block) for c in (1, 4, 2) for k in (1, 0)]
 
 
 @st.composite
@@ -336,8 +334,8 @@ class TestGroupMeans:
     def test_equals_the_dense_group_means_of_the_block(self, case):
         """P = `group_means` of Â[S, N(S)] is the dense diag(1/|B|)·B·Â[S, N(S)],
         B counting each listed row once per listing, each entry summed in
-        listing order; its rows keep ascending columns, and P.T is its
-        transpose."""
+        listing order; its rows keep ascending columns, and its transposed
+        products are those of its dense transpose."""
         a_hat, rows, groups = case
         block = a_hat.block(rows)
         offsets = np.concatenate([[0], np.cumsum([len(g) for g in groups])])
@@ -357,37 +355,43 @@ class TestGroupMeans:
         np.testing.assert_allclose(dense_adjacency(p), (b / b.sum(axis=1, keepdims=True)) @ dense, rtol=1e-14)
         for k in range(p.shape[0]):
             assert (np.diff(p.indices[p.indptr[k]:p.indptr[k + 1]]) > 0).all()
-        assert p.T.shape == p.shape[::-1] and p.T.n == a_hat.n
-        np.testing.assert_array_equal(dense_adjacency(p.T), dense_adjacency(p).T)
-        # products match the dense reference through the storage the density
-        # selects, dense on fields this small, and through SciPy CSR as well
         rng = np.random.default_rng(len(groups))
-        for op in (p, p.T):
-            y = rng.normal(size=(op.shape[1], 3))
-            want = dense_adjacency(op) @ y
-            np.testing.assert_allclose(op @ y, want, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(kernels.spmm(op.indptr, op.indices, op.data, y), want, rtol=1e-12, atol=1e-15)
+        for transpose, dense_op in ((False, dense_adjacency(p)), (True, dense_adjacency(p).T)):
+            y = rng.normal(size=(dense_op.shape[1], 3))
+            want = dense_op @ y
+            np.testing.assert_allclose(p.matmul(y, transpose=transpose), want, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("stored, dense", [(8, True), (7, False)])
-    def test_storage_follows_the_density(self, stored, dense):
-        """Group means of (4, 2·DENSE_RATIO) rows with 8 stored entries sit at
-        density 1/DENSE_RATIO and multiply as a dense array; with 7, just
-        below it, they stay SciPy CSR. Products match the dense reference
-        either way, and the transpose is stored as the operator is."""
-        from scipy.sparse import issparse
 
-        shape = (4, 2 * graphs.DENSE_RATIO)
-        rng = np.random.default_rng(stored)
-        rows, cols = np.divmod(np.sort(rng.choice(shape[0] * shape[1], size=stored, replace=False)), shape[1])
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-        m = graphs.Csr(30, shape, indptr, cols, rng.uniform(0.1, 1.0, stored))
-        p = m.group_means(np.arange(5), np.arange(4))   # each row a group of one
-        for op in (p, p.T):
-            assert op.stored_dense is dense
-            assert isinstance(op._matrix, np.ndarray) is dense and issparse(op._matrix) is not dense
-            assert op.multiply_adds == (shape[0] * shape[1] if dense else stored)
-            y = rng.normal(size=(op.shape[1], 5))
-            np.testing.assert_allclose(op @ y, dense_adjacency(op) @ y, rtol=1e-12, atol=1e-15)
+@st.composite
+def transposable_operators(draw):
+    """An operator training multiplies both ways: a block Â[rows][:, cols]
+    of drawn rows and columns, which may leave rows and columns empty, or
+    the group means of a field's rows, members repeating."""
+    a_hat, rows, groups = draw(grouped_fields())
+    if draw(st.booleans()):
+        n = a_hat.n
+        cols = np.unique(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+        return a_hat.block(rows, cols)
+    offsets = np.concatenate([[0], np.cumsum([len(g) for g in groups])])
+    return a_hat.block(rows).group_means(offsets, np.concatenate(groups))
+
+
+class TestTransposedProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(transposable_operators(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_equal_the_products_of_the_built_transpose(self, op, k, seed):
+        """M.T @ Y on M's own arrays is bitwise the product with M's
+        transpose built as its own CSR arrays (`reference.transpose`), into
+        a new array or into a given one whatever it held, and the dense
+        transpose's product within 1e-12."""
+        y = np.random.default_rng(seed).normal(size=(op.shape[0], k))
+        built = reference.transpose(op)
+        want = built @ y
+        got = op.matmul(y, transpose=True)
+        assert got.shape == (op.shape[1], k) and got.tobytes() == want.tobytes()
+        out = np.full(got.shape, np.nan)
+        assert op.matmul(y, out=out, transpose=True) is out and out.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, dense_adjacency(op).T @ y, rtol=1e-12, atol=1e-15)
 
 
 @st.composite

@@ -1,6 +1,8 @@
+import builtins
 import os
 import subprocess
 import sys
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -37,7 +39,7 @@ class TestSpmm:
             full = np.zeros((n, n))
             full[mask] = data
             expect = full @ dense
-            got = kernels.spmm(indptr, indices, data, dense)
+            got = kernels.spmm(indptr, indices, data, dense, shape=(n, n))
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_empty_rows_give_zero_rows(self):
@@ -45,49 +47,103 @@ class TestSpmm:
         indices = np.array([0, 2], dtype=np.intp)
         data = np.array([2.0, 3.0])
         dense = np.arange(6, dtype=float).reshape(3, 2)
-        out = kernels.spmm(indptr, indices, data, dense)
+        out = kernels.spmm(indptr, indices, data, dense, shape=(3, 3))
         np.testing.assert_array_equal(out[0], 0.0)
         np.testing.assert_array_equal(out[2], 0.0)
         np.testing.assert_allclose(out[1], 2.0 * dense[0] + 3.0 * dense[2])
 
     def test_all_empty_matrix(self):
         indptr = np.zeros(4, dtype=np.intp)
-        out = kernels.spmm(indptr, np.empty(0, dtype=np.intp), np.empty(0), np.ones((3, 2)))
+        out = kernels.spmm(indptr, np.empty(0, dtype=np.intp), np.empty(0), np.ones((3, 2)), shape=(3, 3))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_out_holds_the_allocated_product_bitwise(self):
-        """`out` receives bitwise `matrix @ dense`, from SciPy's CSR, from a
-        dense-stored matrix, and where SciPy's private kernel is missing."""
+        """`out` receives bitwise the product SciPy's `csr_array` allocates,
+        M @ dense and M.T @ dense, whatever it held before, from SciPy's
+        compiled kernels and where its private `_sparsetools` is missing."""
+        for transpose in (False, True):
+            self._check_out_holds_the_allocated_product_bitwise(transpose)
+
+    @staticmethod
+    def _check_out_holds_the_allocated_product_bitwise(transpose):
+        from scipy.sparse import csr_array
+
         rng = np.random.default_rng(3)
         indptr, indices, data, mask = random_csr(rng, 30, density=0.2)
-        dense = rng.normal(size=(30, 6))
-        matrix = kernels.csr(indptr, indices, data, 30)
-        expect = matrix @ dense
-        for stored in (matrix, matrix.toarray()):
-            out = np.full((30, 6), np.nan)
-            assert kernels.spmm(indptr, indices, data, dense, matrix=stored, out=out) is out
-            np.testing.assert_array_equal(out, stored @ dense)
-        out = np.full((30, 6), np.nan)
-        with mock.patch.dict(sys.modules, {"scipy.sparse._sparsetools": None}):
-            kernels.spmm(indptr, indices, data, dense, matrix=matrix, out=out)
+        matrix = csr_array((data, indices, indptr), shape=(30, 40))
+        dense = rng.normal(size=(30 if transpose else 40, 6))
+        expect = (matrix.T if transpose else matrix) @ dense
+        product = partial(kernels.spmm, indptr, indices, data, dense, shape=matrix.shape, transpose=transpose)
+        np.testing.assert_array_equal(product(), expect)
+        out = np.full(expect.shape, np.nan)
+        assert product(out=out) is out
         np.testing.assert_array_equal(out, expect)
+        out = np.full(expect.shape, np.nan)
+        with mock.patch.dict(sys.modules, {"scipy.sparse._sparsetools": None}):
+            kernels._matvecs.cache_clear()
+            try:
+                assert kernels._matvecs() is None
+                assert product(out=out) is out
+            finally:
+                kernels._matvecs.cache_clear()
+        np.testing.assert_array_equal(out, expect)
+
+    def test_kernels_are_looked_up_once(self, monkeypatch):
+        """After the first product, neither orientation imports anything."""
+        rng = np.random.default_rng(5)
+        indptr, indices, data, _ = random_csr(rng, 10, density=0.3)
+        kernels.spmm(indptr, indices, data, np.ones((10, 2)), shape=(10, 10))
+        imports = []
+        real = builtins.__import__
+
+        def counting(name, *args, **kwargs):
+            imports.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting)
+        for transpose in (False, True, False):
+            kernels.spmm(indptr, indices, data, np.ones((10, 2)), shape=(10, 10), transpose=transpose)
+        assert imports == []
 
     def test_an_out_it_cannot_write_through_is_refused(self):
         """A view that is not C-contiguous, another dtype or another shape
-        raises instead of receiving a copy of the product."""
+        raises instead of receiving a copy of the product, for M and M.T."""
         rng = np.random.default_rng(4)
         indptr, indices, data, _ = random_csr(rng, 12, density=0.3)
         dense = rng.normal(size=(12, 4))
-        matrix = kernels.csr(indptr, indices, data, 12)
-        for out, what in [(np.zeros((12, 8))[:, ::2], "not C-contiguous"),
-                          (np.zeros((4, 12)).T, "not C-contiguous"),
-                          (np.zeros((12, 4), dtype=np.float32), "float32 of shape"),
-                          (np.zeros((11, 4)), r"got float64 of shape \(11, 4\)")]:
-            for stored in (matrix, matrix.toarray()):
+        for transpose in (False, True):
+            for out, what in [(np.zeros((12, 8))[:, ::2], "not C-contiguous"),
+                              (np.zeros((4, 12)).T, "not C-contiguous"),
+                              (np.zeros((12, 4), dtype=np.float32), "float32 of shape"),
+                              (np.zeros((11, 4)), r"got float64 of shape \(11, 4\)")]:
                 with pytest.raises(ValueError, match=r"out must be a C-contiguous float64 array of shape "
                                                      rf"\(12, 4\), .*{what}"):
-                    kernels.spmm(indptr, indices, data, dense, matrix=stored, out=out)
+                    kernels.spmm(indptr, indices, data, dense, shape=(12, 12), transpose=transpose, out=out)
                 assert not out.any()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("case", ["operand_not_2d", "operand_rows", "indptr_entries"])
+    def test_arguments_that_do_not_fit_the_shape_are_refused(self, case, transpose):
+        """The compiled kernels check no bounds, so an operand or an indptr
+        that does not fit the matrix's shape raises a ValueError naming the
+        shapes before they run; M is (12, 7), so M's inner dimension is 7
+        and M.T's is 12."""
+        rng = np.random.default_rng(6)
+        indptr, indices, data, _ = random_csr(rng, 7, density=0.5)
+        indptr = np.concatenate([indptr, np.full(5, indptr[-1])])   # 12 rows, columns 0..6
+        shape = (12, 7)
+        inner = 12 if transpose else 7
+        dense = rng.normal(size=(inner, 3))
+        if case == "operand_not_2d":
+            dense, match = dense[:, 0], r"operand must be 2-D, got shape \(%d,\)" % inner
+        elif case == "operand_rows":   # the other dimension, as swapped (rows, cols) would give
+            dense = rng.normal(size=(19 - inner, 3))
+            match = r"operand of %sa \(12, 7\) matrix must be \(%d, k\), got shape \(%d, 3\)" % (
+                "the transpose of " if transpose else "", inner, 19 - inner)
+        else:
+            indptr, match = indptr[:-1], r"indptr of a \(12, 7\) matrix needs 13 entries, got shape \(12,\)"
+        with pytest.raises(ValueError, match=match):
+            kernels.spmm(indptr, indices, data, dense, shape=shape, transpose=transpose)
 
 
 class TestBfs:

@@ -229,7 +229,8 @@ class TestMembershipOperator:
     @given(problem=overlapping_bundles())
     def test_b_z_is_a_left_to_right_sum_of_member_rows(self, problem):
         """Each row of B M adds the bundle's member rows of M one at a time
-        in ascending order, then P divides it by |B|; P^T is P's transpose."""
+        in ascending order, then P divides it by |B|; P's transposed
+        products are those of its dense transpose."""
         flat, z = problem
         cols = z.shape[1] + 3
         m = np.where(np.random.default_rng(z.shape[1]).random((30, cols)) < 0.4, 1.0, 0.0) * z.sum(axis=1)[:, None]
@@ -243,7 +244,8 @@ class TestMembershipOperator:
                 acc = acc + m[k]
             want.append(acc / (hi - lo))
         np.testing.assert_array_equal(dense_adjacency(p), np.array(want))
-        np.testing.assert_array_equal(dense_adjacency(p.T), dense_adjacency(p).T)
+        y = np.random.default_rng(cols).normal(size=(p.shape[0], 2))
+        np.testing.assert_allclose(p.matmul(y, transpose=True), dense_adjacency(p).T @ y, rtol=1e-12, atol=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(problem=overlapping_bundles(), terms=st.sampled_from((("be", "rank"), ("be",), ("rank",))))
@@ -256,7 +258,7 @@ class TestMembershipOperator:
         identity = Csr(30, (30, 30), np.arange(31), np.arange(30), np.ones(30))
         p = identity.group_means(flat.offsets, flat.members)
         got = bundle_objective(p @ z, flat.labels, terms=terms)
-        d_z = p.T @ got.d_z
+        d_z = p.matmul(got.d_z, transpose=True)
         want = segment_objective(z, flat, terms=terms)
         for name in ("loss", "be_mean", "rank_mean"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-300)

@@ -236,9 +236,10 @@ class TestTrain:
                 train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
 
     def test_dense_field_is_bitwise_reproducible_and_detects_divergence(self, monkeypatch):
-        """Group means stored as a dense array (`Csr.stored_dense`)
-        train bitwise the same from run to run, refinement included, and a
-        diverging step on them still raises TrainingDivergedError."""
+        """Group means of a field this small, with at least one stored entry
+        in nine, train bitwise the same from run to run, refinement
+        included, and a diverging step on them still raises
+        TrainingDivergedError."""
         fields = []
         real = train_module._field
 
@@ -253,7 +254,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.5, epochs=60, warmup_epochs=10, refine_every=10, seed=0)
         runs = [train(a_hat, emb, groups, cfg, table.num_classes) for _ in range(2)]
         assert runs[0][1].refinements, "expected at least one eviction"
-        assert fields and all(op.stored_dense for op in fields)
+        assert fields and all(op.shape[0] * op.shape[1] <= 9 * op.indices.size for op in fields)
         np.testing.assert_array_equal(runs[0][0].to_vector(), runs[1][0].to_vector())
         for name in ("loss", "loss_be", "loss_rank", "grad_norm"):
             np.testing.assert_array_equal(getattr(runs[0][1], name), getattr(runs[1][1], name))
@@ -262,7 +263,7 @@ class TestTrain:
         fields.clear()
         with pytest.raises(TrainingDivergedError):
             train(a_hat, emb, groups, replace(cfg, learning_rate=1e9, refine_every=300), table.num_classes)
-        assert fields and all(op.stored_dense for op in fields)
+        assert fields and all(op.shape[0] * op.shape[1] <= 9 * op.indices.size for op in fields)
 
     def test_report_fields_finite_and_sized(self):
         a_hat, emb, table, bundles = small_problem()
