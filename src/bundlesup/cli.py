@@ -7,6 +7,7 @@ sweep, verify. Run `bundlesup <cmd> --help` for flags.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -32,14 +33,12 @@ from .pipeline import (
     DatasetPaths,
     ExperimentConfig,
     MODES,
-    SWEEP_AXES,
     accuracy,
-    compare_queries,
     paired_difference,
+    run_arms,
     run_pipeline,
     save_report_json,
     standard_experiment,
-    sweep,
 )
 from .sampling import (
     CRITERIA,
@@ -249,7 +248,6 @@ def _config_from_json(path) -> ExperimentConfig:
     dataset = raw.get("dataset", {})
     if type(dataset) is dict and {"edges", "embeddings", "nodes"} <= set(dataset):
         ds = _section(DatasetPaths, "dataset", dataset)
-        ds = replace(ds, class_names=tuple(ds.class_names))
     else:
         ds = _section(SbmConfig, "dataset", dataset)
     llm = _section(LlmEndpointConfig, "llm", raw["llm"]) if "llm" in raw else None
@@ -266,8 +264,8 @@ def _config_from_json(path) -> ExperimentConfig:
     )
 
 
-def _run_experiment(args, run):
-    """`run(cfg)` with the experiment config the flags give."""
+def _experiment(args) -> ExperimentConfig:
+    """The experiment config the flags give."""
     cfg = _config_from_json(args.config) if args.config else standard_experiment()
     if args.mode:
         cfg = replace(cfg, mode=args.mode)
@@ -275,23 +273,33 @@ def _run_experiment(args, run):
         cfg = replace(cfg, oracle=replace(cfg.oracle, noise_rate=args.noise))
     if args.seeds:
         cfg = replace(cfg, replicate_seeds=tuple(int(s) for s in args.seeds.split(",")))
-    return run(cfg)
+    return cfg
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_pipeline(args):
+    cfg = _experiment(args)
     if args.compare_queries:
-        comparison = _run_experiment(args, compare_queries)
+        # both arms are labelled by the oracle: the individual-query config refuses an LLM endpoint
+        reports = run_arms({"bundle_query": replace(cfg, mode="bundle"),
+                            "individual_query": replace(cfg, mode="individual_query")})
+        rows = [(arm, float(np.mean([r.agreement for r in report.replicates])), report.mean_accuracy,
+                 report.std_accuracy) for arm, report in reports.items()]
         os.makedirs(args.out, exist_ok=True)
-        comparison.save_csv(os.path.join(args.out, "query_comparison.csv"))
-        for row in comparison.rows:
-            print(
-                f"{row['arm']}: agreement={row['agreement']:.3f} "
-                f"accuracy={row['accuracy_mean']:.4f}±{row['accuracy_std']:.4f}"
-            )
-        paired = paired_difference(comparison.bundle, comparison.individual)
+        _write_csv(os.path.join(args.out, "query_comparison.csv"),
+                   ["arm", "agreement", "accuracy_mean", "accuracy_std"], rows)
+        for arm, agreement, mean, std in rows:
+            print(f"{arm}: agreement={agreement:.3f} accuracy={mean:.4f}±{std:.4f}")
+        paired = paired_difference(reports["bundle_query"], reports["individual_query"])
         print(f"bundle_query - individual_query accuracy: {paired.describe()}")
         return 0
-    report = _run_experiment(args, run_pipeline)
+    report = run_pipeline(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_report_json(os.path.join(args.out, "pipeline_report.json"), report)
     for row in report.rows():
@@ -300,15 +308,30 @@ def cmd_pipeline(args):
     return 0
 
 
+# sweep axis -> (the config section holding it, its value type)
+SWEEP_AXES = {"bundle_size": ("sampling", int), "num_bundles": ("sampling", int),
+              "noise_rate": ("oracle", float)}
+
+
 def cmd_sweep(args):
-    kind = float if args.axis == "noise_rate" else int
-    table = _run_experiment(args, lambda cfg: sweep(cfg, args.axis, [kind(v) for v in args.values.split(",")]))
+    base = _experiment(args)
+    section, kind = SWEEP_AXES[args.axis]
+    values = [kind(v) for v in args.values.split(",")]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{args.axis} value {value} is given twice")
+    # every arm's config is built, and checked, before the first replicate runs
+    reports = run_arms({value: replace(base, **{section: replace(getattr(base, section), **{args.axis: value})})
+                        for value in values})
     os.makedirs(args.out, exist_ok=True)
-    table.save_csv(
-        os.path.join(args.out, "sweep_runs.csv"), os.path.join(args.out, "sweep_summary.csv")
-    )
-    for row in table.summary:
-        print(f"{args.axis}={row['value']}: mean {row['mean']:.4f} ± {row['std']:.4f} (n={row['n']})")
+    _write_csv(os.path.join(args.out, "sweep_runs.csv"), [args.axis, "seed", "accuracy"],
+               [(value, r.seed, r.accuracy) for value, report in reports.items() for r in report.replicates])
+    _write_csv(os.path.join(args.out, "sweep_summary.csv"), [args.axis, "mean", "std", "n"],
+               [(value, report.mean_accuracy, report.std_accuracy, len(report.replicates))
+                for value, report in reports.items()])
+    for value, report in reports.items():
+        print(f"{args.axis}={value}: mean {report.mean_accuracy:.4f} ± {report.std_accuracy:.4f} "
+              f"(n={len(report.replicates)})")
     return 0
 
 
@@ -445,10 +468,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("pipeline", help="run sample/annotate/train/eval end to end")
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--mode", choices=MODES)
+    arms = p.add_mutually_exclusive_group()   # --compare-queries runs both query modes
+    arms.add_argument("--mode", choices=MODES)
     p.add_argument("--noise", type=float)
     p.add_argument("--seeds", help="comma-separated replicate seeds")
-    p.add_argument("--compare-queries", action="store_true")
+    arms.add_argument("--compare-queries", action="store_true")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_pipeline)
 

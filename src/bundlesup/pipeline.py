@@ -15,22 +15,24 @@ what it changes in sampling or refinement. Every mode trains through one
   individual        per-member cross-entropy against the bundle label
   no_refine         full losses, refinement disabled
 
-`run_replicate` is the only code that runs an arm. `run_pipeline` loops
-over replicate seeds, once per axis value in `sweep`; `compare_queries`
-runs its two arms seed by seed. Replicates derive all component seeds
-from one replicate seed, so a run is reproducible end to end and arms on
-one seed share the dataset and, unless one samples at random, the
-bundles; `paired_difference` compares two reports seed by seed.
+`run_replicate` is the only code that runs an arm, and `run_arms` the
+only loop over replicate seeds: it runs named arms, each a full
+`ExperimentConfig`, on their common seeds, seed by seed. `run_pipeline`
+is its one-arm case. Replicates derive all component seeds from one
+replicate seed, so a run is reproducible end to end and the order of the
+loop moves no number. Arms of one seed share the kept dataset, and arms
+whose dataset and sampling config are equal share one `sample_bundles`
+call; `paired_difference` compares two reports seed by seed.
 
 `materialize_dataset` returns one read-only `Dataset` per (source, seed)
-and keeps the last one, so later replicates, arms and sweep values reuse
-it. The graph is dropped once Â is built: sampling walks Â's pattern,
-the same neighbours plus a self-connection that changes no BFS level.
+and keeps the last one, so later replicates and arms reuse it. The graph
+is dropped once Â is built: sampling walks Â's pattern, the same
+neighbours plus a self-connection that changes no BFS level.
 """
 
 from __future__ import annotations
 
-import csv
+import copy
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -96,6 +98,9 @@ class DatasetPaths:
     nodes: str
     class_names: tuple[str, ...]
 
+    def __post_init__(self):   # a tuple, so that the paths can key a dict
+        object.__setattr__(self, "class_names", tuple(self.class_names))
+
 
 class Dataset(NamedTuple):
     """One replicate's inputs, all read-only: Â, the (n, d) features X,
@@ -131,7 +136,7 @@ def materialize_dataset(dataset, seed: int) -> Dataset:
         key = replace(dataset, seed=seed)
     else:
         paths = (dataset.edges, dataset.embeddings, dataset.nodes)
-        key = (paths, tuple(dataset.class_names), tuple(_identity(p) for p in paths))
+        key = (paths, dataset.class_names, tuple(_identity(p) for p in paths))
     kept = _kept.get(key)
     if kept is not None:
         return kept
@@ -218,9 +223,15 @@ def _component_seeds(replicate_seed: int) -> tuple:
     return tuple(int(s) for s in ss.generate_state(4))
 
 
-def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult:
+def run_replicate(cfg: ExperimentConfig, replicate_seed: int, *, sampled: dict | None = None
+                  ) -> ReplicateResult:
     """One full pass of `cfg.mode`: dataset, bundles, annotation, training,
-    evaluation."""
+    evaluation.
+
+    `sampled`, kept by `run_arms` for one seed, holds the bundles drawn for
+    each (dataset, sampling config) so far; an arm with an equal pair draws
+    none and annotates its own copies. Without it every call samples.
+    """
     mode = MODES[cfg.mode]
     sbm_seed, samp_seed, ann_seed, train_seed = _component_seeds(replicate_seed)
     a_hat, x, ax, table = materialize_dataset(cfg.dataset, sbm_seed)
@@ -228,7 +239,13 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
         raise ValueError("the node table has no labels; a replicate scores its accuracy against them")
 
     scfg = replace(cfg.sampling, seed=samp_seed, criterion=mode.criterion or cfg.sampling.criterion)
-    bundles = sample_bundles(a_hat, x, scfg)
+    if sampled is None:
+        bundles = sample_bundles(a_hat, x, scfg)
+    else:   # annotation labels bundles in place
+        key = (cfg.dataset, scfg)
+        if key not in sampled:
+            sampled[key] = sample_bundles(a_hat, x, scfg)
+        bundles = copy.deepcopy(sampled[key])
     oracle = replace(cfg.oracle, seed=ann_seed)
     tcfg = replace(cfg.train, seed=train_seed)
     if not mode.refine:
@@ -262,8 +279,28 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int) -> ReplicateResult
     )
 
 
+def run_arms(arms: dict) -> dict:
+    """A `PipelineReport` for each named arm, a full `ExperimentConfig`.
+
+    The arms must share their replicate seeds, so that any two reports pair
+    up in `paired_difference`. Each seed runs every arm in turn, so they
+    share its kept dataset and, where their dataset and sampling config
+    (after the mode's criterion) are equal, its sampled bundles.
+    """
+    seeds = {cfg.replicate_seeds for cfg in arms.values()}
+    if len(seeds) != 1:
+        listed = "; ".join(f"{name}: {list(cfg.replicate_seeds)}" for name, cfg in arms.items())
+        raise ValueError(f"arms need the same replicate seeds, got {listed or 'no arm'}")
+    replicates = {name: [] for name in arms}
+    for seed in seeds.pop():
+        sampled = {}
+        for name, cfg in arms.items():
+            replicates[name].append(run_replicate(cfg, seed, sampled=sampled))
+    return {name: PipelineReport(cfg.mode, replicates[name]) for name, cfg in arms.items()}
+
+
 def run_pipeline(cfg: ExperimentConfig) -> PipelineReport:
-    return PipelineReport(cfg.mode, [run_replicate(cfg, s) for s in cfg.replicate_seeds])
+    return run_arms({cfg.mode: cfg})[cfg.mode]
 
 
 @dataclass(frozen=True)
@@ -295,99 +332,6 @@ def paired_difference(a: PipelineReport, b: PipelineReport) -> PairedDifference:
         ties=int((diff == 0).sum()),
         losses=int((diff < 0).sum()),
     )
-
-
-# axis -> (config section holding it, value type)
-_SWEEP_FIELDS = {"bundle_size": ("sampling", int), "num_bundles": ("sampling", int),
-                 "noise_rate": ("oracle", float)}
-SWEEP_AXES = tuple(_SWEEP_FIELDS)
-
-
-@dataclass
-class SweepTable:
-    axis: str
-    runs: list        # dicts: value, seed, accuracy
-    summary: list     # dicts: value, mean, std, n
-
-    def save_csv(self, runs_path, summary_path) -> None:
-        with open(runs_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[self.axis, "seed", "accuracy"])
-            writer.writeheader()
-            for row in self.runs:
-                writer.writerow({self.axis: row["value"], "seed": row["seed"], "accuracy": row["accuracy"]})
-        with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[self.axis, "mean", "std", "n"])
-            writer.writeheader()
-            for row in self.summary:
-                writer.writerow({self.axis: row["value"], "mean": row["mean"], "std": row["std"], "n": row["n"]})
-
-
-def sweep(base: ExperimentConfig, axis: str, values) -> SweepTable:
-    """Run the pipeline once per axis value with shared replicate seeds."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    if not values:
-        raise ValueError("axis values must be non-empty")
-    section, kind = _SWEEP_FIELDS[axis]
-    runs, summary = [], []
-    for value in values:
-        edited = replace(getattr(base, section), **{axis: kind(value)})
-        report = run_pipeline(replace(base, **{section: edited}))
-        for rep in report.replicates:
-            runs.append({"value": value, "seed": rep.seed, "accuracy": rep.accuracy})
-        summary.append(
-            {
-                "value": value,
-                "mean": report.mean_accuracy,
-                "std": report.std_accuracy,
-                "n": len(report.replicates),
-            }
-        )
-    return SweepTable(axis=axis, runs=runs, summary=summary)
-
-
-@dataclass
-class QueryComparison:
-    """The bundle-query and individual-query arms on the same seeds.
-
-    `rows` has one row per arm with three metric columns: label agreement
-    with the ground truth the query asks for, and downstream accuracy
-    mean/std.
-    """
-
-    bundle: PipelineReport
-    individual: PipelineReport
-
-    @property
-    def rows(self) -> list:   # dicts: arm, agreement, accuracy_mean, accuracy_std
-        return [
-            {"arm": arm, "agreement": float(np.mean([r.agreement for r in report.replicates])),
-             "accuracy_mean": report.mean_accuracy, "accuracy_std": report.std_accuracy}
-            for arm, report in (("bundle_query", self.bundle), ("individual_query", self.individual))
-        ]
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["arm", "agreement", "accuracy_mean", "accuracy_std"]
-            )
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
-
-
-def compare_queries(cfg: ExperimentConfig) -> QueryComparison:
-    """Quantify aggregation robustness: bundle labels vs per-node labels.
-
-    Runs mode `bundle` and mode `individual_query` on the config's seeds,
-    both arms of a seed one after the other, so that they share its kept
-    dataset. Both arms are labelled by the oracle: the individual-query
-    config refuses an LLM endpoint before either arm runs.
-    """
-    arms = (replace(cfg, mode="bundle"), replace(cfg, mode="individual_query"))
-    bundle, individual = zip(*([run_replicate(arm, s) for arm in arms] for s in cfg.replicate_seeds))
-    return QueryComparison(bundle=PipelineReport("bundle", list(bundle)),
-                           individual=PipelineReport("individual_query", list(individual)))
 
 
 def save_report_json(path, report: PipelineReport) -> None:

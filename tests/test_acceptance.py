@@ -12,6 +12,7 @@ smallest gradient norm.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bundlesup.annotate import AnnotationCache, annotate_all
 from bundlesup.graphs import Csr, NodeTable, normalized_adjacency
 from bundlesup.llm import LlmEndpointConfig
 from bundlesup.losses import FlatBundles, bundle_objective
-from bundlesup.pipeline import paired_difference, run_pipeline, standard_experiment
+from bundlesup.pipeline import paired_difference, run_arms, run_pipeline, standard_experiment
 from bundlesup.sampling import Bundle
 from bundlesup.theorems import default_theorem2_instance, verify_theorem1, verify_theorem2, verify_theorem3
 from bundlesup.train import refine
@@ -261,10 +262,15 @@ def test_criterion_07_refinement_contract():
 
 @pytest.fixture(scope="module")
 def ablation_results():
+    """Criteria 08 and 09's four arms from one runner call, on the same seeds."""
     t0 = time.perf_counter()
-    out = {}
-    for mode in ("bundle", "individual", "random_sampling"):
-        out[mode] = run_pipeline(standard_experiment(mode=mode, noise_rate=0.3, replicate_seeds=SEEDS))
+    full = standard_experiment(mode="bundle", noise_rate=0.3, replicate_seeds=SEEDS)
+    out = run_arms({
+        "bundle": full,
+        "individual": replace(full, mode="individual"),
+        "random_sampling": replace(full, mode="random_sampling"),
+        "bundle_25": replace(full, sampling=replace(full.sampling, num_bundles=25)),
+    })
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -291,18 +297,13 @@ def test_criterion_08_directional_ablation(ablation_results):
 
 def test_criterion_09_bundle_count_sweep(ablation_results):
     """More annotated bundles do not hurt, within one pooled deviation."""
-    t0 = time.perf_counter()
-    few_cfg = standard_experiment(mode="bundle", noise_rate=0.3, replicate_seeds=SEEDS)
-    from dataclasses import replace
-
-    few = run_pipeline(replace(few_cfg, sampling=replace(few_cfg.sampling, num_bundles=25)))
-    many = ablation_results["bundle"]
+    few, many = ablation_results["bundle_25"], ablation_results["bundle"]
     pooled = math.sqrt((few.std_accuracy**2 + many.std_accuracy**2) / 2)
     ok = many.mean_accuracy >= few.mean_accuracy - pooled
     verdict(
         9, "bundle count sweep", ok,
         f"100 bundles {many.mean_accuracy:.4f} vs 25 bundles {few.mean_accuracy:.4f} "
-        f"(pooled std {pooled:.4f}, {time.perf_counter() - t0:.0f}s); "
+        f"(pooled std {pooled:.4f}, {ablation_results['elapsed']:.0f}s); "
         f"100 - 25 {paired_difference(many, few).describe()}",
     )
     assert many.mean_accuracy >= few.mean_accuracy - pooled

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bundlesup import cli, gnn
+from bundlesup import cli, gnn, pipeline
 from bundlesup.annotate import OracleConfig
 from bundlesup.cli import main
 from bundlesup.graphs import save_embeddings
@@ -141,18 +141,44 @@ def test_sweep_cli(tmp_path):
                 "--values", "4,8", "--out", tmp_path / "sweep"])
     assert code == 0
     lines = (tmp_path / "sweep" / "sweep_runs.csv").read_text().splitlines()
+    assert lines[0] == "num_bundles,seed,accuracy"
     assert len(lines) == 1 + 4  # header + 2 values x 2 seeds
+    lines = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+    assert lines[0] == "num_bundles,mean,std,n"
+    assert [line.split(",")[::3] for line in lines[1:]] == [["4", "2"], ["8", "2"]]
 
 
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--axis", "num_bundles", "--values", "4,x"], "invalid literal for int() with base 10: 'x'"),
     (["sweep", "--axis", "noise_rate", "--values", "1.5,0"], "noise_rate must be in [0, 1]"),
+    (["sweep", "--axis", "noise_rate", "--values", "0,1.5"], "noise_rate must be in [0, 1]"),
+    (["sweep", "--axis", "bundle_size", "--values", "3,1"], "bundle_size must be >= 2"),
+    (["sweep", "--axis", "num_bundles", "--values", "4,8,04"], "num_bundles value 4 is given twice"),
+    (["sweep", "--axis", "noise_rate", "--values", "0.5,0,.5"], "noise_rate value 0.5 is given twice"),
     (["pipeline", "--seeds", "0,a"], "invalid literal for int() with base 10: 'a'"),
-], ids=["sweep-value", "sweep-noise", "pipeline-seeds"])
-def test_a_bad_experiment_flag_exits_with_a_message(tmp_path, argv, message):
+], ids=["sweep-value", "sweep-noise", "sweep-noise-last", "sweep-bundle-size",
+        "sweep-repeated-int", "sweep-repeated-float", "pipeline-seeds"])
+def test_a_bad_experiment_flag_exits_with_a_message(tmp_path, monkeypatch, argv, message):
+    """Every arm's config is built and checked before the first replicate runs."""
+    replicates = []
+    monkeypatch.setattr(pipeline, "run_replicate", lambda *args, **kwargs: replicates.append(args))
     with pytest.raises(SystemExit) as exc:
         run([*argv, "--out", tmp_path / "out"])
     assert exc.value.code == f"bundlesup {argv[0]}: {message}"
+    assert replicates == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--compare-queries", "--mode", "bundle"], "argument --mode: not allowed with argument --compare-queries"),
+    (["--mode", "r_only", "--compare-queries"], "argument --compare-queries: not allowed with argument --mode"),
+], ids=["compare-queries-mode", "mode-compare-queries"])
+def test_compare_queries_refuses_a_mode(tmp_path, capsys, flags, message):
+    """--compare-queries runs both query modes, so a --mode would be ignored."""
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", *flags, "--seeds", "0", "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

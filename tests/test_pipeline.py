@@ -18,12 +18,11 @@ from bundlesup.pipeline import (
     PipelineReport,
     ReplicateResult,
     accuracy,
-    compare_queries,
     paired_difference,
+    run_arms,
     run_pipeline,
     run_replicate,
     standard_experiment,
-    sweep,
 )
 from bundlesup.sampling import SamplingConfig
 from bundlesup.synth import SbmConfig
@@ -140,74 +139,16 @@ class TestRunPipeline:
         assert 0.0 <= rep.accuracy <= 1.0
 
 
-class TestSweep:
-    def test_table_shapes(self):
-        table = sweep(tiny_experiment(), "num_bundles", [5, 10])
-        assert [row["value"] for row in table.summary] == [5, 10]
-        assert len(table.runs) == 2 * 2  # two values x two seeds
-        for row in table.summary:
-            assert row["n"] == 2
-
-    def test_bundle_size_axis_validates(self):
-        with pytest.raises(ValueError):
-            sweep(tiny_experiment(), "bundle_size", [1])
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(tiny_experiment(), "hidden", [8])
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(tiny_experiment(), "num_bundles", [])
-
-    @pytest.mark.parametrize("axis, value, section", [
-        ("num_bundles", 7, "sampling"), ("bundle_size", 3, "sampling"), ("noise_rate", 0.25, "oracle"),
-    ])
-    def test_one_value_equals_run_pipeline_of_the_edited_config(self, axis, value, section):
-        base = tiny_experiment(noise=0.1)
-        table = sweep(base, axis, [value])
-        cfg = replace(base, **{section: replace(getattr(base, section), **{axis: value})})
-        report = run_pipeline(cfg)
-        assert table.runs == [{"value": value, "seed": r.seed, "accuracy": r.accuracy}
-                              for r in report.replicates]
-        assert table.summary == [{"value": value, "mean": report.mean_accuracy,
-                                  "std": report.std_accuracy, "n": len(report.replicates)}]
-
-    def test_csv_output(self, tmp_path):
-        table = sweep(tiny_experiment(seeds=(0,)), "noise_rate", [0.0, 0.5])
-        runs, summary = tmp_path / "runs.csv", tmp_path / "summary.csv"
-        table.save_csv(runs, summary)
-        header = runs.read_text().splitlines()[0]
-        assert header == "noise_rate,seed,accuracy"
-        assert len(summary.read_text().splitlines()) == 3
+def _count_calls(monkeypatch, name) -> list:
+    """The arguments of each call of `pipeline.<name>`, which still runs."""
+    calls, fn = [], getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name, lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs))
+    return calls
 
 
-class TestCompareQueries:
-    def test_noiseless_agreements_are_perfect(self):
-        comparison = compare_queries(tiny_experiment(noise=0.0, seeds=(0, 1)))
-        by_arm = {row["arm"]: row for row in comparison.rows}
-        assert by_arm["bundle_query"]["agreement"] == 1.0
-        assert by_arm["individual_query"]["agreement"] == 1.0
-
-    def test_three_metric_columns(self):
-        comparison = compare_queries(tiny_experiment(seeds=(0,)))
-        for row in comparison.rows:
-            metrics = [k for k in row if k != "arm"]
-            assert sorted(metrics) == ["accuracy_mean", "accuracy_std", "agreement"]
-
-    def test_noisy_agreement_tracks_query_correctness(self):
-        comparison = compare_queries(tiny_experiment(noise=0.4, seeds=tuple(range(5))))
-        for row in comparison.rows:
-            assert abs(row["agreement"] - 0.6) < 0.12
-
-    def test_llm_config_rejected(self):
-        """Both arms are oracle-labelled; an LLM config must not be reported as used."""
-        cfg = replace(tiny_experiment(seeds=(0,)), llm=LlmEndpointConfig(base_url="http://127.0.0.1:9/v1"))
-        with pytest.raises(ValueError, match="oracle"):
-            compare_queries(cfg)
-
+class TestRunArms:
     def test_arms_match_run_replicate(self):
-        """Each arm reproduces `run_replicate` of its mode seed by seed; the
+        """Each arm reproduces `run_replicate` of its config seed by seed; the
         individual arm queries the members as sampled, before refinement."""
         cfg = ExperimentConfig(
             dataset=SbmConfig(n=100, n_classes=5, dim=8),
@@ -216,11 +157,193 @@ class TestCompareQueries:
             train=TrainConfig(epochs=60, warmup_epochs=10),
             replicate_seeds=(0, 1, 2),
         )
-        comparison = compare_queries(cfg)
-        for report, mode in ((comparison.bundle, "bundle"), (comparison.individual, "individual_query")):
-            got = {r.seed: r.accuracy for r in report.replicates}
-            want = {s: run_replicate(replace(cfg, mode=mode), s).accuracy for s in cfg.replicate_seeds}
-            assert got == want, mode
+        arms = {mode: replace(cfg, mode=mode) for mode in ("bundle", "individual_query", "random_sampling")}
+        arms["bundle_10"] = replace(cfg, sampling=replace(cfg.sampling, num_bundles=10))
+        reports = run_arms(arms)
+        assert list(reports) == list(arms)
+        for name, arm in arms.items():
+            assert reports[name].mode == arm.mode
+            want = [run_replicate(arm, s) for s in cfg.replicate_seeds]
+            assert [repr(r) for r in reports[name].replicates] == [repr(r) for r in want], name
+
+    def test_run_pipeline_is_the_one_arm_case(self):
+        cfg = tiny_experiment(noise=0.2, seeds=(2, 0))
+        (report,) = run_arms({"only": cfg}).values()
+        assert repr(report) == repr(run_pipeline(cfg))
+
+    def test_arms_on_different_seeds_are_refused_before_any_replicate(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "run_replicate")
+        arms = {"a": tiny_experiment(seeds=(0, 1)), "b": tiny_experiment(seeds=(0, 1)),
+                "c": tiny_experiment(seeds=(1, 0))}
+        with pytest.raises(ValueError, match=r"same replicate seeds, got a: \[0, 1\]; b: \[0, 1\]; c: \[1, 0\]"):
+            run_arms(arms)
+        with pytest.raises(ValueError, match="got no arm"):
+            run_arms({})
+        assert calls == []
+
+    def test_arms_of_one_sampling_config_share_one_sample_call(self, monkeypatch):
+        """Modes on the config's criterion share each seed's bundles;
+        `random_sampling` draws its own, and so does a different budget."""
+        calls = _count_calls(monkeypatch, "sample_bundles")
+        base = tiny_experiment(noise=0.3, seeds=(0, 1, 2))
+        arms = {mode: replace(base, mode=mode) for mode in ("bundle", "individual_query", "individual",
+                                                            "random_sampling")}
+        arms["noiseless"] = replace(base, oracle=OracleConfig())
+        arms["fewer"] = replace(base, sampling=replace(base.sampling, num_bundles=5))
+        run_arms(arms)
+        criteria = [(cfg.criterion, cfg.num_bundles) for _, _, cfg in calls]
+        assert criteria == [("topological", 10), ("random", 10), ("topological", 5)] * 3
+
+    def test_each_arm_annotates_its_own_unlabelled_copies(self, monkeypatch):
+        seen, annotate_all = [], pipeline.annotate_all
+
+        def spy(bundles, table, **kwargs):
+            assert all(b.label is None for b in bundles)
+            summary = annotate_all(bundles, table, **kwargs)
+            seen.append((bundles, [b.label for b in bundles]))
+            return summary
+
+        monkeypatch.setattr(pipeline, "annotate_all", spy)
+        base = tiny_experiment(noise=0.4, seeds=(0, 1))
+        run_arms({"noisy": base, "clean": replace(base, oracle=OracleConfig()),
+                  "member": replace(base, mode="individual")})
+        assert len(seen) == 6
+        assert len({id(b) for bundles, _ in seen for b in bundles}) == sum(len(bundles) for bundles, _ in seen)
+        assert all([b.label for b in bundles] == labels for bundles, labels in seen)
+        noisy, clean = seen[0][1], seen[1][1]
+        assert noisy != clean   # the same bundles, labelled apart
+
+
+def _tiny_config_file(tmp_path, noise=0.0, seeds=(0, 1)):
+    """`tiny_experiment(noise=noise, seeds=seeds)` as a config file for the command line."""
+    cfg = tiny_experiment(noise=noise, seeds=seeds)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "dataset": vars(cfg.dataset), "sampling": vars(cfg.sampling), "oracle": vars(cfg.oracle),
+        "train": vars(cfg.train), "replicate_seeds": list(seeds)}))
+    assert cli._config_from_json(path) == cfg
+    return path
+
+
+def _csv_rows(path) -> list:
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+class TestSweep:
+    """`bundlesup sweep`: one arm per axis value, run by `run_arms`."""
+
+    def _sweep(self, tmp_path, axis, values, **cfg):
+        return cli.main(["sweep", "--config", str(_tiny_config_file(tmp_path, **cfg)), "--axis", axis,
+                         "--values", values, "--out", str(tmp_path / "sweep")])
+
+    def test_table_shapes(self, tmp_path):
+        assert self._sweep(tmp_path, "num_bundles", "5,10") == 0
+        runs = _csv_rows(tmp_path / "sweep" / "sweep_runs.csv")
+        assert [row[:2] for row in runs[1:]] == [["5", "0"], ["5", "1"], ["10", "0"], ["10", "1"]]
+        summary = _csv_rows(tmp_path / "sweep" / "sweep_summary.csv")
+        assert [(row[0], row[3]) for row in summary[1:]] == [("5", "2"), ("10", "2")]
+
+    def test_bundle_size_axis_validates(self, tmp_path):
+        with pytest.raises(SystemExit, match="bundlesup sweep: bundle_size must be >= 2"):
+            self._sweep(tmp_path, "bundle_size", "1")
+
+    def test_unknown_axis_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._sweep(tmp_path, "hidden", "8")
+        assert exc.value.code == 2
+        assert "argument --axis: invalid choice: 'hidden'" in capsys.readouterr().err
+
+    def test_empty_values_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"bundlesup sweep: invalid literal for int\(\) with base 10: ''"):
+            self._sweep(tmp_path, "num_bundles", "")
+        with pytest.raises(ValueError, match="got no arm"):
+            run_arms({})
+
+    @pytest.mark.parametrize("axis, value, section", [
+        ("num_bundles", "7", "sampling"), ("bundle_size", "3", "sampling"), ("noise_rate", "0.25", "oracle"),
+    ])
+    def test_one_value_equals_run_pipeline_of_the_edited_config(self, tmp_path, capsys, axis, value, section):
+        base = tiny_experiment(noise=0.1)
+        assert self._sweep(tmp_path, axis, value, noise=0.1) == 0
+        edited = replace(getattr(base, section), **{axis: type(getattr(getattr(base, section), axis))(value)})
+        report = run_pipeline(replace(base, **{section: edited}))
+        v = getattr(edited, axis)
+        assert (tmp_path / "sweep" / "sweep_runs.csv").read_text().splitlines()[1:] == [
+            f"{v},{r.seed},{r.accuracy}" for r in report.replicates]
+        assert (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()[1:] == [
+            f"{v},{report.mean_accuracy},{report.std_accuracy},{len(report.replicates)}"]
+        assert capsys.readouterr().out == (
+            f"{axis}={v}: mean {report.mean_accuracy:.4f} ± {report.std_accuracy:.4f} (n=2)\n")
+
+    def test_each_seeds_dataset_is_drawn_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_kept", {})
+        drawn = _count_calls(monkeypatch, "gen_sbm")
+        assert self._sweep(tmp_path, "noise_rate", "0,0.3") == 0
+        assert [cfg.seed for cfg, in drawn] == [pipeline._component_seeds(s)[0] for s in (0, 1)]
+
+    def test_csv_output(self, tmp_path):
+        assert self._sweep(tmp_path, "noise_rate", "0.0,0.5", seeds=(0,)) == 0
+        runs = (tmp_path / "sweep" / "sweep_runs.csv").read_text().splitlines()
+        assert runs[0] == "noise_rate,seed,accuracy"
+        summary = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+        assert summary[0] == "noise_rate,mean,std,n"
+        assert len(summary) == 3
+
+
+class TestCompareQueries:
+    """`bundlesup pipeline --compare-queries`: the bundle-query and the
+    individual-query arm, run by `run_arms` on the same seeds."""
+
+    def _compare(self, tmp_path, noise, seeds) -> dict:
+        config = _tiny_config_file(tmp_path, noise, seeds)
+        assert cli.main(["pipeline", "--config", str(config), "--compare-queries", "--out", str(tmp_path / "cq")]) == 0
+        header, *rows = _csv_rows(tmp_path / "cq" / "query_comparison.csv")
+        return {row[0]: dict(zip(header[1:], map(float, row[1:]))) for row in rows}
+
+    def test_noiseless_agreements_are_perfect(self, tmp_path):
+        by_arm = self._compare(tmp_path, noise=0.0, seeds=(0, 1))
+        assert by_arm["bundle_query"]["agreement"] == 1.0
+        assert by_arm["individual_query"]["agreement"] == 1.0
+
+    def test_three_metric_columns(self, tmp_path):
+        by_arm = self._compare(tmp_path, noise=0.0, seeds=(0,))
+        assert list(by_arm) == ["bundle_query", "individual_query"]
+        for row in by_arm.values():
+            assert sorted(row) == ["accuracy_mean", "accuracy_std", "agreement"]
+
+    def test_noisy_agreement_tracks_query_correctness(self, tmp_path):
+        for row in self._compare(tmp_path, noise=0.4, seeds=tuple(range(5))).values():
+            assert abs(row["agreement"] - 0.6) < 0.12
+
+    def test_llm_config_rejected(self, tmp_path, monkeypatch):
+        """Both arms are oracle-labelled; an LLM config must not be reported as used."""
+        cfg = json.loads(_tiny_config_file(tmp_path, seeds=(0,)).read_text())
+        (tmp_path / "llm.json").write_text(json.dumps({**cfg, "llm": {"base_url": "http://127.0.0.1:9/v1"}}))
+        replicates = _count_calls(monkeypatch, "run_replicate")
+        with pytest.raises(SystemExit, match="bundlesup pipeline: mode individual_query .* oracle"):
+            cli.main(["pipeline", "--config", str(tmp_path / "llm.json"), "--compare-queries",
+                      "--out", str(tmp_path / "cq")])
+        assert replicates == []
+        assert not (tmp_path / "cq").exists()
+
+    def test_each_seeds_bundles_are_sampled_once(self, tmp_path, monkeypatch):
+        """Both arms draw the same bundles; only `individual_query` then
+        labels the members one by one."""
+        sampled = _count_calls(monkeypatch, "sample_bundles")
+        self._compare(tmp_path, noise=0.0, seeds=(0, 1, 2))
+        assert [cfg.seed for _, _, cfg in sampled] == [pipeline._component_seeds(s)[1] for s in (0, 1, 2)]
+
+    def test_arms_match_run_replicate(self, tmp_path):
+        """Each arm's row is read from `run_replicate` of its mode, seed by
+        seed; the individual arm queries the members as sampled, before
+        refinement."""
+        by_arm = self._compare(tmp_path, noise=0.3, seeds=(0, 1, 2))
+        cfg = tiny_experiment(noise=0.3, seeds=(0, 1, 2))
+        for arm, mode in (("bundle_query", "bundle"), ("individual_query", "individual_query")):
+            report = PipelineReport(mode, [run_replicate(replace(cfg, mode=mode), s) for s in cfg.replicate_seeds])
+            assert by_arm[arm] == {"agreement": np.mean([r.agreement for r in report.replicates]),
+                                   "accuracy_mean": report.mean_accuracy,
+                                   "accuracy_std": report.std_accuracy}, arm
 
 
 class TestAgreement:
@@ -315,8 +438,14 @@ class TestFileDatasetKept:
 
     def test_both_query_arms_share_one_load(self, tiny_files, monkeypatch):
         counts = _count_loads(monkeypatch)
-        compare_queries(replace(tiny_experiment(seeds=(0, 1)), dataset=tiny_files))
+        sampled = _count_calls(monkeypatch, "sample_bundles")
+        # class names given as a list are kept as a tuple, so the paths key the arms' shared bundles
+        dataset = replace(tiny_files, class_names=list(tiny_files.class_names))
+        assert dataset == tiny_files
+        cfg = replace(tiny_experiment(seeds=(0, 1)), dataset=dataset)
+        run_arms({mode: replace(cfg, mode=mode) for mode in ("bundle", "individual_query")})
         assert counts == Counter(LOADS)
+        assert len(sampled) == 2
 
     def test_synthetic_datasets_are_drawn_per_seed(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_kept", {})
@@ -331,10 +460,11 @@ class TestFileDatasetKept:
         counts = _count_loads(monkeypatch)
         drawn, gen_sbm = [], pipeline.gen_sbm
         monkeypatch.setattr(pipeline, "gen_sbm", lambda cfg: drawn.append(cfg.seed) or gen_sbm(cfg))
-        comparison = compare_queries(tiny_experiment(seeds=(0, 1, 2)))
+        cfg = tiny_experiment(seeds=(0, 1, 2))
+        reports = run_arms({mode: replace(cfg, mode=mode) for mode in ("bundle", "individual_query")})
         assert drawn == [pipeline._component_seeds(s)[0] for s in (0, 1, 2)]
         assert counts == Counter({"normalized_adjacency": 3})
-        assert [r.seed for r in comparison.individual.replicates] == [0, 1, 2]
+        assert [r.seed for r in reports["individual_query"].replicates] == [0, 1, 2]
 
     def test_a_rewritten_file_is_loaded_again(self, tiny_files, monkeypatch):
         before = pipeline.materialize_dataset(tiny_files, 0).x
