@@ -157,7 +157,7 @@ def cmd_train(args):
     bundles = load_bundles(args.bundles)
     n_classes = args.classes if args.classes else len(_class_names(args))
     a_hat = normalized_adjacency(graph)
-    params, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, n_classes)
+    params, report = train(a_hat, gnn.ax_ones(a_hat, emb), FlatBundles.from_bundles(bundles), cfg, n_classes)
     os.makedirs(args.out, exist_ok=True)
     gnn.save_params(os.path.join(args.out, "params"), params, seed=cfg.seed)
     report.save_jsonl(os.path.join(args.out, "report.jsonl"))
@@ -179,7 +179,8 @@ def cmd_eval(args):
     if table.labels is None:
         raise ValueError("node table has no labels; nothing to evaluate against")
     params = gnn.load_params(args.params)
-    acc = accuracy(params, normalized_adjacency(graph), emb, table.labels)
+    a_hat = normalized_adjacency(graph)
+    acc = accuracy(params, a_hat, gnn.ax_ones(a_hat, emb), table.labels)
     print(f"accuracy: {acc:.4f}")
     return 0
 
@@ -223,6 +224,9 @@ def _section(cls, name: str, values):
             _check_value(values[f.name], hints[f.name], f.name, where)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing key {f.name!r} in {where}")
+    if name != "flags" and "seed" in values:   # every config section's seed is the replicate's
+        raise ValueError(f"key 'seed' in {where} is set from each replicate seed; choose the runs with "
+                         f"'replicate_seeds'")
     return cls(**values)
 
 
@@ -237,9 +241,13 @@ def _flags_config(cls, args):
     return _section(cls, "flags", _given(args, (f.name for f in fields(cls))))
 
 
-def _config_from_json(path) -> ExperimentConfig:
+def _json_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        return json.load(fh)
+
+
+def _config_from_json(path) -> ExperimentConfig:
+    raw = _json_file(path)
     _check_keys(raw, {f.name for f in fields(ExperimentConfig)}, "the config")
     hints = typing.get_type_hints(ExperimentConfig)
     for key in ("mode", "replicate_seeds", "dataset_description", "cache_path"):
@@ -285,6 +293,8 @@ def _write_csv(path, header, rows) -> None:
 
 def cmd_pipeline(args):
     cfg = _experiment(args)
+    if args.compare_queries and args.config and "mode" in _json_file(args.config):
+        raise ValueError("--compare-queries runs modes bundle and individual_query; remove 'mode' from the config")
     if args.compare_queries:
         # both arms are labelled by the oracle: the individual-query config refuses an LLM endpoint
         reports = run_arms({"bundle_query": replace(cfg, mode="bundle"),
@@ -314,6 +324,8 @@ SWEEP_AXES = {"bundle_size": ("sampling", int), "num_bundles": ("sampling", int)
 
 
 def cmd_sweep(args):
+    if args.axis == "noise_rate" and args.noise is not None:
+        raise ValueError("--noise sets noise_rate, the axis this sweep varies; give the rates in --values")
     base = _experiment(args)
     section, kind = SWEEP_AXES[args.axis]
     values = [kind(v) for v in args.values.split(",")]

@@ -9,8 +9,10 @@ X and parameters (W1, b1, W2, b2):
 The first layer is one product (`first_layer`): [AX | 1] is A X with a
 column of ones appended (`ax_ones`), and [W1; b1] the (d+1, h) view
 `GcnParams.layer1`, so b1 is added inside the product and its gradient
-comes out of the one product [AX | 1]^T D that gives W1's. Every `ax`
-in this package, whichever module takes it, holds [AX | 1] or rows of it.
+comes out of the one product [AX | 1]^T D that gives W1's. X enters only
+through [AX | 1], computed once by its owner (`ax_ones`; SGC, Wu et al.,
+ICML 2019, makes the same precomputation): every function here takes it,
+or rows of it, as `ax`, and none takes X.
 
 The second layer transforms before it propagates (Kipf & Welling, ICLR
 2017), so A carries the c columns of H W2, not the h of H. The trace of
@@ -34,8 +36,8 @@ node groups. Training passes the P its objective reads and gets those
 logits and the exact gradients, with no work on rows that no loss term
 reads. The block keeps Â's column order within each row, so each logit
 adds the same terms in the same order as the whole-graph pass, and on
-S = every node the block is Â itself. Every operator is a `graphs.Csr`;
-only the symmetric Â may come without `ax`.
+S = every node the block is Â itself. Every operator is a `graphs.Csr`,
+and `ax` holds the rows of [AX | 1] at its columns.
 
 The second layer is P (H W2) + b2 by default, or (P H) W2 + b2 when the
 caller asks for it with `propagate_first`. The two differ only by
@@ -165,7 +167,10 @@ def init_params(d: int, h: int, c: int, seed: int) -> GcnParams:
 
 def ax_ones(a_hat: Csr, x: np.ndarray) -> np.ndarray:
     """[ÂX | 1]: Â @ X with a column of ones appended, the first layer's
-    input. Every `ax` in this package holds this array or rows of it."""
+    input. Every `ax` in this package holds this array or rows of it.
+    Features with other than one row per node raise a ValueError."""
+    if x.shape[0] != a_hat.shape[1]:
+        raise ValueError("feature rows do not match the adjacency")
     ax = np.empty((a_hat.shape[0], x.shape[1] + 1))
     ax[:, :-1] = a_hat @ x
     ax[:, -1] = 1.0
@@ -179,21 +184,20 @@ def first_layer(params: GcnParams, ax: np.ndarray, out: np.ndarray = None) -> np
     return np.maximum(hidden, 0.0, out=hidden)
 
 
-def forward(params: GcnParams, a_hat: Csr, x: np.ndarray, ax: np.ndarray = None, *,
-            propagate_first: bool = False, out: ForwardTrace = None) -> ForwardTrace:
-    """Run the two-layer convolution on features `x`; `ax` may carry a
-    precomputed [ÂX | 1] (`ax_ones`).
+def forward(params: GcnParams, a_hat: Csr, ax: np.ndarray, *, propagate_first: bool = False,
+            out: ForwardTrace = None) -> ForwardTrace:
+    """Run the two-layer convolution on the rows `ax` of [ÂX | 1] (`ax_ones`).
 
-    `a_hat` is Â itself or an operator P onto its columns N(S) (see the
-    module docstring), for which `ax` is required and holds the rows N(S)
-    of [ÂX | 1]; the logits are those of P's rows. An `ax` of any other
-    shape raises a ValueError naming both shapes. `propagate_first` picks
-    the second layer's order (`second_layer`). With `out`, the trace of
-    an earlier pass with at least as many rows of H, H is written into
-    the first rows of its array and the new trace keeps the first rows
-    of its `backward` buffers, so the pass allocates nothing of H's size.
+    `a_hat` is Â itself, with `ax` all of [ÂX | 1], or an operator P onto
+    its columns N(S) (see the module docstring), with `ax` the rows N(S);
+    the logits are those of P's rows. An `ax` that does not fit raises a
+    ValueError (`_check_input`). `propagate_first` picks the second
+    layer's order (`second_layer`). With `out`, the trace of an earlier
+    pass with at least as many rows of H, H is written into the first
+    rows of its array and the new trace keeps the first rows of its
+    `backward` buffers, so the pass allocates nothing of H's size.
     """
-    ax = _first_input(params, a_hat, x, ax)
+    _check_input(params, a_hat, ax)
     rows = ax.shape[0]
     hidden = first_layer(params, ax, out=None if out is None else out.h[:rows])
     z, ph = second_layer(params, a_hat, hidden, propagate_first=propagate_first)
@@ -203,21 +207,14 @@ def forward(params: GcnParams, a_hat: Csr, x: np.ndarray, ax: np.ndarray = None,
     return trace
 
 
-def _first_input(params: GcnParams, a_hat: Csr, x: np.ndarray, ax) -> np.ndarray:
-    """`ax`, or [ÂX | 1] where it is None, after the checks of `forward`."""
+def _check_input(params: GcnParams, a_hat: Csr, ax: np.ndarray) -> None:
+    """A ValueError unless `ax` holds d + 1 columns, d the parameters' input
+    width, and one row of [ÂX | 1] per column of `a_hat`."""
     d = params.dims[0]
-    if x.shape[1] != d:
-        raise ValueError(f"features have {x.shape[1]} columns, params expect {d}")
-    if x.shape[0] != a_hat.n:
-        raise ValueError("feature rows do not match the adjacency")
-    if ax is None:
-        if not a_hat.symmetric:
-            raise ValueError("an operator other than Â needs ax, the rows of [ÂX | 1] at its columns")
-        return ax_ones(a_hat, x)
-    if ax.shape != (a_hat.shape[1], d + 1):
-        raise ValueError(f"ax has shape {ax.shape}, but an operator of shape {a_hat.shape} with d={d} "
-                         f"needs {(a_hat.shape[1], d + 1)}: the rows of [ÂX | 1] at its columns")
-    return ax
+    if ax.shape[1] != d + 1:
+        raise ValueError(f"features have {ax.shape[1] - 1} columns, params expect {d}")
+    if ax.shape[0] != a_hat.shape[1]:
+        raise ValueError(f"ax has {ax.shape[0]} rows, but an operator of shape {a_hat.shape} needs {a_hat.shape[1]}")
 
 
 def second_layer(params: GcnParams, a_hat: Csr, hidden: np.ndarray, *, propagate_first: bool = False) -> tuple:
@@ -242,12 +239,12 @@ def propagate_logits(params: GcnParams, a_hat: Csr, hw: np.ndarray) -> np.ndarra
 EVAL_ROWS = 512   # rows of H that `logits` holds at a time
 
 
-def logits(params: GcnParams, a_hat: Csr, x: np.ndarray, ax: np.ndarray = None) -> np.ndarray:
+def logits(params: GcnParams, a_hat: Csr, ax: np.ndarray) -> np.ndarray:
     """The logits P (H W2) + b2 of `forward` with the second layer
     transforming first, from the same arguments and with the same checks,
     with H W2 formed EVAL_ROWS rows of H at a time: no (rows, h) array
     is held. On P = Â these are the logits of every node."""
-    ax = _first_input(params, a_hat, x, ax)
+    _check_input(params, a_hat, ax)
     rows, h, c = ax.shape[0], *params.dims[1:]
     hw = np.empty((rows, c))
     hidden = np.empty((min(rows, EVAL_ROWS), h))
@@ -265,7 +262,7 @@ def propagates_first(p: Csr, h: int, c: int) -> bool:
     return 2 * p.indices.size * (h - c) < 3 * h * c * (cols - rows)
 
 
-def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: np.ndarray,
+def backward(params: GcnParams, a_hat: Csr, trace: ForwardTrace, d_z: np.ndarray,
              out: GcnParams = None) -> GcnParams:
     """Exact gradients of any scalar loss whose logit gradient is `d_z`.
 
@@ -297,8 +294,7 @@ def backward(params: GcnParams, a_hat, x: np.ndarray, trace: ForwardTrace, d_z: 
     return out
 
 
-def logit_jacobian(params: GcnParams, a_hat: Csr, x: np.ndarray, probe,
-                   ax: np.ndarray = None) -> np.ndarray:
+def logit_jacobian(params: GcnParams, a_hat: Csr, ax: np.ndarray, probe) -> np.ndarray:
     """Exact d z_ic / d theta of the probe nodes, shape (probes, classes, n_params).
 
     The last axis follows `GcnParams.to_vector`. With M = 1[H_pre > 0] and
@@ -311,11 +307,9 @@ def logit_jacobian(params: GcnParams, a_hat: Csr, x: np.ndarray, probe,
     so the b1 row of s_i, f = d, is sum_j A_ij M[j, k]. Every sum runs
     over the neighbours j of i only: one masked propagation per probe
     (`probe_pass`), no pass over the whole graph. Each row equals
-    `backward` with a one-hot upstream gradient, up to rounding. `ax` may
-    carry a precomputed [ÂX | 1] (`ax_ones`).
+    `backward` with a one-hot upstream gradient, up to rounding. `ax` is
+    [ÂX | 1] (`ax_ones`).
     """
-    if ax is None:
-        ax = ax_ones(a_hat, x)
     return probe_pass(params, a_hat, probe, ax).jacobian()
 
 

@@ -47,19 +47,18 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class Csr:
-    """A sparse matrix over the nodes 0..n-1 of a graph, stored only as CSR.
+    """A sparse matrix of a given `shape`, stored only as CSR.
 
     Each row keeps its stored columns ascending, and no (row, column) pair
     is stored twice. A graph is the (n, n) pattern with no `data`: every
-    edge in the rows of both endpoints, no self-loop. Â, its row blocks and
-    their group means hold `data` and `n`, the graph's node count, whatever
-    their `shape`. Every product, M @ Y or M.T @ Y (`matmul`), runs SciPy's
-    compiled kernels on these three arrays (`kernels.spmm`): no transpose
-    and no other storage is built. `symmetric` marks a matrix equal to its
-    transpose, whose transposed products are then its plain ones.
+    edge in the rows of both endpoints, no self-loop. Â, its row blocks
+    and their group means hold `data`. Every product, M @ Y or M.T @ Y
+    (`matmul`), runs SciPy's compiled kernels on these three arrays
+    (`kernels.spmm`): no transpose and no other storage is built.
+    `symmetric` marks a matrix equal to its transpose, whose transposed
+    products are then its plain ones.
     """
 
-    n: int
     shape: tuple
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
@@ -103,7 +102,11 @@ class Csr:
         keys += cols
         keys.sort()
         keys %= n
-        return cls(n, (n, n), indptr, keys, symmetric=True)
+        return cls((n, n), indptr, keys, symmetric=True)
+
+    @property
+    def n(self) -> int:   # the node count of a graph or of Â
+        return self.shape[0]
 
     @property
     def num_edges(self) -> int:
@@ -156,7 +159,7 @@ class Csr:
         row = np.repeat(np.arange(rows.size), self.indptr[rows + 1] - self.indptr[rows])
         indptr = np.zeros(rows.size + 1, dtype=np.intp)
         np.cumsum(np.bincount(row[keep], minlength=rows.size), out=indptr[1:])
-        return Csr(self.n, (rows.size, cols.size), indptr, col[keep], self.data[entries[keep]])
+        return Csr((rows.size, cols.size), indptr, col[keep], self.data[entries[keep]])
 
     def group_means(self, offsets: np.ndarray, members: np.ndarray) -> "Csr":
         """P = diag(1/|B|)·B·M, M this matrix and B the 0/1 matrix of the
@@ -180,7 +183,7 @@ class Csr:
         rows, cols_of = np.divmod(keys[first], cols)
         indptr = np.zeros(sizes.size + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=sizes.size), out=indptr[1:])
-        return Csr(self.n, (sizes.size, cols), indptr, cols_of, sums / sizes[rows])
+        return Csr((sizes.size, cols), indptr, cols_of, sums / sizes[rows])
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         return self.matmul(dense)

@@ -27,7 +27,8 @@ call; `paired_difference` compares two reports seed by seed.
 `materialize_dataset` returns one read-only `Dataset` per (source, seed)
 and keeps the last one, so later replicates and arms reuse it. The graph
 is dropped once Â is built: sampling walks Â's pattern, the same
-neighbours plus a self-connection that changes no BFS level.
+neighbours plus a self-connection that changes no BFS level. Training
+and evaluation read the features only as the dataset's [ÂX | 1].
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ MODES = {
 }
 
 
-def accuracy(params: gnn.GcnParams, a_hat, x, labels, ax=None) -> float:
-    """Fraction of nodes whose argmax logit matches the true label; `ax`
-    may carry a precomputed [ÂX | 1] (`gnn.ax_ones`).
+def accuracy(params: gnn.GcnParams, a_hat, ax, labels) -> float:
+    """Fraction of nodes whose argmax logit matches the true label, from Â
+    and [ÂX | 1] (`gnn.ax_ones`).
 
     The logits are `gnn.logits`: those of `gnn.forward` on Â, with H W2
     formed a block of rows at a time, so evaluation holds no (n, h)
@@ -85,7 +86,7 @@ def accuracy(params: gnn.GcnParams, a_hat, x, labels, ax=None) -> float:
     truth = np.asarray(labels)
     if truth.shape[0] != a_hat.n:
         raise ValueError("labels must cover all nodes")
-    pred = np.argmax(gnn.logits(params, a_hat, x, ax=ax), axis=1)
+    pred = np.argmax(gnn.logits(params, a_hat, ax), axis=1)
     return float((pred == truth).mean())
 
 
@@ -104,8 +105,8 @@ class DatasetPaths:
 
 class Dataset(NamedTuple):
     """One replicate's inputs, all read-only: Â, the (n, d) features X,
-    [ÂX | 1] (`gnn.ax_ones`, built once per dataset; training gathers its
-    field's rows) and the node table."""
+    which only sampling reads, [ÂX | 1] (`gnn.ax_ones`, built once per
+    dataset; the model reads no other features) and the node table."""
 
     a_hat: Csr
     x: np.ndarray
@@ -265,11 +266,11 @@ def run_replicate(cfg: ExperimentConfig, replicate_seed: int, *, sampled: dict |
         truth = [mode_label(table.labels[b.members]) for b in bundles]
         n_labeled, n_failed = summary.n_labeled, summary.n_failed
         groups = FlatBundles.from_bundles(bundles)
-    params, report = train(a_hat, x, groups, tcfg, table.num_classes, objective=mode.objective, ax=ax)
+    params, report = train(a_hat, ax, groups, tcfg, table.num_classes, objective=mode.objective)
 
     return ReplicateResult(
         seed=replicate_seed,
-        accuracy=accuracy(params, a_hat, x, table.labels, ax=ax),
+        accuracy=accuracy(params, a_hat, ax, table.labels),
         n_labeled=n_labeled,
         n_failed=n_failed,
         refinement_events=len(report.refinements),

@@ -129,6 +129,14 @@ def verify_theorem1(
 # Claim 2: bounded gradient and curvature of the group cross-entropy
 # ---------------------------------------------------------------------------
 
+# claim 2's GCN, parameter-point scale, and central-difference steps of G and M
+THEOREM2_CLASSES = 3
+THEOREM2_HIDDEN = 4
+THETA_SCALE = 1.0
+GRAD_STEP = 1e-5
+HESS_STEP = 1e-3
+
+
 @dataclass(frozen=True)
 class Theorem2Instance:
     """A deliberately tiny single-bundle problem (n, d, h, C all <= 10)."""
@@ -137,17 +145,12 @@ class Theorem2Instance:
     x: np.ndarray
     members: tuple
     label: int
-    n_classes: int = 3
-    hidden: int = 4
-    theta_scale: float = 1.0
     n_points: int = 10
-    grad_step: float = 1e-5
-    hess_step: float = 1e-3
 
 
 def default_theorem2_instance(seed: int = 0, n_points: int = 10) -> Theorem2Instance:
     rng = np.random.default_rng(seed)
-    n, d, c, size = 8, 3, 3, 4
+    n, d, size = 8, 3, 4
     while True:
         mask = rng.random((n, n)) < 0.35
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
@@ -156,10 +159,8 @@ def default_theorem2_instance(seed: int = 0, n_points: int = 10) -> Theorem2Inst
     graph = Csr.from_edges(n, edges)
     x = rng.normal(0.0, 1.0, size=(n, d))
     members = tuple(int(v) for v in rng.choice(n, size=size, replace=False))
-    label = int(rng.integers(c))
-    return Theorem2Instance(
-        graph=graph, x=x, members=members, label=label, n_classes=c, n_points=n_points
-    )
+    label = int(rng.integers(THEOREM2_CLASSES))
+    return Theorem2Instance(graph=graph, x=x, members=members, label=label, n_points=n_points)
 
 
 @dataclass
@@ -196,11 +197,11 @@ class Theorem2Report:
 def theorem2_model(instance: Theorem2Instance) -> tuple:
     """(theta -> logits of every node, parameter count) for the instance's GCN."""
     a_hat = normalized_adjacency(instance.graph)
-    x = instance.x
-    template = gnn.init_params(x.shape[1], instance.hidden, instance.n_classes, seed=0)
+    ax = gnn.ax_ones(a_hat, instance.x)
+    template = gnn.init_params(instance.x.shape[1], THEOREM2_HIDDEN, THEOREM2_CLASSES, seed=0)
 
     def make_z(vec):
-        return gnn.forward(template.from_vector(vec), a_hat, x).z
+        return gnn.forward(template.from_vector(vec), a_hat, ax).z
 
     return make_z, template.n_params
 
@@ -240,12 +241,12 @@ def verify_theorem2(
 
     points = []
     for _ in range(instance.n_points):
-        vec = rng.normal(0.0, instance.theta_scale, size=n_d)
-        hs = instance.grad_step
+        vec = rng.normal(0.0, THETA_SCALE, size=n_d)
+        hs = GRAD_STEP
 
         # Jacobian of the member logits and gradient of the loss, one FD
         # pass per coordinate
-        jac = np.zeros((size, instance.n_classes, n_d))
+        jac = np.zeros((size, THEOREM2_CLASSES, n_d))
         grad = np.zeros(n_d)
         for j in range(n_d):
             vp = vec.copy()
@@ -269,7 +270,7 @@ def verify_theorem2(
         grad_inf_per_member = float(np.abs(per_member).max())
 
         # second derivatives of member logits and of the loss, shared pass
-        hb = instance.hess_step
+        hb = HESS_STEP
         m_hat = 0.0
         hess_max = 0.0
         base_z = z0
@@ -400,7 +401,8 @@ def verify_theorem3(
         refine_every=TrainConfig.refine_every if refinement else epochs + 1,
     )
     groups = FlatBundles.from_bundles(bundles)
-    params, report = train(normalized_adjacency(graph), emb, groups, tcfg, table.num_classes, objective="be_only")
+    a_hat = normalized_adjacency(graph)
+    params, report = train(a_hat, gnn.ax_ones(a_hat, emb), groups, tcfg, table.num_classes, objective="be_only")
 
     eta = report.eta
     smoothness_const = 2 * params.n_params * (report.m_hat + report.g_hat**2)

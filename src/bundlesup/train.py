@@ -45,9 +45,9 @@ layer's order and passes it to `gnn.forward`: propagate first where
 `gnn.propagates_first` counts fewer multiply-adds, which only group
 means may do. A refinement epoch of a bundle objective computes the
 member logits Â[S, N(S)] (H W2) + b2 from the trace's H
-(`gnn.second_layer`). [ÂX | 1] (`gnn.ax_ones`) is computed once over the
-whole graph, or passed in as `ax` by a caller that keeps it, and the
-field gathers its rows N(S), ones column included; the block and P are
+(`gnn.second_layer`). The caller computes [ÂX | 1] (`gnn.ax_ones`) once
+over the whole graph and passes it as `ax`, the only feature input; the
+field gathers its rows N(S), ones column included. The block and P are
 rebuilt only when a refinement evicts members.
 
 A `train` call keeps one set of field buffers: H, the hidden layer's
@@ -182,17 +182,8 @@ def refine(p: np.ndarray, flat: FlatBundles, floor: int) -> np.ndarray:
     return np.flatnonzero(at_low & np.repeat(go, flat.sizes))
 
 
-def estimate_logit_bounds(
-    params: gnn.GcnParams,
-    a_hat,
-    x,
-    probe_nodes,
-    *,
-    ax: np.ndarray = None,
-    hess_step: float = 1e-4,
-    hess_cols_per_layer: int = 32,
-    seed: int = 0,
-) -> tuple:
+def estimate_logit_bounds(params: gnn.GcnParams, a_hat, ax: np.ndarray, probe_nodes, *, hess_step: float = 1e-4,
+                          hess_cols_per_layer: int = 32, seed: int = 0) -> tuple:
     """Bounds (G, M) on the probe nodes' first and second logit derivatives.
 
     G is the max |d z_ic / d theta_j| over probe nodes, classes, and every
@@ -204,11 +195,9 @@ def estimate_logit_bounds(
     Both read one `gnn.probe_pass` at theta.
     With d=8, h=64, c=5 and five probes, an estimate takes about 1 ms on a
     2-vCPU VM, against 40 ms for two whole Jacobians per coordinate.
-    `ax` may carry a precomputed [ÂX | 1] (`gnn.ax_ones`).
+    `ax` is [ÂX | 1] (`gnn.ax_ones`).
     """
     probe = np.asarray(probe_nodes, dtype=np.intp)
-    if ax is None:
-        ax = gnn.ax_ones(a_hat, x)
     n_d = params.n_params
     at = gnn.probe_pass(params, a_hat, probe, ax)
     g_hat = float(np.abs(at.jacobian()).max())
@@ -228,10 +217,10 @@ def estimate_logit_bounds(
     return g_hat, m_hat
 
 
-def _auto_eta(params, a_hat, x, ax: np.ndarray, members: np.ndarray, seed: int) -> tuple:
+def _auto_eta(params, a_hat, ax: np.ndarray, members: np.ndarray, seed: int) -> tuple:
     rng = np.random.default_rng((seed, 5))
     probe = rng.choice(members, size=min(5, members.size), replace=False)
-    g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, ax=ax, seed=seed)
+    g_hat, m_hat = estimate_logit_bounds(params, a_hat, ax, probe, seed=seed)
     eta = 0.9 / (params.n_params * (m_hat + g_hat**2))
     return eta, g_hat, m_hat
 
@@ -271,9 +260,10 @@ def _evaluate(objective: str, z: np.ndarray, groups: FlatBundles):
     return bundle_objective(z, groups.labels, terms=_TERMS[objective])
 
 
-def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objective: str = "full",
-          ax: np.ndarray = None):
-    """Gradient descent on the group objective; returns (params, report).
+def train(a_hat, ax: np.ndarray, groups: FlatBundles, cfg: TrainConfig, n_classes: int,
+          objective: str = "full"):
+    """Gradient descent on the group objective from Â and `ax` = [ÂX | 1]
+    (`gnn.ax_ones`), d + 1 columns for input width d; returns (params, report).
 
     `groups` holds the labeled bundles (`FlatBundles.from_bundles`) or, for
     `objective="node_ce"`, individually annotated nodes as groups of one
@@ -282,9 +272,7 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     anything else raises a ValueError. `groups` is left as given: the
     report's `refinements` lists every eviction as (epoch, bundle id,
     node), and with cfg.refine_every > cfg.epochs there are none. A group
-    of one is never refined, since the floor is at least 2. `ax` may carry
-    a precomputed [ÂX | 1] (`gnn.ax_ones`), which is then not computed
-    again. The returned
+    of one is never refined, since the floor is at least 2. The returned
     parameters are views onto one flat vector.
     """
     if objective not in OBJECTIVES:
@@ -294,17 +282,15 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     _refuse_outside(groups.labels, n_classes, "label", "classes")
     _refuse_outside(groups.members, a_hat.n, "member", "graph nodes")
 
-    params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
+    params = gnn.init_params(ax.shape[1] - 1, cfg.hidden, n_classes, cfg.seed)
     theta = params.to_vector()
     params = gnn.GcnParams.on(theta, *params.dims)
     grad = np.empty_like(theta)
     grads = gnn.GcnParams.on(grad, *params.dims)
-    if ax is None:
-        ax = gnn.ax_ones(a_hat, x)
 
     g_hat = m_hat = None
     if cfg.eta_auto:
-        eta, g_hat, m_hat = _auto_eta(params, a_hat, x, ax, np.unique(groups.members), cfg.seed)
+        eta, g_hat, m_hat = _auto_eta(params, a_hat, ax, np.unique(groups.members), cfg.seed)
     else:
         eta = cfg.learning_rate
 
@@ -318,11 +304,11 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
     # floating-point warnings, reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, cfg.epochs + 1):
-            trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first, out=trace)
+            trace = gnn.forward(params, op, ax_field, propagate_first=first, out=trace)
             value = _evaluate(objective, trace.z, local)
             if not math.isfinite(value.loss):
                 raise TrainingDivergedError(t, eta)
-            gnn.backward(params, op, x, trace, value.d_z, out=grads)
+            gnn.backward(params, op, trace, value.d_z, out=grads)
             curves[:, t - 1] = value.loss, value.be_mean, value.rank_mean, np.sqrt(grad @ grad)
 
             # a round can evict only from a group above the floor; it reads
@@ -341,9 +327,9 @@ def train(a_hat, x, groups: FlatBundles, cfg: TrainConfig, n_classes: int, objec
                                                                cfg.hidden, n_classes)
             theta -= eta * grad
 
-    trace = gnn.forward(params, op, x, ax=ax_field, propagate_first=first, out=trace)
+    trace = gnn.forward(params, op, ax_field, propagate_first=first, out=trace)
     value = _evaluate(objective, trace.z, local)
-    gnn.backward(params, op, x, trace, value.d_z, out=grads)
+    gnn.backward(params, op, trace, value.d_z, out=grads)
     loss, loss_be, loss_rank, grad_norm = curves
     return params, TrainReport(loss=loss, loss_be=loss_be, loss_rank=loss_rank, grad_norm=grad_norm,
                                refinements=refinements, eta=eta, final_loss=value.loss,

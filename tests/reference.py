@@ -36,7 +36,7 @@ def transpose(m: Csr) -> Csr:
     order = np.argsort(m.indices, kind="stable")
     indptr = np.zeros(cols + 1, dtype=np.intp)
     np.cumsum(np.bincount(m.indices, minlength=cols), out=indptr[1:])
-    return Csr(m.n, (cols, rows), indptr, m.entry_rows()[order], m.data[order])
+    return Csr((cols, rows), indptr, m.entry_rows()[order], m.data[order])
 
 
 def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:
@@ -45,7 +45,7 @@ def total_loss_and_grad(z: np.ndarray, bundles) -> tuple:
     `group_means` of the identity, and its gradient back through P^T."""
     flat = FlatBundles.from_bundles(bundles)
     n = z.shape[0]
-    identity = Csr(n, (n, n), np.arange(n + 1), np.arange(n), np.ones(n))
+    identity = Csr((n, n), np.arange(n + 1), np.arange(n), np.ones(n))
     p = identity.group_means(flat.offsets, flat.members)
     value = bundle_objective(p @ z, flat.labels)
     return value.loss, transpose(p) @ value.d_z
@@ -63,17 +63,17 @@ def hop_array(graph, core: int, need=None) -> np.ndarray:
     return out
 
 
-def one_hot_rows(params, a_hat, x, probe) -> np.ndarray:
+def one_hot_rows(params, a_hat, ax, probe) -> np.ndarray:
     """`gnn.backward` with a one-hot logit gradient per (probe, class), stacked
     to the shape of `gnn.logit_jacobian`."""
-    trace = gnn.forward(params, a_hat, x)
+    trace = gnn.forward(params, a_hat, ax)
     c = params.dims[2]
     out = np.zeros((len(probe), c, params.n_params))
     for row, i in enumerate(probe):
         for cc in range(c):
             one_hot = np.zeros_like(trace.z)
             one_hot[i, cc] = 1.0
-            out[row, cc] = gnn.backward(params, a_hat, x, trace, one_hot).to_vector()
+            out[row, cc] = gnn.backward(params, a_hat, trace, one_hot).to_vector()
     return out
 
 
@@ -92,7 +92,7 @@ def sampled_columns(params, per_layer, seed) -> np.ndarray:
     )
 
 
-def fd_logit_bounds(params, a_hat, x, probe_nodes, *, fd_step=1e-5, hess_step=1e-4,
+def fd_logit_bounds(params, a_hat, ax, probe_nodes, *, fd_step=1e-5, hess_step=1e-4,
                     hess_cols_per_layer=32, seed=0) -> tuple:
     """(G, M) by finite differences: G of the probe logits over every parameter,
     M of one-hot `gnn.backward` rows along the columns `estimate_logit_bounds`
@@ -105,9 +105,9 @@ def fd_logit_bounds(params, a_hat, x, probe_nodes, *, fd_step=1e-5, hess_step=1e
     for j in range(n_d):
         vp = vec.copy()
         vp[j] += fd_step
-        zp = gnn.forward(params.from_vector(vp), a_hat, x).z[probe]
+        zp = gnn.forward(params.from_vector(vp), a_hat, ax).z[probe]
         vp[j] -= 2 * fd_step
-        zm = gnn.forward(params.from_vector(vp), a_hat, x).z[probe]
+        zm = gnn.forward(params.from_vector(vp), a_hat, ax).z[probe]
         g_hat = max(g_hat, float(np.abs((zp - zm) / (2 * fd_step)).max()))
 
     cols = sampled_columns(params, hess_cols_per_layer, seed)
@@ -115,14 +115,14 @@ def fd_logit_bounds(params, a_hat, x, probe_nodes, *, fd_step=1e-5, hess_step=1e
     for k in cols:
         vp = vec.copy()
         vp[k] += hess_step
-        gp = one_hot_rows(params.from_vector(vp), a_hat, x, probe)
+        gp = one_hot_rows(params.from_vector(vp), a_hat, ax, probe)
         vp[k] -= 2 * hess_step
-        gm = one_hot_rows(params.from_vector(vp), a_hat, x, probe)
+        gm = one_hot_rows(params.from_vector(vp), a_hat, ax, probe)
         m_hat = max(m_hat, float(np.abs((gp - gm) / (2 * hess_step)).max()))
     return g_hat, m_hat
 
 
-def jacobian_differences(params, a_hat, x, probe, coords, step, ax=None) -> np.ndarray:
+def jacobian_differences(params, a_hat, ax, probe, coords, step) -> np.ndarray:
     """`gnn.jacobian_differences` with two whole `gnn.logit_jacobian` calls per
     coordinate k, at theta + step e_k and theta - step e_k."""
     vec = params.to_vector()
@@ -130,23 +130,21 @@ def jacobian_differences(params, a_hat, x, probe, coords, step, ax=None) -> np.n
     for k in coords:
         vp = vec.copy()
         vp[k] += step
-        jp = gnn.logit_jacobian(params.from_vector(vp), a_hat, x, probe, ax=ax)
+        jp = gnn.logit_jacobian(params.from_vector(vp), a_hat, ax, probe)
         vp[k] -= 2 * step
-        jm = gnn.logit_jacobian(params.from_vector(vp), a_hat, x, probe, ax=ax)
+        jm = gnn.logit_jacobian(params.from_vector(vp), a_hat, ax, probe)
         out.append(float(np.abs(jp - jm).max()))
     return np.array(out)
 
 
-def jacobian_difference_bounds(params, a_hat, x, probe_nodes, *, ax=None, hess_step=1e-4,
+def jacobian_difference_bounds(params, a_hat, ax, probe_nodes, *, hess_step=1e-4,
                                hess_cols_per_layer=32, seed=0) -> tuple:
     """`train.estimate_logit_bounds` with M from `jacobian_differences` above."""
     probe = np.asarray(probe_nodes, dtype=np.intp)
-    if ax is None:
-        ax = gnn.forward(params, a_hat, x).ax
-    g_hat = float(np.abs(gnn.logit_jacobian(params, a_hat, x, probe, ax=ax)).max())
+    g_hat = float(np.abs(gnn.logit_jacobian(params, a_hat, ax, probe)).max())
     cols = sampled_columns(params, hess_cols_per_layer, seed)
     m_hat = 0.0
-    for diff in jacobian_differences(params, a_hat, x, probe, cols, hess_step, ax=ax):
+    for diff in jacobian_differences(params, a_hat, ax, probe, cols, hess_step):
         m_hat = max(m_hat, float(diff) / (2 * hess_step))
     return g_hat, m_hat
 
@@ -241,7 +239,7 @@ def refine_bundles(p: np.ndarray, bundles, floor: int, epoch: int) -> list:
 _TERMS = {"full": ("be", "rank"), "be_only": ("be",), "rank_only": ("rank",)}
 
 
-def _member_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
+def _member_logit_pass(params, a_hat, ax, objective, flat, nodes):
     """One whole-graph epoch on member logits, propagating first:
     Z = (Â H) W2 + b2 on every node, the group loss on gathered and summed
     member rows (`segment_objective`), and the gradients back through Â.
@@ -263,7 +261,7 @@ def _member_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
     return z, value, grads
 
 
-def _group_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
+def _group_logit_pass(params, a_hat, ax, objective, flat, nodes):
     """One whole-graph epoch in `train`'s order: `gnn.forward` and
     `gnn.backward` through P, `a_hat.group_means` of the bundles for a
     bundle objective and Â itself otherwise, with the second layer in the
@@ -272,19 +270,19 @@ def _group_logit_pass(params, a_hat, x, ax, objective, flat, nodes):
     Â (H W2) + b2."""
     op = a_hat if objective in ("member_ce", "node_ce") else a_hat.group_means(flat.offsets, flat.members)
     first = op is not a_hat and gnn.propagates_first(op, *params.dims[1:])
-    trace = gnn.forward(params, op, x, ax=ax, propagate_first=first)
+    trace = gnn.forward(params, op, ax, propagate_first=first)
     if objective == "node_ce":
         value = node_ce_objective(trace.z, *nodes)
     elif objective == "member_ce":
         value = member_ce_objective(trace.z, flat)
     else:
         value = bundle_objective(trace.z, flat.labels, terms=_TERMS[objective])
-    grads = gnn.backward(params, op, x, trace, value.d_z)
+    grads = gnn.backward(params, op, trace, value.d_z)
     z = trace.z if op is a_hat else a_hat @ (trace.h @ params.w2) + params.b2
     return z, value, grads
 
 
-def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
+def whole_graph_train(a_hat, ax, cfg, n_classes, objective="full", bundles=None,
                       node_idx=None, node_labels=None, group_logits=False) -> tuple:
     """`train` on `bundles`, or on `node_idx` with `node_labels` as groups of
     one under node_ce, at a fixed learning rate, every epoch a forward and a
@@ -301,11 +299,9 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
         nodes = np.asarray(node_idx, dtype=np.intp), np.asarray(node_labels, dtype=np.intp)
         objective = "node_ce"
 
-    feats = np.asarray(x, dtype=np.float64)
-    params = gnn.init_params(feats.shape[1], cfg.hidden, n_classes, cfg.seed)
+    params = gnn.init_params(ax.shape[1] - 1, cfg.hidden, n_classes, cfg.seed)
     theta = params.to_vector()
     params = gnn.GcnParams.on(theta, *params.dims)
-    ax = gnn.ax_ones(a_hat, feats)
     eta = cfg.learning_rate
     epoch = _group_logit_pass if group_logits else _member_logit_pass
     loss, loss_be_, loss_rank_, grad_norm, refinements = [], [], [], [], []
@@ -317,7 +313,7 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
         return float(np.sqrt(sum(float((t * t).sum()) for t in grads.tensors())))
 
     for t in range(1, cfg.epochs + 1):
-        z, value, grads = epoch(params, a_hat, feats, ax, objective, flat, nodes)
+        z, value, grads = epoch(params, a_hat, ax, objective, flat, nodes)
         loss.append(value.loss)
         loss_be_.append(value.be_mean)
         loss_rank_.append(value.rank_mean)
@@ -333,7 +329,7 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
                 refinements.extend(events)
                 flat = FlatBundles.from_bundles(bundles)
 
-    _, value, final_grads = epoch(params, a_hat, feats, ax, objective, flat, nodes)
+    _, value, final_grads = epoch(params, a_hat, ax, objective, flat, nodes)
     report = TrainReport(
         loss=np.array(loss), loss_be=np.array(loss_be_), loss_rank=np.array(loss_rank_),
         grad_norm=np.array(grad_norm), refinements=refinements, eta=eta,
@@ -342,7 +338,7 @@ def whole_graph_train(a_hat, x, cfg, n_classes, objective="full", bundles=None,
     return params, report
 
 
-def fresh_field_train(a_hat, x, groups, cfg, n_classes, objective="full", ax=None) -> tuple:
+def fresh_field_train(a_hat, ax, groups, cfg, n_classes, objective="full") -> tuple:
     """`train`'s epochs on its field operator (`train._field`), with every
     array allocated afresh: each pass a new trace with no buffers handed
     on, a new gradient vector from `gnn.backward`, and each step a new
@@ -350,20 +346,19 @@ def fresh_field_train(a_hat, x, groups, cfg, n_classes, objective="full", ax=Non
     shape (4, epochs), final loss)."""
     from bundlesup import train as train_module
 
-    params = gnn.init_params(x.shape[1], cfg.hidden, n_classes, cfg.seed)
+    params = gnn.init_params(ax.shape[1] - 1, cfg.hidden, n_classes, cfg.seed)
     theta = params.to_vector()
-    ax = gnn.ax_ones(a_hat, x) if ax is None else ax
     eta = cfg.learning_rate
     if cfg.eta_auto:
-        eta = train_module._auto_eta(params, a_hat, x, ax, np.unique(groups.members), cfg.seed)[0]
+        eta = train_module._auto_eta(params, a_hat, ax, np.unique(groups.members), cfg.seed)[0]
     local, block, ax_field, op, first = train_module._field(a_hat, ax, groups, objective, cfg.hidden, n_classes)
     curves, refinements = [], []
 
     def epoch(theta):
         p = params.from_vector(theta)
-        trace = gnn.forward(p, op, x, ax=ax_field, propagate_first=first)
+        trace = gnn.forward(p, op, ax_field, propagate_first=first)
         value = train_module._evaluate(objective, trace.z, local)
-        return p, trace, value, gnn.backward(p, op, x, trace, value.d_z).to_vector()
+        return p, trace, value, gnn.backward(p, op, trace, value.d_z).to_vector()
 
     for t in range(1, cfg.epochs + 1):
         p, trace, value, g = epoch(theta)

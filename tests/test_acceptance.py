@@ -72,12 +72,12 @@ def test_criterion_01_gradient_correctness():
         first = gnn.propagates_first(op, *params.dims[1:])
 
         def loss_of(vec):
-            trace = gnn.forward(params.from_vector(vec), op, x, ax=ax, propagate_first=first)
+            trace = gnn.forward(params.from_vector(vec), op, ax, propagate_first=first)
             return bundle_objective(trace.z, flat.labels).loss
 
-        trace = gnn.forward(params, op, x, ax=ax, propagate_first=first)
+        trace = gnn.forward(params, op, ax, propagate_first=first)
         value = bundle_objective(trace.z, flat.labels)
-        grads = gnn.backward(params, op, x, trace, value.d_z).to_vector()
+        grads = gnn.backward(params, op, trace, value.d_z).to_vector()
         vec = params.to_vector()
         fd = np.zeros_like(vec)
         for j in range(vec.size):

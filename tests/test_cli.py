@@ -156,8 +156,10 @@ def test_sweep_cli(tmp_path):
     (["sweep", "--axis", "num_bundles", "--values", "4,8,04"], "num_bundles value 4 is given twice"),
     (["sweep", "--axis", "noise_rate", "--values", "0.5,0,.5"], "noise_rate value 0.5 is given twice"),
     (["pipeline", "--seeds", "0,a"], "invalid literal for int() with base 10: 'a'"),
+    (["sweep", "--axis", "noise_rate", "--values", "0,0.3", "--noise", "0.5"],
+     "--noise sets noise_rate, the axis this sweep varies; give the rates in --values"),
 ], ids=["sweep-value", "sweep-noise", "sweep-noise-last", "sweep-bundle-size",
-        "sweep-repeated-int", "sweep-repeated-float", "pipeline-seeds"])
+        "sweep-repeated-int", "sweep-repeated-float", "pipeline-seeds", "sweep-noise-axis-and-noise"])
 def test_a_bad_experiment_flag_exits_with_a_message(tmp_path, monkeypatch, argv, message):
     """Every arm's config is built and checked before the first replicate runs."""
     replicates = []
@@ -180,6 +182,36 @@ def test_compare_queries_refuses_a_mode(tmp_path, capsys, flags, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _refused_config(tmp_path, monkeypatch, cfg, argv, message):
+    """`argv` with the config file `cfg` ends in `message` before any replicate runs."""
+    replicates = []
+    monkeypatch.setattr(pipeline, "run_replicate", lambda *args, **kwargs: replicates.append(args))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--config", path, "--out", tmp_path / "out"])
+    assert exc.value.code == f"bundlesup {argv[0]}: {message}"
+    assert replicates == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["bundle", "r_only"])
+def test_compare_queries_refuses_a_config_mode(tmp_path, monkeypatch, mode):
+    """--compare-queries runs both query modes, so a config's mode would be ignored."""
+    _refused_config(tmp_path, monkeypatch, {"mode": mode, "replicate_seeds": [0]}, ["pipeline", "--compare-queries"],
+                    "--compare-queries runs modes bundle and individual_query; remove 'mode' from the config")
+
+
+@pytest.mark.parametrize("section", ["dataset", "sampling", "oracle", "train"])
+@pytest.mark.parametrize("command", [["pipeline"], ["sweep", "--axis", "num_bundles", "--values", "4"]],
+                         ids=["pipeline", "sweep"])
+def test_a_config_seed_is_refused(tmp_path, monkeypatch, section, command):
+    """Each replicate sets these seeds from its replicate seed, so a config's own would be ignored."""
+    _refused_config(tmp_path, monkeypatch, {section: {"seed": 3}, "replicate_seeds": [0]}, command,
+                    f"key 'seed' in section {section!r} is set from each replicate seed; "
+                    f"choose the runs with 'replicate_seeds'")
 
 
 def test_verify_theorem1_cli(capsys):

@@ -21,10 +21,9 @@ def random_instance(seed, n=12, d=4, h=5, c=3, p_edge=0.3):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
         if edges:
             break
-    graph = Csr.from_edges(n, edges)
-    x = rng.normal(size=(n, d))
+    a_hat = normalized_adjacency(Csr.from_edges(n, edges))
     params = gnn.init_params(d, h, c, seed)
-    return normalized_adjacency(graph), x, params
+    return a_hat, gnn.ax_ones(a_hat, rng.normal(size=(n, d))), params
 
 
 class TestInit:
@@ -67,14 +66,14 @@ class TestSoftmax:
 
 class TestForward:
     def test_zero_params_uniform(self):
-        a_hat, x, params = random_instance(0)
+        a_hat, ax, params = random_instance(0)
         zeros = gnn.GcnParams(
             w1=np.zeros_like(params.w1),
             b1=np.zeros_like(params.b1),
             w2=np.zeros_like(params.w2),
             b2=np.zeros_like(params.b2),
         )
-        trace = gnn.forward(zeros, a_hat, x)
+        trace = gnn.forward(zeros, a_hat, ax)
         np.testing.assert_array_equal(trace.z, 0.0)
         p = softmax_rows(trace.z)
         np.testing.assert_allclose(p, 1.0 / p.shape[1])
@@ -86,13 +85,13 @@ class TestForward:
         x = np.abs(rng.normal(size=(1, 4))) + 0.5
         params = gnn.init_params(4, 5, 3, seed=1)
         params.w1[:] = np.abs(params.w1)  # keep the hidden layer in the linear regime
-        trace = gnn.forward(params, a_hat, x)
+        trace = gnn.forward(params, a_hat, gnn.ax_ones(a_hat, x))
         expect = (x @ params.w1 + params.b1) @ params.w2 + params.b2
         np.testing.assert_allclose(trace.z, expect, atol=1e-12)
 
     def test_probability_rows_valid(self):
-        a_hat, x, params = random_instance(5)
-        p = softmax_rows(gnn.forward(params, a_hat, x).z)
+        a_hat, ax, params = random_instance(5)
+        p = softmax_rows(gnn.forward(params, a_hat, ax).z)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert (p > 0).all()
 
@@ -107,67 +106,72 @@ class TestForward:
         inv = np.argsort(perm)
         g1 = Csr.from_edges(n, edges)
         g2 = Csr.from_edges(n, [(int(inv[u]), int(inv[v])) for u, v in edges])
-        z1 = gnn.forward(params, normalized_adjacency(g1), x).z
-        z2 = gnn.forward(params, normalized_adjacency(g2), x[perm][np.argsort(inv[perm])]).z
+        a1, a2 = normalized_adjacency(g1), normalized_adjacency(g2)
+        z1 = gnn.forward(params, a1, gnn.ax_ones(a1, x)).z
+        z2 = gnn.forward(params, a2, gnn.ax_ones(a2, x[perm][np.argsort(inv[perm])])).z
         # relabeling nodes by perm: row i of the first run appears at inv[i]
         np.testing.assert_allclose(z1, z2[inv[np.arange(n)]], atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        a_hat, x, params = random_instance(1)
+        a_hat, ax, params = random_instance(1)
         with pytest.raises(ValueError):
-            gnn.forward(params, a_hat, x[:, :2])
+            gnn.forward(params, a_hat, ax[:, 2:])
 
     def test_a_whole_graph_pass_keeps_only_the_four_arrays(self):
-        """The traced peak of one forward pass is the arrays its trace keeps,
-        A X, H and Z, and the H W2 that Z propagates, within 10%: no
-        pre-activation or probability array is held beside them."""
+        """The traced peak of one forward pass is the arrays it makes, H and
+        Z, and the H W2 that Z propagates, within 10%: no pre-activation or
+        probability array is held beside them, and the given [A X | 1] is
+        neither copied nor rebuilt."""
         rng = np.random.default_rng(0)
         n, d, h, c = 2000, 8, 64, 20
         edges = rng.integers(0, n, size=(8 * n, 2))
         a_hat = normalized_adjacency(Csr.from_edges(n, edges[edges[:, 0] != edges[:, 1]]))
-        x = rng.normal(size=(n, d))
+        ax = gnn.ax_ones(a_hat, rng.normal(size=(n, d)))
         params = gnn.init_params(d, h, c, seed=0)
-        gnn.forward(params, a_hat, x)   # builds the SciPy operator Â keeps
         tracemalloc.start()
         try:
-            trace = gnn.forward(params, a_hat, x)
+            trace = gnn.forward(params, a_hat, ax)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.ph is None
-        kept = sum(a.nbytes for a in (trace.ax, trace.h, trace.z)) + n * c * 8   # H W2: n x c floats
+        assert trace.ph is None and trace.ax is ax
+        kept = sum(a.nbytes for a in (trace.h, trace.z)) + n * c * 8   # H W2: n x c floats
         assert peak <= 1.1 * kept
 
 
 class TestLogits:
     def test_agree_with_the_forward_logits(self):
         """The logits Z = A (H W2) + b2 are the propagate-first A (H) W2 + b2
-        up to rounding, with the same argmax, on the whole graph and from a
-        given ax, and bitwise A applied to H W2, plus b2."""
+        up to rounding, with the same argmax, on the whole graph, and bitwise
+        A applied to H W2, plus b2."""
         for seed in range(20):
-            a_hat, x, params = random_instance(seed, n=30, h=16, c=5, p_edge=0.15)
+            a_hat, ax, params = random_instance(seed, n=30, h=16, c=5, p_edge=0.15)
             params.b2[:] = np.random.default_rng(seed).normal(size=params.b2.shape)
-            hidden = np.maximum((a_hat @ x) @ params.w1 + params.b1, 0.0)
+            hidden = np.maximum(ax[:, :-1] @ params.w1 + params.b1, 0.0)
             want = (a_hat @ hidden) @ params.w2 + params.b2
-            for trace in (gnn.forward(params, a_hat, x), gnn.forward(params, a_hat, x, ax=gnn.ax_ones(a_hat, x))):
-                np.testing.assert_allclose(trace.z, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-                np.testing.assert_array_equal(trace.z.argmax(axis=1), want.argmax(axis=1))
-                np.testing.assert_array_equal(trace.z, a_hat @ (hidden @ params.w2) + params.b2)
+            for z in (gnn.forward(params, a_hat, ax).z, gnn.logits(params, a_hat, ax)):
+                np.testing.assert_allclose(z, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                np.testing.assert_array_equal(z.argmax(axis=1), want.argmax(axis=1))
+                np.testing.assert_array_equal(z, a_hat @ (hidden @ params.w2) + params.b2)
 
     def test_keep_the_forward_shape_checks(self):
-        """Scoring reads the forward pass's logits, and with them its checks."""
-        a_hat, x, params = random_instance(1)
-        labels = np.zeros(x.shape[0], dtype=np.intp)
-        with pytest.raises(ValueError, match=f"features have 2 columns, params expect {x.shape[1]}"):
-            accuracy(params, a_hat, x[:, :2], labels)
+        """Scoring reads the forward pass's logits, and with them its checks;
+        features with a row too few are refused where [ÂX | 1] is built."""
+        a_hat, ax, params = random_instance(1)
+        n, d = ax.shape[0], ax.shape[1] - 1
+        labels = np.zeros(n, dtype=np.intp)
+        with pytest.raises(ValueError, match=f"features have 2 columns, params expect {d}"):
+            accuracy(params, a_hat, ax[:, -3:], labels)
+        with pytest.raises(ValueError, match=re.escape(f"ax has {n - 1} rows, but an operator of shape ({n}, {n})")):
+            accuracy(params, a_hat, ax[:-1], labels)
         with pytest.raises(ValueError, match="feature rows do not match the adjacency"):
-            accuracy(params, a_hat, x[:-1], labels)
+            gnn.ax_ones(a_hat, np.ones((n - 1, d)))
 
 
 def planted_instance(n, d, c, seed=0):
     """A planted partition: node v in class v % c, four same-class edges per
     node and one cross-class edge per ten, features the class mean plus
-    noise; returns (Â, X, labels)."""
+    noise; returns (Â, [ÂX | 1], labels)."""
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % c
     u = rng.integers(0, n, size=4 * n)
@@ -175,28 +179,24 @@ def planted_instance(n, d, c, seed=0):
     cross = rng.integers(0, n, size=(n // 10, 2))
     edges = np.concatenate([same, cross])
     edges = edges[edges[:, 0] != edges[:, 1]]
-    x = np.eye(c, d)[labels] + rng.normal(scale=0.5, size=(n, d))
-    return normalized_adjacency(Csr.from_edges(n, edges)), x, labels
+    a_hat = normalized_adjacency(Csr.from_edges(n, edges))
+    return a_hat, gnn.ax_ones(a_hat, np.eye(c, d)[labels] + rng.normal(scale=0.5, size=(n, d))), labels
 
 
 class TestBlockedEvaluation:
     def test_accuracy_holds_no_n_by_h_array(self):
         """Scoring n = 20,000 nodes with h = 64 peaks below half an (n, h)
-        float array, with [ÂX | 1] given or formed inside: H is formed a
-        block of rows at a time."""
+        float array: H is formed a block of rows at a time."""
         n, d, h, c = 20_000, 8, 64, 4
-        a_hat, x, labels = planted_instance(n, d, c)
+        a_hat, ax, labels = planted_instance(n, d, c)
         params = gnn.init_params(d, h, c, seed=0)
-        ax = gnn.ax_ones(a_hat, x)
-        accuracy(params, a_hat, x, labels, ax=ax)   # builds the SciPy operator Â keeps
-        for given in (ax, None):
-            tracemalloc.start()
-            try:
-                accuracy(params, a_hat, x, labels, ax=given)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < n * h * 8 / 2
+        tracemalloc.start()
+        try:
+            accuracy(params, a_hat, ax, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * h * 8 / 2
 
     @pytest.mark.parametrize("extra", [0, -1, 1, 2 * gnn.EVAL_ROWS + 5, 1 - gnn.EVAL_ROWS])
     def test_blocked_logits_match_the_forward_pass(self, extra):
@@ -205,16 +205,17 @@ class TestBlockedEvaluation:
         and the same accuracy."""
         n = gnn.EVAL_ROWS + extra
         rng = np.random.default_rng(n)
-        a_hat, x, labels = planted_instance(n, 5, 4, seed=n) if n > 4 else (
-            normalized_adjacency(Csr.from_edges(1, [])), rng.normal(size=(1, 5)), np.zeros(1, dtype=np.intp))
+        a_hat, ax, labels = planted_instance(n, 5, 4, seed=n) if n > 4 else (
+            normalized_adjacency(Csr.from_edges(1, [])), np.append(rng.normal(size=5), 1.0)[None],
+            np.zeros(1, dtype=np.intp))
         params = gnn.init_params(5, 16, 4, seed=1)
         params.b1[:] = rng.normal(scale=0.3, size=16)
         params.b2[:] = rng.normal(size=4)
-        want = gnn.forward(params, a_hat, x).z
-        got = gnn.logits(params, a_hat, x)
+        want = gnn.forward(params, a_hat, ax).z
+        got = gnn.logits(params, a_hat, ax)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
-        assert accuracy(params, a_hat, x, labels) == float((want.argmax(axis=1) == labels).mean())
+        assert accuracy(params, a_hat, ax, labels) == float((want.argmax(axis=1) == labels).mean())
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 12), c=st.integers(2, 5), data=st.data())
@@ -226,16 +227,16 @@ class TestBlockedEvaluation:
         i, j = sorted(data.draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=2, unique=True)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         a_hat = normalized_adjacency(Csr.from_edges(n, edges))
-        x = rng.normal(size=(n, 3))
+        ax = gnn.ax_ones(a_hat, rng.normal(size=(n, 3)))
         params = gnn.init_params(3, 6, c, seed=0).from_vector(rng.normal(size=3 * 6 + 6 + 6 * c + c))
         params.w2[:, j] = params.w2[:, i]
         params.b2[:] = 0.0
         params.b2[[i, j]] = 1e3
         labels = rng.integers(0, c, size=n)
-        z = gnn.logits(params, a_hat, x)
+        z = gnn.logits(params, a_hat, ax)
         np.testing.assert_array_equal(z[:, i], z[:, j])
         np.testing.assert_array_equal(z.argmax(axis=1), i)
-        assert accuracy(params, a_hat, x, labels) == float((labels == i).mean())
+        assert accuracy(params, a_hat, ax, labels) == float((labels == i).mean())
 
 
 class TestFlatParameters:
@@ -297,36 +298,36 @@ class TestFlatParameters:
     def test_backward_writes_into_the_given_views(self):
         """`backward(..., out=views)` fills the views' vector with the same
         gradients, bitwise, as a call that allocates its own."""
-        a_hat, x, params = random_instance(3)
-        trace = gnn.forward(params, a_hat, x)
+        a_hat, ax, params = random_instance(3)
+        trace = gnn.forward(params, a_hat, ax)
         d_z = np.random.default_rng(3).normal(size=trace.z.shape)
         grad = np.full(params.n_params, np.nan)
-        out = gnn.backward(params, a_hat, x, trace, d_z, out=gnn.GcnParams.on(grad, *params.dims))
+        out = gnn.backward(params, a_hat, trace, d_z, out=gnn.GcnParams.on(grad, *params.dims))
         assert np.shares_memory(out.w1, grad)
-        np.testing.assert_array_equal(grad, gnn.backward(params, a_hat, x, trace, d_z).to_vector())
+        np.testing.assert_array_equal(grad, gnn.backward(params, a_hat, trace, d_z).to_vector())
 
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
-        a_hat, x, params = random_instance(2)
-        trace = gnn.forward(params, a_hat, x)
-        grads = gnn.backward(params, a_hat, x, trace, np.zeros_like(trace.z))
+        a_hat, ax, params = random_instance(2)
+        trace = gnn.forward(params, a_hat, ax)
+        grads = gnn.backward(params, a_hat, trace, np.zeros_like(trace.z))
         for t in grads.tensors():
             assert not t.any()
 
     def test_matches_finite_differences(self):
         """Exact chain rule against central differences of a fixed projection."""
         for seed in range(20):
-            a_hat, x, params = random_instance(seed)
+            a_hat, ax, params = random_instance(seed)
             rng = np.random.default_rng(1000 + seed)
-            w = rng.normal(size=(x.shape[0], params.w2.shape[1]))
+            w = rng.normal(size=(ax.shape[0], params.w2.shape[1]))
 
             def scalar(vec):
-                tr = gnn.forward(params.from_vector(vec), a_hat, x)
+                tr = gnn.forward(params.from_vector(vec), a_hat, ax)
                 return float((tr.z * w).sum())
 
-            trace = gnn.forward(params, a_hat, x)
-            grads = gnn.backward(params, a_hat, x, trace, w).to_vector()
+            trace = gnn.forward(params, a_hat, ax)
+            grads = gnn.backward(params, a_hat, trace, w).to_vector()
             vec = params.to_vector()
             step = 1e-6
             fd = np.zeros_like(vec)
@@ -339,9 +340,9 @@ class TestBackward:
 
     def test_relu_mask_consistency(self):
         """The mask backward reads, H > 0, is the pre-activation's own."""
-        a_hat, x, params = random_instance(4)
-        trace = gnn.forward(params, a_hat, x)
-        h_pre = (a_hat @ x) @ params.w1 + params.b1
+        a_hat, ax, params = random_instance(4)
+        trace = gnn.forward(params, a_hat, ax)
+        h_pre = ax[:, :-1] @ params.w1 + params.b1
         dead = h_pre <= 0
         assert dead.any() and not dead.all()
         np.testing.assert_array_equal(trace.h > 0, h_pre > 0)
@@ -351,10 +352,10 @@ class TestBackward:
         assert not d_hidden[dead].any()
 
     def test_upstream_shape_checked(self):
-        a_hat, x, params = random_instance(6)
-        trace = gnn.forward(params, a_hat, x)
+        a_hat, ax, params = random_instance(6)
+        trace = gnn.forward(params, a_hat, ax)
         with pytest.raises(ValueError):
-            gnn.backward(params, a_hat, x, trace, trace.z[:, :1])
+            gnn.backward(params, a_hat, trace, trace.z[:, :1])
 
 
 class TestRowBlock:
@@ -362,18 +363,18 @@ class TestRowBlock:
         """On Â[S, N(S)] the logits are the whole-graph rows S, bitwise, and
         the gradients those of the whole-graph pass with d_z zero off S."""
         for seed in range(10):
-            a_hat, x, params = random_instance(seed, n=20, p_edge=0.12)
+            a_hat, ax, params = random_instance(seed, n=20, p_edge=0.12)
             rows = np.flatnonzero(np.random.default_rng(seed).random(20) < 0.3)
             block, cols = a_hat.block(rows), a_hat.reach(rows)
-            whole = gnn.forward(params, a_hat, x)
-            trace = gnn.forward(params, block, x, ax=whole.ax[cols])
+            whole = gnn.forward(params, a_hat, ax)
+            trace = gnn.forward(params, block, ax[cols])
             np.testing.assert_array_equal(trace.z, whole.z[rows])
             np.testing.assert_array_equal(trace.h, whole.h[cols])
             d_z = np.random.default_rng(100 + seed).normal(size=trace.z.shape)
             d_full = np.zeros_like(whole.z)
             d_full[rows] = d_z
-            got = gnn.backward(params, block, x, trace, d_z).to_vector()
-            want = gnn.backward(params, a_hat, x, whole, d_full).to_vector()
+            got = gnn.backward(params, block, trace, d_z).to_vector()
+            want = gnn.backward(params, a_hat, whole, d_full).to_vector()
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_group_means_pass_equals_mean_block_rows(self):
@@ -382,7 +383,7 @@ class TestRowBlock:
         block pass with each group's gradient spread over its members,
         within 1e-12 relative."""
         for seed in range(10):
-            a_hat, x, params = random_instance(seed, n=20, p_edge=0.12)
+            a_hat, ax, params = random_instance(seed, n=20, p_edge=0.12)
             rng = np.random.default_rng(seed)
             rows = np.flatnonzero(rng.random(20) < 0.4)
             groups = [np.sort(rng.choice(rows.size, size=int(rng.integers(1, rows.size + 1)), replace=False))
@@ -390,17 +391,17 @@ class TestRowBlock:
             offsets = np.concatenate([[0], np.cumsum([g.size for g in groups])])
             members = np.concatenate(groups)
             block = a_hat.block(rows)
-            ax = gnn.ax_ones(a_hat, x)[a_hat.reach(rows)]
-            member = gnn.forward(params, block, x, ax=ax)
-            trace = gnn.forward(params, block.group_means(offsets, members), x, ax=ax)
+            ax = ax[a_hat.reach(rows)]
+            member = gnn.forward(params, block, ax)
+            trace = gnn.forward(params, block.group_means(offsets, members), ax)
             want = np.array([member.z[g].mean(axis=0) for g in groups])
             np.testing.assert_allclose(trace.z, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             d_group = rng.normal(size=trace.z.shape)
             d_member = np.zeros_like(member.z)
             for g, d in zip(groups, d_group):
                 d_member[g] += d / g.size
-            got = gnn.backward(params, block.group_means(offsets, members), x, trace, d_group).to_vector()
-            want = gnn.backward(params, block, x, member, d_member).to_vector()
+            got = gnn.backward(params, block.group_means(offsets, members), trace, d_group).to_vector()
+            want = gnn.backward(params, block, member, d_member).to_vector()
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("first", [False, True])
@@ -408,46 +409,40 @@ class TestRowBlock:
         """P (H W2) + b2 and (P H) W2 + b2 through group means give the same
         logits and gradients within 1e-12 relative; the trace keeps P H
         where the layer propagated first."""
-        a_hat, x, params = random_instance(5, n=20, p_edge=0.2)
+        a_hat, ax, params = random_instance(5, n=20, p_edge=0.2)
         offsets, members = np.array([0, 3, 4, 7]), np.array([0, 2, 5, 1, 3, 4, 6])
         block = a_hat.block(np.arange(7))
-        op, ax = block.group_means(offsets, members), gnn.ax_ones(a_hat, x)[a_hat.reach(np.arange(7))]
+        op, ax = block.group_means(offsets, members), ax[a_hat.reach(np.arange(7))]
         d_z = np.random.default_rng(5).normal(size=(3, params.dims[2]))
-        want = gnn.forward(params, op, x, ax=ax, propagate_first=not first)
-        want_grads = gnn.backward(params, op, x, want, d_z).to_vector()
-        got = gnn.forward(params, op, x, ax=ax, propagate_first=first)
+        want = gnn.forward(params, op, ax, propagate_first=not first)
+        want_grads = gnn.backward(params, op, want, d_z).to_vector()
+        got = gnn.forward(params, op, ax, propagate_first=first)
         assert (got.ph is None) == (not first)
         np.testing.assert_allclose(got.z, want.z, rtol=1e-12, atol=1e-12 * np.abs(want.z).max())
-        got_grads = gnn.backward(params, op, x, got, d_z).to_vector()
+        got_grads = gnn.backward(params, op, got, d_z).to_vector()
         np.testing.assert_allclose(got_grads, want_grads, rtol=1e-12, atol=1e-12 * np.abs(want_grads).max())
 
-    def test_block_needs_ax(self):
-        a_hat, x, params = random_instance(0)
-        with pytest.raises(ValueError, match="ax"):
-            gnn.forward(params, a_hat.block([0, 1]), x)
-        with pytest.raises(ValueError, match="ax"):
-            gnn.forward(params, a_hat.group_means(np.array([0, 2]), np.array([0, 1])), x)
-
-    def test_an_ax_of_the_wrong_width_names_both_shapes(self):
+    def test_an_ax_of_the_wrong_width_names_both_widths(self):
         """`ax` holds [ÂX | 1], d + 1 columns: Â X alone, or any other width,
-        is refused with one error naming the given and the needed shape."""
-        a_hat, x, params = random_instance(0)
-        n, d = x.shape
-        for ax in (a_hat @ x, np.ones((n, d + 2))):
-            with pytest.raises(ValueError) as err:
-                gnn.forward(params, a_hat, x, ax=ax)
-            assert str(ax.shape) in str(err.value) and str((n, d + 1)) in str(err.value)
+        is refused by `forward` and `logits` with one error naming the
+        features' width and the parameters' d."""
+        a_hat, ax, params = random_instance(0)
+        n, d = ax.shape[0], ax.shape[1] - 1
+        for wrong in (ax[:, :-1], np.ones((n, d + 2))):
+            for run in (gnn.forward, gnn.logits):
+                with pytest.raises(ValueError, match=f"^features have {wrong.shape[1] - 1} columns, "
+                                                     f"params expect {d}$"):
+                    run(params, a_hat, wrong)
 
     def test_a_whole_graph_ax_with_a_row_block_names_both_shapes(self):
         """A row block reads the rows N(S) of [ÂX | 1]: the whole graph's
         array is refused with one error naming its shape and the block's."""
-        a_hat, x, params = random_instance(2, n=100, p_edge=0.02)
+        a_hat, ax, params = random_instance(2, n=100, p_edge=0.02)
         block = a_hat.block(np.arange(10))
-        ax = gnn.ax_ones(a_hat, x)
         with pytest.raises(ValueError) as err:
-            gnn.forward(params, block, x, ax=ax)
-        assert str(ax.shape) in str(err.value) and str(block.shape) in str(err.value)
-        assert str((block.shape[1], x.shape[1] + 1)) in str(err.value)
+            gnn.forward(params, block, ax)
+        assert f"ax has {ax.shape[0]} rows" in str(err.value) and str(block.shape) in str(err.value)
+        assert f"needs {block.shape[1]}" in str(err.value)
 
 
 @st.composite
@@ -468,25 +463,25 @@ def jacobian_cases(draw):
     elif relu == "unit 0 at zero":
         params.w1[:, 0] = 0.0
         params.b1[0] = 0.0
-    x = rng.normal(size=(n, d))
+    a_hat = normalized_adjacency(Csr.from_edges(n, edges))
     probe = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    return normalized_adjacency(Csr.from_edges(n, edges)), x, params, probe
+    return a_hat, gnn.ax_ones(a_hat, rng.normal(size=(n, d))), params, probe
 
 
 class TestLogitJacobian:
     @settings(max_examples=200, deadline=None)
     @given(jacobian_cases())
     def test_equals_one_hot_backward_rows(self, case):
-        a_hat, x, params, probe = case
-        jac = gnn.logit_jacobian(params, a_hat, x, probe)
-        expect = one_hot_rows(params, a_hat, x, probe)
+        a_hat, ax, params, probe = case
+        jac = gnn.logit_jacobian(params, a_hat, ax, probe)
+        expect = one_hot_rows(params, a_hat, ax, probe)
         assert jac.shape == (len(probe), params.dims[2], params.n_params)
         assert np.abs(jac - expect).max() <= 1e-15 * max(1.0, np.abs(expect).max())
 
     def test_dead_relus_leave_only_the_output_bias(self):
-        a_hat, x, params = random_instance(3)
+        a_hat, ax, params = random_instance(3)
         params.b1[:] = -1e3
-        jac = gnn.logit_jacobian(params, a_hat, x, [0, 5])
+        jac = gnn.logit_jacobian(params, a_hat, ax, [0, 5])
         n_b2 = params.dims[2]
         assert not jac[:, :, :-n_b2].any()
         np.testing.assert_array_equal(jac[:, :, -n_b2:], np.broadcast_to(np.eye(n_b2), (2, n_b2, n_b2)))

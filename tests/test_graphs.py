@@ -347,7 +347,7 @@ class TestGroupMeans:
             for m in g[1:]:
                 acc = acc + dense[m]
             want.append(acc / len(g))
-        assert p.shape == (len(groups), dense.shape[1]) and p.n == a_hat.n
+        assert p.shape == (len(groups), dense.shape[1])
         np.testing.assert_array_equal(dense_adjacency(p), np.array(want))
         b = np.zeros((len(groups), rows.size))
         for k, g in enumerate(groups):
@@ -443,6 +443,16 @@ class TestCsrProperties:
 class TestFromEdges:
     def test_edges_are_derived_not_stored(self):
         assert "edges" not in {f.name for f in dataclasses.fields(Csr)}
+
+    def test_the_node_count_is_read_off_the_shape(self):
+        """A graph and its Â hold no node count of their own: `n` is the
+        row count, which cannot be set apart from the shape."""
+        assert "n" not in {f.name for f in dataclasses.fields(Csr)}
+        graph = Csr.from_edges(5, [(0, 1), (3, 4)])
+        a_hat = normalized_adjacency(graph)
+        assert graph.n == a_hat.n == 5 == graph.shape[0] == a_hat.shape[0]
+        with pytest.raises(AttributeError):
+            graph.n = 6
 
     def test_first_bad_pair_in_input_order_is_reported(self):
         with pytest.raises(ValueError, match=r"edge \(5,0\) has an endpoint >= n=3"):

@@ -235,7 +235,7 @@ class TestMembershipOperator:
         cols = z.shape[1] + 3
         m = np.where(np.random.default_rng(z.shape[1]).random((30, cols)) < 0.4, 1.0, 0.0) * z.sum(axis=1)[:, None]
         entries = np.nonzero(m)
-        op = Csr(30, m.shape, np.concatenate([[0], np.cumsum((m != 0).sum(axis=1))]), entries[1], m[entries])
+        op = Csr(m.shape, np.concatenate([[0], np.cumsum((m != 0).sum(axis=1))]), entries[1], m[entries])
         p = op.group_means(flat.offsets, flat.members)
         want = []
         for lo, hi in zip(flat.offsets[:-1], flat.offsets[1:]):
@@ -255,7 +255,7 @@ class TestMembershipOperator:
         gather, reduceat and add.at objective within 1e-12 relative; they
         differ only in the order the member rows are added."""
         flat, z = problem
-        identity = Csr(30, (30, 30), np.arange(31), np.arange(30), np.ones(30))
+        identity = Csr((30, 30), np.arange(31), np.arange(30), np.ones(30))
         p = identity.group_means(flat.offsets, flat.members)
         got = bundle_objective(p @ z, flat.labels, terms=terms)
         d_z = p.matmul(got.d_z, transpose=True)

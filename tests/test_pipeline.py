@@ -46,30 +46,29 @@ class TestAccuracy:
     def _setup(self):
         g = Csr.from_edges(4, [(0, 1), (2, 3)])
         a_hat = normalized_adjacency(g)
-        x = np.eye(4)[:, :3]
-        return g, a_hat, x
+        return g, a_hat, gnn.ax_ones(a_hat, np.eye(4)[:, :3])
 
     def test_perfect_predictions(self):
-        _, a_hat, x = self._setup()
+        _, a_hat, ax = self._setup()
         params = gnn.GcnParams(
             w1=np.eye(3) * 10, b1=np.zeros(3), w2=np.eye(3) * 10, b2=np.zeros(3)
         )
-        trace = gnn.forward(params, a_hat, x)
+        trace = gnn.forward(params, a_hat, ax)
         labels = trace.z.argmax(axis=1)
-        assert accuracy(params, a_hat, x, labels) == 1.0
+        assert accuracy(params, a_hat, ax, labels) == 1.0
 
     def test_zero_params_predict_class_zero(self):
-        _, a_hat, x = self._setup()
+        _, a_hat, ax = self._setup()
         params = gnn.GcnParams(w1=np.zeros((3, 4)), b1=np.zeros(4), w2=np.zeros((4, 3)), b2=np.zeros(3))
         labels = [0, 1, 0, 2]
-        assert accuracy(params, a_hat, x, labels) == 0.5
+        assert accuracy(params, a_hat, ax, labels) == 0.5
 
     def test_labels_must_cover_nodes(self, monkeypatch):
-        _, a_hat, x = self._setup()
+        _, a_hat, ax = self._setup()
         params = gnn.init_params(3, 4, 3, seed=0)
-        monkeypatch.setattr(gnn, "forward", None)   # checked before the whole-graph pass
+        monkeypatch.setattr(gnn, "logits", None)   # checked before the whole-graph pass
         with pytest.raises(ValueError, match="labels must cover all nodes"):
-            accuracy(params, a_hat, x, [0, 1])
+            accuracy(params, a_hat, ax, [0, 1])
 
 
 class TestRunPipeline:
@@ -215,12 +214,14 @@ class TestRunArms:
 
 
 def _tiny_config_file(tmp_path, noise=0.0, seeds=(0, 1)):
-    """`tiny_experiment(noise=noise, seeds=seeds)` as a config file for the command line."""
+    """`tiny_experiment(noise=noise, seeds=seeds)` as a config file for the command line;
+    the sections' seeds, which each replicate sets, are left out."""
     cfg = tiny_experiment(noise=noise, seeds=seeds)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({
-        "dataset": vars(cfg.dataset), "sampling": vars(cfg.sampling), "oracle": vars(cfg.oracle),
-        "train": vars(cfg.train), "replicate_seeds": list(seeds)}))
+        **{name: {k: v for k, v in vars(getattr(cfg, name)).items() if k != "seed"}
+           for name in ("dataset", "sampling", "oracle", "train")},
+        "replicate_seeds": list(seeds)}))
     assert cli._config_from_json(path) == cfg
     return path
 

@@ -3,6 +3,7 @@ import pytest
 
 from bundlesup.synth import SbmConfig
 from bundlesup.theorems import (
+    THEOREM2_CLASSES,
     Theorem2Instance,
     default_theorem2_instance,
     theorem2_model,
@@ -79,7 +80,7 @@ class TestDerivativeBounds:
         inst = default_theorem2_instance(seed=0, n_points=1)
         pt = verify_theorem2(inst, seed=0).points[0]
         make_z, n_d = theorem2_model(inst)
-        members, label, c = list(inst.members), inst.label, inst.n_classes
+        members, label, c = list(inst.members), inst.label, THEOREM2_CLASSES
 
         def loss(vec):
             zbar = make_z(vec)[members].mean(axis=0)

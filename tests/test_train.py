@@ -32,7 +32,8 @@ def small_problem(noise=0.0, seed=0, n_bundles=15):
     graph, emb, table = gen_sbm(SMALL)
     bundles = sample_bundles(graph, emb, SamplingConfig(num_bundles=n_bundles, seed=seed))
     annotate_all(bundles, table, oracle=OracleConfig(noise_rate=noise, seed=seed))
-    return normalized_adjacency(graph), emb, table, bundles
+    a_hat = normalized_adjacency(graph)
+    return a_hat, gnn.ax_ones(a_hat, emb), table, bundles
 
 
 def counting_refine(monkeypatch) -> list:
@@ -190,11 +191,11 @@ class TestRefineMatchesLoop:
 
 class TestTrain:
     def test_bitwise_deterministic(self):
-        a_hat, emb, table, bundles = small_problem()
+        a_hat, ax, table, bundles = small_problem()
         cfg = TrainConfig(learning_rate=0.4, epochs=40, warmup_epochs=5, refine_every=10, seed=3)
         groups = FlatBundles.from_bundles(bundles)
-        p1, r1 = train(a_hat, emb, groups, cfg, table.num_classes)
-        p2, r2 = train(a_hat, emb, groups, cfg, table.num_classes)
+        p1, r1 = train(a_hat, ax, groups, cfg, table.num_classes)
+        p2, r2 = train(a_hat, ax, groups, cfg, table.num_classes)
         for ta, tb in zip(p1.tensors(), p2.tensors()):
             np.testing.assert_array_equal(ta, tb)
         np.testing.assert_array_equal(r1.loss, r2.loss)
@@ -202,38 +203,38 @@ class TestTrain:
         assert r1.refinements == r2.refinements
 
     def test_refine_every_beyond_epochs_never_refines(self):
-        a_hat, emb, table, bundles = small_problem()
+        a_hat, ax, table, bundles = small_problem()
         cfg = TrainConfig(learning_rate=0.4, epochs=30, refine_every=31, warmup_epochs=0, seed=0)
-        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+        _, report = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         assert report.refinements == []
 
     def test_bundles_are_left_as_given(self):
         """Refinement evicts from new flat arrays: every array of the
         caller's groups equals a copy taken before training."""
-        a_hat, emb, table, bundles = small_problem(noise=0.2)
+        a_hat, ax, table, bundles = small_problem(noise=0.2)
         groups = FlatBundles.from_bundles(bundles)
         before = copy.deepcopy(groups)
         cfg = TrainConfig(learning_rate=0.5, epochs=60, warmup_epochs=10, refine_every=10, seed=0)
-        _, report = train(a_hat, emb, groups, cfg, table.num_classes)
+        _, report = train(a_hat, ax, groups, cfg, table.num_classes)
         assert report.refinements, "expected at least one eviction"
         for name in ("members", "offsets", "sizes", "labels", "ids"):
             np.testing.assert_array_equal(getattr(groups, name), getattr(before, name))
 
     def test_refinement_events_recorded_in_window(self):
-        a_hat, emb, table, bundles = small_problem(noise=0.2)
+        a_hat, ax, table, bundles = small_problem(noise=0.2)
         cfg = TrainConfig(learning_rate=0.5, epochs=60, warmup_epochs=10, refine_every=10, seed=0)
-        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+        _, report = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         assert report.refinements, "expected at least one eviction"
         for epoch, bundle_id, node in report.refinements:
             assert 10 < epoch <= 60
             assert (epoch - 10) % 10 == 0
 
     def test_divergence_detected(self):
-        a_hat, emb, table, bundles = small_problem()
+        a_hat, ax, table, bundles = small_problem()
         cfg = TrainConfig(learning_rate=1e9, epochs=200, refine_every=300, seed=0)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingDivergedError):
-                train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+                train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
 
     def test_dense_field_is_bitwise_reproducible_and_detects_divergence(self, monkeypatch):
         """Group means of a field this small, with at least one stored entry
@@ -249,10 +250,10 @@ class TestTrain:
             return out
 
         monkeypatch.setattr(train_module, "_field", recording)
-        a_hat, emb, table, bundles = small_problem(noise=0.2)
+        a_hat, ax, table, bundles = small_problem(noise=0.2)
         groups = FlatBundles.from_bundles(bundles)
         cfg = TrainConfig(learning_rate=0.5, epochs=60, warmup_epochs=10, refine_every=10, seed=0)
-        runs = [train(a_hat, emb, groups, cfg, table.num_classes) for _ in range(2)]
+        runs = [train(a_hat, ax, groups, cfg, table.num_classes) for _ in range(2)]
         assert runs[0][1].refinements, "expected at least one eviction"
         assert fields and all(op.shape[0] * op.shape[1] <= 9 * op.indices.size for op in fields)
         np.testing.assert_array_equal(runs[0][0].to_vector(), runs[1][0].to_vector())
@@ -262,13 +263,13 @@ class TestTrain:
 
         fields.clear()
         with pytest.raises(TrainingDivergedError):
-            train(a_hat, emb, groups, replace(cfg, learning_rate=1e9, refine_every=300), table.num_classes)
+            train(a_hat, ax, groups, replace(cfg, learning_rate=1e9, refine_every=300), table.num_classes)
         assert fields and all(op.shape[0] * op.shape[1] <= 9 * op.indices.size for op in fields)
 
     def test_report_fields_finite_and_sized(self):
-        a_hat, emb, table, bundles = small_problem()
+        a_hat, ax, table, bundles = small_problem()
         cfg = TrainConfig(learning_rate=0.4, epochs=25, refine_every=100, seed=1)
-        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+        _, report = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         for arr in (report.loss, report.loss_be, report.loss_rank, report.grad_norm):
             assert arr.shape == (25,)
             assert np.isfinite(arr).all()
@@ -276,11 +277,11 @@ class TestTrain:
         assert report.final_grad_norm >= 0
 
     def test_objective_variants_run(self):
-        a_hat, emb, table, bundles = small_problem()
+        a_hat, ax, table, bundles = small_problem()
         for objective in ("be_only", "rank_only", "member_ce"):
             _, report = train(
                 a_hat,
-                emb,
+                ax,
                 FlatBundles.from_bundles(bundles),
                 TrainConfig(learning_rate=0.3, epochs=10, refine_every=100, seed=0),
                 table.num_classes,
@@ -291,10 +292,10 @@ class TestTrain:
     def test_node_supervision_path(self):
         """Annotated nodes train as groups of one under node_ce; refinement
         may run but never evicts from a group of one."""
-        a_hat, emb, table, _ = small_problem()
+        a_hat, ax, table, _ = small_problem()
         groups = FlatBundles.from_nodes(np.arange(30), table.labels[:30])
         cfg = TrainConfig(learning_rate=0.4, epochs=30, warmup_epochs=0, refine_every=1, seed=0)
-        params, report = train(a_hat, emb, groups, cfg, table.num_classes, objective="node_ce")
+        params, report = train(a_hat, ax, groups, cfg, table.num_classes, objective="node_ce")
         assert report.loss[-1] < report.loss[0]
         assert report.refinements == []
 
@@ -303,26 +304,26 @@ class TestTrain:
         groups of one, none for bundles at the floor, and none after every
         bundle has shrunk to it; the evictions are those of a run that
         refines on every round."""
-        a_hat, emb, table, bundles = small_problem(noise=0.2)
+        a_hat, ax, table, bundles = small_problem(noise=0.2)
         cfg = TrainConfig(learning_rate=0.5, epochs=40, warmup_epochs=0, refine_every=1, seed=0)
         rounds = counting_refine(monkeypatch)
-        train(a_hat, emb, FlatBundles.from_nodes(np.arange(30), table.labels[:30]), cfg, table.num_classes,
+        train(a_hat, ax, FlatBundles.from_nodes(np.arange(30), table.labels[:30]), cfg, table.num_classes,
               objective="node_ce")
         pairs = [Bundle(id=b.id, core=b.core, members=b.members[:2], label=b.label) for b in bundles]
-        train(a_hat, emb, FlatBundles.from_bundles(pairs), cfg, table.num_classes)
+        train(a_hat, ax, FlatBundles.from_bundles(pairs), cfg, table.num_classes)
         assert rounds == []
 
-        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+        _, report = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         assert report.refinements and 0 < len(rounds) < cfg.epochs
         assert all(sizes.max() > cfg.bundle_floor for sizes in rounds)
         assert max(epoch for epoch, _, _ in report.refinements) <= len(rounds)
 
     def test_node_ce_refuses_a_group_of_more_than_one(self):
-        a_hat, emb, table, _ = small_problem()
+        a_hat, ax, table, _ = small_problem()
         groups = FlatBundles(members=np.array([0, 1, 2]), offsets=np.array([0, 1, 3]), sizes=np.array([1, 2]),
                              labels=np.array([0, 1]), ids=np.array([0, 1]))
         with pytest.raises(ValueError, match="node_ce supervises groups of one node, got one of 2"):
-            train(a_hat, emb, groups, TrainConfig(epochs=2), table.num_classes, objective="node_ce")
+            train(a_hat, ax, groups, TrainConfig(epochs=2), table.num_classes, objective="node_ce")
 
     @pytest.mark.parametrize("nodes, labels, message", [
         ([0, 60], [0, 1], "bundle member 60 is outside the 60 graph nodes"),
@@ -330,24 +331,26 @@ class TestTrain:
         ([0, 1], [0, 4], "bundle label 4 is outside the 4 classes"),
     ])
     def test_node_supervision_checks_members_and_labels(self, nodes, labels, message):
-        a_hat, emb, table, _ = small_problem()
+        a_hat, ax, table, _ = small_problem()
         with pytest.raises(ValueError, match=message):
-            train(a_hat, emb, FlatBundles.from_nodes(nodes, labels), TrainConfig(epochs=2), table.num_classes,
+            train(a_hat, ax, FlatBundles.from_nodes(nodes, labels), TrainConfig(epochs=2), table.num_classes,
                   objective="node_ce")
 
     def test_eta_auto_trains_on_nodes(self):
-        a_hat, emb, table, _ = small_problem()
+        a_hat, ax, table, _ = small_problem()
         groups = FlatBundles.from_nodes(np.arange(0, 60, 2), table.labels[::2])
         cfg = TrainConfig(epochs=5, eta_auto=True, seed=0, hidden=8)
-        params, report = train(a_hat, emb, groups, cfg, table.num_classes, objective="node_ce")
+        params, report = train(a_hat, ax, groups, cfg, table.num_classes, objective="node_ce")
         assert report.eta == 0.9 / (params.n_params * (report.m_hat + report.g_hat**2))
         assert report.loss[-1] < report.loss[0]
 
     def test_a_given_ax_trains_bitwise_as_computing_it(self):
-        """`ax=` only skips the whole-graph [ÂX | 1]: parameters and report,
-        evictions included, are bitwise those of a run that computes it."""
-        a_hat, emb, table, bundles = small_problem(noise=0.2)
-        ax = gnn.ax_ones(a_hat, emb)
+        """A read-only [ÂX | 1], as a kept dataset holds it, trains bitwise as
+        one computed afresh: parameters and report, evictions included.
+        Training neither writes into its `ax` nor depends on which array
+        holds it."""
+        a_hat, fresh, table, bundles = small_problem(noise=0.2)
+        ax = fresh.copy()
         ax.flags.writeable = False
         cfg = TrainConfig(learning_rate=0.5, epochs=40, warmup_epochs=5, refine_every=5, seed=2)
 
@@ -358,9 +361,9 @@ class TestTrain:
 
         runs = {}
         nodes = FlatBundles.from_nodes(np.arange(0, 60, 3), table.labels[::3])
-        for kind, given in (("computed", None), ("given", ax)):
-            bundle_run = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes, ax=given)
-            node_run = train(a_hat, emb, nodes, cfg, table.num_classes, objective="node_ce", ax=given)
+        for kind, given in (("computed", fresh), ("given", ax)):
+            bundle_run = train(a_hat, given, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+            node_run = train(a_hat, given, nodes, cfg, table.num_classes, objective="node_ce")
             runs[kind] = [bits(*bundle_run), bits(*node_run)]
         assert runs["given"] == runs["computed"]
         assert bundle_run[1].refinements
@@ -368,9 +371,9 @@ class TestTrain:
     def test_report_jsonl_round_trip(self, tmp_path):
         import json
 
-        a_hat, emb, table, bundles = small_problem(noise=0.2)
+        a_hat, ax, table, bundles = small_problem(noise=0.2)
         cfg = TrainConfig(learning_rate=0.5, epochs=40, warmup_epochs=5, refine_every=5, seed=0)
-        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+        _, report = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         path = tmp_path / "report.jsonl"
         report.save_jsonl(path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -389,21 +392,21 @@ def probe_problems(draw):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_edge]
     a_hat = normalized_adjacency(Csr.from_edges(n, edges))
     d, h, c = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(2, 4))
-    x = rng.normal(size=(n, d))
+    ax = gnn.ax_ones(a_hat, rng.normal(size=(n, d)))
     params = gnn.init_params(d, h, c, int(rng.integers(2**31)))
     params.b1[:] = rng.normal(scale=draw(st.sampled_from((0.0, 0.1, 3.0))), size=h)
     params.b2[:] = rng.normal(size=c)
     probe = rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False)
-    return params, a_hat, x, probe
+    return params, a_hat, ax, probe
 
 
 class TestBoundEstimates:
     def test_output_bias_forces_g_at_least_one(self):
         """d z/d (output bias) is exactly 1, and G is read off the exact Jacobian."""
-        a_hat, emb, table, bundles = small_problem()
-        params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
+        a_hat, ax, table, bundles = small_problem()
+        params = gnn.init_params(ax.shape[1] - 1, 8, table.num_classes, seed=0)
         g_hat, m_hat = estimate_logit_bounds(
-            params, a_hat, emb, probe_nodes=[0, 1], hess_cols_per_layer=4, seed=0
+            params, a_hat, ax, probe_nodes=[0, 1], hess_cols_per_layer=4, seed=0
         )
         assert g_hat >= 1.0
         assert m_hat >= 0.0
@@ -411,9 +414,8 @@ class TestBoundEstimates:
     def test_no_whole_graph_passes_when_ax_is_given(self, monkeypatch):
         """The bounds come from the probes' neighbourhoods alone: no forward
         or backward pass and no sparse product over the graph."""
-        a_hat, emb, table, bundles = small_problem()
-        params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
-        ax = gnn.ax_ones(a_hat, emb)
+        a_hat, ax, table, bundles = small_problem()
+        params = gnn.init_params(ax.shape[1] - 1, 8, table.num_classes, seed=0)
         calls = []
 
         def counted(name, real):
@@ -424,7 +426,7 @@ class TestBoundEstimates:
 
         for mod, name in ((gnn, "forward"), (gnn, "backward"), (kernels, "spmm")):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-        estimate_logit_bounds(params, a_hat, emb, [0, 1, 2], ax=ax, seed=0)
+        estimate_logit_bounds(params, a_hat, ax, [0, 1, 2], seed=0)
         assert calls == []
 
     @settings(max_examples=100, deadline=None)
@@ -433,9 +435,9 @@ class TestBoundEstimates:
         """G is the same number, and M agrees within 1e-12 relative, as with
         two whole Jacobians per sampled coordinate; 40 columns a layer
         sample every coordinate of these problems, b2's included."""
-        params, a_hat, x, probe = problem
-        g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, hess_cols_per_layer=cols, seed=seed)
-        g_ref, m_ref = jacobian_difference_bounds(params, a_hat, x, probe, hess_cols_per_layer=cols,
+        params, a_hat, ax, probe = problem
+        g_hat, m_hat = estimate_logit_bounds(params, a_hat, ax, probe, hess_cols_per_layer=cols, seed=seed)
+        g_ref, m_ref = jacobian_difference_bounds(params, a_hat, ax, probe, hess_cols_per_layer=cols,
                                                   seed=seed)
         assert g_hat == g_ref
         assert m_hat == pytest.approx(m_ref, rel=1e-12, abs=0.0)
@@ -445,11 +447,10 @@ class TestBoundEstimates:
     def test_every_coordinate_matches_the_whole_jacobian_loop(self, problem):
         """Per coordinate, the entries recomputed for it differ as the whole
         Jacobians do; b2 moves no entry at all."""
-        params, a_hat, x, probe = problem
-        ax = gnn.ax_ones(a_hat, x)
+        params, a_hat, ax, probe = problem
         coords = np.arange(params.n_params)
         got = gnn.jacobian_differences(gnn.probe_pass(params, a_hat, probe, ax), coords, 1e-4)
-        want = reference.jacobian_differences(params, a_hat, x, probe, coords, 1e-4, ax=ax)
+        want = reference.jacobian_differences(params, a_hat, ax, probe, coords, 1e-4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert not got[-params.dims[2]:].any()
 
@@ -458,10 +459,10 @@ class TestBoundEstimates:
         the two points of b1[u]'s difference; M then holds the jump, and
         agrees with the whole-Jacobian loop. Features scaled by 1/100 make
         the jump of the b1 entries the largest."""
-        a_hat, emb, table, bundles = small_problem()
-        x = emb / 100.0
+        graph, emb, table = gen_sbm(SMALL)
+        a_hat = normalized_adjacency(graph)
         params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=0)
-        ax = gnn.ax_ones(a_hat, x)
+        ax = gnn.ax_ones(a_hat, emb / 100.0)
         probe, u, step = [2, 17, 40], 3, 1e-4
         entry = a_hat.indptr[17]   # Â[17, j] for the first neighbour j of probe 17
         j = a_hat.indices[entry]
@@ -469,9 +470,9 @@ class TestBoundEstimates:
         h_pre = (ax[j, :-1] @ params.w1 + params.b1)[u]
         assert 0.0 < h_pre < step
         layer1 = emb.shape[1] * 8 + 8
-        g_hat, m_hat = estimate_logit_bounds(params, a_hat, x, probe, ax=ax,
+        g_hat, m_hat = estimate_logit_bounds(params, a_hat, ax, probe,
                                              hess_step=step, hess_cols_per_layer=layer1)
-        g_ref, m_ref = jacobian_difference_bounds(params, a_hat, x, probe, ax=ax,
+        g_ref, m_ref = jacobian_difference_bounds(params, a_hat, ax, probe,
                                                   hess_step=step, hess_cols_per_layer=layer1)
         assert g_hat == g_ref
         assert m_hat == pytest.approx(m_ref, rel=1e-12, abs=0.0)
@@ -483,20 +484,20 @@ class TestBoundEstimates:
     def test_bounds_agree_with_finite_differences(self, seed):
         """G matches finite differences of the logits; M matches finite
         differences of one-hot backward rows along the same columns."""
-        a_hat, emb, table, bundles = small_problem()
-        params = gnn.init_params(emb.shape[1], 8, table.num_classes, seed=seed)
+        a_hat, ax, table, bundles = small_problem()
+        params = gnn.init_params(ax.shape[1] - 1, 8, table.num_classes, seed=seed)
         probe = [2, 17, 40]
-        g_hat, m_hat = estimate_logit_bounds(params, a_hat, emb, probe, seed=seed)
-        g_ref, m_ref = fd_logit_bounds(params, a_hat, emb, probe, seed=seed)
+        g_hat, m_hat = estimate_logit_bounds(params, a_hat, ax, probe, seed=seed)
+        g_ref, m_ref = fd_logit_bounds(params, a_hat, ax, probe, seed=seed)
         assert g_hat == pytest.approx(g_ref, rel=1e-8)
         assert m_hat == pytest.approx(m_ref, rel=1e-10)
         assert m_hat > 0.0
 
     def test_eta_auto_consistent_with_estimates(self):
-        a_hat, emb, table, bundles = small_problem()
+        a_hat, ax, table, bundles = small_problem()
         cfg = TrainConfig(epochs=5, eta_auto=True, refine_every=100, seed=0, hidden=8)
-        _, report = train(a_hat, emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
-        n_d = emb.shape[1] * 8 + 8 + 8 * table.num_classes + table.num_classes
+        _, report = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+        n_d = (ax.shape[1] - 1) * 8 + 8 + 8 * table.num_classes + table.num_classes
         # 1.8/L with the smoothness constant L = 2*n_d*(M+G^2); parameters
         # shared by all members leave no 1/|B| factor in L
         expect = 0.9 / (n_d * (report.m_hat + report.g_hat**2))
@@ -515,7 +516,8 @@ def field_problems(draw):
     edges = [(i, j) for i in range(linked) for j in range(i + 1, linked) if rng.random() < p_edge]
     graph = Csr.from_edges(n, edges)
     c = draw(st.integers(2, 4))
-    x = rng.normal(size=(n, 3))
+    a_hat = normalized_adjacency(graph)
+    ax = gnn.ax_ones(a_hat, rng.normal(size=(n, 3)))
     if draw(st.booleans()):   # bundles cover every node
         order = rng.permutation(n)
         cuts = list(range(0, n - 3, 4)) + [n]
@@ -525,7 +527,7 @@ def field_problems(draw):
                   for _ in range(int(rng.integers(1, 5)))]
     bundles = [Bundle(id=i, core=int(g[0]), members=[int(m) for m in g], label=int(rng.integers(c)))
                for i, g in enumerate(groups)]
-    return normalized_adjacency(graph), x, bundles, c
+    return a_hat, ax, bundles, c
 
 
 def assert_close(got, want):
@@ -546,20 +548,20 @@ class TestSupervisedField:
         (the refined bundles `apply_refinements` rebuilds from them are those
         the reference loop shrank in place). While S is every node, results
         are bitwise those of the whole-graph loop of train's own formula."""
-        a_hat, x, bundles, c = problem
+        a_hat, ax, bundles, c = problem
         cfg = TrainConfig(learning_rate=0.5, epochs=12, warmup_epochs=2, refine_every=refine_every,
                           seed=seed, hidden=6)
         if objective == "node_ce":   # each member a group of one; the first one twice
             idx = np.concatenate([b.members for b in bundles] + [bundles[0].members[:1]])
             labels = np.array([b.label for b in bundles for _ in b.members] + [bundles[0].label])
-            got = train(a_hat, x, FlatBundles.from_nodes(idx, labels), cfg, c, objective=objective)
-            want, same = (whole_graph_train(a_hat, x, cfg, c, node_idx=idx, node_labels=labels, group_logits=g)
+            got = train(a_hat, ax, FlatBundles.from_nodes(idx, labels), cfg, c, objective=objective)
+            want, same = (whole_graph_train(a_hat, ax, cfg, c, node_idx=idx, node_labels=labels, group_logits=g)
                           for g in (False, True))
         else:
             theirs, ours = copy.deepcopy(bundles), copy.deepcopy(bundles)
-            got = train(a_hat, x, FlatBundles.from_bundles(bundles), cfg, c, objective=objective)
-            want = whole_graph_train(a_hat, x, cfg, c, objective=objective, bundles=theirs)
-            same = whole_graph_train(a_hat, x, cfg, c, objective=objective, bundles=ours, group_logits=True)
+            got = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, c, objective=objective)
+            want = whole_graph_train(a_hat, ax, cfg, c, objective=objective, bundles=theirs)
+            same = whole_graph_train(a_hat, ax, cfg, c, objective=objective, bundles=ours, group_logits=True)
             mine = apply_refinements(bundles, got[1].refinements)
             assert [(b.members, b.evicted) for b in mine] == [(b.members, sorted(b.evicted)) for b in theirs]
         (params, report), (ref_params, ref_report) = got, want
@@ -592,8 +594,8 @@ class TestSupervisedField:
             np.testing.assert_array_equal(params.to_vector(), same[0].to_vector())
 
     def test_epochs_touch_only_the_supervised_field(self, monkeypatch):
-        """After the initial A @ X, no sparse product reads or writes more
-        rows than N(S), the members and their neighbours."""
+        """No sparse product of training reads or writes more rows than
+        N(S), the members and their neighbours: [ÂX | 1] is its caller's."""
         graph, emb, table = gen_sbm(SbmConfig(n=300, n_classes=4, p_in=0.05, p_out=0.002, dim=8, seed=2))
         bundles = sample_bundles(graph, emb, SamplingConfig(num_bundles=4, bundle_size=4, seed=0))
         annotate_all(bundles, table, oracle=OracleConfig(noise_rate=0.0, seed=0))
@@ -601,6 +603,8 @@ class TestSupervisedField:
         neighbours = [graph.indices[graph.indptr[m]:graph.indptr[m + 1]] for m in members]
         field = np.unique(np.concatenate([members, *neighbours])).size
         assert field < graph.n
+        a_hat = normalized_adjacency(graph)
+        ax = gnn.ax_ones(a_hat, emb)
 
         calls = []
         real = kernels.spmm
@@ -612,12 +616,11 @@ class TestSupervisedField:
         monkeypatch.setattr(kernels, "spmm", recording)
         rounds = counting_refine(monkeypatch)
         cfg = TrainConfig(learning_rate=0.5, epochs=20, warmup_epochs=2, refine_every=2, seed=0, hidden=8)
-        _, report = train(normalized_adjacency(graph), emb, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
+        _, report = train(a_hat, ax, FlatBundles.from_bundles(bundles), cfg, table.num_classes)
         assert report.refinements, "expected refinement to shrink the field"
-        assert calls[0] == (graph.n, graph.n)
         # a forward and a backward product per pass, and a round's member logits
-        assert len(calls) == 1 + 2 * (cfg.epochs + 1) + len(rounds)
-        for written, read in calls[1:]:
+        assert len(calls) == 2 * (cfg.epochs + 1) + len(rounds)
+        for written, read in calls:
             assert written <= field and read <= field
 
 
@@ -646,9 +649,9 @@ class TestFieldBuffers:
             pipeline.run_pipeline(cfg)
         assert len(runs) == 6
         evicted = 0
-        for (a_hat, x, groups, tcfg, n_classes), kwargs, (params, report) in runs:
+        for (a_hat, ax, groups, tcfg, n_classes), kwargs, (params, report) in runs:
             theta, refinements, curves, final_loss = reference.fresh_field_train(
-                a_hat, x, groups, tcfg, n_classes, objective=kwargs["objective"], ax=kwargs["ax"])
+                a_hat, ax, groups, tcfg, n_classes, objective=kwargs["objective"])
             assert report.refinements == refinements
             got = np.stack([report.loss, report.loss_be, report.loss_rank, report.grad_norm])
             assert got.tobytes() == curves.tobytes()

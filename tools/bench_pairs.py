@@ -12,7 +12,10 @@ both revisions, the Python, NumPy and SciPy versions, the CPUs this
 process may use, every run, and per workload and end-to-end metric the
 medians and quartiles of both sides and the pairs each side won. Runs of
 another workload already in the file are kept when its base and working
-tree are the ones of this call; the workload's own are replaced.
+tree are the ones of this call; the workload's own are replaced. The
+export is kept in `--scratch` for the next call; without it, it goes into
+a new temporary directory, which is removed when the call ends, on error
+too.
 
 Run it from the root of the repository.
 """
@@ -20,6 +23,7 @@ Run it from the root of the repository.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -102,7 +106,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True, help="the first pair's seed; pair k runs seed + k - 1")
     ap.add_argument("--out", required=True, help="the JSON file to write, e.g. BENCH_24.json")
-    ap.add_argument("--scratch", help="where the base checkout goes (default: a new temporary directory)")
+    ap.add_argument("--scratch", help="where the base checkout goes and is kept (default: a new temporary "
+                                      "directory, removed at the end)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2: quartiles need two values")
@@ -121,16 +126,17 @@ def main(argv=None) -> int:
                              "scipy": scipy.__version__, "nproc": len(os.sched_getaffinity(0))}
     record["command"] = COMMAND.format(workload="W", seed="S")
 
-    checkouts = {"base": export(revs["base"]["commit"], args.scratch or tempfile.mkdtemp()),
-                 "change": os.getcwd()}
-    for pair in range(1, args.pairs + 1):
-        seed = args.seed + pair - 1
-        for order, side in enumerate(("base", "change") if pair % 2 else ("change", "base")):
-            result = run_once(checkouts[side], args.workload, seed)
-            record["runs"].append({"workload": args.workload, "pair": pair, "seed": seed, "side": side,
-                                   "order": order, "result": result})
-            print(f"{args.workload} pair {pair} {side}: op_s {result['metrics']['op_s']['value']:.4f}",
-                  file=sys.stderr)
+    scratch = contextlib.nullcontext(args.scratch) if args.scratch else tempfile.TemporaryDirectory()
+    with scratch as where:
+        checkouts = {"base": export(revs["base"]["commit"], where), "change": os.getcwd()}
+        for pair in range(1, args.pairs + 1):
+            seed = args.seed + pair - 1
+            for order, side in enumerate(("base", "change") if pair % 2 else ("change", "base")):
+                result = run_once(checkouts[side], args.workload, seed)
+                record["runs"].append({"workload": args.workload, "pair": pair, "seed": seed, "side": side,
+                                       "order": order, "result": result})
+                print(f"{args.workload} pair {pair} {side}: op_s {result['metrics']['op_s']['value']:.4f}",
+                      file=sys.stderr)
     record["summary"] = summarize(record["runs"])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
