@@ -169,13 +169,15 @@ def ask_llm(prompt: Prompt, cfg: llm_client.LlmEndpointConfig, api_key: str,
     """Send one prompt and parse the reply into a record.
 
     Unparseable replies and transport errors are retried up to
-    cfg.max_retries times with a re-ask suffix appended to the prompt; a
-    record with label None marks final failure, and its error says
-    whether the last attempt failed to parse or to arrive.
+    cfg.max_retries times: after an unparseable reply the prompt is sent
+    again with a re-ask suffix appended, and after a transport error the
+    request that failed is sent again unchanged. A record with label None
+    marks final failure, and its error says whether the last attempt
+    failed to parse or to arrive.
     """
     raw, label, error = "", None, None
+    content = prompt.text
     for attempt in range(cfg.max_retries + 1):
-        content = prompt.text if attempt == 0 else prompt.text + llm_client.REASK_SUFFIX
         try:
             raw = llm_client.chat_completion(cfg, api_key, content)
         except llm_client.TransportError as exc:
@@ -187,6 +189,7 @@ def ask_llm(prompt: Prompt, cfg: llm_client.LlmEndpointConfig, api_key: str,
             break
         except ResponseParseError as exc:
             error = f"parse: {exc}"
+            content = prompt.text + llm_client.REASK_SUFFIX
     return AnnotationRecord(
         bundle_id=prompt.bundle_id,
         prompt_sha256=prompt.sha256,

@@ -52,6 +52,8 @@ from .sampling import (
 from .synth import SbmConfig, gen_sbm, homophily
 from .train import TrainConfig, TrainingDivergedError, train
 from .theorems import (
+    GRAD_TOL,
+    HESS_TOL,
     default_theorem2_instance,
     verify_theorem1,
     verify_theorem2,
@@ -364,8 +366,8 @@ def cmd_verify(args):
         rep = verify_theorem2(instance, args.seed)
         print("bounds: derived 2(1-q_y)G and 2(1-q_y)M+G^2; discounted 2G/|B| and 2(M+G^2)/|B|")
         for i, pt in enumerate(rep.points):
-            disc_grad = pt.grad_inf <= pt.grad_bound_discounted + rep.grad_tol
-            disc_hess = pt.hess_max <= pt.hess_bound_discounted + rep.hess_tol
+            disc_grad = pt.grad_inf <= pt.grad_bound_discounted + GRAD_TOL
+            disc_hess = pt.hess_max <= pt.hess_bound_discounted + HESS_TOL
             print(
                 f"point {i}: q_y={pt.q_label:.3f}  |grad|_inf={pt.grad_inf:.4f} vs derived "
                 f"{pt.grad_bound:.4f} [{'ok' if pt.grad_ok else 'VIOLATED'}], discounted "

@@ -125,9 +125,6 @@ class GcnParams:
         params._bind(vec, d, h, c)
         return params
 
-    def copy(self) -> "GcnParams":
-        return GcnParams(*self.tensors())
-
 
 @dataclass
 class ForwardTrace:

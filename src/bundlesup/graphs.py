@@ -54,16 +54,15 @@ class Csr:
     edge in the rows of both endpoints, no self-loop. Â, its row blocks
     and their group means hold `data`. Every product, M @ Y or M.T @ Y
     (`matmul`), runs SciPy's compiled kernels on these three arrays
-    (`kernels.spmm`): no transpose and no other storage is built.
-    `symmetric` marks a matrix equal to its transpose, whose transposed
-    products are then its plain ones.
+    (`kernels.spmm`): no transpose and no other storage is built, and a
+    transposed product runs the transposed kernel even where the matrix,
+    as Â, equals its transpose.
     """
 
     shape: tuple
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     data: np.ndarray | None = field(default=None, repr=False)
-    symmetric: bool = False
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Csr":
@@ -102,7 +101,7 @@ class Csr:
         keys += cols
         keys.sort()
         keys %= n
-        return cls((n, n), indptr, keys, symmetric=True)
+        return cls((n, n), indptr, keys)
 
     @property
     def n(self) -> int:   # the node count of a graph or of Â
@@ -190,10 +189,8 @@ class Csr:
 
     def matmul(self, dense: np.ndarray, out: np.ndarray = None, *, transpose: bool = False) -> np.ndarray:
         """self @ dense, or self.T @ dense with `transpose`, written into
-        `out` when given (`kernels.spmm`). A symmetric matrix is its own
-        transpose, so its transposed product is its plain one."""
-        return kernels.spmm(self.indptr, self.indices, self.data, dense, shape=self.shape,
-                            transpose=transpose and not self.symmetric, out=out)
+        `out` when given (`kernels.spmm`)."""
+        return kernels.spmm(self.indptr, self.indices, self.data, dense, shape=self.shape, transpose=transpose, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""The two hot kernels: CSR-sparse times dense product, and BFS hop counts."""
+"""The two hot kernels: CSR-sparse times dense product, through SciPy's
+compiled CSR kernels alone, and BFS hop counts."""
 
 from functools import cache
 from itertools import chain
@@ -8,14 +9,11 @@ import numpy as np
 
 @cache
 def _matvecs():
-    """SciPy's compiled (csr_matvecs, csc_matvecs), or None where its private
-    `_sparsetools` cannot be imported; looked up on the first product."""
+    """SciPy's compiled (csr_matvecs, csc_matvecs), looked up on the first product."""
     # imported here, not at the top: scipy.sparse takes ~70 ms to import,
     # which every process importing bundlesup would pay without multiplying
-    try:
-        from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
-    except ImportError:
-        return None
+    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+
     return csr_matvecs, csc_matvecs
 
 
@@ -31,9 +29,8 @@ def spmm(indptr, indices, data, dense, *, shape, transpose=False, out=None):
     terms of M's column i in ascending row order, as the product with M's
     stored transpose would. The kernels check no bounds, so an operand,
     `indptr` or `out` that does not fit `shape` raises a ValueError naming
-    the shapes first. Where SciPy's private `_sparsetools` is missing, the
-    product goes through its public `csr_array`, which calls the same
-    kernels.
+    the shapes first. These are the kernels SciPy's own sparse products
+    call, so every install with `scipy.sparse` has them.
     """
     dense = np.ascontiguousarray(dense, dtype=np.float64)
     if dense.ndim != 2:
@@ -53,16 +50,9 @@ def spmm(indptr, indices, data, dense, *, shape, transpose=False, out=None):
                          f"{out.shape}{'' if out.flags.c_contiguous else ', not C-contiguous'}")
     else:
         out.fill(0.0)
-    kernels = _matvecs()
-    if kernels is None:
-        from scipy.sparse import csr_array
-
-        matrix = csr_array((data, indices, indptr), shape=shape)
-        out[...] = (matrix.T if transpose else matrix) @ dense
-        return out
     # (outer, inner) is the shape of M, or of M.T stored column-wise; ravel
     # of a C-contiguous array is a view, so the product lands in `out`
-    kernels[transpose](outer, inner, dense.shape[1], indptr, indices, data, dense.ravel(), out.ravel())
+    _matvecs()[transpose](outer, inner, dense.shape[1], indptr, indices, data, dense.ravel(), out.ravel())
     return out
 
 

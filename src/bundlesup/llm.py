@@ -19,7 +19,8 @@ REASK_SUFFIX = "\n\nAnswer with exactly one category name."
 
 
 class TransportError(RuntimeError):
-    """The endpoint could not be reached or returned a non-2xx status."""
+    """The endpoint could not be reached, timed out, dropped or cut short its
+    reply, returned a non-2xx status, or replied with no UTF-8 JSON body."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ def chat_completion(cfg: LlmEndpointConfig, api_key: str, user_content: str) -> 
     """One POST to the chat-completions endpoint; returns the reply text."""
     # imported here, not at the top: urllib.request takes 18-30 ms to import,
     # which every process importing bundlesup would pay without a request
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -71,8 +73,10 @@ def chat_completion(cfg: LlmEndpointConfig, api_key: str, user_content: str) -> 
     except urllib.error.HTTPError as exc:
         detail = exc.read().decode("utf-8", errors="replace")[:300]
         raise TransportError(f"HTTP {exc.code}: {detail}") from exc
-    except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
-        raise TransportError(str(exc)) from exc
+    # OSError covers URLError, timeouts and dropped connections, and
+    # HTTPException a reply cut short
+    except (OSError, http.client.HTTPException, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TransportError(str(exc) or type(exc).__name__) from exc
     try:
         return str(payload["choices"][0]["message"]["content"])
     except (KeyError, IndexError, TypeError) as exc:

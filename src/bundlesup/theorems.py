@@ -18,6 +18,8 @@
 Suites 1 and 2 take every derivative by central finite differences and
 reuse nothing from the analytic backward pass. Suite 3 takes its step size
 from the trainer, whose G is read off the exact logit Jacobian.
+The suites' finite-difference steps, draw scales and check tolerances are
+module constants (THEOREM1_*, *_STEP, *_TOL, THETA_SCALE), not options.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ from .train import TrainConfig, train
 # Claim 1: outlier tolerance of group supervision
 # ---------------------------------------------------------------------------
 
+# claim 1's central-difference step, the slack of each side of its check,
+# and the scale of the member scores drawn
+THEOREM1_STEP = 1e-5
+THEOREM1_SLACK = 1e-10
+THEOREM1_SCORE_SCALE = 1.5
+
+
 @dataclass
 class Theorem1Report:
     requested: int
@@ -50,22 +59,15 @@ class Theorem1Report:
     min_lower_margin: float
 
 
-def verify_theorem1(
-    trials: int,
-    n_classes: int,
-    bundle_size: int,
-    seed: int,
-    step: float = 1e-5,
-    slack: float = 1e-10,
-    score_scale: float = 1.5,
-) -> Theorem1Report:
+def verify_theorem1(trials: int, n_classes: int, bundle_size: int, seed: int) -> Theorem1Report:
     """Accumulate condition-satisfying random trials and check the inequality.
 
     Each trial draws unconstrained member scores and a group label y; member
     0 is the designated outlier with top class m'. Trials qualify when
     y != m' and the outlier's probability at m' is at least the group's.
     The check is 0 - slack <= g_group <= g_individual + slack, both
-    gradients taken at the outlier's m' coordinate by central differences.
+    gradients taken at the outlier's m' coordinate by central differences;
+    the slack, the step and the scores' scale are THEOREM1_* constants.
     """
     if trials < 1 or n_classes < 2 or bundle_size < 2:
         raise ValueError("need trials >= 1, n_classes >= 2, bundle_size >= 2")
@@ -76,7 +78,7 @@ def verify_theorem1(
 
     while kept < trials:
         batch = max(4096, trials - kept)
-        scores = rng.normal(0.0, score_scale, size=(batch, bundle_size, n_classes))
+        scores = rng.normal(0.0, THEOREM1_SCORE_SCALE, size=(batch, bundle_size, n_classes))
         y_hat = rng.integers(0, n_classes, size=batch)
         drawn += batch
         m_prime = np.argmax(scores[:, 0, :], axis=1)
@@ -96,19 +98,19 @@ def verify_theorem1(
         g_group = np.zeros(idx.size)
         for sign in (1.0, -1.0):
             z2 = zbar.copy()
-            z2[sel, mp] += sign * step / bundle_size
+            z2[sel, mp] += sign * THEOREM1_STEP / bundle_size
             g_group -= sign * log_softmax_rows(z2)[sel, yh]
-        g_group /= 2 * step
+        g_group /= 2 * THEOREM1_STEP
 
         row0 = scores[idx, 0, :]
         g_ind = np.zeros(idx.size)
         for sign in (1.0, -1.0):
             r2 = row0.copy()
-            r2[sel, mp] += sign * step
+            r2[sel, mp] += sign * THEOREM1_STEP
             g_ind -= sign * log_softmax_rows(r2)[sel, yh] / bundle_size
-        g_ind /= 2 * step
+        g_ind /= 2 * THEOREM1_STEP
 
-        ok = (g_group >= -slack) & (g_group <= g_ind + slack)
+        ok = (g_group >= -THEOREM1_SLACK) & (g_group <= g_ind + THEOREM1_SLACK)
         kept += idx.size
         passed += int(ok.sum())
         max_upper_violation = max(max_upper_violation, float((g_group - g_ind).max()))
@@ -129,12 +131,15 @@ def verify_theorem1(
 # Claim 2: bounded gradient and curvature of the group cross-entropy
 # ---------------------------------------------------------------------------
 
-# claim 2's GCN, parameter-point scale, and central-difference steps of G and M
+# claim 2's GCN, parameter-point scale, central-difference steps of G and M,
+# and the slack each bound's check allows the finite-difference estimates
 THEOREM2_CLASSES = 3
 THEOREM2_HIDDEN = 4
 THETA_SCALE = 1.0
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-3
+GRAD_TOL = 1e-8
+HESS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,6 @@ class Theorem2Report:
     points: list
     all_grad_ok: bool
     all_hess_ok: bool
-    grad_tol: float
-    hess_tol: float
 
     @property
     def all_ok(self) -> bool:
@@ -211,12 +214,7 @@ def _bundle_ce_from_z(z: np.ndarray, members, label: int) -> float:
     return float(-log_softmax_rows(zbar[None, :])[0, label])
 
 
-def verify_theorem2(
-    instance: Theorem2Instance,
-    seed: int,
-    grad_tol: float = 1e-8,
-    hess_tol: float = 1e-6,
-) -> Theorem2Report:
+def verify_theorem2(instance: Theorem2Instance, seed: int) -> Theorem2Report:
     """Check the derived derivative bounds at random parameter points.
 
     At each point, G and M are estimated by central differences of the
@@ -229,9 +227,9 @@ def verify_theorem2(
     1/|B| factor, and sum_c |q_c - e_yc| = 2(1-q_y): the gradient bound is
     2(1-q_y)G. The Hessian adds the covariance of dzbar/dtheta_j and
     dzbar/dtheta_k under q, at most G^2 in magnitude: 2(1-q_y)M + G^2.
-    These are the bounds `grad_ok` and `hess_ok` test. The paper's
-    discounted forms 2G/|B| and 2(M+G^2)/|B| are reported alongside; 2G/|B|
-    does bound each single member's contribution.
+    These are the bounds `grad_ok` and `hess_ok` test, within GRAD_TOL and
+    HESS_TOL. The paper's discounted forms 2G/|B| and 2(M+G^2)/|B| are
+    reported alongside; 2G/|B| does bound each single member's contribution.
     """
     make_z, n_d = theorem2_model(instance)
     members = list(instance.members)
@@ -318,10 +316,10 @@ def verify_theorem2(
                 q_label=float(q[label]),
                 grad_inf=grad_inf,
                 grad_bound=grad_bound,
-                grad_ok=grad_inf <= grad_bound + grad_tol,
+                grad_ok=grad_inf <= grad_bound + GRAD_TOL,
                 hess_max=hess_max,
                 hess_bound=hess_bound,
-                hess_ok=hess_max <= hess_bound + hess_tol,
+                hess_ok=hess_max <= hess_bound + HESS_TOL,
                 grad_inf_per_member=grad_inf_per_member,
                 grad_bound_discounted=2 * g_hat / size,
                 hess_bound_discounted=2 * (m_hat + g_hat**2) / size,
@@ -333,14 +331,16 @@ def verify_theorem2(
         points=points,
         all_grad_ok=all(pt.grad_ok for pt in points),
         all_hess_ok=all(pt.hess_ok for pt in points),
-        grad_tol=grad_tol,
-        hess_tol=hess_tol,
     )
 
 
 # ---------------------------------------------------------------------------
 # Claim 3: convergence of gradient descent with the derived step size
 # ---------------------------------------------------------------------------
+
+# the largest loss increase claim 3's check forgives a step, for rounding
+MONOTONE_TOL = 1e-9
+
 
 @dataclass
 class Theorem3Report:
@@ -371,7 +371,6 @@ def verify_theorem3(
     epochs: int = 4000,
     refinement: bool = False,
     sbm: SbmConfig = None,
-    monotone_tol: float = 1e-9,
 ) -> Theorem3Report:
     """Train on the standard synthetic benchmark with the derived step size.
 
@@ -388,7 +387,7 @@ def verify_theorem3(
     included. With refinement enabled, a step across a refinement event
     compares two different objectives and is exempt from the checks; the
     rate bound then sums the decreases of the checked steps only. The loss
-    must not increase by more than `monotone_tol` on any checked step.
+    must not increase by more than MONOTONE_TOL on any checked step.
     """
     cfg = sbm if sbm is not None else SbmConfig(seed=seed)
     graph, emb, table = gen_sbm(cfg)
@@ -414,7 +413,7 @@ def verify_theorem3(
     # the step from t to t+1 is exempt when refinement is on
     checked = np.ones(drops.size, dtype=bool)
     checked[[e - 1 for e, _, _ in report.refinements]] = False
-    increases = int((checked & (drops < -monotone_tol)).sum())
+    increases = int((checked & (drops < -MONOTONE_TOL)).sum())
     return Theorem3Report(
         eta=eta,
         epochs=report.epochs,

@@ -96,7 +96,7 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_outlier_tolerance_inequality():
     """10,000 condition-satisfying trials all satisfy the gradient ordering."""
     t0 = time.perf_counter()
-    rep = verify_theorem1(trials=10_000, n_classes=5, bundle_size=5, seed=20260808, slack=1e-10)
+    rep = verify_theorem1(trials=10_000, n_classes=5, bundle_size=5, seed=20260808)
     elapsed = time.perf_counter() - t0
     ok = rep.pass_fraction == 1.0 and elapsed < 10
     verdict(

@@ -250,22 +250,20 @@ class TestNormalizedAdjacency:
         assert a.block(np.arange(4)) is a
         assert a.block([0, 1, 2, 3], [0, 1, 2, 3]) is a
 
-    def test_symmetric_transposed_products_are_the_plain_ones(self, monkeypatch):
-        """Â is its own transpose, so its transposed product runs as its
-        plain one, bitwise what the transposed kernel gives."""
-        calls = []
-        real = kernels.spmm
-
-        def recording(*args, **kwargs):
-            calls.append(kwargs["transpose"])
-            return real(*args, **kwargs)
-
+    def test_symmetric_transposed_products_are_the_plain_ones(self):
+        """Â equals its transpose, and its transposed product, which runs the
+        transposed kernel, is bitwise its plain one."""
         a = normalized_adjacency(Csr.from_edges(5, [(0, 1), (1, 2), (2, 4)]))
         y = np.random.default_rng(17).normal(size=(5, 3))
         kernel = kernels.spmm(a.indptr, a.indices, a.data, y, shape=a.shape, transpose=True)
-        monkeypatch.setattr(kernels, "spmm", recording)
         assert a.matmul(y, transpose=True).tobytes() == (a @ y).tobytes() == kernel.tobytes()
-        assert calls == [False, False]
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            n = int(rng.integers(1, 80))
+            mask = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+            a = normalized_adjacency(Csr.from_edges(n, np.argwhere(np.triu(mask, 1))))
+            y = rng.normal(size=(n, 4))
+            assert a.matmul(y, transpose=True).tobytes() == (a @ y).tobytes()
 
     def test_block_products_keep_the_whole_graph_terms(self):
         """A block row adds the same terms in the same order as Â's row, so

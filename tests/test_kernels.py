@@ -59,8 +59,7 @@ class TestSpmm:
 
     def test_out_holds_the_allocated_product_bitwise(self):
         """`out` receives bitwise the product SciPy's `csr_array` allocates,
-        M @ dense and M.T @ dense, whatever it held before, from SciPy's
-        compiled kernels and where its private `_sparsetools` is missing."""
+        M @ dense and M.T @ dense, whatever it held before."""
         for transpose in (False, True):
             self._check_out_holds_the_allocated_product_bitwise(transpose)
 
@@ -77,15 +76,6 @@ class TestSpmm:
         np.testing.assert_array_equal(product(), expect)
         out = np.full(expect.shape, np.nan)
         assert product(out=out) is out
-        np.testing.assert_array_equal(out, expect)
-        out = np.full(expect.shape, np.nan)
-        with mock.patch.dict(sys.modules, {"scipy.sparse._sparsetools": None}):
-            kernels._matvecs.cache_clear()
-            try:
-                assert kernels._matvecs() is None
-                assert product(out=out) is out
-            finally:
-                kernels._matvecs.cache_clear()
         np.testing.assert_array_equal(out, expect)
 
     def test_kernels_are_looked_up_once(self, monkeypatch):

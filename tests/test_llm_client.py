@@ -22,7 +22,7 @@ from bundlesup.graphs import NodeTable
 from bundlesup.llm import REASK_SUFFIX, LlmEndpointConfig
 from bundlesup.sampling import Bundle
 
-from llm_stub import ChatStub
+from llm_stub import Broken, ChatStub
 
 CLASSES = ["Agents", "Databases", "Information Retrieval"]
 TABLE = NodeTable(n=2, class_names=CLASSES, texts=["alpha text", "beta text"])
@@ -105,10 +105,37 @@ def test_transport_error_retried_then_recorded():
 
 
 def test_transport_error_then_recovery():
+    """The retry after a transport error resends the request that failed."""
     with ChatStub([500, "Information Retrieval"]) as stub:
         rec = ask(stub)
     assert rec.label == 2
     assert rec.attempts == 2
+    sent = [req["body"]["messages"][1]["content"] for req in stub.requests]
+    assert sent == [make_prompt().text] * 2
+
+
+def test_only_an_unparseable_reply_adds_the_reask_suffix():
+    """Each retry resends the request that failed, re-asked only after a
+    reply that did not parse."""
+    with ChatStub([500, "hmm", 500, "Agents"]) as stub:
+        rec = ask(stub, max_retries=3)
+    assert (rec.label, rec.attempts) == (0, 4)
+    sent = [req["body"]["messages"][1]["content"] for req in stub.requests]
+    assert sent == [make_prompt().text] * 2 + [make_prompt().text + REASK_SUFFIX] * 2
+
+
+@pytest.mark.parametrize("broken", list(Broken), ids=lambda b: b.name)
+def test_a_broken_reply_is_a_transport_error_retried_and_not_cached(tmp_path, broken):
+    """A dropped connection, a body cut short and a body that is not UTF-8
+    each fail the attempt like an unreachable endpoint: retried up to
+    max_retries, recorded as a transport error, and not cached."""
+    path = tmp_path / "cache.jsonl"
+    with ChatStub([broken]) as stub:
+        rec = annotate_one(endpoint(stub.base_url), AnnotationCache(path))
+        assert len(stub.requests) == 3   # 1 + max_retries
+    assert (rec.label, rec.attempts) == (None, 3)
+    assert rec.error.startswith("transport:")
+    assert not path.exists() or path.read_text() == ""
 
 
 def test_missing_api_key(monkeypatch):
