@@ -173,11 +173,12 @@ def ask_llm(prompt: Prompt, cfg: llm_client.LlmEndpointConfig, api_key: str,
     again with a re-ask suffix appended, and after a transport error the
     request that failed is sent again unchanged. A record with label None
     marks final failure, and its error says whether the last attempt
-    failed to parse or to arrive.
+    failed to parse or to arrive; its reply is that attempt's, if any.
     """
-    raw, label, error = "", None, None
+    label, error = None, None
     content = prompt.text
     for attempt in range(cfg.max_retries + 1):
+        raw = ""
         try:
             raw = llm_client.chat_completion(cfg, api_key, content)
         except llm_client.TransportError as exc:

@@ -281,8 +281,12 @@ def _experiment(args) -> ExperimentConfig:
         cfg = replace(cfg, mode=args.mode)
     if args.noise is not None:
         cfg = replace(cfg, oracle=replace(cfg.oracle, noise_rate=args.noise))
-    if args.seeds:
-        cfg = replace(cfg, replicate_seeds=tuple(int(s) for s in args.seeds.split(",")))
+    if args.seeds is not None:
+        try:
+            seeds = tuple(int(item) for item in args.seeds.split(","))
+        except ValueError:
+            raise ValueError(f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
+        cfg = replace(cfg, replicate_seeds=seeds)
     return cfg
 
 

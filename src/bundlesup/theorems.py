@@ -16,8 +16,11 @@
    the resulting rate bound, on the standard synthetic benchmark.
 
 Suites 1 and 2 take every derivative by central finite differences and
-reuse nothing from the analytic backward pass. Suite 3 takes its step size
-from the trainer, whose G is read off the exact logit Jacobian.
+reuse nothing from the analytic backward pass. Suite 2 has one function of
+the parameters, the member logits and the group cross-entropy as one flat
+array, and two stencils, `first_difference` and `second_difference`, give
+all four of its derivatives. Suite 3 takes its step size from the trainer,
+whose G is read off the exact logit Jacobian.
 The suites' finite-difference steps, draw scales and check tolerances are
 module constants (THEOREM1_*, *_STEP, *_TOL, THETA_SCALE), not options.
 """
@@ -152,8 +155,12 @@ class Theorem2Instance:
     label: int
     n_points: int = 10
 
+    def __post_init__(self):
+        if self.n_points < 1:
+            raise ValueError("n_points must be >= 1")
 
-def default_theorem2_instance(seed: int = 0, n_points: int = 10) -> Theorem2Instance:
+
+def default_theorem2_instance(seed: int = 0, n_points: int = Theorem2Instance.n_points) -> Theorem2Instance:
     rng = np.random.default_rng(seed)
     n, d, size = 8, 3, 4
     while True:
@@ -209,17 +216,45 @@ def theorem2_model(instance: Theorem2Instance) -> tuple:
     return make_z, template.n_params
 
 
-def _bundle_ce_from_z(z: np.ndarray, members, label: int) -> float:
-    zbar = z[list(members)].mean(axis=0)
-    return float(-log_softmax_rows(zbar[None, :])[0, label])
+def first_difference(f, theta: np.ndarray, j: int, h: float) -> np.ndarray:
+    """The central difference (f(theta + h e_j) - f(theta - h e_j)) / 2h; the
+    second point is the first one less 2h e_j."""
+    point = theta.copy()
+    point[j] += h
+    plus = f(point)
+    point[j] -= 2 * h
+    return (plus - f(point)) / (2 * h)
+
+
+def second_difference(f, theta: np.ndarray, j: int, k: int, h: float, f0: np.ndarray) -> np.ndarray:
+    """The central difference of d2f/dtheta_j dtheta_k: 3-point around f0 = f(theta)
+    on the diagonal, 4-point off it."""
+    if j == k:
+        point = theta.copy()
+        point[j] += h
+        plus = f(point)
+        point[j] -= 2 * h
+        return (plus - 2 * f0 + f(point)) / h**2
+
+    def at(sj, sk):
+        point = theta.copy()
+        point[j] += sj * h
+        point[k] += sk * h
+        return f(point)
+
+    return (at(1.0, 1.0) - at(1.0, -1.0) - at(-1.0, 1.0) + at(-1.0, -1.0)) / (4 * h**2)
 
 
 def verify_theorem2(instance: Theorem2Instance, seed: int) -> Theorem2Report:
     """Check the derived derivative bounds at random parameter points.
 
-    At each point, G and M are estimated by central differences of the
-    member logits over every parameter coordinate (G) and coordinate pair
-    (M); the loss gradient and Hessian are estimated the same way.
+    One function of theta gives the member logits and the group cross-entropy
+    as one flat array, and two central-difference stencils
+    (`first_difference`, `second_difference`) take every derivative of it. At
+    each point, G is the largest first difference of a member logit over
+    every parameter coordinate (GRAD_STEP) and M the largest second
+    difference over every coordinate pair (HESS_STEP); the same lists give
+    the loss gradient and the loss Hessian's largest entry.
 
     With L = CE(softmax(zbar), y) and zbar the mean member logit, the chain
     rule gives dL/dtheta_j = sum_c (q_c - e_yc) dzbar_c/dtheta_j. Every
@@ -237,73 +272,31 @@ def verify_theorem2(instance: Theorem2Instance, seed: int) -> Theorem2Report:
     label = instance.label
     rng = np.random.default_rng(seed)
 
+    def outputs(vec):
+        """The member logits, row by row, then the group cross-entropy."""
+        z = make_z(vec)[members]
+        return np.append(z, -log_softmax_rows(z.mean(axis=0, keepdims=True))[0, label])
+
     points = []
     for _ in range(instance.n_points):
         vec = rng.normal(0.0, THETA_SCALE, size=n_d)
-        hs = GRAD_STEP
-
-        # Jacobian of the member logits and gradient of the loss, one FD
-        # pass per coordinate
-        jac = np.zeros((size, THEOREM2_CLASSES, n_d))
-        grad = np.zeros(n_d)
-        for j in range(n_d):
-            vp = vec.copy()
-            vp[j] += hs
-            zp = make_z(vp)
-            vp[j] -= 2 * hs
-            zm = make_z(vp)
-            jac[:, :, j] = (zp[members] - zm[members]) / (2 * hs)
-            grad[j] = (
-                _bundle_ce_from_z(zp, members, label) - _bundle_ce_from_z(zm, members, label)
-            ) / (2 * hs)
+        first = np.array([first_difference(outputs, vec, j, GRAD_STEP) for j in range(n_d)])
+        # the member logits' Jacobian, C-contiguous: einsum sums a strided view in another order
+        jac = np.ascontiguousarray(first[:, :-1].T.reshape(size, THEOREM2_CLASSES, n_d))
         g_hat = float(np.abs(jac).max())
+        grad_inf = float(np.abs(first[:, -1]).max())
 
-        # the loss gradient's largest entry and largest single-member contribution
-        grad_inf = float(np.abs(grad).max())
-        z0 = make_z(vec)
-        q = softmax_rows(z0[members].mean(axis=0, keepdims=True))[0]
-        coef = q.copy()
-        coef[label] -= 1.0
+        # the largest single-member contribution to the loss gradient
+        f0 = outputs(vec)
+        q = softmax_rows(f0[:-1].reshape(size, THEOREM2_CLASSES).mean(axis=0, keepdims=True))[0]
+        coef = q - np.eye(THEOREM2_CLASSES)[label]
         per_member = np.einsum("c,icj->ij", coef, jac) / size
         grad_inf_per_member = float(np.abs(per_member).max())
 
-        # second derivatives of member logits and of the loss, shared pass
-        hb = HESS_STEP
-        m_hat = 0.0
-        hess_max = 0.0
-        base_z = z0
-        base_l = _bundle_ce_from_z(base_z, members, label)
-        for j in range(n_d):
-            for k in range(j, n_d):
-                if j == k:
-                    vp = vec.copy()
-                    vp[j] += hb
-                    zp = make_z(vp)
-                    vp[j] -= 2 * hb
-                    zm = make_z(vp)
-                    second_z = (zp[members] - 2 * base_z[members] + zm[members]) / hb**2
-                    second_l = (
-                        _bundle_ce_from_z(zp, members, label)
-                        - 2 * base_l
-                        + _bundle_ce_from_z(zm, members, label)
-                    ) / hb**2
-                else:
-                    vpp = vec.copy(); vpp[j] += hb; vpp[k] += hb
-                    vpm = vec.copy(); vpm[j] += hb; vpm[k] -= hb
-                    vmp = vec.copy(); vmp[j] -= hb; vmp[k] += hb
-                    vmm = vec.copy(); vmm[j] -= hb; vmm[k] -= hb
-                    zpp, zpm, zmp, zmm = (make_z(v) for v in (vpp, vpm, vmp, vmm))
-                    second_z = (
-                        zpp[members] - zpm[members] - zmp[members] + zmm[members]
-                    ) / (4 * hb**2)
-                    second_l = (
-                        _bundle_ce_from_z(zpp, members, label)
-                        - _bundle_ce_from_z(zpm, members, label)
-                        - _bundle_ce_from_z(zmp, members, label)
-                        + _bundle_ce_from_z(zmm, members, label)
-                    ) / (4 * hb**2)
-                m_hat = max(m_hat, float(np.abs(second_z).max()))
-                hess_max = max(hess_max, abs(second_l))
+        second = np.abs([second_difference(outputs, vec, j, k, HESS_STEP, f0)
+                         for j in range(n_d) for k in range(j, n_d)])
+        m_hat = float(second[:, :-1].max())
+        hess_max = float(second[:, -1].max())
 
         miss = 2 * (1.0 - q[label])
         grad_bound = miss * g_hat

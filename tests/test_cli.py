@@ -155,11 +155,16 @@ def test_sweep_cli(tmp_path):
     (["sweep", "--axis", "bundle_size", "--values", "3,1"], "bundle_size must be >= 2"),
     (["sweep", "--axis", "num_bundles", "--values", "4,8,04"], "num_bundles value 4 is given twice"),
     (["sweep", "--axis", "noise_rate", "--values", "0.5,0,.5"], "noise_rate value 0.5 is given twice"),
-    (["pipeline", "--seeds", "0,a"], "invalid literal for int() with base 10: 'a'"),
+    (["pipeline", "--seeds", "0,a"], "--seeds takes comma-separated integers, got '0,a'"),
     (["sweep", "--axis", "noise_rate", "--values", "0,0.3", "--noise", "0.5"],
      "--noise sets noise_rate, the axis this sweep varies; give the rates in --values"),
+    (["pipeline", "--seeds", ""], "--seeds takes comma-separated integers, got ''"),
+    (["pipeline", "--seeds", "1,,2"], "--seeds takes comma-separated integers, got '1,,2'"),
+    (["sweep", "--axis", "num_bundles", "--values", "4", "--seeds", ""],
+     "--seeds takes comma-separated integers, got ''"),
 ], ids=["sweep-value", "sweep-noise", "sweep-noise-last", "sweep-bundle-size",
-        "sweep-repeated-int", "sweep-repeated-float", "pipeline-seeds", "sweep-noise-axis-and-noise"])
+        "sweep-repeated-int", "sweep-repeated-float", "pipeline-seeds", "sweep-noise-axis-and-noise",
+        "pipeline-seeds-empty", "pipeline-seeds-empty-item", "sweep-seeds-empty"])
 def test_a_bad_experiment_flag_exits_with_a_message(tmp_path, monkeypatch, argv, message):
     """Every arm's config is built and checked before the first replicate runs."""
     replicates = []
@@ -223,6 +228,15 @@ def test_verify_theorem2_cli(capsys):
     assert run(["verify", "--theorem", 2, "--points", 2, "--seed", 0]) == 0
     out = capsys.readouterr().out
     assert "derived" in out and "discounted" in out
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_verify_theorem2_with_no_point_is_refused(capsys, points):
+    """A suite-2 run that would evaluate no point checks nothing."""
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--theorem", 2, "--points", points])
+    assert exc.value.code == "bundlesup verify: n_points must be >= 1"
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_queries_cli(tmp_path, capsys):

@@ -124,6 +124,20 @@ def test_only_an_unparseable_reply_adds_the_reask_suffix():
     assert sent == [make_prompt().text] * 2 + [make_prompt().text + REASK_SUFFIX] * 2
 
 
+@pytest.mark.parametrize("script, raw, error", [
+    (["hmm", 500], "", "transport: HTTP 500: scripted failure"),
+    ([500, "hmm"], "hmm", "parse: "),
+], ids=["reply-then-transport", "transport-then-reply"])
+def test_a_failed_record_holds_the_reply_and_error_of_one_attempt(script, raw, error):
+    """The record's reply and error both come from the last attempt: a
+    transport failure after an unparseable reply leaves no reply."""
+    with ChatStub(script) as stub:
+        rec = ask(stub, max_retries=1)
+        assert len(stub.requests) == 2
+    assert (rec.label, rec.attempts, rec.raw_response) == (None, 2, raw)
+    assert rec.error.startswith(error)
+
+
 @pytest.mark.parametrize("broken", list(Broken), ids=lambda b: b.name)
 def test_a_broken_reply_is_a_transport_error_retried_and_not_cached(tmp_path, broken):
     """A dropped connection, a body cut short and a body that is not UTF-8

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bundlesup import cli, theorems
 from bundlesup.synth import SbmConfig
 from bundlesup.theorems import (
     THEOREM2_CLASSES,
     Theorem2Instance,
     default_theorem2_instance,
+    first_difference,
+    second_difference,
     theorem2_model,
     verify_theorem1,
     verify_theorem2,
@@ -110,6 +115,123 @@ class TestDerivativeBounds:
         assert isinstance(inst, Theorem2Instance)
         assert len(inst.members) >= 2
         assert all(m < inst.graph.n for m in inst.members)
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_an_instance_with_no_point_is_refused(self, n_points):
+        assert default_theorem2_instance(seed=3).n_points == Theorem2Instance.n_points == 10
+        with pytest.raises(ValueError, match="n_points must be >= 1"):
+            default_theorem2_instance(seed=3, n_points=n_points)
+
+
+class TestStencils:
+    """On a quadratic with dyadic arguments and step, every difference is exact."""
+
+    THETA = np.array([1.0, 2.0])
+    STEP = 0.5
+
+    def quadratic(self, calls):
+        def f(theta):
+            calls.append(theta.tolist())
+            t0, t1 = theta
+            return np.array([t0 * t0, t0 * t1, 3 * t1 * t1 + t0])
+        return f
+
+    @pytest.mark.parametrize("j, gradient, points", [
+        (0, [2.0, 2.0, 1.0], [[1.5, 2.0], [0.5, 2.0]]),
+        (1, [0.0, 1.0, 12.0], [[1.0, 2.5], [1.0, 1.5]]),
+    ])
+    def test_first_difference(self, j, gradient, points):
+        calls = []
+        got = first_difference(self.quadratic(calls), self.THETA, j, self.STEP)
+        np.testing.assert_array_equal(got, gradient)
+        assert calls == points
+
+    @pytest.mark.parametrize("j, k, hessian, points", [
+        (0, 0, [2.0, 0.0, 0.0], [[1.5, 2.0], [0.5, 2.0]]),
+        (1, 1, [0.0, 0.0, 6.0], [[1.0, 2.5], [1.0, 1.5]]),
+        (0, 1, [0.0, 1.0, 0.0], [[1.5, 2.5], [1.5, 1.5], [0.5, 2.5], [0.5, 1.5]]),
+        (1, 0, [0.0, 1.0, 0.0], [[1.5, 2.5], [0.5, 2.5], [1.5, 1.5], [0.5, 1.5]]),
+    ])
+    def test_second_difference(self, j, k, hessian, points):
+        calls = []
+        f = self.quadratic(calls)
+        f0 = f(self.THETA)
+        got = second_difference(f, self.THETA, j, k, self.STEP, f0)
+        np.testing.assert_array_equal(got, hessian)
+        assert calls[1:] == points
+
+
+class TestEveryCheckCanFail:
+    """Each check of suites 2 and 3 reads False, and `bundlesup verify` exits 1,
+    once its tolerance or the loss curve it reads is moved past it."""
+
+    @pytest.mark.parametrize("tol, bound, value, ok", [
+        ("GRAD_TOL", "grad_bound", "grad_inf", "all_grad_ok"),
+        ("HESS_TOL", "hess_bound", "hess_max", "all_hess_ok"),
+    ], ids=["grad_ok", "hess_ok"])
+    def test_suite2_check_fails_below_its_margin(self, monkeypatch, capsys, tol, bound, value, ok):
+        """The chain-rule bounds hold for any smooth logits, so a tolerance
+        below minus the smallest margin is what makes a check fail."""
+        inst = default_theorem2_instance(seed=0, n_points=2)
+        margin = min(getattr(pt, bound) - getattr(pt, value) for pt in verify_theorem2(inst, seed=0).points)
+        assert margin > 0
+        monkeypatch.setattr(theorems, tol, -margin - 1e-6)
+        rep = verify_theorem2(inst, seed=0)
+        assert not getattr(rep, ok) and not rep.all_ok
+        assert cli.main(["verify", "--theorem", "2", "--points", "2", "--seed", "0"]) == 1
+        assert "FAIL" in capsys.readouterr().out.splitlines()[-1]
+
+    @staticmethod
+    def hand_built_loss(monkeypatch, drops_of):
+        """Make the trainer that suite 3 calls report a loss curve that falls by
+        `drops_of(eta, grad_sq)` at each step, from the real first loss."""
+        real_train = theorems.train
+
+        def train(*args, **kwargs):
+            params, report = real_train(*args, **kwargs)
+            drops = drops_of(report.eta, report.grad_norm**2)
+            curve = report.loss[0] - np.concatenate([[0.0], np.cumsum(drops)])
+            return params, dataclasses.replace(report, loss=curve[:-1], final_loss=float(curve[-1]))
+
+        monkeypatch.setattr(theorems, "train", train)
+
+    def verify_both_ways(self, capsys):
+        rep = verify_theorem3(seed=0, epochs=30)
+        assert cli.main(["verify", "--theorem", "3", "--epochs", "30", "--seed", "0"]) == 1
+        return rep, capsys.readouterr().out
+
+    def test_monotone_fails_on_an_increase(self, monkeypatch, capsys):
+        def drops(eta, grad_sq):
+            d = eta * grad_sq
+            d[5] = -1e-3
+            return d
+
+        self.hand_built_loss(monkeypatch, drops)
+        rep, out = self.verify_both_ways(capsys)
+        assert not rep.monotone and rep.increases_between_refinements == 1
+        assert rep.max_step_increase == pytest.approx(1e-3)
+        assert "monotone=False" in out
+
+    def test_sufficient_decrease_fails_on_a_short_step(self, monkeypatch, capsys):
+        """One step falls by half the descent lemma's guaranteed amount."""
+        def drops(eta, grad_sq):
+            d = eta * grad_sq
+            d[5] *= 0.05
+            return d
+
+        self.hand_built_loss(monkeypatch, drops)
+        rep, out = self.verify_both_ways(capsys)
+        assert rep.monotone and rep.rate_ok and not rep.sufficient_decrease
+        assert rep.min_decrease_ratio == pytest.approx(0.05)
+        assert "1-eta*L/2=0.1000: FAIL" in out
+
+    def test_rate_fails_when_the_loss_falls_too_little(self, monkeypatch, capsys):
+        """Every step falls by half of what the rate bound needs at the smallest gradient."""
+        self.hand_built_loss(monkeypatch, lambda eta, grad_sq: np.full(grad_sq.size, 0.05 * eta * grad_sq.min()))
+        rep, out = self.verify_both_ways(capsys)
+        assert rep.monotone and not rep.rate_ok
+        assert rep.rate_bound == pytest.approx(rep.min_grad_sq / 2)
+        assert out.rstrip().endswith("FAIL")
 
 
 class TestDescent:
